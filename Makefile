@@ -14,13 +14,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# check is the full verification gate: vet, the race-enabled suite
-# (which exercises the parallel experiment engine across worker counts),
-# a one-iteration smoke run of the hot-path benchmarks, and the
-# telemetry-determinism gate of scripts/check.sh.
-check: vet race
-	./scripts/check.sh bench-smoke
-	./scripts/check.sh obs-determinism
+# check is the full verification gate: scripts/check.sh with no
+# arguments — vet, the race-enabled suite, the parity sweeps, the wire
+# frame fuzzer, the benchmark smoke run, the spec smoke runs, the
+# telemetry-determinism gate and the grep guards.
+check:
+	./scripts/check.sh
 
 # bench times the experiment engine (plain and instrumented), the DMRA
 # hot path (cached vs naive), and scenario construction, then appends

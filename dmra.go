@@ -223,7 +223,7 @@ type ClusterResult = wire.ClusterResult
 type BSTraffic = wire.BSTraffic
 
 // RunCluster executes DMRA with one real TCP server per base station
-// (framed JSON messaging on loopback). The matching is identical to
+// (length-prefixed binary frames on loopback). The matching is identical to
 // Allocate(net, "dmra") under the same configuration; the point is
 // exercising the deployment path — serialization, sockets, concurrency,
 // clean shutdown.

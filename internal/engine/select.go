@@ -10,21 +10,20 @@ import (
 // to what the paper's line 7 says a request carries: the UE's identity,
 // its demands on this link, the ownership relation, the coverage count
 // f_u, and the link economics. It is self-contained so a BS can select
-// without the network database — internal/wire serializes it verbatim
-// (the JSON tags are the cluster's frame format).
+// without the network database; internal/wire frames it field by field.
 type Request struct {
-	UE      mec.UEID      `json:"ue"`
-	Service mec.ServiceID `json:"service"`
+	UE      mec.UEID
+	Service mec.ServiceID
 	// CRUs is c_j^u and RRBs n_{u,i} for this UE-BS link.
-	CRUs int `json:"crus"`
-	RRBs int `json:"rrbs"`
+	CRUs int
+	RRBs int
 	// SameSP tells the BS whether the proposer subscribes to its owner.
-	SameSP bool `json:"sameSP"`
+	SameSP bool
 	// Fu is the UE's coverage count f_u.
-	Fu int `json:"fu"`
+	Fu int
 	// PricePerCRU is p_{i,u}; the BS echoes link economics back into its
 	// selection without needing the full network database.
-	PricePerCRU float64 `json:"pricePerCRU"`
+	PricePerCRU float64
 }
 
 // Verdict is a BS's decision on one request of a round.

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"slices"
 	"testing"
 
 	"dmra/internal/engine"
@@ -62,5 +63,28 @@ func TestViewTableBroadcast(t *testing.T) {
 	tbl.ApplyBroadcast(b, updated, 1, nil)
 	if heard.ResidualVersion(b) != 2 {
 		t.Errorf("version after empty-receiver broadcast: %d, want 2", heard.ResidualVersion(b))
+	}
+
+	// Receivers out of Covered order, plus a UE outside b's range: every
+	// covered receiver still updates and the stranger is ignored.
+	var stranger mec.UEID = -1
+	for u := range net.UEs {
+		if !slices.Contains(covered, mec.UEID(u)) {
+			stranger = mec.UEID(u)
+			break
+		}
+	}
+	receivers := append([]mec.UEID{stranger}, covered...)
+	slices.Reverse(receivers)
+	for j := range updated {
+		updated[j] = j + 1
+	}
+	tbl.ApplyBroadcast(b, updated, 3, receivers)
+	for _, u := range covered {
+		view := tbl.UE(u)
+		svc := net.UEs[u].Service
+		if remCRU, remRRBs := view.Residual(b, svc); remCRU != int(svc)+1 || remRRBs != 3 {
+			t.Fatalf("UE %d after unordered broadcast: (%d, %d), want (%d, 3)", u, remCRU, remRRBs, svc+1)
+		}
 	}
 }

@@ -210,7 +210,7 @@ type CohortReport struct {
 	Name string
 	// PoolSize is the number of UE profiles in the cohort's slice of
 	// the scenario population.
-	PoolSize int
+	PoolSize                        int
 	Arrivals, Departures, Saturated int
 	EdgeServed, CloudServed         int
 }
@@ -501,6 +501,10 @@ type session struct {
 	active  map[mec.UEID]placement
 
 	rep Report
+	// err is the first epoch-path failure (an incremental arrival or
+	// settle, a ledger desync, an epoch allocation); fail records it and
+	// stops the simulation, and run() returns it.
+	err error
 	// timelineErr remembers the first sampler write failure; sampling
 	// stops there and run() surfaces it.
 	timelineErr error
@@ -536,6 +540,9 @@ func (s *session) run() (Report, error) {
 	// departures scheduled past it never do, so nothing mutates state or
 	// profitRate after the integrals are clamped below.
 	s.engine.RunUntil(s.cfg.DurationS)
+	if s.err != nil {
+		return Report{}, s.err
+	}
 	s.integrateTo(s.cfg.DurationS)
 
 	s.rep.Events = s.engine.Processed()
@@ -566,6 +573,15 @@ func (s *session) run() (Report, error) {
 		return Report{}, fmt.Errorf("online: timeline: %w", s.timelineErr)
 	}
 	return s.rep, nil
+}
+
+// fail records the session's first epoch-path error and stops the
+// simulation; run() returns the error instead of a report.
+func (s *session) fail(err error) {
+	if s.err == nil {
+		s.err = err
+		s.engine.Stop()
+	}
 }
 
 // sampleTimeline emits one obs.TimelineSample and reschedules itself.
@@ -675,7 +691,8 @@ func (s *session) arrival(co *cohortRun) {
 		s.waiting = append(s.waiting, u)
 		if s.inc != nil {
 			if err := s.inc.Arrive(u); err != nil {
-				panic(fmt.Sprintf("online: incremental arrival: %v", err))
+				s.fail(fmt.Errorf("online: incremental arrival: %w", err))
+				return
 			}
 		}
 		s.rep.Arrivals++
@@ -691,7 +708,10 @@ func (s *session) epoch() {
 	s.rep.Epochs++
 
 	if len(s.waiting) > 0 {
-		s.match()
+		if err := s.match(); err != nil {
+			s.fail(err)
+			return
+		}
 	}
 	if s.cfg.RecordSeries {
 		used := 0
@@ -720,14 +740,16 @@ func (s *session) epoch() {
 // cloud fallback): a UE that loses the admission race consumes no
 // randomness, so every cohort's draw stream is independent of internal
 // race outcomes.
-func (s *session) match() {
+func (s *session) match() error {
 	s.rep.ReassignChecks += len(s.waiting)
 	if s.inc != nil {
-		s.matchIncremental()
-		return
+		return s.matchIncremental()
 	}
 
-	assignment := s.matchWaiting()
+	assignment, err := s.matchWaiting()
+	if err != nil {
+		return err
+	}
 	// Compact the survivors in place: the read cursor stays ahead of the
 	// append cursor, so reusing the waiting backing array is safe and the
 	// per-epoch stillWaiting allocation disappears.
@@ -758,6 +780,7 @@ func (s *session) match() {
 		s.scheduleDeparture(u, co.hold.Sample(co.src))
 	}
 	s.waiting = kept
+	return nil
 }
 
 // matchIncremental is match for the delta-repair mode: one Settle
@@ -768,10 +791,10 @@ func (s *session) match() {
 // ledger is authoritative and mirrors mec.State debit-for-debit, so a
 // failed Assign here is a desync bug, not an admission race; the
 // frontier always drains (admitted or cloud), so no UE stays waiting.
-func (s *session) matchIncremental() {
+func (s *session) matchIncremental() error {
 	ds, err := s.inc.Settle()
 	if err != nil {
-		panic(fmt.Sprintf("online: epoch settle: %v", err))
+		return fmt.Errorf("online: epoch settle: %w", err)
 	}
 	s.rep.DeltaFrontier += ds.Frontier
 	s.rep.DeltaReleased += ds.Released
@@ -784,7 +807,7 @@ func (s *session) matchIncremental() {
 		if bi := serving[u]; bi >= 0 {
 			b := mec.BSID(bi)
 			if err := s.state.Assign(u, b); err != nil {
-				panic(fmt.Sprintf("online: incremental ledger desync: %v", err))
+				return fmt.Errorf("online: incremental ledger desync: %w", err)
 			}
 			s.active[u] = placement{bs: b}
 			s.rep.EdgeServed++
@@ -800,6 +823,7 @@ func (s *session) matchIncremental() {
 		s.scheduleDeparture(u, co.hold.Sample(co.src))
 	}
 	s.waiting = s.waiting[:0]
+	return nil
 }
 
 // intoAllocator is the optional zero-allocation allocator fast path
@@ -816,7 +840,7 @@ type intoAllocator interface {
 // non-waiting UE on the cloud. A fully drained BS stays present with
 // zero residual capacity and rejects proposals normally, preserving
 // every waiting UE's true coverage count f_u.
-func (s *session) matchWaiting() mec.Assignment {
+func (s *session) matchWaiting() (mec.Assignment, error) {
 	sub := s.subview.Refresh(s.waiting, s.state)
 	var err error
 	if ia, ok := s.allocator.(intoAllocator); ok {
@@ -825,9 +849,9 @@ func (s *session) matchWaiting() mec.Assignment {
 		s.epochRes, err = s.allocator.Allocate(sub)
 	}
 	if err != nil {
-		panic(fmt.Sprintf("online: epoch allocation: %v", err))
+		return mec.Assignment{}, fmt.Errorf("online: epoch allocation: %w", err)
 	}
-	return s.epochRes.Assignment
+	return s.epochRes.Assignment, nil
 }
 
 // marginOf returns the per-second profit of serving UE u on BS b.
@@ -865,7 +889,15 @@ func (s *session) scheduleDeparture(u mec.UEID, hold float64) {
 	})
 }
 
+// testHookAllocator, when non-nil, replaces the configured matching
+// policy. Tests use it to inject a failing allocator; always nil in
+// production.
+var testHookAllocator alloc.Allocator
+
 func allocatorFor(cfg Config) (alloc.Allocator, error) {
+	if testHookAllocator != nil {
+		return testHookAllocator, nil
+	}
 	if cfg.Algorithm == "dmra" {
 		return alloc.NewDMRA(cfg.DMRA).WithObserver(cfg.Obs), nil
 	}

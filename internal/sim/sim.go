@@ -18,6 +18,7 @@ type Engine struct {
 	seq       uint64
 	queue     eventQueue
 	processed int
+	stopped   bool
 }
 
 // event is one scheduled callback.
@@ -46,13 +47,24 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 }
 
 // ScheduleAt enqueues fn to run at absolute time t, which must not precede
-// the current time.
+// the current time. After Stop it does nothing.
 func (e *Engine) ScheduleAt(t float64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", t, e.now))
 	}
+	if e.stopped {
+		return
+	}
 	e.seq++
 	heap.Push(&e.queue, &event{time: t, seq: e.seq, fn: fn})
+}
+
+// Stop ends the simulation: pending events are discarded and later
+// Schedule calls are ignored, so the running Run, RunUntil or RunMax
+// returns as soon as the current callback does.
+func (e *Engine) Stop() {
+	e.stopped = true
+	e.queue = nil
 }
 
 // Step executes the next event, if any, and reports whether one ran.

@@ -171,3 +171,26 @@ func TestQuickEventsFireInTimeOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStopEndsRun: a callback that stops the engine ends the drive loop
+// once it returns — pending events are discarded and events it schedules
+// afterwards never fire.
+func TestStopEndsRun(t *testing.T) {
+	var e Engine
+	var fired []float64
+	e.Schedule(1, func() {
+		fired = append(fired, e.Now())
+		e.Stop()
+		e.Schedule(0.5, func() { fired = append(fired, e.Now()) })
+	})
+	e.Schedule(2, func() { fired = append(fired, e.Now()) })
+	if n := e.RunUntil(10); n != 1 {
+		t.Fatalf("RunUntil ran %d events, want 1", n)
+	}
+	if len(fired) != 1 || fired[0] != 1 {
+		t.Fatalf("fired at %v, want [1]", fired)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events pending after Stop", e.Pending())
+	}
+}

@@ -224,7 +224,10 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 		groups[b%shards] = append(groups[b%shards], b)
 	}
 	batches := make([][]Request, len(net_.BSs))
+	// responses[b] points into respBufs[b] when BS b answered this round;
+	// the buffers are decoded into afresh each round, reusing their slices.
 	responses := make([]*RoundResponse, len(net_.BSs))
+	respBufs := make([]RoundResponse, len(net_.BSs))
 	errs := make([]error, len(net_.BSs))
 
 	// The round snapshot carries residuals forward across rounds: a BS
@@ -267,10 +270,10 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 					if len(batches[b]) == 0 {
 						continue
 					}
-					responses[b], errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: round, Requests: batches[b]})
-					if errs[b] != nil {
+					if errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: round, Requests: batches[b]}, &respBufs[b]); errs[b] != nil {
 						break // the round is doomed; don't serialize more timeouts
 					}
+					responses[b] = &respBufs[b]
 				}
 				if rec != nil {
 					rec.ShardRoundLatency(s, time.Since(start).Seconds())
@@ -428,14 +431,10 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 }
 
 // exchange performs one framed request/response on a connection, each
-// frame bounded by its own deadline.
-func exchange(conn net.Conn, timeout time.Duration, req *RoundRequest) (*RoundResponse, error) {
+// frame bounded by its own deadline, decoding the reply into resp.
+func exchange(conn net.Conn, timeout time.Duration, req *RoundRequest, resp *RoundResponse) error {
 	if err := writeFrameDeadline(conn, timeout, req); err != nil {
-		return nil, err
+		return err
 	}
-	var resp RoundResponse
-	if err := readFrameDeadline(conn, timeout, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return readFrameDeadline(conn, timeout, resp)
 }

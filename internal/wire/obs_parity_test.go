@@ -85,7 +85,7 @@ func TestClusterPerBSTraffic(t *testing.T) {
 }
 
 // TestBSServerBadFrameSurfacesError drives the server's failure path: a
-// syntactically valid frame header carrying garbage JSON is a protocol
+// syntactically valid frame header carrying a garbage payload is a protocol
 // failure, which serve() must remember (setErr) and Close must report.
 func TestBSServerBadFrameSurfacesError(t *testing.T) {
 	s, err := StartBS(0, []int{50}, 20, alloc.DefaultDMRAConfig(), time.Second)

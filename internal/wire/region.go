@@ -398,7 +398,9 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 
 	proposals := make([]proposal, len(net_.UEs))
 	batches := make([][]Request, len(net_.BSs))
+	// responses[b] points into respBufs[b] when BS b answered this round.
 	responses := make([]*RoundResponse, len(net_.BSs))
+	respBufs := make([]RoundResponse, len(net_.BSs))
 	errs := make([]error, len(net_.BSs))
 	dead := make([]bool, len(net_.BSs))
 	crashRound := make([]int, len(net_.BSs))
@@ -456,8 +458,10 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 					if len(batches[b]) == 0 {
 						continue
 					}
-					responses[b], errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: w.round, Requests: batches[b]})
-					if errs[b] != nil && !rc.Recover {
+					errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: w.round, Requests: batches[b]}, &respBufs[b])
+					if errs[b] == nil {
+						responses[b] = &respBufs[b]
+					} else if !rc.Recover {
 						break // the round is doomed; don't serialize more timeouts
 					}
 				}
@@ -536,11 +540,12 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			}
 		}
 		crashed := false
+		var probe RoundResponse
 		for b := range net_.BSs {
 			if !serving[b] || dead[b] || conns[b] == nil {
 				continue
 			}
-			if _, perr := exchange(conns[b], timeout, &RoundRequest{Round: round}); perr != nil {
+			if perr := exchange(conns[b], timeout, &RoundRequest{Round: round}, &probe); perr != nil {
 				crash(b, round)
 				crashed = true
 				continue

@@ -131,8 +131,11 @@ func (s *BSServer) serve() {
 		return
 	default:
 	}
+	// One request and one response are decoded into and encoded from for
+	// the whole session, reusing their slices.
+	var req RoundRequest
+	var resp RoundResponse
 	for {
-		var req RoundRequest
 		// The idle read is deliberately unbounded: the coordinator paces
 		// rounds, and the server's lifetime is bounded by Close closing
 		// the connection, not by a read deadline.
@@ -142,7 +145,7 @@ func (s *BSServer) serve() {
 			}
 			return
 		}
-		resp := s.process(&req)
+		s.process(&req, &resp)
 		if s.stall != nil {
 			select {
 			case <-s.stall:
@@ -150,7 +153,7 @@ func (s *BSServer) serve() {
 				return
 			}
 		}
-		if err := writeFrameDeadline(conn, s.writeTimeout, resp); err != nil {
+		if err := writeFrameDeadline(conn, s.writeTimeout, &resp); err != nil {
 			if !isClosed(err) {
 				s.setErr(err)
 			}
@@ -170,15 +173,16 @@ func isClosed(err error) bool {
 
 // process runs Alg. 1 lines 11-26 — selection, the preference-order trim,
 // admission against the private ledger — through the engine's select
-// round, then snapshots the ledger into the resource broadcast. A select
-// failure or a ledger that fails its invariant check is recorded for
-// Close and reported in-band via RoundResponse.Error, so the coordinator
-// fails the round instead of applying verdicts from a broken book.
-func (s *BSServer) process(req *RoundRequest) *RoundResponse {
+// round, then snapshots the ledger into the resource broadcast, filling
+// resp. A select failure or a ledger that fails its invariant check is
+// recorded for Close and reported in-band via RoundResponse.Error, so the
+// coordinator fails the round instead of applying verdicts from a broken
+// book.
+func (s *BSServer) process(req *RoundRequest, resp *RoundResponse) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	resp := &RoundResponse{Round: req.Round}
+	*resp = RoundResponse{Round: req.Round, Verdicts: resp.Verdicts[:0], RemainingCRU: resp.RemainingCRU[:0]}
 	verdicts, err := s.cfg.SelectRound(s.led, req.Requests, &s.sel)
 	if err == nil {
 		err = s.led.CheckInvariants()
@@ -186,8 +190,8 @@ func (s *BSServer) process(req *RoundRequest) *RoundResponse {
 	if err != nil {
 		err = fmt.Errorf("wire: BS %d select: %w", s.id, err)
 		s.setErr(err)
-		resp.Error = err.Error()
-		return resp
+		*resp = RoundResponse{Round: req.Round, Error: err.Error()}
+		return
 	}
 	for _, v := range verdicts {
 		if v.Accepted {
@@ -195,7 +199,6 @@ func (s *BSServer) process(req *RoundRequest) *RoundResponse {
 		}
 		resp.Verdicts = append(resp.Verdicts, Verdict{UE: v.Req.UE, Accepted: v.Accepted, Permanent: v.Permanent})
 	}
-	resp.RemainingCRU = append([]int(nil), s.led.RemainingCRU()...)
+	resp.RemainingCRU = append(resp.RemainingCRU, s.led.RemainingCRU()...)
 	resp.RemainingRRBs = s.led.RemainingRRBs()
-	return resp
 }

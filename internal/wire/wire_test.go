@@ -77,7 +77,7 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 	}
 }
 
-func TestReadFrameBadJSON(t *testing.T) {
+func TestReadFrameBadPayload(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("{not json")
 	var hdr [4]byte
@@ -86,7 +86,7 @@ func TestReadFrameBadJSON(t *testing.T) {
 	buf.Write(payload)
 	var out RoundRequest
 	if err := ReadFrame(&buf, &out); err == nil {
-		t.Fatal("bad JSON accepted")
+		t.Fatal("garbage payload accepted")
 	}
 }
 

@@ -1,18 +1,20 @@
 #!/bin/sh
 # Full verification gate: vet plus the race-enabled test suite, which
-# exercises the parallel experiment engine at several worker counts, a
-# one-iteration smoke run of the hot-path benchmarks, and the
+# exercises the parallel experiment engine at several worker counts, the
+# race-enabled parity sweeps, a fixed-budget fuzz run of the wire frame
+# decoder, a one-iteration smoke run of the hot-path benchmarks, and the
 # telemetry-determinism gate, which proves that attaching the
 # observability layer does not change a single byte of experiment output.
 # Equivalent to `make check`.
 #
 # Usage:
-#   scripts/check.sh                   vet + race suite + wire shard sweep + bench smoke + obs determinism + guards
+#   scripts/check.sh                   vet + race suite + every step below
 #   scripts/check.sh obs-determinism   only the telemetry gate
 #   scripts/check.sh bench-smoke       only the one-iteration benchmark smoke run
 #   scripts/check.sh engine-guard      only the single-round-engine grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
 #   scripts/check.sh wire-shards       only the race-enabled wire suite at several shard counts
+#   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame run over the wire frame decoder
 #   scripts/check.sh region-parity     only the race-enabled region-cluster gate at several region counts
 #   scripts/check.sh soa-parity        only the race-enabled SoA-engine parity gate at several worker counts
 #   scripts/check.sh delta-parity      only the race-enabled delta-repair parity gate at several worker counts
@@ -61,6 +63,14 @@ wire_shards() {
 		DMRA_TEST_SHARDS=$shards go test -race -count=1 ./internal/wire/
 	done
 	echo "wire shards: race-enabled wire suite passed at shards 1 and 3"
+}
+
+wire_fuzz() {
+	# The frame decoder reads bytes from the network: fuzz it for a fixed
+	# budget so a panic, an unbounded allocation or a non-canonical
+	# accept found by the mutator fails the gate, not a deployment.
+	go test -run '^$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/wire/
+	echo "wire fuzz: FuzzReadFrame ran 20 s without a failure"
 }
 
 region_parity() {
@@ -182,6 +192,10 @@ wire-shards)
 	wire_shards
 	exit 0
 	;;
+wire-fuzz)
+	wire_fuzz
+	exit 0
+	;;
 region-parity)
 	region_parity
 	exit 0
@@ -211,6 +225,7 @@ go vet ./...
 go test -race ./internal/engine/
 go test -race ./...
 wire_shards
+wire_fuzz
 region_parity
 soa_parity
 delta_parity
