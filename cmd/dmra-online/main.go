@@ -13,11 +13,16 @@
 //	-duration 600  simulated horizon (seconds)
 //	-epoch 1       re-allocation period (seconds)
 //	-algo dmra     matching policy per epoch
-//	-incremental   delta-repair re-matching (dmra only): epoch cost scales
-//	               with churn, not population; output is byte-identical
+//	-incremental   require delta-repair re-matching (dmra only) and print
+//	               its counters; unobserved dmra sessions delta-repair by
+//	               default, and the output is byte-identical either way
 //	-seed 1        session seed
 //	-replicate 1   independent sessions to aggregate (seeds seed..seed+N-1)
 //	-procs 0       worker goroutines for replication (0 = GOMAXPROCS)
+//
+// With -obs-addr or -trace a dmra session re-matches every epoch from
+// scratch, so the trace carries each epoch's Alg. 1 events and a profile
+// shows that path; add -incremental to observe the delta-repair path.
 package main
 
 import (
@@ -50,7 +55,7 @@ func run(args []string) error {
 		epoch     = fs.Float64("epoch", 1, "re-allocation period (s)")
 		spec      = fs.String("spec", "", "dynamic workload spec file (JSON; replaces -rate/-hold)")
 		algo      = fs.String("algo", "dmra", "matching policy (dmra|dcsp|nonco|random|greedy|stablematch)")
-		incr      = fs.Bool("incremental", false, "delta-repair re-matching (dmra only); byte-identical output, epoch cost proportional to churn")
+		incr      = fs.Bool("incremental", false, "require delta-repair re-matching (dmra only, also when observed) and print its counters; unobserved dmra sessions delta-repair by default, output is byte-identical")
 		seed      = fs.Uint64("seed", 1, "session seed")
 		pool      = fs.Int("pool", 0, "concurrent-UE profile pool (0 = 4x offered load)")
 		series    = fs.Bool("series", false, "chart profit rate and occupancy over time")
@@ -60,6 +65,7 @@ func run(args []string) error {
 		tlEvery   = fs.Float64("timeline-every", 0, "timeline sampling period in seconds (0 = one sample per epoch)")
 	)
 	obsFlags := cliobs.Register(fs)
+	cliobs.AppendUsage(fs, "observed dmra sessions re-match from scratch (to stream each epoch's Alg. 1 events) unless -incremental is set")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -37,6 +37,14 @@ func Register(fs *flag.FlagSet) *Flags {
 	}
 }
 
+// AppendUsage adds note to the help of the -obs-addr and -trace flags
+// Register installed on fs, for tools whose runs telemetry changes.
+func AppendUsage(fs *flag.FlagSet, note string) {
+	for _, name := range []string{"obs-addr", "trace"} {
+		fs.Lookup(name).Usage += "; " + note
+	}
+}
+
 // Runtime is the materialized observability stack. The zero value (and
 // nil) is the disabled state: Rec is nil, Close is a no-op.
 type Runtime struct {

@@ -67,6 +67,9 @@ type State struct {
 	assignment Assignment
 	// rrbsUsed[u] records the RRBs granted to UE u (for release).
 	rrbsUsed []int
+	// usedRRBs is the sum of rrbsUsed: the RRBs granted across all BSs,
+	// kept current by Assign and Unassign so occupancy reads are O(1).
+	usedRRBs int
 	// invariantCRU/invariantRRB are CheckInvariants' recount scratch,
 	// allocated on first use and reused so steady-state verification is
 	// allocation-free.
@@ -102,6 +105,7 @@ func (s *State) Reset(net *Network) {
 		s.remRRB[b] = net.BSs[b].MaxRRBs
 		s.version[b] = 0
 	}
+	s.usedRRBs = 0
 	if len(s.rrbsUsed) != len(net.UEs) {
 		s.assignment = NewAssignment(len(net.UEs))
 		s.rrbsUsed = make([]int, len(net.UEs))
@@ -130,6 +134,12 @@ func (s *State) RemainingRRBs(b BSID) int {
 // in one call — the two Eq. 17 inputs that change during matching.
 func (s *State) Residual(b BSID, j ServiceID) (remCRU, remRRBs int) {
 	return s.remCRU[b][j], s.remRRB[b]
+}
+
+// UsedRRBs returns the radio blocks currently granted across all BSs:
+// the sum over b of MaxRRBs - RemainingRRBs(b), maintained in O(1).
+func (s *State) UsedRRBs() int {
+	return s.usedRRBs
 }
 
 // ResidualVersion returns the mutation counter of BS b's residuals. It
@@ -193,6 +203,7 @@ func (s *State) Assign(u UEID, b BSID) error {
 	s.remRRB[b] -= l.RRBs
 	s.assignment.ServingBS[u] = b
 	s.rrbsUsed[u] = l.RRBs
+	s.usedRRBs += l.RRBs
 	s.version[b]++
 	return nil
 }
@@ -208,6 +219,7 @@ func (s *State) Unassign(u UEID) {
 	ue := &s.net.UEs[u]
 	s.remCRU[b][ue.Service] += ue.CRUDemand
 	s.remRRB[b] += s.rrbsUsed[u]
+	s.usedRRBs -= s.rrbsUsed[u]
 	s.rrbsUsed[u] = 0
 	s.assignment.ServingBS[u] = CloudBS
 	s.version[b]++
@@ -266,7 +278,9 @@ func (s *State) CheckInvariants() error {
 		usedCRU[int(b)*s.net.Services+int(ue.Service)] += ue.CRUDemand
 		usedRRB[b] += l.RRBs
 	}
+	totalRRB := 0
 	for b := range s.net.BSs {
+		totalRRB += usedRRB[b]
 		for j := 0; j < s.net.Services; j++ {
 			cap := s.net.BSs[b].CRUCapacity[j]
 			used := usedCRU[b*s.net.Services+j]
@@ -285,6 +299,9 @@ func (s *State) CheckInvariants() error {
 			return fmt.Errorf("mec: invariant: BS %d ledger says %d RRBs left, recount says %d",
 				b, s.remRRB[b], s.net.BSs[b].MaxRRBs-usedRRB[b])
 		}
+	}
+	if s.usedRRBs != totalRRB {
+		return fmt.Errorf("mec: invariant: ledger says %d RRBs used in total, recount says %d", s.usedRRBs, totalRRB)
 	}
 	return nil
 }

@@ -1,0 +1,112 @@
+package mec
+
+import (
+	"testing"
+
+	"dmra/internal/rng"
+)
+
+// recountUsedRRBs is the per-BS recount the running UsedRRBs total
+// replaces.
+func recountUsedRRBs(s *State) int {
+	used := 0
+	for b := range s.net.BSs {
+		used += s.net.BSs[b].MaxRRBs - s.RemainingRRBs(BSID(b))
+	}
+	return used
+}
+
+// TestUsedRRBsRandomScripts drives random Assign/Unassign scripts and
+// checks after every step that the running total equals a per-BS
+// recount and that CheckInvariants, which recounts it independently,
+// accepts the ledger. A Reset must zero the total.
+func TestUsedRRBsRandomScripts(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		net := randomScenario(t, seed, 300, 12, seed%2 == 0)
+		s := NewState(net)
+		src := rng.New(seed).SplitLabeled("rrb-script")
+		for step := 0; step < 2000; step++ {
+			u := UEID(src.Intn(len(net.UEs)))
+			if s.Assigned(u) && src.Intn(3) == 0 {
+				s.Unassign(u)
+			} else if cands := net.Candidates(u); len(cands) > 0 {
+				// Failed grants must leave the total untouched too.
+				_ = s.Assign(u, cands[src.Intn(len(cands))].BS)
+			}
+			if got, want := s.UsedRRBs(), recountUsedRRBs(s); got != want {
+				t.Fatalf("seed %d step %d: UsedRRBs = %d, recount %d", seed, step, got, want)
+			}
+			if step%100 == 0 {
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
+		}
+		if s.UsedRRBs() == 0 {
+			t.Fatalf("seed %d: script granted nothing; the test exercises no debits", seed)
+		}
+		s.Reset(net)
+		if s.UsedRRBs() != 0 {
+			t.Fatalf("seed %d: UsedRRBs = %d after Reset", seed, s.UsedRRBs())
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesDriftedRRBTotal corrupts only the running
+// total and requires the recount to notice.
+func TestCheckInvariantsCatchesDriftedRRBTotal(t *testing.T) {
+	net := randomScenario(t, 3, 100, 6, false)
+	s := NewState(net)
+	for u := range net.UEs {
+		if c := net.Candidates(UEID(u)); len(c) > 0 && s.Assign(UEID(u), c[0].BS) == nil {
+			break
+		}
+	}
+	s.usedRRBs++
+	if err := s.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a drifted used-RRB total")
+	}
+}
+
+// TestSubViewRefreshDropsInactive: a UE dropped from the active set
+// exposes no candidates after the next Refresh, while the UEs that stay
+// or join expose their parent links.
+func TestSubViewRefreshDropsInactive(t *testing.T) {
+	net := randomScenario(t, 7, 200, 10, false)
+	var covered []UEID
+	for u := range net.UEs {
+		if len(net.Candidates(UEID(u))) > 0 {
+			covered = append(covered, UEID(u))
+		}
+	}
+	if len(covered) < 6 {
+		t.Fatalf("only %d covered UEs", len(covered))
+	}
+	sv := net.NewSubView()
+	st := NewState(net)
+	first := covered[:4]
+	// Refresh must not keep the caller's slice: the session compacts
+	// its waiting list in place between epochs.
+	buf := append([]UEID(nil), first...)
+	sv.Refresh(buf, st)
+	for i := range buf {
+		buf[i] = covered[5]
+	}
+	second := []UEID{covered[1], covered[5]}
+	sub := sv.Refresh(second, st)
+	for _, u := range covered {
+		want := 0
+		if u == covered[1] || u == covered[5] {
+			want = len(net.Candidates(u))
+		}
+		if got := len(sub.Candidates(u)); got != want {
+			t.Errorf("UE %d exposes %d candidates after Refresh, want %d", u, got, want)
+		}
+	}
+	sub = sv.Refresh(nil, st)
+	for _, u := range covered {
+		if n := len(sub.Candidates(u)); n != 0 {
+			t.Errorf("UE %d exposes %d candidates with an empty active set", u, n)
+		}
+	}
+}

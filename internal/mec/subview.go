@@ -33,6 +33,9 @@ type SubView struct {
 	bss    []BS
 	caps   [][]int
 	links  [][]Link
+	// active is the previous Refresh's UE set (a private copy: callers
+	// recycle their slice), so the next Refresh clears only those links.
+	active []UEID
 }
 
 // NewSubView prepares a reusable sub-view of n. The returned SubView is
@@ -68,7 +71,8 @@ func (n *Network) NewSubView() *SubView {
 // Network. Inactive UEs keep their identity but expose no candidate
 // links, so allocators pass them straight to the cloud and the caller
 // can index the resulting assignment by real UE ID with no renumbering.
-// res must be a ledger over the parent network.
+// res must be a ledger over the parent network. The cost is O(BSs plus
+// the previous and the new active set), independent of the UE pool.
 func (sv *SubView) Refresh(active []UEID, res *State) *Network {
 	for b := range sv.bss {
 		caps := sv.caps[b]
@@ -77,9 +81,10 @@ func (sv *SubView) Refresh(active []UEID, res *State) *Network {
 		}
 		sv.bss[b].MaxRRBs = res.RemainingRRBs(BSID(b))
 	}
-	for u := range sv.links {
+	for _, u := range sv.active {
 		sv.links[u] = nil
 	}
+	sv.active = append(sv.active[:0], active...)
 	for _, u := range active {
 		sv.links[u] = sv.parent.links[u]
 	}

@@ -24,8 +24,9 @@ func benchSessionConfig() Config {
 }
 
 // BenchmarkSession times one full dynamic session: scenario build, Poisson
-// arrivals, per-epoch re-matching, departures. The per-epoch matching cost
-// dominates, which is what the session-persistent SubView path optimizes.
+// arrivals, per-epoch re-matching, departures. Unobserved DMRA epochs
+// delta-repair the standing match, so epoch cost follows churn, and the
+// per-event bookkeeping (occupancy integral, margins, event queue) is O(1).
 func BenchmarkSession(b *testing.B) {
 	cfg := benchSessionConfig()
 	b.ResetTimer()

@@ -73,16 +73,21 @@ type Config struct {
 	Algorithm string
 	// DMRA overrides the DMRA configuration when Algorithm == "dmra".
 	DMRA alloc.DMRAConfig
-	// Incremental switches the epoch path to the delta-repair engine:
-	// instead of re-running Alg. 1 from scratch over the waiting set
-	// every epoch, a persistent engine.Incremental carries the ledger
-	// and every UE's candidate state across epochs and repairs only the
-	// frontier churn touched, so epoch cost scales with arrivals and
-	// departures rather than the standing population. Reports are
-	// byte-identical to the default mode (the delta-repair fuzz gate
-	// proves the assignments equal); only the Delta* counters are new.
-	// Requires Algorithm == "dmra", rho >= 0, and a NewNetwork-built
-	// scenario (the dense candidate view).
+	// Incremental requires the delta-repair epoch path and reports its
+	// work in the Delta* counters, which stay zero without it.
+	//
+	// An unobserved DMRA session with rho >= 0 over a NewNetwork-built
+	// scenario (the dense candidate view) takes that path by default:
+	// a persistent engine.Incremental carries the ledger and every UE's
+	// candidate state across epochs and repairs only the frontier churn
+	// touched, instead of re-running Alg. 1 from scratch over the
+	// waiting set, so epoch cost scales with arrivals and departures
+	// rather than the standing population. Setting Incremental also
+	// takes it with Obs attached, and rejects configs that cannot
+	// repair incrementally (another policy, rho < 0, no dense view)
+	// instead of falling back to from-scratch epochs. Every other report
+	// field is identical either way (the delta-repair fuzz gate proves
+	// the assignments equal).
 	Incremental bool
 	// Seed drives arrivals, holding times, and the scenario build.
 	Seed uint64
@@ -91,8 +96,11 @@ type Config struct {
 	RecordSeries bool
 	// Obs, when non-nil, streams every epoch's DMRA convergence events
 	// (when Algorithm == "dmra") and the per-cohort lifecycle counters
-	// to the recorder. Nil (the default) adds no per-epoch work and the
-	// report is identical.
+	// to the recorder. To keep the per-epoch Alg. 1 event stream, an
+	// observed session re-matches from scratch unless Incremental is
+	// set, in which case it streams per-epoch delta statistics instead.
+	// Nil (the default) adds no per-epoch work and the report is
+	// identical either way.
 	Obs *obs.Recorder
 	// Timeline, when non-nil, receives a periodic obs.TimelineSample as
 	// one JSON line every TimelineEveryS seconds of simulated time:
@@ -183,7 +191,7 @@ type Report struct {
 	Epochs         int
 	ReassignChecks int
 	// Delta* aggregate the incremental engine's per-Settle statistics
-	// over the session (all zero outside incremental mode):
+	// over the session (all zero unless Config.Incremental is set):
 	// DeltaFrontier sums repair-frontier sizes, DeltaReleased counts
 	// standing matches undone by churn, DeltaInvalidated counts
 	// candidate regions rebuilt after ledger credits, and
@@ -255,28 +263,30 @@ func Run(cfg Config) (Report, error) {
 	if len(net.UEs) == 0 {
 		return Report{}, ErrNoProfiles
 	}
-	allocator, err := allocatorFor(cfg)
-	if err != nil {
-		return Report{}, err
-	}
 
 	s := &session{
-		cfg:       cfg,
-		net:       net,
-		state:     mec.NewState(net),
-		subview:   net.NewSubView(),
-		allocator: allocator,
-		active:    make(map[mec.UEID]placement, len(net.UEs)),
-		cohortOf:  make([]int, len(net.UEs)),
+		cfg:      cfg,
+		net:      net,
+		state:    mec.NewState(net),
+		active:   make(map[mec.UEID]placement, len(net.UEs)),
+		cohortOf: make([]int, len(net.UEs)),
 	}
-	if cfg.Incremental {
+	if incrementalEpochs(cfg, net) {
 		if net.Dense() == nil {
 			return Report{}, fmt.Errorf("online: incremental mode needs a dense candidate view (NewNetwork-built scenario)")
 		}
 		s.inc = new(engine.Incremental)
-		if err := s.inc.Begin(net, engine.Config(cfg.DMRA), 0); err != nil {
+		// One propose worker: an epoch's frontier is a few hundred UEs,
+		// too few to pay for a fan-out, and replicated sessions already
+		// run one per core.
+		if err := s.inc.Begin(net, engine.Config(cfg.DMRA), 1); err != nil {
 			return Report{}, err
 		}
+	} else {
+		if s.allocator, err = allocatorFor(cfg); err != nil {
+			return Report{}, err
+		}
+		s.subview = net.NewSubView()
 	}
 	root := rng.New(cfg.Seed)
 	s.cohorts = make([]*cohortRun, len(plans))
@@ -298,6 +308,18 @@ func Run(cfg Config) (Report, error) {
 		s.cohorts[i] = co
 	}
 	return s.run()
+}
+
+// incrementalEpochs reports whether a session over net drives the
+// persistent delta-repair engine instead of re-matching from scratch.
+// That is always so when Incremental is set, and otherwise whenever the
+// engine is exact (DMRA with rho >= 0 over a dense candidate view) and
+// no recorder expects the per-epoch Alg. 1 event stream. Baselines,
+// rho < 0, observed sessions and dense-less scenarios keep the SubView
+// + allocator path.
+func incrementalEpochs(cfg Config, net *mec.Network) bool {
+	return cfg.Incremental ||
+		(cfg.Algorithm == "dmra" && cfg.DMRA.Rho >= 0 && cfg.Obs == nil && net.Dense() != nil)
 }
 
 // cohortPlan is one cohort's resolved slice of the session: its profile
@@ -388,6 +410,10 @@ func planWorkload(cfg Config) ([]cohortPlan, []workload.DemandRange, error) {
 // placement records where an active UE's task runs.
 type placement struct {
 	bs mec.BSID // CloudBS for cloud-served tasks
+	// margin is the per-second profit the placement adds to the session's
+	// profit rate, stored at grant time so the departure subtracts the
+	// very same float without repeating the link lookup.
+	margin float64
 }
 
 // cohortRun is one cohort's live state inside a session.
@@ -471,6 +497,7 @@ type session struct {
 	// subview is the session-persistent restriction of net handed to the
 	// allocator each epoch: one Refresh per epoch, zero NewNetwork calls
 	// after setup (a property the tests assert via mec.NetworkBuilds).
+	// It and allocator are nil when inc drives the epochs.
 	subview   *mec.SubView
 	allocator alloc.Allocator
 	// epochRes recycles the allocator result across epochs so a DMRA
@@ -478,10 +505,11 @@ type session struct {
 	// pooled scratch, one preference cache) for the whole run.
 	epochRes alloc.Result
 	engine   sim.Engine
-	// inc is the persistent delta-repair engine (nil outside incremental
-	// mode). Its ledger mirrors state exactly: every Assign/Unassign the
-	// session performs is reported to it as churn, and each epoch's
-	// Settle repairs the matching instead of matchWaiting's full re-run.
+	// inc is the persistent delta-repair engine (nil when the session
+	// re-matches from scratch; see incrementalEpochs). Its ledger mirrors
+	// state exactly: every Assign/Unassign the session performs is
+	// reported to it as churn, and each epoch's Settle repairs the
+	// matching instead of matchWaiting's full re-run.
 	inc *engine.Incremental
 
 	// epochFn and the timeline closures are bound once at setup; the
@@ -605,14 +633,6 @@ func (s *session) writeTimelineSample() {
 	if s.timelineErr != nil {
 		return
 	}
-	used := 0
-	for b := range s.net.BSs {
-		used += s.net.BSs[b].MaxRRBs - s.state.RemainingRRBs(mec.BSID(b))
-	}
-	occupancy := 0.0
-	if s.totalRRBs > 0 {
-		occupancy = float64(used) / float64(s.totalRRBs)
-	}
 	sample := obs.TimelineSample{
 		TimeS:        s.engine.Now(),
 		Active:       len(s.active) + len(s.waiting),
@@ -622,7 +642,7 @@ func (s *session) writeTimelineSample() {
 		Saturated:    s.rep.Saturated,
 		EdgeServed:   s.rep.EdgeServed,
 		CloudServed:  s.rep.CloudServed,
-		OccupancyRRB: occupancy,
+		OccupancyRRB: s.occupancy(),
 		ProfitRate:   s.profitRate,
 	}
 	if len(s.cohorts) > 1 || s.cfg.Workload != nil {
@@ -655,6 +675,14 @@ func (s *session) scheduleNextArrival(co *cohortRun) {
 	s.engine.ScheduleAt(t, func() { s.arrival(co) })
 }
 
+// occupancy returns the instantaneous fraction of RRBs in use.
+func (s *session) occupancy() float64 {
+	if s.totalRRBs == 0 {
+		return 0
+	}
+	return float64(s.state.UsedRRBs()) / float64(s.totalRRBs)
+}
+
 // integrateTo advances the time integrals to time t.
 func (s *session) integrateTo(t float64) {
 	t = math.Min(t, s.cfg.DurationS)
@@ -662,12 +690,8 @@ func (s *session) integrateTo(t float64) {
 	if dt <= 0 {
 		return
 	}
-	used := 0
-	for b := range s.net.BSs {
-		used += s.net.BSs[b].MaxRRBs - s.state.RemainingRRBs(mec.BSID(b))
-	}
 	s.areaActive += dt * float64(len(s.active)+len(s.waiting))
-	s.areaRRBUsed += dt * float64(used)
+	s.areaRRBUsed += dt * float64(s.state.UsedRRBs())
 	s.areaProfit += dt * s.profitRate
 	s.lastT = t
 }
@@ -714,19 +738,11 @@ func (s *session) epoch() {
 		}
 	}
 	if s.cfg.RecordSeries {
-		used := 0
-		for b := range s.net.BSs {
-			used += s.net.BSs[b].MaxRRBs - s.state.RemainingRRBs(mec.BSID(b))
-		}
-		occupancy := 0.0
-		if s.totalRRBs > 0 {
-			occupancy = float64(used) / float64(s.totalRRBs)
-		}
 		s.rep.Series = append(s.rep.Series, EpochSample{
 			TimeS:        s.engine.Now(),
 			Active:       len(s.active) + len(s.waiting),
 			ProfitRate:   s.profitRate,
-			OccupancyRRB: occupancy,
+			OccupancyRRB: s.occupancy(),
 		})
 	}
 	if s.engine.Now()+s.cfg.EpochS <= s.cfg.DurationS+1e-9 {
@@ -755,29 +771,15 @@ func (s *session) match() error {
 	// per-epoch stillWaiting allocation disappears.
 	kept := s.waiting[:0]
 	for _, u := range s.waiting {
-		co := s.cohorts[s.cohortOf[u]]
 		b := assignment.ServingBS[u]
-		if b == mec.CloudBS {
-			// Cloud fallback: the task runs remotely (zero MEC profit) and
-			// departs after its holding time.
-			s.active[u] = placement{bs: mec.CloudBS}
-			s.rep.CloudServed++
-			co.cloudServed++
-			co.counters.cloudServed.Inc()
-			s.scheduleDeparture(u, co.hold.Sample(co.src))
-			continue
+		if b != mec.CloudBS {
+			if err := s.state.Assign(u, b); err != nil {
+				// Lost a race against another epoch grant: keep waiting.
+				kept = append(kept, u)
+				continue
+			}
 		}
-		if err := s.state.Assign(u, b); err != nil {
-			// Lost a race against another epoch grant: keep waiting.
-			kept = append(kept, u)
-			continue
-		}
-		s.active[u] = placement{bs: b}
-		s.rep.EdgeServed++
-		co.edgeServed++
-		co.counters.edgeServed.Inc()
-		s.profitRate += s.marginOf(u, b)
-		s.scheduleDeparture(u, co.hold.Sample(co.src))
+		s.place(u, b)
 	}
 	s.waiting = kept
 	return nil
@@ -796,34 +798,48 @@ func (s *session) matchIncremental() error {
 	if err != nil {
 		return fmt.Errorf("online: epoch settle: %w", err)
 	}
-	s.rep.DeltaFrontier += ds.Frontier
-	s.rep.DeltaReleased += ds.Released
-	s.rep.DeltaInvalidated += ds.Invalidated
-	s.rep.DeltaRepairRounds += ds.Rounds
-	s.cfg.Obs.DeltaEpoch(ds.Frontier, ds.Released, ds.Invalidated, ds.Rounds)
+	if s.cfg.Incremental {
+		s.rep.DeltaFrontier += ds.Frontier
+		s.rep.DeltaReleased += ds.Released
+		s.rep.DeltaInvalidated += ds.Invalidated
+		s.rep.DeltaRepairRounds += ds.Rounds
+		s.cfg.Obs.DeltaEpoch(ds.Frontier, ds.Released, ds.Invalidated, ds.Rounds)
+	}
 	serving := s.inc.Serving()
 	for _, u := range s.waiting {
-		co := s.cohorts[s.cohortOf[u]]
+		b := mec.CloudBS
 		if bi := serving[u]; bi >= 0 {
-			b := mec.BSID(bi)
+			b = mec.BSID(bi)
 			if err := s.state.Assign(u, b); err != nil {
 				return fmt.Errorf("online: incremental ledger desync: %w", err)
 			}
-			s.active[u] = placement{bs: b}
-			s.rep.EdgeServed++
-			co.edgeServed++
-			co.counters.edgeServed.Inc()
-			s.profitRate += s.marginOf(u, b)
-		} else {
-			s.active[u] = placement{bs: mec.CloudBS}
-			s.rep.CloudServed++
-			co.cloudServed++
-			co.counters.cloudServed.Inc()
 		}
-		s.scheduleDeparture(u, co.hold.Sample(co.src))
+		s.place(u, b)
 	}
 	s.waiting = s.waiting[:0]
 	return nil
+}
+
+// place admits waiting UE u on BS b, whose grant the caller has already
+// debited from state, adding the placement's margin to the profit rate;
+// on CloudBS the task runs remotely at zero MEC profit. Either way its
+// lifetime is drawn now and its departure scheduled.
+func (s *session) place(u mec.UEID, b mec.BSID) {
+	co := s.cohorts[s.cohortOf[u]]
+	if b == mec.CloudBS {
+		s.active[u] = placement{bs: mec.CloudBS}
+		s.rep.CloudServed++
+		co.cloudServed++
+		co.counters.cloudServed.Inc()
+	} else {
+		m := s.marginOf(u, b)
+		s.active[u] = placement{bs: b, margin: m}
+		s.rep.EdgeServed++
+		co.edgeServed++
+		co.counters.edgeServed.Inc()
+		s.profitRate += m
+	}
+	s.scheduleDeparture(u, co.hold.Sample(co.src))
 }
 
 // intoAllocator is the optional zero-allocation allocator fast path
@@ -875,7 +891,7 @@ func (s *session) scheduleDeparture(u mec.UEID, hold float64) {
 		}
 		delete(s.active, u)
 		if p.bs != mec.CloudBS {
-			s.profitRate -= s.marginOf(u, p.bs)
+			s.profitRate -= p.margin
 			s.state.Unassign(u)
 			if s.inc != nil {
 				s.inc.Depart(u)

@@ -8,6 +8,7 @@ import (
 	"dmra/internal/alloc"
 	"dmra/internal/geo"
 	"dmra/internal/mec"
+	"dmra/internal/obs"
 	"dmra/internal/radio"
 )
 
@@ -322,13 +323,19 @@ func TestSubViewZeroResidualBSStaysPresent(t *testing.T) {
 
 // TestRunBuildsNoNetworksAfterSetup pins the sub-view refactor's headline
 // property: a whole dynamic session performs exactly one network build
-// (the scenario itself); every epoch reuses the session's SubView.
+// (the scenario itself). An observed session re-matches from scratch and
+// every epoch reuses the session's SubView; the default session repairs
+// its epochs in the persistent delta-repair engine.
 func TestRunBuildsNoNetworksAfterSetup(t *testing.T) {
-	before := mec.NetworkBuilds()
-	if _, err := Run(fastConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if got := mec.NetworkBuilds() - before; got != 1 {
-		t.Fatalf("session performed %d network builds, want exactly 1 (scenario setup)", got)
+	observed := fastConfig()
+	observed.Obs = obs.NewRecorder(obs.NewRegistry(), nil)
+	for name, cfg := range map[string]Config{"default": fastConfig(), "observed": observed} {
+		before := mec.NetworkBuilds()
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := mec.NetworkBuilds() - before; got != 1 {
+			t.Fatalf("%s session performed %d network builds, want exactly 1 (scenario setup)", name, got)
+		}
 	}
 }

@@ -5,10 +5,7 @@
 // internal/protocol rely on.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use. Engines are not safe for concurrent use; the simulated
@@ -16,12 +13,13 @@ import (
 type Engine struct {
 	now       float64
 	seq       uint64
-	queue     eventQueue
+	queue     []event
 	processed int
 	stopped   bool
 }
 
-// event is one scheduled callback.
+// event is one scheduled callback. The queue holds events by value, so
+// scheduling allocates nothing once the queue's backing array has grown.
 type event struct {
 	time float64
 	seq  uint64
@@ -56,7 +54,7 @@ func (e *Engine) ScheduleAt(t float64, fn func()) {
 		return
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{time: t, seq: e.seq, fn: fn})
+	e.push(event{time: t, seq: e.seq, fn: fn})
 }
 
 // Stop ends the simulation: pending events are discarded and later
@@ -72,7 +70,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	ev := e.pop()
 	e.now = ev.time
 	e.processed++
 	ev.fn()
@@ -112,27 +110,62 @@ func (e *Engine) RunMax(n int) int {
 	return ran
 }
 
-// eventQueue is a min-heap on (time, seq).
-type eventQueue []*event
+// The queue is a binary min-heap on (time, seq). Sequence numbers are
+// unique, so the order is total and the pop order is fully determined by
+// the keys, independent of the heap's internal layout.
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// before reports whether a fires before b.
+func before(a, b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// push inserts ev and sifts it up to its place.
+func (e *Engine) push(ev event) {
+	e.queue = append(e.queue, ev)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(&ev, &q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+}
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event; the queue must be non-empty.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the callback reference for the GC
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	// Sift the former last element down from the root.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(&q[r], &q[c]) {
+			c = r
+		}
+		if !before(&q[c], &last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -192,5 +193,73 @@ func TestStopEndsRun(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("%d events pending after Stop", e.Pending())
+	}
+}
+
+// TestRandomInterleavingMatchesReferenceOrder schedules events from
+// inside callbacks and between Steps, drawing timestamps from a handful
+// of values so most of them tie, and checks that they fire exactly in
+// (time, seq) order — the order a stable sort of the scheduling log by
+// time gives.
+func TestRandomInterleavingMatchesReferenceOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		src := rng.New(seed)
+		var e Engine
+		type sched struct {
+			time float64
+			id   int
+		}
+		var log []sched
+		var fired []int
+		var schedule func(from float64)
+		schedule = func(from float64) {
+			id := len(log)
+			at := from + float64(src.Intn(4))
+			log = append(log, sched{at, id})
+			e.ScheduleAt(at, func() {
+				fired = append(fired, id)
+				for k := src.Intn(3); k > 0 && len(log) < 400; k-- {
+					schedule(e.Now())
+				}
+			})
+		}
+		for i := 0; i < 50; i++ {
+			schedule(e.Now())
+			if src.Intn(3) == 0 {
+				e.Step()
+			}
+		}
+		e.Run()
+		if len(fired) != len(log) {
+			t.Fatalf("seed %d: %d events fired, %d scheduled", seed, len(fired), len(log))
+		}
+		// The log is in scheduling (seq) order, so a stable sort on time
+		// yields the reference (time, seq) order.
+		want := append([]sched(nil), log...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].time < want[j].time })
+		for i := range want {
+			if fired[i] != want[i].id {
+				t.Fatalf("seed %d: event %d fired %d, want %d (time %g)", seed, i, fired[i], want[i].id, want[i].time)
+			}
+		}
+	}
+}
+
+// TestScheduleStepAllocationFree pins the value heap: once the queue has
+// grown, scheduling a pre-bound callback and stepping it allocate nothing.
+func TestScheduleStepAllocationFree(t *testing.T) {
+	var e Engine
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(float64(i%7), fn)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		e.Schedule(3, fn)
+		e.Schedule(0, fn)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("schedule+step allocates %.1f times per run, want 0", allocs)
 	}
 }

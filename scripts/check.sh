@@ -110,9 +110,11 @@ delta_parity() {
 	# across churn scripts at any propose-worker count. Sweep the worker
 	# width race-enabled like the SoA gate; the fuzz seeds run as regular
 	# tests, replaying the checked-in corpus (including past crashers).
+	# TestSession* pins the online session's epoch routes (default delta
+	# repair, Incremental, observed from-scratch) to identical reports.
 	for workers in 1 3; do
 		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
-			-run 'TestDelta|TestIncremental|FuzzDeltaParity' ./internal/alloc/ ./internal/engine/ ./internal/online/
+			-run 'TestDelta|TestIncremental|TestSession|FuzzDeltaParity' ./internal/alloc/ ./internal/engine/ ./internal/online/
 	done
 	echo "delta parity: race-enabled delta-repair gate passed at workers 1 and 3"
 }
