@@ -1,10 +1,11 @@
-// Benchdiff compares the last two records of one benchmark in a
-// BENCH_exp.json history (JSONL, one record per `make bench` run) and
-// fails when ns/op — or allocs/op, for per-case records that carry it —
-// regressed beyond a threshold. It understands both record shapes the
-// repo writes: flat records with a single *_ns_op number, and per-case
-// records ({"cases": {name: {"ns_op": ..., "allocs_op": ...}}}), where
-// every case is compared independently.
+// Benchdiff compares, for every GOMAXPROCS in a BENCH_exp.json history
+// (JSONL, one record per `make bench` run), the latest record of one
+// benchmark with the previous record at the same GOMAXPROCS, and fails
+// when ns/op — or allocs/op, for per-case records that carry it —
+// regressed beyond a threshold in any of them. It understands both
+// record shapes the repo writes: flat records with a single *_ns_op
+// number, and per-case records ({"cases": {name: {"ns_op": ...,
+// "allocs_op": ...}}}), where every case is compared independently.
 //
 // Usage:
 //
@@ -17,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 )
 
 func main() {
@@ -51,20 +53,61 @@ func main() {
 	if err := sc.Err(); err != nil {
 		fatal("read %s: %v", *file, err)
 	}
-	if len(matches) < 2 {
-		fmt.Printf("benchdiff: %d record(s) of %q in %s — need two to compare, nothing to do\n",
-			len(matches), *bench, *file)
+	pairs := latestPairs(matches)
+	failed := false
+	for _, pr := range pairs {
+		fmt.Printf("gomaxprocs %s:\n", pr.procs)
+		if !compareRecords(pr.prev, pr.cur, *maxRegress) {
+			failed = true
+		}
+	}
+	if len(pairs) == 0 {
+		fmt.Printf("benchdiff: no two records of %q at one gomaxprocs in %s, nothing to do\n", *bench, *file)
 		return
 	}
-	prev, cur := matches[len(matches)-2], matches[len(matches)-1]
+	if failed {
+		fatal("ns/op or allocs/op regressed beyond the threshold")
+	}
+}
 
-	failed := false
+// recordPair is the latest record of a benchmark at one GOMAXPROCS and
+// the record before it at the same GOMAXPROCS.
+type recordPair struct {
+	procs     string
+	prev, cur map[string]any
+}
+
+// latestPairs pairs records only within one GOMAXPROCS — a parallel
+// path is expected to be faster on two cores, and each worker goroutine
+// it starts costs an allocation a one-core run never makes — and
+// returns one pair per GOMAXPROCS with at least two records, in
+// ascending GOMAXPROCS order. recs is in history order.
+func latestPairs(recs []map[string]any) []recordPair {
+	byProcs := map[string][]map[string]any{}
+	for _, rec := range recs {
+		key := fmt.Sprint(rec["gomaxprocs"])
+		byProcs[key] = append(byProcs[key], rec)
+	}
+	var out []recordPair
+	for key, rs := range byProcs {
+		if len(rs) >= 2 {
+			out = append(out, recordPair{procs: key, prev: rs[len(rs)-2], cur: rs[len(rs)-1]})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].procs < out[j].procs })
+	return out
+}
+
+// compareRecords prints every ns/op and allocs/op series of cur against
+// prev and reports whether all stayed within maxRegress.
+func compareRecords(prev, cur map[string]any, maxRegress float64) bool {
+	ok := true
 	for _, pair := range comparableSeries(prev, cur) {
 		delta := (pair.cur - pair.prev) / pair.prev
 		status := "ok"
-		if delta > *maxRegress {
+		if delta > maxRegress {
 			status = "REGRESSION"
-			failed = true
+			ok = false
 		}
 		fmt.Printf("%-32s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
 			pair.name, pair.prev, pair.cur, 100*delta, status)
@@ -74,21 +117,16 @@ func main() {
 	// exactly the pooling regression this exists to catch, while tiny
 	// nonzero counts should not fail on one incidental allocation.
 	for _, pair := range allocSeries(prev, cur) {
-		slack := pair.prev * *maxRegress
-		if slack < 2 {
-			slack = 2
-		}
+		slack := max(pair.prev*maxRegress, 2)
 		status := "ok"
 		if pair.cur > pair.prev+slack {
 			status = "REGRESSION"
-			failed = true
+			ok = false
 		}
 		fmt.Printf("%-32s %12.0f -> %12.0f allocs/op  %s\n",
 			pair.name+" (allocs)", pair.prev, pair.cur, status)
 	}
-	if failed {
-		fatal("ns/op or allocs/op regressed beyond the threshold")
-	}
+	return ok
 }
 
 type series struct {

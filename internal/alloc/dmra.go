@@ -114,9 +114,10 @@ func (d *DMRA) WithObserver(rec *obs.Recorder) *DMRA {
 	return d
 }
 
-// WithProposeWorkers sets the SoA engine's propose-phase worker count
-// and returns the allocator for chaining. Zero (the default) means
-// GOMAXPROCS. The assignment, statistics, and event stream are
+// WithProposeWorkers sets the SoA engine's worker count — the propose
+// phase's, and the select phase's width when no Verdict event is
+// observed — and returns the allocator for chaining. Zero (the default)
+// means GOMAXPROCS. The assignment, statistics, and event stream are
 // byte-identical at any worker count; the knob only trades wall-clock
 // for cores.
 func (d *DMRA) WithProposeWorkers(n int) *DMRA {

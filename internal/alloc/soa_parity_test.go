@@ -52,6 +52,20 @@ func soaRun(t *testing.T, d *alloc.DMRA, net *mec.Network) (alloc.Result, []obs.
 	return res, sink.Events(), snaps
 }
 
+// comparePlain asserts two allocations agree on assignment and
+// statistics — the whole output of an unobserved run.
+func comparePlain(t *testing.T, label string, a, b alloc.Result) {
+	t.Helper()
+	if a.Stats != b.Stats {
+		t.Fatalf("%s: stats diverge: %+v vs %+v", label, a.Stats, b.Stats)
+	}
+	for u := range a.Assignment.ServingBS {
+		if a.Assignment.ServingBS[u] != b.Assignment.ServingBS[u] {
+			t.Fatalf("%s: UE %d: %d vs %d", label, u, a.Assignment.ServingBS[u], b.Assignment.ServingBS[u])
+		}
+	}
+}
+
 // compareRuns asserts two observed runs are byte-identical: same
 // assignment, statistics, event stream, and snapshot sequence.
 func compareRuns(t *testing.T, label string,
@@ -195,7 +209,10 @@ func TestSoASmoke50k(t *testing.T) {
 // FuzzSoAParity is the SoA differential fuzz gate: on random scenarios,
 // configurations, and propose-worker counts, the arena engine must match
 // the legacy cached engine byte for byte — assignment, statistics,
-// ordered event stream, round snapshots — and the message-passing
+// ordered event stream, round snapshots — both observed and unobserved
+// (the unobserved leg is the one that selects on several workers; the
+// observed one pins event order with a one-worker select), and the
+// message-passing
 // protocol runtime must emit the same event stream as the SoA solver
 // (the wire runtime is pinned to the protocol stream, with seed-derived
 // SoA worker counts on its solver side, by FuzzEngineParity in
@@ -224,6 +241,21 @@ func FuzzSoAParity(f *testing.F) {
 		legacyRes, legacyEvents, legacySnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceLegacy(), net)
 		soaRes, soaEvents, soaSnaps := soaRun(t, alloc.NewDMRA(dcfg).WithProposeWorkers(workers), net)
 		compareRuns(t, "soa vs legacy", soaRes, soaEvents, soaSnaps, legacyRes, legacyEvents, legacySnaps)
+
+		// Unobserved: no hook forces the select onto one worker, so the
+		// BS-sliced select runs at the fuzzed width — it has no size
+		// threshold (engine.TestArenaSelectWidths checks it fans out at
+		// this scale) — and must still match the legacy engine.
+		plainLegacy, err := alloc.NewDMRA(dcfg).ForceLegacy().Allocate(net)
+		if err != nil {
+			t.Fatalf("legacy allocate: %v", err)
+		}
+		plainSoA, err := alloc.NewDMRA(dcfg).WithProposeWorkers(workers).Allocate(net)
+		if err != nil {
+			t.Fatalf("soa allocate: %v", err)
+		}
+		comparePlain(t, "unobserved soa vs legacy", plainSoA, plainLegacy)
+		comparePlain(t, "unobserved vs observed soa", plainSoA, soaRes)
 
 		// Cross-runtime: the message-passing protocol must reproduce the SoA
 		// solver's assignment and round/request/verdict counters exactly.

@@ -8,9 +8,10 @@ import "math/bits"
 // and event-emission passes stay memory-bound on the pending list, not on
 // the population.
 //
-// The propose workers only read bitsets; all writes happen in the serial
-// merge/select phases. That split is what makes sharing them across
-// workers race-free without padding each UE to a word.
+// The propose and select workers only read bitsets; all writes happen
+// serially, in the merge and after the select join. That split is what
+// makes sharing them across workers race-free without padding each UE to
+// a word.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -42,6 +43,22 @@ func (s *Bitset) Clear(i int32) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Get reports bit i.
 func (s *Bitset) Get(i int32) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// Drain appends the set bits to dst in ascending order, clears them, and
+// returns the extended slice.
+func (s *Bitset) Drain(dst []int32) []int32 {
+	for i, w := range s.words {
+		if w == 0 {
+			continue
+		}
+		s.words[i] = 0
+		for w != 0 {
+			dst = append(dst, int32(i<<6|bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
 
 // Count returns the number of set bits.
 func (s *Bitset) Count() int {

@@ -18,8 +18,8 @@ import (
 //   - Equivalence. A from-scratch epoch runs Alg. 1 over (waiting set,
 //     live residuals): the waiting UEs propose in ascending order
 //     against capacities equal to the standing assignment's residuals.
-//     Settle runs the *same* propose/select machinery (proposeRound,
-//     bucketByBS, selectAll through the canonical Config.SelectRound)
+//     Settle runs the *same* propose/select machinery (proposeRound and
+//     selectRound, through the canonical Config.SelectRound)
 //     over the same pending set in the same ascending order, against a
 //     ledger that mirrors those residuals debit-for-debit. The only
 //     state carried across Settles beyond the ledger is the per-UE
@@ -260,6 +260,8 @@ func (inc *Incremental) Settle() (DeltaStats, error) {
 	for _, u := range a.pending {
 		maxRounds += int(a.csr.Off[u+1] - a.csr.Off[u])
 	}
+	a.startHelpers(min(inc.workers, len(a.pending)) - 1)
+	defer a.stopHelpers()
 	var stats SoAStats
 	for {
 		stats.Rounds++
@@ -268,8 +270,7 @@ func (inc *Incremental) Settle() (DeltaStats, error) {
 		if n == 0 {
 			break
 		}
-		a.bucketByBS()
-		if err := a.selectAll(&stats, nil); err != nil {
+		if err := a.selectRound(inc.workers, &stats, nil); err != nil {
 			return ds, err
 		}
 		if stats.Rounds > maxRounds {

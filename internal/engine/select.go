@@ -167,7 +167,9 @@ func (c Config) sortByPreference(reqs []Request) {
 // prefers orders two requests by the BS's preference (most preferred
 // first): same-SP subscribers first (if enabled), then smallest f_u (if
 // enabled), then smallest combined footprint n_{u,i} + c_j^u, then lowest
-// UE ID for determinism.
+// UE ID for determinism. The arena encodes this order as an integer
+// (selectKey) so its select phase can take per-service minima without
+// building a Request per proposal; the two must change together.
 func (c Config) prefers(a, b Request) bool {
 	if c.SPPriority && a.SameSP != b.SameSP {
 		return a.SameSP
@@ -181,6 +183,26 @@ func (c Config) prefers(a, b Request) bool {
 		return fa < fb
 	}
 	return a.UE < b.UE
+}
+
+// selectKey is prefers without the UE ID, packed into one integer:
+// bit 63 is set for a proposer outside the BS's SP (under SPPriority),
+// bits 32-62 hold f_u (under FuTieBreak), and bits 0-31 the footprint
+// n_{u,i} + c_j^u. For requests whose f_u, RRBs and CRUs are
+// non-negative int32s — the CSR's domain — (selectKey(a), a.UE) <
+// (selectKey(b), b.UE) lexicographically exactly when prefers(a, b):
+// f_u fits 31 bits and the footprint is at most 2·MaxInt32 < 2^32, so
+// no field spills into the next. The arena's propose workers compute it
+// while the UE's fields are in cache.
+func (c Config) selectKey(sameSP bool, fu, rrbs, crus int32) uint64 {
+	k := uint64(uint32(rrbs)) + uint64(uint32(crus))
+	if c.FuTieBreak {
+		k |= uint64(uint32(fu)) << 32
+	}
+	if c.SPPriority && !sameSP {
+		k |= 1 << 63
+	}
+	return k
 }
 
 // BSLedger is a base station's private resource book, used by the

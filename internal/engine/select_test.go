@@ -206,3 +206,76 @@ func TestSelectRoundEmptyAndBSLedgerReset(t *testing.T) {
 		t.Fatalf("after Reset: remCRU=%d remRRBs=%d, want 5 and 7", remCRU, remRRBs)
 	}
 }
+
+// TestSelectKeyMatchesPrefers pins the arena's integer BS-preference key
+// to prefers under every ablation combination: ordering by (selectKey,
+// UE) must equal prefers over the CSR's non-negative int32 domain, on
+// random requests and at the field boundaries where a packed key would
+// overflow into its neighbour.
+func TestSelectKeyMatchesPrefers(t *testing.T) {
+	const maxI = math.MaxInt32
+	edges := []int{0, 1, 2, maxI/2 - 1, maxI / 2, maxI - 1, maxI}
+	src := rng.New(5).SplitLabeled("select-key-test")
+	field := func() int {
+		if src.Intn(2) == 0 {
+			return edges[src.Intn(len(edges))]
+		}
+		return src.Intn(4)
+	}
+	draw := func() Request {
+		return Request{
+			UE:     mec.UEID(src.Intn(6)),
+			SameSP: src.Intn(2) == 0,
+			Fu:     field(),
+			RRBs:   field(),
+			CRUs:   field(),
+		}
+	}
+	boundary := [][2]Request{
+		// Footprints near 2·MaxInt32, one apart.
+		{{UE: 1, RRBs: maxI, CRUs: maxI}, {UE: 2, RRBs: maxI, CRUs: maxI - 1}},
+		{{UE: 1, RRBs: maxI, CRUs: maxI}, {UE: 2, RRBs: maxI - 1, CRUs: maxI}},
+		// The largest footprint against the next f_u up, and f_u at
+		// MaxInt32 against the next same-SP flag.
+		{{UE: 1, Fu: 0, RRBs: maxI, CRUs: maxI}, {UE: 2, Fu: 1}},
+		{{UE: 1, Fu: maxI, RRBs: maxI, CRUs: maxI, SameSP: true}, {UE: 2, Fu: 0}},
+		{{UE: 1, Fu: maxI}, {UE: 2, Fu: maxI - 1}},
+		// Equal footprints from different splits: the UE decides.
+		{{UE: 7, RRBs: 5, CRUs: 9}, {UE: 3, RRBs: 9, CRUs: 5}},
+		{{UE: 7, RRBs: maxI, CRUs: 0}, {UE: 3, RRBs: 0, CRUs: maxI}},
+		// Equal in everything but the UE ID.
+		{{UE: 4, Fu: maxI, RRBs: maxI, CRUs: maxI, SameSP: true}, {UE: 5, Fu: maxI, RRBs: maxI, CRUs: maxI, SameSP: true}},
+		{{UE: 4, Fu: 3, RRBs: 2, CRUs: 1}, {UE: 5, Fu: 3, RRBs: 2, CRUs: 1}},
+	}
+	for _, cfg := range []Config{
+		{SPPriority: true, FuTieBreak: true},
+		{SPPriority: true, FuTieBreak: false},
+		{SPPriority: false, FuTieBreak: true},
+		{SPPriority: false, FuTieBreak: false},
+	} {
+		less := func(a, b Request) bool {
+			ka := cfg.selectKey(a.SameSP, int32(a.Fu), int32(a.RRBs), int32(a.CRUs))
+			kb := cfg.selectKey(b.SameSP, int32(b.Fu), int32(b.RRBs), int32(b.CRUs))
+			return ka < kb || (ka == kb && a.UE < b.UE)
+		}
+		check := func(a, b Request) {
+			t.Helper()
+			if got, want := less(a, b), cfg.prefers(a, b); got != want {
+				t.Fatalf("cfg %+v: key order says %+v before %+v is %v, prefers says %v", cfg, a, b, got, want)
+			}
+		}
+		for trial := 0; trial < 20000; trial++ {
+			a, b := draw(), draw()
+			check(a, b)
+			check(b, a)
+		}
+		for _, p := range boundary {
+			for _, same := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+				a, b := p[0], p[1]
+				a.SameSP, b.SameSP = same[0], same[1]
+				check(a, b)
+				check(b, a)
+			}
+		}
+	}
+}

@@ -17,21 +17,33 @@ import (
 // zero heap allocations and walks memory sequentially instead of chasing
 // a pointer per UE and another per candidate list.
 //
-// The propose phase optionally fans across workers. That is safe and
-// exactly deterministic because of how Alg. 1 rounds are structured:
+// Both phases of a round optionally fan across workers. That is safe
+// and exactly deterministic because of how Alg. 1 rounds are structured:
 //
-//   - Propose only READS the residual ledger (ver/remCRU/remRRB); the
-//     select phase, which runs strictly after all workers join, is the
-//     only writer. Workers score against an immutable snapshot by
-//     construction.
-//   - All per-UE mutable state (the lazy heap region, hlen) is touched
-//     only by the worker that owns the UE, and workers own contiguous
-//     chunks of the pending list.
-//   - Each worker writes proposals into its own chunk of the proposal
-//     buffer; the serial merge concatenates the chunks in worker order,
-//     which — because the pending list is ascending and chunks are
-//     contiguous — is exactly the order a serial sweep would have
-//     produced.
+//   - Propose only READS the residual ledger (ver/remCRU/remRRB); only
+//     the select phase writes it, and the two phases never overlap (each
+//     joins its workers before the next begins). Propose workers score
+//     against an immutable ledger by construction.
+//   - The pending list is cut into one contiguous chunk per propose
+//     worker. All per-UE mutable state (the lazy heap region, hlen) is
+//     touched only by the worker holding the UE's chunk, and each chunk
+//     writes proposals into its own slice of the proposal buffer. The
+//     serial merge concatenates chunks in worker order, which — because
+//     the pending list is ascending and chunks are contiguous — is
+//     exactly the order a serial sweep produces.
+//   - The merge also keeps, per (BS, service), the most preferred
+//     proposal by the integer key propose computed (selectKey, ties to
+//     the lower UE, i.e. the earlier proposal). That argmin is the
+//     per-service selection of Alg. 1 lines 13-21, so only those winners
+//     reach the canonical Config.SelectRound.
+//   - Select workers own disjoint, contiguous slices of the ascending
+//     list of BSs with winners. A BS's select writes only its own ledger
+//     row and version, and the serving slot of UEs that proposed to it;
+//     each UE proposes at most once per round, so no two workers share a
+//     UE. The one structure BSs do share — the assigned bitset, whose
+//     words span neighbouring UEs — is written serially after the join.
+//     With a Verdict hook attached the select runs on one worker, in
+//     ascending BS order, so the observed event order is unchanged.
 //
 // Assignments, statistics, cache counters, and the ordered event stream
 // are therefore byte-identical at any worker count, the same determinism
@@ -41,11 +53,21 @@ import (
 // versions count admissions from zero, so they can never reach it.
 const staleVer32 = ^uint32(0)
 
-// soaProposal is one UE's proposal of a round: the proposing UE and the
-// global candidate index (into the CSR arrays) of the link it chose.
+// soaProposal is one UE's proposal of a round: the BS-preference key of
+// the request (Config.selectKey), the proposing UE, and the global
+// candidate index (into the CSR arrays) of the link it chose.
 type soaProposal struct {
-	ue int32
-	g  int32
+	key uint64
+	ue  int32
+	g   int32
+}
+
+// soaWinner is one argmin-table slot: the index in props of the slot's
+// current winner and a copy of its key, so the merge compares against
+// the small table instead of a random proposal.
+type soaWinner struct {
+	key uint64
+	i   int32
 }
 
 // SoAHooks are the optional observation points of an Arena run. A nil
@@ -134,26 +156,37 @@ type Arena struct {
 	// round it compacts to the UEs that proposed (exactly the legacy
 	// driver's pending-list discipline).
 	pending []int32
-	// props collects the round's proposals: workers fill disjoint
-	// chunks, the merge compacts them to props[:nprops] in UE order.
+	// props collects the round's proposals: each pending-list chunk
+	// fills the props slice at its own offset, the merge compacts them
+	// to props[:nprops] in UE order.
 	props  []soaProposal
 	nprops int
 
-	// Per-worker outputs: proposal counts and cache counters, summed
-	// serially after the join so totals are worker-count independent.
+	// Per-propose-worker outputs: worker w owns pending[w*chunk:] up to
+	// chunk UEs; wcnt/wscan/wresc are its proposal count and cache
+	// counters, summed serially after the join so totals are
+	// worker-count independent.
+	chunk int
 	wcnt  []int32
 	wscan []uint64
 	wresc []uint64
-	wg    sync.WaitGroup
 
-	// Select-phase scratch: counting-sort of proposals by BS (bsCnt,
-	// bsOff cursor, sorted) and the per-BS request batch.
-	bsCnt  []int32
-	bsOff  []int32
-	sorted []soaProposal
-	reqs   []Request
-	sel    SelectScratch
-	led    arenaLedger
+	// Worker fan-out: a run on several workers starts its helper goroutines
+	// once (startHelpers) and hands each phase's worker slots to them
+	// over jobs, so the round loop launches no goroutine — each launch
+	// would cost a heap allocation per round. wg joins a phase.
+	jobs    chan arenaJob
+	helpers int
+	wg      sync.WaitGroup
+
+	// Select-phase state: win[b*Services+j] is BS b's most preferred
+	// service-j proposal of the round (i == -1 for none; all empty
+	// between rounds); hit marks the BSs with a winner, drained into the
+	// ascending list tbs; sw is per-select-worker scratch.
+	win []soaWinner
+	hit Bitset
+	tbs []int32
+	sw  []selectWorker
 
 	// Invariant-recount scratch.
 	invCRU []int32
@@ -164,7 +197,8 @@ type Arena struct {
 }
 
 // grown returns s resized to n elements, reusing capacity when it
-// suffices. Contents are unspecified; callers overwrite.
+// suffices. Contents are unspecified; callers overwrite, or reuse the
+// buffers inside elements they find.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -197,6 +231,8 @@ func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) 
 	// proposeUEScan), only the scanned/rescored accounting differs.
 	a.scan = hooks == nil
 	a.reset(csr, cfg)
+	a.startHelpers(min(workers, len(a.pending)) - 1)
+	defer a.stopHelpers()
 	var snapHook RoundHook
 	if hooks != nil && hooks.Snapshot != nil {
 		snapHook = hooks.Snapshot
@@ -222,8 +258,7 @@ func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) 
 			}
 			break
 		}
-		a.bucketByBS()
-		if err := a.selectAll(&stats, hooks); err != nil {
+		if err := a.selectRound(workers, &stats, hooks); err != nil {
 			return stats, err
 		}
 		if snapHook != nil {
@@ -253,7 +288,6 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.csr = csr
 	a.cfg = cfg
 	a.cru = csr.CRU
-	a.led.a = a
 	a.scanned, a.rescored = 0, 0
 	a.nprops = 0
 	nUE, nBS, links := csr.UEs(), csr.BSs(), csr.Links()
@@ -305,10 +339,11 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	}
 
 	a.props = grown(a.props, nUE)
-	a.sorted = grown(a.sorted, nUE)
-	a.bsCnt = grown(a.bsCnt, nBS)
-	clear(a.bsCnt)
-	a.bsOff = grown(a.bsOff, nBS)
+	a.win = grown(a.win, len(csr.CRUCap))
+	for i := range a.win {
+		a.win[i].i = -1
+	}
+	a.hit.Reset(nBS)
 }
 
 // initRegion (re)builds UE u's heap region for the current run: the full
@@ -333,38 +368,29 @@ func (a *Arena) initRegion(u int32) {
 }
 
 // proposeRound runs one propose phase over the pending list across the
-// given worker count, merges the per-worker proposal chunks in global UE
-// order, and compacts the pending list to this round's proposers. It
-// returns the number of proposals.
+// given worker count and merges the per-chunk proposals in global UE
+// order. The same pass compacts the pending list to this round's
+// proposers and fills the per-(BS, service) argmin table the select
+// phase reads. It returns the number of proposals.
 func (a *Arena) proposeRound(workers int) int {
 	n := len(a.pending)
-	if workers > n {
-		workers = n
+	if n == 0 {
+		a.nprops = 0
+		return 0
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, a.helpers+1, n))
+	a.chunk = (n + workers - 1) / workers
 	a.wcnt = grown(a.wcnt, workers)
 	a.wscan = grown(a.wscan, workers)
 	a.wresc = grown(a.wresc, workers)
-	chunk := (n + workers - 1) / workers
-	if workers == 1 {
-		a.proposeWorker(0, 0, n)
-	} else {
-		a.wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			lo := min(w*chunk, n)
-			go a.proposeWorkerWG(w, lo, min(lo+chunk, n))
-		}
-		a.proposeWorker(0, 0, chunk)
-		a.wg.Wait()
-	}
+	a.fanOut(jobPropose, workers)
+	a.proposeWorker(0)
+	a.wg.Wait()
 
 	out := 0
 	for w := 0; w < workers; w++ {
 		if c := int(a.wcnt[w]); c > 0 {
-			lo := w * chunk
-			if lo != out {
+			if lo := w * a.chunk; lo != out {
 				copy(a.props[out:out+c], a.props[lo:lo+c])
 			}
 			out += c
@@ -376,26 +402,37 @@ func (a *Arena) proposeRound(workers int) int {
 	// Next round's pending list is exactly this round's proposers: a UE
 	// leaves on assignment (checked at propose time) or on candidate
 	// exhaustion (it stopped proposing), matching the legacy driver.
+	// Proposals arrive in ascending UE order, so keeping the first of
+	// equal keys breaks ties to the lower UE, as prefers does.
+	csr := a.csr
+	S := int32(csr.Services)
 	a.pending = a.pending[:out]
-	for i := 0; i < out; i++ {
-		a.pending[i] = a.props[i].ue
+	for i, p := range a.props[:out] {
+		a.pending[i] = p.ue
+		b := csr.BS[p.g]
+		slot := b*S + csr.Service[p.ue]
+		if w := &a.win[slot]; w.i < 0 || p.key < w.key {
+			if w.i < 0 {
+				a.hit.Set(b)
+			}
+			*w = soaWinner{key: p.key, i: int32(i)}
+		}
 	}
 	return out
 }
 
-func (a *Arena) proposeWorkerWG(w, lo, hi int) {
-	defer a.wg.Done()
-	a.proposeWorker(w, lo, hi)
-}
-
-// proposeWorker proposes for pending[lo:hi], writing proposals into the
-// props chunk starting at lo and its counters into slot w. It reads the
+// proposeWorker proposes for worker w's chunk of the pending list,
+// writing proposals — each with its BS-preference key — into the props
+// slice at the chunk's offset, and its counts into slot w. It reads the
 // ledger and the assigned bitset but writes only UE-local heap state and
 // its own output slots.
-func (a *Arena) proposeWorker(w, lo, hi int) {
+func (a *Arena) proposeWorker(w int) {
 	var cnt int32
 	var scanned, rescored uint64
+	csr := a.csr
 	props, pending := a.props, a.pending
+	lo := min(w*a.chunk, len(pending))
+	hi := min(lo+a.chunk, len(pending))
 	for i := lo; i < hi; i++ {
 		u := pending[i]
 		if a.assigned.Get(u) {
@@ -415,7 +452,11 @@ func (a *Arena) proposeWorker(w, lo, hi int) {
 			rescored += r
 		}
 		if ok {
-			props[lo+int(cnt)] = soaProposal{ue: u, g: g}
+			props[lo+int(cnt)] = soaProposal{
+				key: a.cfg.selectKey(csr.SameSP[g], csr.Fu[u], csr.RRBs[g], a.cru[u]),
+				ue:  u,
+				g:   g,
+			}
 			cnt++
 		}
 	}
@@ -576,46 +617,148 @@ func (a *Arena) emitProposeEvents(hooks *SoAHooks) {
 	}
 }
 
-// bucketByBS counting-sorts props[:nprops] by target BS into sorted.
-// The scatter is stable, so each BS's inbox keeps ascending-UE order —
-// the order the serial per-BS inbox appends would have produced. After
-// the call, bsOff[b] is the END of BS b's bucket and bsCnt[b] its size.
-func (a *Arena) bucketByBS() {
-	bs := a.csr.BS
-	for _, p := range a.props[:a.nprops] {
-		a.bsCnt[bs[p.g]]++
+// arenaJob is one phase slot handed to a helper goroutine: the propose
+// or select work of worker w, or jobStop.
+type arenaJob struct {
+	kind uint8
+	w    int
+}
+
+const (
+	jobPropose uint8 = iota
+	jobSelect
+	jobStop
+)
+
+// startHelpers starts n helper goroutines for the run about to begin
+// (none when n <= 0). Every start is paired with stopHelpers.
+func (a *Arena) startHelpers(n int) {
+	a.helpers = max(0, n)
+	if a.helpers == 0 {
+		return
 	}
-	off := int32(0)
-	for b := range a.bsOff {
-		off += a.bsCnt[b]
-		a.bsOff[b] = off - a.bsCnt[b]
+	if cap(a.jobs) < a.helpers {
+		// One slot per helper: a phase sends at most that many jobs, so
+		// the caller never blocks before running its own slot.
+		a.jobs = make(chan arenaJob, a.helpers)
 	}
-	for _, p := range a.props[:a.nprops] {
-		b := bs[p.g]
-		a.sorted[a.bsOff[b]] = p
-		a.bsOff[b]++
+	for range a.helpers {
+		go a.helper()
 	}
 }
 
-// selectAll runs the serial select phase (Alg. 1 lines 11-26) for every
-// BS with proposals, in ascending BS order, through the canonical
-// Config.SelectRound against the arena ledger. bsCnt is re-zeroed as
-// buckets are consumed, keeping it all-zero between rounds.
-func (a *Arena) selectAll(stats *SoAStats, hooks *SoAHooks) error {
-	csr := a.csr
-	for b := 0; b < csr.BSs(); b++ {
-		c := a.bsCnt[b]
-		if c == 0 {
-			continue
+// stopHelpers stops the run's helpers and waits until every one has
+// taken its stop job, so no helper outlives the run.
+func (a *Arena) stopHelpers() {
+	a.wg.Add(a.helpers)
+	for range a.helpers {
+		a.jobs <- arenaJob{kind: jobStop}
+	}
+	a.wg.Wait()
+	a.helpers = 0
+}
+
+// helper runs phase jobs until it takes a stop job; each job ends with
+// wg.Done, which joins the phase.
+func (a *Arena) helper() {
+	for j := range a.jobs {
+		switch j.kind {
+		case jobPropose:
+			a.proposeWorker(j.w)
+		case jobSelect:
+			a.selectSlice(j.w, nil)
 		}
-		a.bsCnt[b] = 0
-		end := a.bsOff[b]
-		a.reqs = a.reqs[:0]
-		for _, p := range a.sorted[end-c : end] {
-			u, g := p.ue, p.g
-			a.reqs = append(a.reqs, Request{
+		a.wg.Done()
+		if j.kind == jobStop {
+			return
+		}
+	}
+}
+
+// fanOut hands worker slots 1..workers-1 of a phase to the helpers; the
+// caller runs slot 0 and then waits on wg.
+func (a *Arena) fanOut(kind uint8, workers int) {
+	a.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		a.jobs <- arenaJob{kind: kind, w: w}
+	}
+}
+
+// selectWorker is one select worker's scratch: its ledger adapter, the
+// request batch of the BS in hand, the SelectRound buffers, and the
+// counters summed after the join.
+type selectWorker struct {
+	led     arenaLedger
+	reqs    []Request
+	sc      SelectScratch
+	accepts int
+	rejects int
+	err     error
+}
+
+// selectRound runs the select phase (Alg. 1 lines 11-26) for every BS
+// with a winner in the argmin table, through the canonical
+// Config.SelectRound against the arena ledger. The ascending BS list is
+// split into contiguous slices across up to workers goroutines; a
+// Verdict hook forces one worker so verdicts fire in ascending BS order.
+// After the join the admitted UEs' assigned bits are set and the
+// counters summed, so the round's outcome is worker-count independent.
+func (a *Arena) selectRound(workers int, stats *SoAStats, hooks *SoAHooks) error {
+	a.tbs = a.hit.Drain(a.tbs[:0])
+	n := len(a.tbs)
+	if hooks != nil && hooks.Verdict != nil {
+		workers = 1
+	}
+	workers = max(1, min(workers, a.helpers+1, n))
+	a.sw = grown(a.sw, workers)
+	a.fanOut(jobSelect, workers)
+	a.selectSlice(0, hooks)
+	a.wg.Wait()
+	var err error
+	for w := range a.sw {
+		sw := &a.sw[w]
+		stats.Accepts += sw.accepts
+		stats.Rejects += sw.rejects
+		for _, u := range sw.led.admitted {
+			a.assigned.Set(u)
+		}
+		if err == nil {
+			err = sw.err
+		}
+	}
+	return err
+}
+
+// selectSlice runs select worker w of len(a.sw) over its contiguous
+// slice of the touched-BS list.
+func (a *Arena) selectSlice(w int, hooks *SoAHooks) {
+	n, k := len(a.tbs), len(a.sw)
+	a.selectBSs(&a.sw[w], a.tbs[w*n/k:(w+1)*n/k], hooks)
+}
+
+// selectBSs runs SelectRound for each BS of bss, feeding it the BS's
+// per-service winners in ascending service order — the order
+// selectPerService emits, so the verdicts equal those of the full
+// inbox — and resetting the BS's argmin row as it goes.
+func (a *Arena) selectBSs(sw *selectWorker, bss []int32, hooks *SoAHooks) {
+	csr := a.csr
+	S := int32(csr.Services)
+	sw.led.a = a
+	sw.led.admitted = sw.led.admitted[:0]
+	sw.accepts, sw.rejects, sw.err = 0, 0, nil
+	for _, b := range bss {
+		row := a.win[b*S : (b+1)*S]
+		sw.reqs = sw.reqs[:0]
+		for j := range row {
+			i := row[j].i
+			if i < 0 {
+				continue
+			}
+			row[j].i = -1
+			u, g := a.props[i].ue, a.props[i].g
+			sw.reqs = append(sw.reqs, Request{
 				UE:          mec.UEID(u),
-				Service:     mec.ServiceID(csr.Service[u]),
+				Service:     mec.ServiceID(j),
 				CRUs:        int(a.cru[u]),
 				RRBs:        int(csr.RRBs[g]),
 				SameSP:      csr.SameSP[g],
@@ -623,32 +766,34 @@ func (a *Arena) selectAll(stats *SoAStats, hooks *SoAHooks) error {
 				PricePerCRU: csr.Price[g],
 			})
 		}
-		a.led.bs = int32(b)
-		verdicts, err := a.cfg.SelectRound(&a.led, a.reqs, &a.sel)
+		sw.led.bs = b
+		verdicts, err := a.cfg.SelectRound(&sw.led, sw.reqs, &sw.sc)
 		if err != nil {
-			return err
+			sw.err = err
+			return
 		}
 		for _, v := range verdicts {
 			if v.Accepted {
-				stats.Accepts++
+				sw.accepts++
 			} else {
-				stats.Rejects++
+				sw.rejects++
 			}
 			if hooks != nil && hooks.Verdict != nil {
-				hooks.Verdict(int32(b), v)
+				hooks.Verdict(b, v)
 			}
 		}
 	}
-	return nil
 }
 
 // arenaLedger adapts one BS's slice of the arena's dense ledger to the
-// engine.Ledger the select phase admits against. It lives inside the
-// Arena and is passed by pointer, so the interface conversion never
-// allocates.
+// engine.Ledger the select phase admits against. Each select worker owns
+// one and passes it by pointer, so the interface conversion never
+// allocates. admitted collects the UEs it admitted this round, for the
+// serial assigned-bitset update after the join.
 type arenaLedger struct {
-	a  *Arena
-	bs int32
+	a        *Arena
+	bs       int32
+	admitted []int32
 }
 
 // Residual implements Ledger.
@@ -660,7 +805,7 @@ func (l *arenaLedger) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
 // Admit implements Ledger: debit the dense ledger, bump the BS version
 // (which lazily invalidates every cached preference against it), and
 // record the assignment. SelectRound only calls it after a Residual
-// feasibility check.
+// feasibility check. The assigned bit is left to selectRound's join.
 func (l *arenaLedger) Admit(r Request) error {
 	a, b := l.a, l.bs
 	a.remCRU[b*int32(a.csr.Services)+int32(r.Service)] -= int32(r.CRUs)
@@ -668,7 +813,7 @@ func (l *arenaLedger) Admit(r Request) error {
 	a.ver[b]++
 	u := int32(r.UE)
 	a.serving[u] = b
-	a.assigned.Set(u)
+	l.admitted = append(l.admitted, u)
 	return nil
 }
 

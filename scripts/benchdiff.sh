@@ -1,6 +1,7 @@
 #!/bin/sh
-# Compare the last two BENCH_exp.json records per benchmark and fail on
-# a ns/op — or allocs/op — regression beyond the threshold. Run
+# Compare, per benchmark and per GOMAXPROCS, the last BENCH_exp.json
+# record with the previous one at that GOMAXPROCS and fail on a ns/op —
+# or allocs/op — regression beyond the threshold. Run
 # `make bench` before and after a change to append the two records this
 # script diffs. With no benchmark argument, every hot-path gate runs:
 # the batch solver (BenchmarkAllocate), the million-UE rung

@@ -90,18 +90,24 @@ soa_parity() {
 	# The struct-of-arrays arena engine must be byte-identical to the
 	# legacy cached engine — assignments, stats, event streams, round
 	# snapshots — at any propose-worker count. Sweep the worker width
-	# race-enabled (like the wire shard sweep): workers 3 spawns real
-	# propose goroutines, so this is also the data-race gate on the
-	# parallel merge. The 50k-UE smoke run exercises the same parallel
-	# path at a scale where chunk boundaries actually split the pending
-	# list many ways.
+	# race-enabled (like the wire shard sweep): workers 3 runs propose on
+	# three goroutines (every round of two or more UEs fans out) and, in
+	# the unobserved FuzzSoAParity leg, the BS-sliced select too, so this
+	# is also the data-race gate on the parallel merge. The 50k-UE smoke
+	# run exercises the same parallel path at benchmark-like contention.
+	# The engine's own tests run once, race-enabled: the argmin key must
+	# order requests exactly like the BS preference, and
+	# TestArenaSelectWidths / TestArenaObservedProposeWidths sweep their
+	# own widths (2, 3, 5, 16 against a serial run), unobserved and
+	# observed.
 	for workers in 1 3; do
 		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
 			-run 'TestSoA|FuzzSoAParity' ./internal/alloc/
 	done
+	go test -race -count=1 -run 'TestSelectKey|TestArena' ./internal/engine/
 	DMRA_TEST_PROPOSE_WORKERS=3 go test -race -count=1 -run 'TestSoASmoke50k' \
 		-timeout 20m ./internal/alloc/
-	echo "soa parity: race-enabled SoA engine gate passed at workers 1 and 3 (+ 50k smoke)"
+	echo "soa parity: race-enabled SoA engine gate passed at workers 1 and 3 (+ engine key/width tests, 50k smoke)"
 }
 
 delta_parity() {
