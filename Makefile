@@ -16,8 +16,8 @@ vet:
 
 # check is the full verification gate: scripts/check.sh with no
 # arguments — vet, the race-enabled suite, the parity sweeps, the wire
-# frame fuzzer, the benchmark smoke run, the spec smoke runs, the
-# telemetry-determinism gate and the grep guards.
+# frame and checkpoint fuzzers, the benchmark smoke run, the spec smoke
+# runs, the telemetry-determinism gate and the grep guards.
 check:
 	./scripts/check.sh
 

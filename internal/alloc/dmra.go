@@ -37,7 +37,7 @@ type DMRA struct {
 	// proposal, fresh buffers every round); the differential fuzz target
 	// pins the fast path against it.
 	naive bool
-	// legacy forces the pointer-based cached engine even when the network
+	// legacy forces the pointer-based engine even when the network
 	// has a dense SoA view; the SoA differential fuzz target pins the
 	// arena engine against it.
 	legacy bool
@@ -72,10 +72,10 @@ func (l *stateLedger) Admit(r engine.Request) error {
 	return l.state.Assign(r.UE, l.bs)
 }
 
-// runState is the recycled per-run scratch of the cached engine driver:
-// the ledger, the proposer (with its preference cache), and every buffer
-// the round loop needs, so a steady-state Allocate performs no heap
-// allocations with a nil observer.
+// runState is the recycled per-run scratch of the legacy engine driver:
+// the ledger, the proposer, and every buffer the round loop needs, so a
+// steady-state Allocate performs no heap allocations with a nil
+// observer.
 type runState struct {
 	state *mec.State
 	prop  *engine.Proposer
@@ -93,9 +93,10 @@ type runState struct {
 	// most of the population is inactive with zero candidates — cost
 	// proportional to the contended UEs, not the whole population.
 	pending []mec.UEID
-	// lastScanned/lastRescored are the cache counters at the previous
-	// round boundary, for per-round observability deltas.
-	lastScanned, lastRescored uint64
+	// swept counts the candidates the proposer has swept this run, and
+	// lastSwept its value at the previous round boundary, for the
+	// per-round observability deltas.
+	swept, lastSwept uint64
 }
 
 var _ Allocator = (*DMRA)(nil)
@@ -180,7 +181,7 @@ func (d *DMRA) AllocateInto(net *mec.Network, res *Result) error {
 	rs.state.Reset(net)
 	rs.prop.Reset(net, d.cfg)
 	rs.led.state = rs.state
-	rs.lastScanned, rs.lastRescored = 0, 0
+	rs.swept, rs.lastSwept = 0, 0
 	if cap(rs.inbox) < len(net.BSs) {
 		rs.inbox = make([][]engine.Request, len(net.BSs))
 	}
@@ -222,7 +223,7 @@ func (d *DMRA) AllocateInto(net *mec.Network, res *Result) error {
 				if rs.state.Assigned(uid) {
 					continue
 				}
-				req, bs, ok := rs.prop.Propose(uid, rs.state)
+				req, bs, ok := rs.prop.Propose(uid, rs.state, &rs.swept)
 				if !ok {
 					continue
 				}
@@ -241,7 +242,7 @@ func (d *DMRA) AllocateInto(net *mec.Network, res *Result) error {
 				if rs.state.Assigned(uid) {
 					continue
 				}
-				req, bs, ok := rs.prop.Propose(uid, rs.state)
+				req, bs, ok := rs.prop.Propose(uid, rs.state, &rs.swept)
 				if ok {
 					rs.inbox[bs] = append(rs.inbox[bs], req)
 					stats.Proposals++
@@ -280,9 +281,9 @@ func (d *DMRA) AllocateInto(net *mec.Network, res *Result) error {
 		}
 		if d.obs != nil {
 			d.observeRound(net, rs.state)
-			scanned, rescored := rs.prop.CacheStats()
-			d.obs.PrefCacheRound(int64(scanned-rs.lastScanned), int64(rescored-rs.lastRescored))
-			rs.lastScanned, rs.lastRescored = scanned, rescored
+			// The sweep reads every live candidate afresh: no cache hits.
+			d.obs.PrefCacheRound(int64(rs.swept-rs.lastSwept), int64(rs.swept-rs.lastSwept))
+			rs.lastSwept = rs.swept
 		}
 
 		if stats.Iterations > maxRounds {
@@ -409,10 +410,10 @@ func (d *DMRA) applyVerdicts(b mec.BSID, verdicts []engine.Verdict, stats *Stats
 
 // allocateNaive is the reference Alg. 1 implementation: a full Eq. 17
 // sweep per proposal over a shrinking candidate set, with fresh buffers
-// every round. The differential fuzz target asserts the cached engine
-// matches it bit for bit. Both paths share the engine's select phase —
-// the cached/naive split is about how proposals are scored, which is the
-// part the preference cache accelerates.
+// every round. The differential fuzz target asserts the engine matches
+// it bit for bit. Both paths share the engine's select phase — the
+// engine/naive split is about how proposals are scored, which is the
+// part the engine's propose paths accelerate.
 func (d *DMRA) allocateNaive(net *mec.Network, res *Result) error {
 	state := mec.NewState(net)
 	cands := newCandidateSet(net)

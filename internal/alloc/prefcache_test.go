@@ -6,9 +6,9 @@ import (
 	"dmra/internal/mec"
 )
 
-// The PrefScorer differential tests moved with the scorer to
-// internal/engine; this file keeps the candidate-set regression coverage
-// of the naive reference path.
+// The proposer's differential test against the naive sweep lives in
+// internal/engine (TestProposerMatchesNaiveSweep); this file keeps the
+// candidate-set regression coverage of the naive reference path.
 
 // TestCandidateSetDropIdxNoAliasing is the regression test for the splice
 // bug: dropIdx used to append in place, shifting elements inside the

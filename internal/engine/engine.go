@@ -3,13 +3,13 @@
 // are made of:
 //
 //   - the Eq. 17 preference ordering a UE proposes by (Config.Preference,
-//     cached incrementally by PrefScorer, driven by Proposer);
+//     swept by Proposer, which drops view-infeasible candidates eagerly);
 //   - the BS-side per-service selection with the full tie-break chain
 //     (same-SP, smallest f_u, smallest footprint, lowest UE ID);
 //   - the strict Alg. 1 lines 22-25 prefix trim against the radio budget
 //     (Config.SelectRound over a Ledger);
-//   - the broadcast-driven view/version bookkeeping that keeps UE-local
-//     resource pictures and the preference cache coherent (ViewTable).
+//   - the broadcast-driven view bookkeeping that keeps UE-local resource
+//     pictures current (ViewTable).
 //
 // The runtimes are thin drivers over these pieces and differ only in how
 // messages move: internal/alloc runs the rounds synchronously against the

@@ -1,0 +1,251 @@
+package engine_test
+
+import (
+	"testing"
+
+	"dmra/internal/engine"
+	"dmra/internal/mec"
+	"dmra/internal/rng"
+	"dmra/internal/workload"
+)
+
+// genScenario draws a randomized-but-buildable workload shape, mirroring
+// the differential-fuzz generator in internal/alloc's tests.
+func genScenario(seed uint64) workload.Config {
+	src := rng.New(seed).SplitLabeled("engine-scenario")
+	cfg := workload.Default()
+	cfg.SPs = src.IntBetween(1, 5)
+	cfg.BSsPerSP = src.IntBetween(1, 6)
+	cfg.Services = src.IntBetween(1, 8)
+	cfg.ServicesPerBS = src.IntBetween(1, cfg.Services)
+	cfg.UEs = src.IntBetween(0, 120)
+	cfg.Radio.CoverageRadiusM = src.FloatBetween(150, 500)
+	if src.Float64() < 0.5 {
+		cfg.Placement = workload.PlacementRandom
+	}
+	cfg.SPCRUPrice = 12
+	return cfg
+}
+
+// naiveBest is the reference sweep Proposer.Propose must reproduce: the
+// first strictly-smaller Eq. 17 preference, in candidate order, over the
+// candidates that are not dropped and that rv can still fit. tied reports
+// whether another such candidate shares the winning value, i.e. whether
+// the candidate-index tie-break decided the answer.
+func naiveBest(cfg engine.Config, net *mec.Network, u mec.UEID, rv engine.ResidualView, dropped []bool) (best int, tied bool) {
+	best = -1
+	bestV := 0.0
+	ue := &net.UEs[u]
+	for k, l := range net.Candidates(u) {
+		remC, remR := rv.CandidateResidual(u, k)
+		if dropped[k] || remC < ue.CRUDemand || remR < l.RRBs {
+			continue
+		}
+		v := cfg.Preference(l, remC, remR)
+		switch {
+		case best < 0 || v < bestV:
+			best, bestV, tied = k, v, false
+		case v == bestV:
+			tied = true
+		}
+	}
+	return best, tied
+}
+
+// viewLowerer lowers a ViewTable the way broadcasts do: BS b's residuals
+// only ever shrink, and each broadcast reaches a random subset of the UEs
+// it covers, so every UE's view is monotone non-increasing but views of
+// one BS disagree. New values are drawn from a few levels, often exactly
+// a covered UE's demand, so equal residuals (Eq. 17 ties) and exact fits
+// are common.
+type viewLowerer struct {
+	net    *mec.Network
+	tbl    *engine.ViewTable
+	remCRU [][]int
+	remRRB []int
+}
+
+func newViewLowerer(net *mec.Network) *viewLowerer {
+	l := &viewLowerer{net: net, tbl: engine.NewViewTable(net), remCRU: make([][]int, len(net.BSs)), remRRB: make([]int, len(net.BSs))}
+	for b := range net.BSs {
+		l.remCRU[b] = append([]int(nil), net.BSs[b].CRUCapacity...)
+		l.remRRB[b] = net.BSs[b].MaxRRBs
+	}
+	return l
+}
+
+func (l *viewLowerer) lower(src *rng.Source) {
+	b := mec.BSID(src.Intn(len(l.net.BSs)))
+	cov := l.tbl.Covered(b)
+	if len(cov) == 0 {
+		return
+	}
+	u := cov[src.Intn(len(cov))]
+	link, _ := l.net.Link(u, b)
+	cru, rrb := l.remCRU[b], &l.remRRB[b]
+	switch src.Intn(3) {
+	case 0: // exact fit for u
+		svc := l.net.UEs[u].Service
+		cru[svc] = min(cru[svc], l.net.UEs[u].CRUDemand)
+		*rrb = min(*rrb, link.RRBs)
+	case 1: // a shared low level
+		lvl := 2 * src.Intn(8)
+		for j := range cru {
+			cru[j] = min(cru[j], lvl)
+		}
+		*rrb = min(*rrb, lvl)
+	default: // a small debit
+		svc := l.net.UEs[u].Service
+		cru[svc] = max(0, cru[svc]-src.Intn(3))
+		*rrb = max(0, *rrb-src.Intn(3))
+	}
+	var receivers []mec.UEID
+	for _, v := range cov {
+		if src.Float64() < 0.7 {
+			receivers = append(receivers, v)
+		}
+	}
+	l.tbl.ApplyBroadcast(b, cru, *rrb, receivers)
+}
+
+// TestProposerMatchesNaiveSweep drives a proposer through a random
+// interleaving of monotone view lowering, DropBS calls and proposals,
+// checking every proposal (target, request, and the candidate-index
+// tie-break) against the full sweep. It runs over both views the
+// runtimes use: the synchronous solver's mec.State ledger, lowered by
+// grants, and the message-passing runtimes' ViewTable, lowered by lossy
+// broadcasts. Half the scenarios have one SP and distance-free pricing,
+// so every link has the same price and Eq. 17 ties whenever residuals
+// match.
+func TestProposerMatchesNaiveSweep(t *testing.T) {
+	ties := 0
+	for _, rho := range []float64{-1, 0, engine.DefaultConfig().Rho, 50} {
+		cfg := engine.DefaultConfig()
+		cfg.Rho = rho
+		for seed := uint64(0); seed < 8; seed++ {
+			wl := genScenario(seed)
+			wl.UEs = 60
+			if seed%2 == 0 {
+				wl.SPs = 1
+				wl.Pricing.DistanceSigma = 0
+			}
+			net, err := wl.Build(seed)
+			if err != nil {
+				t.Fatalf("rho %g seed %d: build: %v", rho, seed, err)
+			}
+			state := mec.NewState(net)
+			ledger := func(src *rng.Source) {
+				u := mec.UEID(src.Intn(len(net.UEs)))
+				if cands := net.Candidates(u); len(cands) > 0 && !state.Assigned(u) {
+					if l := cands[src.Intn(len(cands))]; state.CanServe(u, l.BS) {
+						if err := state.Assign(u, l.BS); err != nil {
+							t.Fatalf("assign: %v", err)
+						}
+					}
+				}
+			}
+			views := newViewLowerer(net)
+			legs := []struct {
+				name  string
+				rv    engine.ResidualView
+				lower func(*rng.Source)
+			}{
+				{"ledger", state, ledger},
+				{"views", views.tbl, views.lower},
+			}
+			for _, leg := range legs {
+				ties += checkProposerLeg(t, cfg, net, leg.rv, leg.lower, rng.New(seed).SplitLabeled("propose-"+leg.name))
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no proposal was decided by the candidate-index tie-break")
+	}
+}
+
+// checkProposerLeg runs one random script against rv and returns how
+// many proposals the tie-break decided.
+func checkProposerLeg(t *testing.T, cfg engine.Config, net *mec.Network, rv engine.ResidualView, lower func(*rng.Source), src *rng.Source) (ties int) {
+	t.Helper()
+	p := engine.NewProposer(net, cfg)
+	dropped := make([][]bool, len(net.UEs))
+	for u := range dropped {
+		dropped[u] = make([]bool, len(net.Candidates(mec.UEID(u))))
+	}
+	var swept uint64
+	for step := 0; step < 600; step++ {
+		u := mec.UEID(src.Intn(len(net.UEs)))
+		cands := net.Candidates(u)
+		switch src.Intn(4) {
+		case 0:
+			if len(cands) > 0 {
+				k := src.Intn(len(cands))
+				dropped[u][k] = true
+				p.DropBS(u, cands[k].BS)
+			} else {
+				p.DropBS(u, 0)
+			}
+		case 1:
+			lower(src)
+		default:
+			wantK, tied := naiveBest(cfg, net, u, rv, dropped[u])
+			before := swept
+			req, b, ok := p.Propose(u, rv, &swept)
+			if swept-before > uint64(len(cands)) {
+				t.Fatalf("rho %g step %d UE %d: swept %d of %d candidates", cfg.Rho, step, u, swept-before, len(cands))
+			}
+			if ok != (wantK >= 0) {
+				t.Fatalf("rho %g step %d UE %d: ok=%v, naive k=%d", cfg.Rho, step, u, ok, wantK)
+			}
+			if p.Empty(u) == ok {
+				t.Fatalf("rho %g step %d UE %d: Empty=%v after a sweep with ok=%v", cfg.Rho, step, u, p.Empty(u), ok)
+			}
+			if !ok {
+				continue
+			}
+			l := cands[wantK]
+			want := engine.Request{
+				UE: u, Service: net.UEs[u].Service, CRUs: net.UEs[u].CRUDemand, RRBs: l.RRBs,
+				SameSP: l.SameSP, Fu: net.CoverCount(u), PricePerCRU: l.PricePerCRU,
+			}
+			if b != l.BS || req != want {
+				t.Fatalf("rho %g step %d UE %d: proposed %+v to BS %d, naive %+v to BS %d (k=%d)", cfg.Rho, step, u, req, b, want, l.BS, wantK)
+			}
+			if tied {
+				ties++
+			}
+		}
+	}
+	return ties
+}
+
+// TestProposerEmptyAndDropBS covers the bookkeeping edges: DropBS on a
+// non-candidate BS is a no-op, repeated drops do not double-count, and
+// Empty flips exactly when the last candidate goes.
+func TestProposerEmptyAndDropBS(t *testing.T) {
+	wl := genScenario(3)
+	wl.UEs = 20
+	net, err := wl.Build(3)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	p := engine.NewProposer(net, engine.DefaultConfig())
+	for u := range net.UEs {
+		uid := mec.UEID(u)
+		cands := net.Candidates(uid)
+		if p.Empty(uid) != (len(cands) == 0) {
+			t.Fatalf("UE %d: Empty=%v with %d candidates", u, p.Empty(uid), len(cands))
+		}
+		p.DropBS(uid, mec.BSID(len(net.BSs)+5)) // never a candidate
+		for i, l := range cands {
+			if p.Empty(uid) {
+				t.Fatalf("UE %d: empty after dropping %d of %d candidates", u, i, len(cands))
+			}
+			p.DropBS(uid, l.BS)
+			p.DropBS(uid, l.BS) // idempotent
+		}
+		if !p.Empty(uid) {
+			t.Fatalf("UE %d: not empty after dropping all candidates", u)
+		}
+	}
+}

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the struct-of-arrays round engine: the same Alg. 1 state
-// machine as Proposer/PrefScorer/SelectRound, re-laid-out for the
+// machine as Proposer/SelectRound, re-laid-out for the
 // million-UE regime. The per-UE candidate heaps, the BS ledger, and every
 // round buffer live in a handful of flat arrays inside an Arena that is
 // reset — not reallocated — across runs, so a steady-state run performs
@@ -348,8 +348,8 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 
 // initRegion (re)builds UE u's heap region for the current run: the full
 // candidate list alive, in the all-equal-sentinel order that forms a
-// valid heap with a first-touch rescore forced — the same initial state
-// as PrefScorer.Reset. Called by the propose worker that owns u, so the
+// valid heap with a first-touch rescore forced. Called by the propose
+// worker that owns u, so the
 // writes are UE-local and race-free under parallel propose.
 func (a *Arena) initRegion(u int32) {
 	lo, hi := a.csr.Off[u], a.csr.Off[u+1]
@@ -502,7 +502,7 @@ func (a *Arena) proposeUEScan(u int32) (int32, bool) {
 			continue
 		}
 		v := a.cfg.preference(csr.Price[gi], int(remCRU)+int(remRRB))
-		if best < 0 || soaLess(v, k, bestV, best) {
+		if best < 0 || prefLess(v, k, bestV, best) {
 			best, bestV = k, v
 		}
 		i++
@@ -516,11 +516,13 @@ func (a *Arena) proposeUEScan(u int32) (int32, bool) {
 
 // proposeUE picks UE u's minimum-preference candidate whose residuals
 // still fit it, permanently dropping view-infeasible candidates along
-// the way (Alg. 1 lines 3-10). It is Proposer.Propose over the flat
-// heap: the same lazy-refresh loop as PrefScorer.Best, with the drop
-// fused in — an infeasible candidate is always the freshly-refreshed
-// top, so it is swap-removed on the spot instead of tombstoned. Returns
-// the global candidate index of the chosen link.
+// the way (Alg. 1 lines 3-10). It returns Proposer.Propose's choice
+// through a lazy min-heap of cached Eq. 17 values: an entry is re-scored
+// only when its BS's version moved, which is exact for rho >= 0 because
+// debits only ever raise a value, so a stale entry is a lower bound. An
+// infeasible candidate is always the freshly-refreshed top, so it is
+// swap-removed on the spot. Returns the global candidate index of the
+// chosen link.
 func (a *Arena) proposeUE(u int32) (g int32, ok bool, scanned, rescored uint64) {
 	n := a.hlen[u]
 	if n == 0 {
@@ -576,10 +578,10 @@ func (a *Arena) heapSiftDown(base, n int32) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && soaLess(hv[base+r], hk[base+r], hv[base+l], hk[base+l]) {
+		if r := l + 1; r < n && prefLess(hv[base+r], hk[base+r], hv[base+l], hk[base+l]) {
 			m = r
 		}
-		if !soaLess(hv[base+m], hk[base+m], hv[base+i], hk[base+i]) {
+		if !prefLess(hv[base+m], hk[base+m], hv[base+i], hk[base+i]) {
 			return
 		}
 		bi, bm := base+i, base+m
@@ -588,11 +590,6 @@ func (a *Arena) heapSiftDown(base, n int32) {
 		hk[bi], hk[bm] = hk[bm], hk[bi]
 		i = m
 	}
-}
-
-// soaLess is prefLess over the flattened entry fields.
-func soaLess(v1 float64, k1 int32, v2 float64, k2 int32) bool {
-	return v1 < v2 || (v1 == v2 && k1 < k2)
 }
 
 // emitProposeEvents walks the whole population in ascending UE order and
@@ -876,8 +873,8 @@ func (a *Arena) RemRRB(b int) int { return int(a.remRRB[b]) }
 func (a *Arena) AssignedCount() int { return a.assigned.Count() }
 
 // CacheStats returns the cumulative Eq. 17 evaluations a naive sweep
-// would have performed and the evaluations actually run, identical in
-// meaning (and, by construction, in value) to PrefScorer.CacheStats.
+// would have performed and the evaluations the observed heap actually
+// ran. Unobserved (scan) runs do not count.
 func (a *Arena) CacheStats() (scanned, rescored uint64) {
 	return a.scanned, a.rescored
 }

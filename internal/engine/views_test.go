@@ -8,10 +8,20 @@ import (
 	"dmra/internal/mec"
 )
 
-// TestViewTableBroadcast pins the view/version bookkeeping: initial views
-// equal the deployment capacities, ApplyBroadcast updates exactly the
-// receivers, and the version counter advances even for an empty receiver
-// set (the conservative-under-loss contract the PrefScorer relies on).
+// viewOf reads UE u's view of BS b through the candidate-indexed
+// ResidualView interface.
+func viewOf(t *testing.T, net *mec.Network, tbl *engine.ViewTable, u mec.UEID, b mec.BSID) (remCRU, remRRBs int) {
+	t.Helper()
+	k := slices.IndexFunc(net.Candidates(u), func(l mec.Link) bool { return l.BS == b })
+	if k < 0 {
+		t.Fatalf("BS %d is not a candidate of UE %d", b, u)
+	}
+	return tbl.CandidateResidual(u, k)
+}
+
+// TestViewTableBroadcast pins the view bookkeeping: initial views equal
+// the deployment capacities, and ApplyBroadcast updates exactly the
+// receivers, in or out of Covered order.
 func TestViewTableBroadcast(t *testing.T) {
 	wl := genScenario(5)
 	wl.UEs = 40
@@ -33,36 +43,22 @@ func TestViewTableBroadcast(t *testing.T) {
 	}
 	covered := tbl.Covered(b)
 	for _, u := range covered {
-		view := tbl.UE(u)
-		remCRU, remRRBs := view.Residual(b, net.UEs[u].Service)
+		remCRU, remRRBs := viewOf(t, net, tbl, u, b)
 		if want := net.BSs[b].CRUCapacity[net.UEs[u].Service]; remCRU != want || remRRBs != net.BSs[b].MaxRRBs {
 			t.Fatalf("UE %d initial view of BS %d: (%d, %d), want (%d, %d)",
 				u, b, remCRU, remRRBs, want, net.BSs[b].MaxRRBs)
 		}
-		if view.ResidualVersion(b) != 0 {
-			t.Fatalf("UE %d: initial version %d, want 0", u, view.ResidualVersion(b))
-		}
 	}
 
 	// Broadcast to all covered UEs but the last: the missed receiver keeps
-	// its stale view while the version still advances.
+	// its stale view.
 	updated := make([]int, net.Services)
 	tbl.ApplyBroadcast(b, updated, 1, covered[:len(covered)-1])
-	heard := tbl.UE(covered[0])
-	if remCRU, remRRBs := heard.Residual(b, net.UEs[covered[0]].Service); remCRU != 0 || remRRBs != 1 {
+	if remCRU, remRRBs := viewOf(t, net, tbl, covered[0], b); remCRU != 0 || remRRBs != 1 {
 		t.Errorf("receiver view: (%d, %d), want (0, 1)", remCRU, remRRBs)
 	}
-	missed := tbl.UE(covered[len(covered)-1])
-	if _, remRRBs := missed.Residual(b, net.UEs[covered[len(covered)-1]].Service); remRRBs != net.BSs[b].MaxRRBs {
+	if _, remRRBs := viewOf(t, net, tbl, covered[len(covered)-1], b); remRRBs != net.BSs[b].MaxRRBs {
 		t.Errorf("missed receiver saw the broadcast: remRRBs=%d", remRRBs)
-	}
-	if heard.ResidualVersion(b) != 1 || missed.ResidualVersion(b) != 1 {
-		t.Errorf("versions after broadcast: %d/%d, want 1/1",
-			heard.ResidualVersion(b), missed.ResidualVersion(b))
-	}
-	tbl.ApplyBroadcast(b, updated, 1, nil)
-	if heard.ResidualVersion(b) != 2 {
-		t.Errorf("version after empty-receiver broadcast: %d, want 2", heard.ResidualVersion(b))
 	}
 
 	// Receivers out of Covered order, plus a UE outside b's range: every
@@ -81,9 +77,8 @@ func TestViewTableBroadcast(t *testing.T) {
 	}
 	tbl.ApplyBroadcast(b, updated, 3, receivers)
 	for _, u := range covered {
-		view := tbl.UE(u)
 		svc := net.UEs[u].Service
-		if remCRU, remRRBs := view.Residual(b, svc); remCRU != int(svc)+1 || remRRBs != 3 {
+		if remCRU, remRRBs := viewOf(t, net, tbl, u, b); remCRU != int(svc)+1 || remRRBs != 3 {
 			t.Fatalf("UE %d after unordered broadcast: (%d, %d), want (%d, 3)", u, remCRU, remRRBs, svc+1)
 		}
 	}

@@ -9,7 +9,7 @@
 // line 26 prescribes. UEs decide from (possibly one-round-stale) local
 // state, exactly as real handsets would. This runtime is a thin driver
 // over internal/engine — proposal scoring, per-service selection, the
-// prefix trim, and the view/version bookkeeping are the engine's; this
+// prefix trim, and the view bookkeeping are the engine's; this
 // package only moves the messages — so the final matching is
 // bit-identical to the synchronous solver's, an equivalence the tests
 // assert, while this runtime additionally reports message and round
@@ -117,9 +117,6 @@ var ErrDidNotQuiesce = errors.New("protocol: exceeded round bound without quiesc
 // ueAgent is a user-equipment actor.
 type ueAgent struct {
 	id mec.UEID
-	// view is the agent's slice of the runner's ViewTable; its address is
-	// the engine.ResidualView the preference cache scores against.
-	view engine.UEView
 	// servedBy is CloudBS until an Accept arrives.
 	servedBy mec.BSID
 	assigned bool
@@ -168,16 +165,16 @@ type runner struct {
 	loss   *rng.Source
 	res    Result
 
-	// prop is the engine's UE-side round machine: Eq. 17 scoring through
-	// the same incremental preference cache the synchronous solver uses,
-	// keyed on the views' broadcast version counters.
+	// prop is the engine's UE-side round machine: the same Eq. 17 sweep
+	// the other runtimes use, reading each UE's views from the table.
 	prop *engine.Proposer
-	// views holds the UE-local resource views and per-BS broadcast
-	// counters; broadcasts are applied through it.
+	// views holds the UE-local resource views; broadcasts are applied
+	// through it.
 	views *engine.ViewTable
-	// lastScanned/lastRescored are cache-counter checkpoints for the
-	// per-round observability delta.
-	lastScanned, lastRescored uint64
+	// swept counts the candidates the proposer has swept, and lastSwept
+	// its value at the previous round, for the per-round observability
+	// delta.
+	swept, lastSwept uint64
 
 	// requestsThisRound implements the termination converge-cast: in a
 	// deployment this would be a timeout at the SP layer; in simulation the
@@ -212,7 +209,6 @@ func (r *runner) setup() {
 		uid := mec.UEID(u)
 		r.ues[u] = &ueAgent{
 			id:       uid,
-			view:     r.views.UE(uid),
 			servedBy: mec.CloudBS,
 		}
 	}
@@ -344,7 +340,7 @@ func (r *runner) startRound(round int, protocolErr *error) {
 // engine's proposer, dropping candidates the view says are exhausted
 // (Alg. 1 lines 4-10).
 func (r *runner) propose(agent *ueAgent) (engine.Request, mec.BSID, bool) {
-	req, bsID, ok := r.prop.Propose(agent.id, &agent.view)
+	req, bsID, ok := r.prop.Propose(agent.id, r.views, &r.swept)
 	if !ok {
 		r.trace("cloud", r.res.Rounds, agent.id, mec.CloudBS)
 		r.observe(obs.KindCloudFallback, r.res.Rounds, agent.id, mec.CloudBS)
@@ -409,9 +405,9 @@ func (r *runner) selectPhase(round int) {
 			admitted += len(bs.admitted)
 		}
 		r.cfg.Obs.Unmatched(len(r.ues) - admitted)
-		scanned, rescored := r.prop.CacheStats()
-		r.cfg.Obs.PrefCacheRound(int64(scanned-r.lastScanned), int64(rescored-r.lastRescored))
-		r.lastScanned, r.lastRescored = scanned, rescored
+		// The sweep reads every live candidate afresh: no cache hits.
+		r.cfg.Obs.PrefCacheRound(int64(r.swept-r.lastSwept), int64(r.swept-r.lastSwept))
+		r.lastSwept = r.swept
 	}
 }
 
@@ -474,10 +470,9 @@ func (r *runner) broadcast(round int, bs *bsAgent) {
 		receivers = append(receivers, u)
 	}
 	r.engine.Schedule(r.cfg.LatencyS, func() {
-		// The version bump inside ApplyBroadcast invalidates cached
-		// Eq. 17 scores for this BS. Conservative under loss: a UE that
-		// missed the reception re-scores its unchanged view, which costs
-		// an evaluation but stays exact.
+		// A UE that missed the reception keeps its older view, which
+		// only over-promises: broadcasts arrive in order and residuals
+		// never grow, so every view stays monotone non-increasing.
 		r.views.ApplyBroadcast(bsID, remCRU, remRRB, receivers)
 	})
 }

@@ -99,11 +99,10 @@ func (c countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ueAgent is the coordinator-hosted thin UE agent: assignment status plus
-// a handle on its slice of the shared broadcast-view table. Proposal
-// scoring and the candidate list live in the engine's Proposer.
+// ueAgent is the coordinator-hosted thin UE agent: its assignment
+// status. Its resource views live in the run's engine.ViewTable, and
+// proposal scoring and the candidate list in the engine's Proposer.
 type ueAgent struct {
-	view     engine.UEView
 	assigned bool
 	servedBy mec.BSID
 }
@@ -207,10 +206,10 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 
 	prop := engine.NewProposer(net_, cc.DMRA)
 	views := engine.NewViewTable(net_)
-	var lastScanned, lastRescored uint64
-	ues := make([]*ueAgent, len(net_.UEs))
-	for u := range net_.UEs {
-		ues[u] = &ueAgent{view: views.UE(mec.UEID(u)), servedBy: mec.CloudBS}
+	var swept, lastSwept uint64
+	ues := make([]ueAgent, len(net_.UEs))
+	for u := range ues {
+		ues[u].servedBy = mec.CloudBS
 	}
 
 	// Shard layout: shard s owns the BSs congruent to s mod shards, fixed
@@ -309,11 +308,11 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 			errs[b] = nil
 		}
 		anyRequest := false
-		for u, st := range ues {
-			if st.assigned {
+		for u := range ues {
+			if ues[u].assigned {
 				continue
 			}
-			req, bsID, ok := prop.Propose(mec.UEID(u), &st.view)
+			req, bsID, ok := prop.Propose(mec.UEID(u), views, &swept)
 			if !ok {
 				rec.Event(obs.KindCloudFallback, round, u, int(mec.CloudBS))
 				continue
@@ -356,7 +355,7 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 			}
 			res.Frames += 2
 			for _, v := range resp.Verdicts {
-				st := ues[v.UE]
+				st := &ues[v.UE]
 				if v.Accepted {
 					rec.EventShard(b%shards, obs.KindAccept, round, int(v.UE), b)
 					st.assigned = true
@@ -371,8 +370,7 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 				}
 			}
 			rec.EventShard(b%shards, obs.KindBroadcast, round, -1, b)
-			// Apply the resource broadcast to every covered UE's view and
-			// invalidate cached Eq. 17 scores against this BS.
+			// Apply the resource broadcast to every covered UE's view.
 			views.ApplyBroadcast(mec.BSID(b), resp.RemainingCRU, resp.RemainingRRBs, views.Covered(mec.BSID(b)))
 			if rec != nil {
 				crus := 0
@@ -391,9 +389,9 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 				}
 			}
 			rec.Unmatched(unmatched)
-			scanned, rescored := prop.CacheStats()
-			rec.PrefCacheRound(int64(scanned-lastScanned), int64(rescored-lastRescored))
-			lastScanned, lastRescored = scanned, rescored
+			// The sweep reads every live candidate afresh: no cache hits.
+			rec.PrefCacheRound(int64(swept-lastSwept), int64(swept-lastSwept))
+			lastSwept = swept
 			rec.RoundLatency(time.Since(roundStart).Seconds())
 		}
 	}

@@ -89,9 +89,9 @@ func clusterRoundFrames(tb testing.TB) [][]byte {
 	prop := engine.NewProposer(net_, cfg)
 	views := engine.NewViewTable(net_)
 	batches := make([][]Request, len(net_.BSs))
+	var swept uint64
 	for u := range net_.UEs {
-		view := views.UE(mec.UEID(u))
-		if req, b, ok := prop.Propose(mec.UEID(u), &view); ok {
+		if req, b, ok := prop.Propose(mec.UEID(u), views, &swept); ok {
 			batches[b] = append(batches[b], req)
 		}
 	}

@@ -61,8 +61,12 @@ type RegionConfig struct {
 	// RestartAfterRounds, with Recover, asks the coordinator to restart a
 	// crashed BS server after it has been dead that many rounds: a fresh
 	// server with a full ledger is started and re-dialed, and UEs that
-	// had not yet written the BS off may propose to it again. 0 never
-	// restarts.
+	// had not yet written the BS off may propose to it again. A UE has
+	// written a BS off once the BS left its live candidate list: it was
+	// the UE's serving BS when it crashed, the UE picked it while it was
+	// dead, it rejected the UE permanently, or any propose sweep of the
+	// UE found that its view of the BS could no longer fit the UE. 0
+	// never restarts.
 	RestartAfterRounds int
 
 	// CheckpointPath, if non-empty, writes a JSON Checkpoint atomically
@@ -107,7 +111,8 @@ const CheckpointSchema = 1
 // accounting. Per-UE candidate drops are deliberately NOT stored: every
 // drop is view-derivable (a dropped BS's broadcast residuals no longer fit
 // the UE, and residuals are monotone non-increasing), so the resumed
-// proposers re-drop them lazily and the continuation is byte-identical.
+// proposer's first sweep of each UE re-drops them and the continuation is
+// byte-identical.
 type Checkpoint struct {
 	Schema int `json:"schema"`
 	// Round is the completed round the state was captured after.
@@ -141,6 +146,9 @@ func (c *Checkpoint) validate(net_ *mec.Network) error {
 	if c.Round < 1 {
 		return fmt.Errorf("wire: checkpoint at round %d, want >= 1", c.Round)
 	}
+	if c.Frames < 0 {
+		return fmt.Errorf("wire: checkpoint frame count %d, want >= 0", c.Frames)
+	}
 	if c.Services != net_.Services || len(c.RemRRB) != len(net_.BSs) ||
 		len(c.RemCRU) != len(net_.BSs)*net_.Services || len(c.ServingBS) != len(net_.UEs) ||
 		len(c.PerBS) != len(net_.BSs) {
@@ -158,9 +166,17 @@ func (c *Checkpoint) validate(net_ *mec.Network) error {
 			}
 		}
 	}
+	for b, t := range c.PerBS {
+		if t.BytesSent < 0 || t.BytesReceived < 0 {
+			return fmt.Errorf("wire: checkpoint BS %d byte counts %d/%d, want >= 0", b, t.BytesSent, t.BytesReceived)
+		}
+	}
 	for u, b := range c.ServingBS {
-		if b != mec.CloudBS && (int(b) < 0 || int(b) >= len(net_.BSs)) {
-			return fmt.Errorf("wire: checkpoint UE %d served by unknown BS %d", u, b)
+		if b == mec.CloudBS {
+			continue
+		}
+		if _, ok := net_.Link(mec.UEID(u), b); !ok {
+			return fmt.Errorf("wire: checkpoint UE %d served by BS %d, not one of its candidates", u, b)
 		}
 	}
 	return nil
@@ -364,18 +380,17 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		}
 	}
 
-	// One proposer per region: the Eq. 17 preference cache carries per-UE
-	// mutable state plus shared cache counters, so giving each region its
-	// own instance keeps the parallel propose phase race-free; a region
-	// only ever touches the entries of the UEs it homes.
-	props := make([]*engine.Proposer, regions)
-	for r := range props {
-		props[r] = engine.NewProposer(net_, rc.DMRA)
-	}
+	// One proposer for the run: its per-UE state is touched only for the
+	// UE being proposed for, and each region proposes only for the UEs it
+	// homes, so the parallel propose phase is race-free. Each region
+	// counts its swept candidates in its own slot.
+	prop := engine.NewProposer(net_, rc.DMRA)
+	swept := make([]uint64, regions)
+	var lastSwept uint64
 	views := engine.NewViewTable(net_)
-	ues := make([]*ueAgent, len(net_.UEs))
-	for u := range net_.UEs {
-		ues[u] = &ueAgent{view: views.UE(mec.UEID(u)), servedBy: mec.CloudBS}
+	ues := make([]ueAgent, len(net_.UEs))
+	for u := range ues {
+		ues[u].servedBy = mec.CloudBS
 	}
 	if cp != nil {
 		for u := range ues {
@@ -389,8 +404,8 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		// broadcast, which is exactly what the checkpoint holds. Every
 		// candidate a UE had dropped is view-infeasible under these
 		// residuals (drops are monotone-derivable), so the fresh
-		// proposers re-drop them lazily and the continuation is
-		// byte-identical.
+		// proposer's first sweep of each UE re-drops them and the
+		// continuation is byte-identical.
 		for b := range net_.BSs {
 			views.ApplyBroadcast(mec.BSID(b), cp.cruRow(b), cp.RemRRB[b], views.Covered(mec.BSID(b)))
 		}
@@ -428,25 +443,26 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 					// ascending order. Dead BSs are dropped at proposal
 					// time — the receiver-side effect of the crash — and
 					// the propose retried until a live target or cloud.
+					var n uint64
 					for _, u := range regionUEs[r] {
-						st := ues[u]
 						proposals[u] = proposal{}
-						if st.assigned {
+						if ues[u].assigned {
 							continue
 						}
 						for {
-							req, bsID, ok := props[r].Propose(mec.UEID(u), &st.view)
+							req, bsID, ok := prop.Propose(mec.UEID(u), views, &n)
 							if !ok {
 								break
 							}
 							if dead[bsID] {
-								props[r].DropBS(mec.UEID(u), bsID)
+								prop.DropBS(mec.UEID(u), bsID)
 								continue
 							}
 							proposals[u] = proposal{req: req, bs: bsID, ok: true}
 							break
 						}
 					}
+					swept[r] += n
 					barrier.Done()
 					continue
 				}
@@ -512,13 +528,14 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			servers[b] = nil
 		}
 		readmitted := 0
-		for u, st := range ues {
+		for u := range ues {
+			st := &ues[u]
 			if st.servedBy != mec.BSID(b) {
 				continue
 			}
 			st.assigned = false
 			st.servedBy = mec.CloudBS
-			props[homeOf[u]].DropBS(mec.UEID(u), mec.BSID(b))
+			prop.DropBS(mec.UEID(u), mec.BSID(b))
 			readmitted++
 		}
 		res.ReadmittedUEs += readmitted
@@ -604,7 +621,6 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	if cp != nil {
 		res.Frames = cp.Frames
 	}
-	var lastScanned, lastRescored uint64
 	startRound := 1
 	if cp != nil {
 		startRound = cp.Round + 1
@@ -726,14 +742,14 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			}
 			res.Frames += 2
 			for _, v := range resp.Verdicts {
-				st := ues[v.UE]
+				st := &ues[v.UE]
 				if v.Accepted {
 					rec.EventShard(regionOf[b], obs.KindAccept, round, int(v.UE), b)
 					st.assigned = true
 					st.servedBy = mec.BSID(b)
 				} else if v.Permanent {
 					rec.EventShard(regionOf[b], obs.KindRejectPermanent, round, int(v.UE), b)
-					props[homeOf[v.UE]].DropBS(v.UE, mec.BSID(b))
+					prop.DropBS(v.UE, mec.BSID(b))
 				} else {
 					rec.EventShard(regionOf[b], obs.KindRejectTrim, round, int(v.UE), b)
 				}
@@ -759,14 +775,13 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 				}
 			}
 			rec.Unmatched(unmatched)
-			var scanned, rescored uint64
-			for _, p := range props {
-				s, rs := p.CacheStats()
-				scanned += s
-				rescored += rs
+			var total uint64
+			for _, n := range swept {
+				total += n
 			}
-			rec.PrefCacheRound(int64(scanned-lastScanned), int64(rescored-lastRescored))
-			lastScanned, lastRescored = scanned, rescored
+			// The sweep reads every live candidate afresh: no cache hits.
+			rec.PrefCacheRound(int64(total-lastSwept), int64(total-lastSwept))
+			lastSwept = total
 			rec.RoundLatency(time.Since(roundStart).Seconds())
 		}
 	}

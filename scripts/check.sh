@@ -1,8 +1,8 @@
 #!/bin/sh
 # Full verification gate: vet plus the race-enabled test suite, which
 # exercises the parallel experiment engine at several worker counts, the
-# race-enabled parity sweeps, a fixed-budget fuzz run of the wire frame
-# decoder, a one-iteration smoke run of the hot-path benchmarks, and the
+# race-enabled parity sweeps, fixed-budget fuzz runs of the wire frame
+# and checkpoint decoders, a one-iteration smoke run of the hot-path benchmarks, and the
 # telemetry-determinism gate, which proves that attaching the
 # observability layer does not change a single byte of experiment output.
 # Equivalent to `make check`.
@@ -14,7 +14,7 @@
 #   scripts/check.sh engine-guard      only the single-round-engine grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
 #   scripts/check.sh wire-shards       only the race-enabled wire suite at several shard counts
-#   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame run over the wire frame decoder
+#   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
 #   scripts/check.sh region-parity     only the race-enabled region-cluster gate at several region counts
 #   scripts/check.sh soa-parity        only the race-enabled SoA-engine parity gate at several worker counts
 #   scripts/check.sh delta-parity      only the race-enabled delta-repair parity gate at several worker counts
@@ -66,11 +66,15 @@ wire_shards() {
 }
 
 wire_fuzz() {
-	# The frame decoder reads bytes from the network: fuzz it for a fixed
-	# budget so a panic, an unbounded allocation or a non-canonical
-	# accept found by the mutator fails the gate, not a deployment.
+	# The frame decoder reads bytes from the network and the checkpoint
+	# decoder reads a file a crashed run left behind: fuzz both for a
+	# fixed budget so a panic, an unbounded allocation, a non-canonical
+	# frame or an out-of-range checkpoint accepted by the mutator fails
+	# the gate, not a deployment. Checkpoint inputs are kilobytes of
+	# JSON; capping minimization keeps the budget on new inputs.
 	go test -run '^$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/wire/
-	echo "wire fuzz: FuzzReadFrame ran 20 s without a failure"
+	go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 100x ./internal/wire/
+	echo "wire fuzz: FuzzReadFrame ran 20 s and FuzzLoadCheckpoint 10 s without a failure"
 }
 
 region_parity() {
