@@ -14,15 +14,15 @@
 //	-epoch 1       re-allocation period (seconds)
 //	-algo dmra     matching policy per epoch
 //	-incremental   require delta-repair re-matching (dmra only) and print
-//	               its counters; unobserved dmra sessions delta-repair by
-//	               default, and the output is byte-identical either way
+//	               its counters; dmra sessions delta-repair by default,
+//	               and the output is byte-identical either way
 //	-seed 1        session seed
 //	-replicate 1   independent sessions to aggregate (seeds seed..seed+N-1)
 //	-procs 0       worker goroutines for replication (0 = GOMAXPROCS)
 //
-// With -obs-addr or -trace a dmra session re-matches every epoch from
-// scratch, so the trace carries each epoch's Alg. 1 events and a profile
-// shows that path; add -incremental to observe the delta-repair path.
+// With -obs-addr or -trace a dmra session streams each epoch's Alg. 1
+// events over its repair frontier (the waiting UEs with a candidate
+// link) from the same delta-repair path it runs unobserved.
 package main
 
 import (
@@ -55,7 +55,7 @@ func run(args []string) error {
 		epoch     = fs.Float64("epoch", 1, "re-allocation period (s)")
 		spec      = fs.String("spec", "", "dynamic workload spec file (JSON; replaces -rate/-hold)")
 		algo      = fs.String("algo", "dmra", "matching policy (dmra|dcsp|nonco|random|greedy|stablematch)")
-		incr      = fs.Bool("incremental", false, "require delta-repair re-matching (dmra only, also when observed) and print its counters; unobserved dmra sessions delta-repair by default, output is byte-identical")
+		incr      = fs.Bool("incremental", false, "require delta-repair re-matching (dmra only) and print its counters; dmra sessions delta-repair by default, output is byte-identical")
 		seed      = fs.Uint64("seed", 1, "session seed")
 		pool      = fs.Int("pool", 0, "concurrent-UE profile pool (0 = 4x offered load)")
 		series    = fs.Bool("series", false, "chart profit rate and occupancy over time")
@@ -65,7 +65,7 @@ func run(args []string) error {
 		tlEvery   = fs.Float64("timeline-every", 0, "timeline sampling period in seconds (0 = one sample per epoch)")
 	)
 	obsFlags := cliobs.Register(fs)
-	cliobs.AppendUsage(fs, "observed dmra sessions re-match from scratch (to stream each epoch's Alg. 1 events) unless -incremental is set")
+	cliobs.AppendUsage(fs, "dmra sessions stream each epoch's Alg. 1 events over its repair frontier")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

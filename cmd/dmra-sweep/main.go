@@ -25,8 +25,8 @@
 // worker busy instead of draining point by point — and each replication
 // writes only its own pre-indexed slot, so the table is byte-identical
 // to a sequential run. With -obs-addr/-trace the grid and every DMRA
-// replication inside it are observable live; observed arrival-rate
-// sessions then re-match from scratch unless -incremental is set.
+// replication inside it are observable live; arrival-rate sessions
+// stream each epoch's Alg. 1 events over its repair frontier.
 package main
 
 import (
@@ -67,10 +67,10 @@ func run(args []string) error {
 		epoch    = fs.Float64("epoch", 1, "arrival-rate sweep: re-allocation period (s)")
 		spec     = fs.String("spec", "", "arrival-rate sweep: workload spec rate-scaled per point (JSON)")
 		pool     = fs.Int("pool", 0, "arrival-rate sweep: concurrent-UE profile pool (0 = 4x offered load)")
-		incr     = fs.Bool("incremental", false, "arrival-rate sweep: require delta-repair re-matching for dmra sessions, also when observed (byte-identical output)")
+		incr     = fs.Bool("incremental", false, "arrival-rate sweep: require delta-repair re-matching for dmra sessions and report its counters (byte-identical output)")
 	)
 	obsFlags := cliobs.Register(fs)
-	cliobs.AppendUsage(fs, "observed dmra sessions re-match from scratch (to stream each epoch's Alg. 1 events) unless -incremental is set")
+	cliobs.AppendUsage(fs, "dmra sessions stream each epoch's Alg. 1 events over its repair frontier")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -267,10 +267,10 @@ func (o onlineSweep) run(rec *dmra.ObsRecorder) error {
 		for ai, algo := range o.algorithms {
 			cfg := points[xi]
 			cfg.Algorithm = algo
-			// Unobserved dmra sessions delta-repair their epochs by
-			// default; -incremental also forces it under telemetry.
-			// Delta repair is a dmra-engine mode, so other policies in
-			// the same sweep run their usual from-scratch epochs.
+			// dmra sessions delta-repair their epochs by default;
+			// -incremental adds its counters to the report. Delta repair
+			// is a dmra-engine mode, so other policies in the same sweep
+			// run their usual from-scratch epochs.
 			cfg.Incremental = o.incremental && algo == "dmra"
 			cfg.Seed = uint64(s) + 1
 			cfg.Obs = rec

@@ -64,7 +64,7 @@ func benchNet(b testing.TB, cfg workload.Config) *mec.Network {
 
 func benchAllocate(b *testing.B, d *DMRA, net *mec.Network) {
 	var res Result
-	// Warm the runState pool and res's backing so the timed loop measures
+	// Warm the arena pool and res's backing so the timed loop measures
 	// steady state.
 	if err := d.AllocateInto(net, &res); err != nil {
 		b.Fatal(err)
@@ -121,39 +121,24 @@ func TestWriteAllocBenchBaseline(t *testing.T) {
 		t.Skip("BENCH_BASELINE not set")
 	}
 	cases := map[string]any{}
-	for _, sc := range benchScenarios() {
-		net := benchNet(t, sc.cfg)
+	record := func(name string, net *mec.Network) {
 		cached := testing.Benchmark(func(b *testing.B) {
 			benchAllocate(b, NewDMRA(DefaultDMRAConfig()), net)
 		})
 		naive := testing.Benchmark(func(b *testing.B) {
 			benchAllocate(b, NewDMRA(DefaultDMRAConfig()).ForceNaive(), net)
 		})
-		cases[sc.name] = map[string]any{
+		cases[name] = map[string]any{
 			"ns_op":       cached.NsPerOp(),
 			"naive_ns_op": naive.NsPerOp(),
 			"speedup":     float64(naive.NsPerOp()) / float64(cached.NsPerOp()),
 			"allocs_op":   cached.AllocsPerOp(),
 		}
 	}
-	// The 100k rung compares the SoA arena engine against the legacy
-	// cached engine instead of the naive reference (which would need
-	// minutes per iteration at this population).
-	{
-		net := benchNet(t, workload.DenseCity().Scale(10))
-		soa := testing.Benchmark(func(b *testing.B) {
-			benchAllocate(b, NewDMRA(DefaultDMRAConfig()), net)
-		})
-		legacy := testing.Benchmark(func(b *testing.B) {
-			benchAllocate(b, NewDMRA(DefaultDMRAConfig()).ForceLegacy(), net)
-		})
-		cases["densecity-100k"] = map[string]any{
-			"ns_op":        soa.NsPerOp(),
-			"legacy_ns_op": legacy.NsPerOp(),
-			"speedup":      float64(legacy.NsPerOp()) / float64(soa.NsPerOp()),
-			"allocs_op":    soa.AllocsPerOp(),
-		}
+	for _, sc := range benchScenarios() {
+		record(sc.name, benchNet(t, sc.cfg))
 	}
+	record("densecity-100k", benchNet(t, workload.DenseCity().Scale(10)))
 	baseline := map[string]any{
 		"time":       time.Now().UTC().Format(time.RFC3339),
 		"benchmark":  "BenchmarkAllocate",

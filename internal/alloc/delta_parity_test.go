@@ -2,9 +2,10 @@
 // from-scratch DMRA: an engine.Incremental driven through fuzzed
 // arrival/departure/demand-change sequences must hold exactly the
 // assignment, residuals, and round statistics that re-running Alg. 1
-// from scratch over each epoch's waiting set produces. In package
-// alloc_test alongside the SoA parity suite, whose worker-count sweep
-// (DMRA_TEST_PROPOSE_WORKERS) it shares.
+// from scratch over each epoch's waiting set produces. The observed leg
+// also pins the settle's event stream to the from-scratch one. In
+// package alloc_test alongside the SoA parity suite, whose worker-count
+// sweep (DMRA_TEST_PROPOSE_WORKERS) it shares.
 package alloc_test
 
 import (
@@ -13,20 +14,23 @@ import (
 	"dmra/internal/alloc"
 	"dmra/internal/engine"
 	"dmra/internal/mec"
+	"dmra/internal/obs"
 )
 
 // deltaHarness drives the incremental engine and the from-scratch
-// comparator (mec.State + SubView + the legacy pointer engine — the
-// exact epoch path of the online session's default mode) through one
-// identical churn sequence, comparing after every epoch.
+// comparator (mec.State + SubView + the naive reference) through one
+// identical churn sequence, comparing after every epoch. An observed
+// harness settles through alloc.ArenaHooks and runs the comparator with
+// an observer, comparing their event streams too.
 type deltaHarness struct {
-	t      *testing.T
-	net    *mec.Network
-	state  *mec.State
-	sub    *mec.SubView
-	legacy *alloc.DMRA
-	res    alloc.Result
-	inc    *engine.Incremental
+	t        *testing.T
+	net      *mec.Network
+	state    *mec.State
+	sub      *mec.SubView
+	dcfg     alloc.DMRAConfig
+	observed bool
+	res      alloc.Result
+	inc      *engine.Incremental
 
 	// Session-mirroring population state: every UE is in exactly one of
 	// inactive, waiting, or active (active splits into edge — assigned
@@ -36,15 +40,16 @@ type deltaHarness struct {
 	inactive []mec.UEID
 }
 
-func newDeltaHarness(t *testing.T, net *mec.Network, dcfg alloc.DMRAConfig, workers int) *deltaHarness {
+func newDeltaHarness(t *testing.T, net *mec.Network, dcfg alloc.DMRAConfig, workers int, observed bool) *deltaHarness {
 	t.Helper()
 	h := &deltaHarness{
-		t:      t,
-		net:    net,
-		state:  mec.NewState(net),
-		sub:    net.NewSubView(),
-		legacy: alloc.NewDMRA(dcfg).ForceLegacy(),
-		inc:    new(engine.Incremental),
+		t:        t,
+		net:      net,
+		state:    mec.NewState(net),
+		sub:      net.NewSubView(),
+		dcfg:     dcfg,
+		observed: observed,
+		inc:      new(engine.Incremental),
 	}
 	if err := h.inc.Begin(net, engine.Config(dcfg), workers); err != nil {
 		t.Fatalf("Begin: %v", err)
@@ -116,20 +121,50 @@ func (h *deltaHarness) step(b byte) {
 
 // epoch settles the incremental engine, re-runs from-scratch DMRA over
 // the same waiting set and residuals, and requires identical outcomes:
-// per-UE placements, full per-BS/per-service residual ledgers, and the
-// Alg. 1 round counters.
+// per-UE placements, full per-BS/per-service residual ledgers, the
+// Alg. 1 round counters, and in the observed leg the event streams.
 func (h *deltaHarness) epoch() {
 	if len(h.waiting) == 0 {
 		return
 	}
 	t := h.t
-	ds, err := h.inc.Settle()
+	naive := alloc.NewDMRA(h.dcfg).ForceNaive()
+	var hooks *engine.SoAHooks
+	var incSink, naiveSink *obs.Sink
+	var snaps int
+	var last *engine.Snapshot
+	if h.observed {
+		incSink, naiveSink = obs.NewSink(nil, 1<<16), obs.NewSink(nil, 1<<16)
+		hooks = alloc.ArenaHooks(obs.NewRecorder(nil, incSink))
+		hooks.Snapshot = func(s *engine.Snapshot) { snaps, last = snaps+1, s }
+		naive.WithObserver(obs.NewRecorder(nil, naiveSink))
+	}
+	ds, err := h.inc.SettleWith(hooks)
 	if err != nil {
 		t.Fatalf("Settle: %v", err)
 	}
 	sub := h.sub.Refresh(h.waiting, h.state)
-	if err := h.legacy.AllocateInto(sub, &h.res); err != nil {
+	if err := naive.AllocateInto(sub, &h.res); err != nil {
 		t.Fatalf("from-scratch allocate: %v", err)
+	}
+	if h.observed {
+		h.compareEvents(ds.Frontier, incSink, naiveSink)
+		// One snapshot per round, the last one the settled engine state.
+		if snaps != ds.Rounds {
+			t.Fatalf("%d snapshots over %d settle rounds", snaps, ds.Rounds)
+		}
+		if last != nil {
+			for u, b := range h.inc.Serving() {
+				if last.ServingBS[u] != mec.BSID(b) {
+					t.Fatalf("final snapshot: UE %d on %d, engine %d", u, last.ServingBS[u], b)
+				}
+			}
+			for b := range h.net.BSs {
+				if last.RemRRB[b] != h.inc.RemRRB(b) {
+					t.Fatalf("final snapshot: BS %d residual RRBs %d, engine %d", b, last.RemRRB[b], h.inc.RemRRB(b))
+				}
+			}
+		}
 	}
 	if ds.Proposals != h.res.Stats.Proposals || ds.Accepts != h.res.Stats.Accepts ||
 		ds.Rejects != h.res.Stats.Rejects {
@@ -168,6 +203,45 @@ func (h *deltaHarness) epoch() {
 	}
 }
 
+// compareEvents requires the settle's events to equal the from-scratch
+// run's, in order, once the latter's Cloud events are filtered to the
+// frontier — the waiting UEs with at least one candidate link. An empty
+// frontier settles without a round, so it must emit nothing.
+func (h *deltaHarness) compareEvents(frontier int, incSink, naiveSink *obs.Sink) {
+	t := h.t
+	inFront := map[int]bool{}
+	for _, u := range h.waiting {
+		if len(h.net.Candidates(u)) > 0 {
+			inFront[int(u)] = true
+		}
+	}
+	if frontier != len(inFront) {
+		t.Fatalf("frontier %d, want the %d waiting UEs with candidates", frontier, len(inFront))
+	}
+	var want []obs.Event
+	if frontier > 0 {
+		for _, e := range naiveSink.Events() {
+			if e.Kind != obs.KindCloudFallback || inFront[e.UE] {
+				want = append(want, e)
+			}
+		}
+	}
+	got := incSink.Events()
+	for _, s := range []*obs.Sink{incSink, naiveSink} {
+		if int64(len(s.Events())) != s.Total() {
+			t.Fatalf("event ring dropped events: %d buffered, %d emitted", len(s.Events()), s.Total())
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("settle emitted %d events, from-scratch %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Key() != want[i].Key() {
+			t.Fatalf("event %d: settle %+v, from-scratch %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // finish runs a last epoch over any queued churn and both ledgers'
 // O(population) invariant recounts.
 func (h *deltaHarness) finish() {
@@ -188,8 +262,8 @@ func (h *deltaHarness) finish() {
 
 // runScript drives a full churn sequence with an epoch every fourth
 // event (so repairs interleave with fresh churn) and a final epoch.
-func runScript(t *testing.T, net *mec.Network, dcfg alloc.DMRAConfig, workers int, script []byte) {
-	h := newDeltaHarness(t, net, dcfg, workers)
+func runScript(t *testing.T, net *mec.Network, dcfg alloc.DMRAConfig, workers int, observed bool, script []byte) {
+	h := newDeltaHarness(t, net, dcfg, workers, observed)
 	for i, b := range script {
 		h.step(b)
 		if i%4 == 3 {
@@ -215,8 +289,9 @@ func deltaScript(seed uint64, n int) []byte {
 
 // TestDeltaParityScripts pins delta-repair ≡ from-scratch across
 // scenario seeds and the swept propose-worker widths on long
-// deterministic churn scripts — the non-fuzz face of FuzzDeltaParity,
-// and what check.sh's delta-parity gate runs race-enabled.
+// deterministic churn scripts, unobserved and observed — the non-fuzz
+// face of FuzzDeltaParity, and what check.sh's delta-parity gate runs
+// race-enabled.
 func TestDeltaParityScripts(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 99, 1234} {
 		net, err := alloc.GenScenarioForTest(seed).Build(seed)
@@ -225,12 +300,14 @@ func TestDeltaParityScripts(t *testing.T) {
 		}
 		dcfg := alloc.DefaultDMRAConfig()
 		for _, workers := range soaTestWorkers() {
-			runScript(t, net, dcfg, workers, deltaScript(seed*64+uint64(workers), 400))
-			// Fresh comparator state per run: rebuild the network so the
-			// demand mutations of one sweep don't leak into the next.
-			net, err = alloc.GenScenarioForTest(seed).Build(seed)
-			if err != nil {
-				t.Fatalf("rebuild seed %d: %v", seed, err)
+			for _, observed := range []bool{false, true} {
+				runScript(t, net, dcfg, workers, observed, deltaScript(seed*64+uint64(workers), 400))
+				// Fresh comparator state per run: rebuild the network so
+				// the demand mutations of one sweep don't leak into the next.
+				net, err = alloc.GenScenarioForTest(seed).Build(seed)
+				if err != nil {
+					t.Fatalf("rebuild seed %d: %v", seed, err)
+				}
 			}
 		}
 	}
@@ -247,7 +324,7 @@ func TestDeltaDepartureRefill(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	for _, workers := range soaTestWorkers() {
-		h := newDeltaHarness(t, net, alloc.DefaultDMRAConfig(), workers)
+		h := newDeltaHarness(t, net, alloc.DefaultDMRAConfig(), workers, false)
 		// Saturate: everyone arrives, one epoch.
 		for u := range net.UEs {
 			h.step(byte(u<<2) | 0)
@@ -273,15 +350,18 @@ func TestDeltaDepartureRefill(t *testing.T) {
 }
 
 // FuzzDeltaParity is the delta-repair differential fuzz gate: across
-// fuzzed scenarios, rho values, worker counts, and churn scripts, the
-// incremental engine's placements, residual ledgers, and round counters
-// must equal a from-scratch DMRA run over every epoch's waiting set.
+// fuzzed scenarios, rho values of either sign, worker counts, and churn
+// scripts, the incremental engine's placements, residual ledgers, and
+// round counters must equal a from-scratch DMRA run over every epoch's
+// waiting set; flags bit 2 selects the observed leg, which compares the
+// event streams as well.
 func FuzzDeltaParity(f *testing.F) {
 	f.Add(uint64(1), int16(250), uint8(0), uint8(1), []byte{0, 4, 8, 1, 2, 12, 3, 0})
 	f.Add(uint64(7), int16(0), uint8(1), uint8(3), deltaScript(7, 64))
 	f.Add(uint64(42), int16(777), uint8(2), uint8(2), deltaScript(42, 128))
 	f.Add(uint64(1234), int16(1000), uint8(3), uint8(8), deltaScript(1234, 32))
 	f.Add(uint64(99), int16(31), uint8(0), uint8(0), deltaScript(99, 200))
+	f.Add(uint64(11), int16(-160), uint8(5), uint8(2), deltaScript(11, 160))
 	f.Fuzz(func(t *testing.T, seed uint64, rhoRaw int16, flags, workersRaw uint8, script []byte) {
 		net, err := alloc.GenScenarioForTest(seed).Build(seed)
 		if err != nil {
@@ -291,15 +371,13 @@ func FuzzDeltaParity(f *testing.F) {
 			t.Skip()
 		}
 		dcfg := alloc.DMRAConfig{
-			// Incremental mode shares the SoA engine's rho >= 0
-			// precondition (lazy-heap exactness).
-			Rho:        float64(rhoRaw&0x7fff) / 4,
+			Rho:        float64(rhoRaw) / 4,
 			SPPriority: flags&1 == 0,
 			FuTieBreak: flags&2 == 0,
 		}
 		if len(script) > 512 {
 			script = script[:512]
 		}
-		runScript(t, net, dcfg, 1+int(workersRaw%8), script)
+		runScript(t, net, dcfg, 1+int(workersRaw%8), flags&4 != 0, script)
 	})
 }

@@ -10,11 +10,11 @@ import (
 	"dmra/internal/protocol"
 )
 
-// FuzzDMRACachedEquivalence asserts that the cached-preference engine, the
-// naive reference implementation, and the message-passing protocol produce
+// FuzzDMRACachedEquivalence asserts that the arena engine, the naive
+// reference implementation, and the message-passing protocol produce
 // identical assignments and run statistics on random scenarios, across the
-// rho sign boundary (negative rho exercises the scorer's linear fallback)
-// and both ablation switches.
+// rho sign boundary (negative rho makes a debit lower a candidate's Eq. 17
+// value instead of raising it) and both ablation switches.
 func FuzzDMRACachedEquivalence(f *testing.F) {
 	f.Add(uint64(1), int16(250), uint8(0))
 	f.Add(uint64(7), int16(0), uint8(1))

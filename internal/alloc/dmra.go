@@ -24,36 +24,32 @@ func DefaultDMRAConfig() DMRAConfig {
 
 // DMRA is the Decentralized Multi-SP Resource Allocation scheme (Alg. 1).
 //
-// This type is the synchronous in-memory solver: it drives the canonical
-// round state machine of internal/engine against a shared ledger.
-// internal/protocol runs the same engine rounds as real message exchange
-// between UE/BS actors and internal/wire runs them over TCP; the three are
+// This type is the synchronous in-memory solver. It runs the
+// struct-of-arrays engine (engine.Arena) over the network's dense
+// candidate view; networks without one (mec.SubView views, or more than
+// MaxInt32 links) take the naive reference instead. internal/protocol
+// runs the same engine rounds as real message exchange between UE/BS
+// actors and internal/wire runs them over TCP; the runtimes are
 // integration-tested to produce identical assignments.
 type DMRA struct {
 	cfg  DMRAConfig
 	obs  *obs.Recorder
 	hook engine.RoundHook
 	// naive forces the reference implementation (full Eq. 17 sweep per
-	// proposal, fresh buffers every round); the differential fuzz target
-	// pins the fast path against it.
-	naive bool
-	// legacy forces the pointer-based engine even when the network
-	// has a dense SoA view; the SoA differential fuzz target pins the
+	// proposal, fresh buffers every round); the parity suites pin the
 	// arena engine against it.
-	legacy bool
-	// workers is the SoA propose-phase worker count; 0 means GOMAXPROCS.
-	// Results are byte-identical at any value.
+	naive bool
+	// workers is the arena's worker count; 0 means GOMAXPROCS. Results
+	// are byte-identical at any value.
 	workers int
-	// pool recycles runState across Allocate calls. Experiment drivers
-	// share one allocator instance across worker goroutines, so the
-	// scratch must be pooled, not a struct field.
+	// pool recycles engine.Arena storage across Allocate calls.
+	// Experiment drivers share one allocator instance across worker
+	// goroutines, so the arena must be pooled, not a struct field.
 	pool sync.Pool
 }
 
 // stateLedger adapts one BS's slice of the shared mec.State to the
-// engine.Ledger the select phase admits against. It lives in the pooled
-// runState and is passed by pointer so the interface conversion never
-// allocates on the hot path.
+// engine.Ledger the naive reference's select phase admits against.
 type stateLedger struct {
 	state *mec.State
 	bs    mec.BSID
@@ -70,33 +66,6 @@ func (l *stateLedger) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
 // bug, not a trim.
 func (l *stateLedger) Admit(r engine.Request) error {
 	return l.state.Assign(r.UE, l.bs)
-}
-
-// runState is the recycled per-run scratch of the legacy engine driver:
-// the ledger, the proposer, and every buffer the round loop needs, so a
-// steady-state Allocate performs no heap allocations with a nil
-// observer.
-type runState struct {
-	state *mec.State
-	prop  *engine.Proposer
-	led   stateLedger
-	// arena is the struct-of-arrays engine state, used instead of the
-	// fields below whenever the network has a dense candidate view.
-	arena *engine.Arena
-	// inbox[b] collects the requests BS b received this iteration.
-	inbox [][]engine.Request
-	// sel is the select-phase scratch shared across this run's BSs.
-	sel engine.SelectScratch
-	// pending holds the UEs that can still propose: unassigned with a
-	// non-empty candidate set. The nil-observer round loop iterates and
-	// compacts it in place, so late rounds — and online epochs, where
-	// most of the population is inactive with zero candidates — cost
-	// proportional to the contended UEs, not the whole population.
-	pending []mec.UEID
-	// swept counts the candidates the proposer has swept this run, and
-	// lastSwept its value at the previous round boundary, for the
-	// per-round observability deltas.
-	swept, lastSwept uint64
 }
 
 var _ Allocator = (*DMRA)(nil)
@@ -162,197 +131,25 @@ func (d *DMRA) Allocate(net *mec.Network) (Result, error) {
 // the same Result (benchmarks, repeated experiment points) see zero heap
 // allocations per run in steady state with a nil observer.
 func (d *DMRA) AllocateInto(net *mec.Network, res *Result) error {
-	if d.naive {
+	if d.naive || net.Dense() == nil {
 		return d.allocateNaive(net, res)
 	}
-	// The SoA arena engine is the default whenever the network carries a
-	// dense candidate view (NewNetwork-built, fits int32 indices) and rho
-	// is non-negative (the lazy-heap exactness precondition). SubView
-	// networks — whose candidate lists change across Refresh — and
-	// negative-rho ablations take the pointer-based engine below.
-	if !d.legacy && d.cfg.Rho >= 0 && net.Dense() != nil {
-		return d.allocateSoA(net, res)
+	a, _ := d.pool.Get().(*engine.Arena)
+	if a == nil {
+		a = &engine.Arena{}
 	}
-	rs, _ := d.pool.Get().(*runState)
-	if rs == nil {
-		rs = &runState{state: &mec.State{}, prop: &engine.Proposer{}}
-	}
-	defer d.pool.Put(rs)
-	rs.state.Reset(net)
-	rs.prop.Reset(net, d.cfg)
-	rs.led.state = rs.state
-	rs.swept, rs.lastSwept = 0, 0
-	if cap(rs.inbox) < len(net.BSs) {
-		rs.inbox = make([][]engine.Request, len(net.BSs))
-	}
-	rs.inbox = rs.inbox[:len(net.BSs)]
-	for b := range rs.inbox {
-		rs.inbox[b] = rs.inbox[b][:0]
-	}
-	rs.pending = rs.pending[:0]
-	if d.obs == nil {
-		for u := range net.UEs {
-			if uid := mec.UEID(u); !rs.prop.Empty(uid) {
-				rs.pending = append(rs.pending, uid)
-			}
-		}
-	}
-
-	var snap *engine.Snapshot
-	if d.hook != nil {
-		snap = engine.NewSnapshot(net)
-	}
-	var stats Stats
-	maxRounds := engine.RoundBound(net)
-	for {
-		stats.Iterations++
-		if d.obs != nil {
-			d.obs.Event(obs.KindRound, stats.Iterations, -1, -1)
-		}
-
-		// --- Propose phase (Alg. 1 lines 3-10) ---
-		anyRequest := false
-		if d.obs == nil {
-			// Fast path: iterate only UEs that can still propose,
-			// compacting the pending list in place. A UE leaves it on
-			// assignment or candidate exhaustion — exactly when the full
-			// scan below would stop producing requests for it — so the
-			// round count and every request batch are identical.
-			kept := rs.pending[:0]
-			for _, uid := range rs.pending {
-				if rs.state.Assigned(uid) {
-					continue
-				}
-				req, bs, ok := rs.prop.Propose(uid, rs.state, &rs.swept)
-				if !ok {
-					continue
-				}
-				kept = append(kept, uid)
-				rs.inbox[bs] = append(rs.inbox[bs], req)
-				stats.Proposals++
-				anyRequest = true
-			}
-			rs.pending = kept
-		} else {
-			// Observed path: the full population scan, so the event
-			// stream (including per-round cloud fallbacks of exhausted
-			// UEs) stays byte-identical to the message-passing runtimes.
-			for u := range net.UEs {
-				uid := mec.UEID(u)
-				if rs.state.Assigned(uid) {
-					continue
-				}
-				req, bs, ok := rs.prop.Propose(uid, rs.state, &rs.swept)
-				if ok {
-					rs.inbox[bs] = append(rs.inbox[bs], req)
-					stats.Proposals++
-					anyRequest = true
-					d.obs.Event(obs.KindPropose, stats.Iterations, u, int(bs))
-				} else {
-					d.obs.Event(obs.KindCloudFallback, stats.Iterations, u, int(mec.CloudBS))
-				}
-			}
-		}
-		if !anyRequest {
-			if d.hook != nil {
-				snap.CaptureState(rs.state, stats.Iterations)
-				d.hook(snap)
-			}
-			break
-		}
-
-		// --- Select phase (Alg. 1 lines 11-26) ---
-		for b := range net.BSs {
-			reqs := rs.inbox[b]
-			if len(reqs) == 0 {
-				continue
-			}
-			rs.led.bs = mec.BSID(b)
-			verdicts, err := d.cfg.SelectRound(&rs.led, reqs, &rs.sel)
-			if err != nil {
-				return fmt.Errorf("alloc: DMRA admit: %w", err)
-			}
-			d.applyVerdicts(mec.BSID(b), verdicts, &stats)
-			rs.inbox[b] = reqs[:0]
-		}
-		if d.hook != nil {
-			snap.CaptureState(rs.state, stats.Iterations)
-			d.hook(snap)
-		}
-		if d.obs != nil {
-			d.observeRound(net, rs.state)
-			// The sweep reads every live candidate afresh: no cache hits.
-			d.obs.PrefCacheRound(int64(rs.swept-rs.lastSwept), int64(rs.swept-rs.lastSwept))
-			rs.lastSwept = rs.swept
-		}
-
-		if stats.Iterations > maxRounds {
-			// Every iteration with pending requests either assigns a UE or
-			// permanently drops a candidate link, so engine.RoundBound can
-			// only trip on an implementation bug. Fail loudly rather than
-			// spin.
-			return fmt.Errorf("alloc: DMRA exceeded %d iterations", maxRounds)
-		}
-	}
-
-	if err := rs.state.CheckInvariants(); err != nil {
-		return fmt.Errorf("alloc: DMRA produced invalid state: %w", err)
-	}
-	res.Assignment = rs.state.SnapshotInto(res.Assignment)
-	res.Stats = stats
-	return nil
-}
-
-// allocateSoA runs Alg. 1 through the struct-of-arrays arena engine:
-// flat candidate heaps, a dense ledger, arena storage reused across
-// Allocate calls via the same pool as the legacy scratch, and an
-// optionally parallel propose phase. With a nil observer and hook the
-// run performs zero steady-state heap allocations; with them attached
-// it reproduces the exact event and snapshot streams of the legacy
-// driver (the SoA parity fuzz pins both).
-func (d *DMRA) allocateSoA(net *mec.Network, res *Result) error {
-	rs, _ := d.pool.Get().(*runState)
-	if rs == nil {
-		rs = &runState{state: &mec.State{}, prop: &engine.Proposer{}}
-	}
-	defer d.pool.Put(rs)
-	if rs.arena == nil {
-		rs.arena = &engine.Arena{}
-	}
-	a := rs.arena
+	defer d.pool.Put(a)
 
 	var hooks *engine.SoAHooks
-	if d.obs != nil || d.hook != nil {
-		hooks = &engine.SoAHooks{Snapshot: d.hook}
-		if d.obs != nil {
-			round := 0
-			var lastScanned, lastRescored uint64
-			hooks.Round = func(r int) {
-				round = r
-				d.obs.Event(obs.KindRound, r, -1, -1)
-			}
-			hooks.Propose = func(u, b int32) {
-				d.obs.Event(obs.KindPropose, round, int(u), int(b))
-			}
-			hooks.Cloud = func(u int32) {
-				d.obs.Event(obs.KindCloudFallback, round, int(u), int(mec.CloudBS))
-			}
-			hooks.Verdict = func(b int32, v engine.Verdict) {
-				if v.Accepted {
-					d.obs.Event(obs.KindAccept, round, int(v.Req.UE), int(b))
-				} else {
-					d.obs.Event(obs.KindRejectTrim, round, int(v.Req.UE), int(b))
-				}
-			}
-			hooks.RoundDone = func(int) {
-				d.observeArenaRound(a)
-				scanned, rescored := a.CacheStats()
-				d.obs.PrefCacheRound(int64(scanned-lastScanned), int64(rescored-lastRescored))
-				lastScanned, lastRescored = scanned, rescored
-			}
-		}
+	if d.obs != nil {
+		hooks = ArenaHooks(d.obs)
 	}
-
+	if d.hook != nil {
+		if hooks == nil {
+			hooks = &engine.SoAHooks{}
+		}
+		hooks.Snapshot = d.hook
+	}
 	stats, err := a.Run(net, d.cfg, d.workers, hooks)
 	if err != nil {
 		return fmt.Errorf("alloc: DMRA: %w", err)
@@ -374,16 +171,45 @@ func (d *DMRA) allocateSoA(net *mec.Network, res *Result) error {
 	return nil
 }
 
-// observeArenaRound is observeRound over the arena's dense ledger.
-func (d *DMRA) observeArenaRound(a *engine.Arena) {
-	for b := 0; b < a.BSs(); b++ {
-		crus := 0
-		for j := 0; j < a.Services(); j++ {
-			crus += a.RemCRU(b, j)
-		}
-		d.obs.Residual(b, crus, a.RemRRB(b))
+// ArenaHooks returns the hooks that stream an arena run — Arena.Run or
+// an Incremental settle — to rec: the Alg. 1 events under the run's own
+// round numbers, and after each round with proposals the per-BS
+// residual gauges, the unmatched gauge (UEs without a standing match)
+// and the round's swept candidates as dmra_pref_evaluations_total. The
+// hooks carry the current round, so concurrent runs need separate sets;
+// sequential runs (an online session's settles) may share one.
+func ArenaHooks(rec *obs.Recorder) *engine.SoAHooks {
+	round := 0
+	return &engine.SoAHooks{
+		Round: func(r int) {
+			round = r
+			rec.Event(obs.KindRound, r, -1, -1)
+		},
+		Propose: func(u, b int32) {
+			rec.Event(obs.KindPropose, round, int(u), int(b))
+		},
+		Cloud: func(u int32) {
+			rec.Event(obs.KindCloudFallback, round, int(u), int(mec.CloudBS))
+		},
+		Verdict: func(b int32, v engine.Verdict) {
+			if v.Accepted {
+				rec.Event(obs.KindAccept, round, int(v.Req.UE), int(b))
+			} else {
+				rec.Event(obs.KindRejectTrim, round, int(v.Req.UE), int(b))
+			}
+		},
+		RoundDone: func(_ int, a *engine.Arena) {
+			for b := 0; b < a.BSs(); b++ {
+				crus := 0
+				for j := 0; j < a.Services(); j++ {
+					crus += a.RemCRU(b, j)
+				}
+				rec.Residual(b, crus, a.RemRRB(b))
+			}
+			rec.Unmatched(a.UEs() - a.AssignedCount())
+			rec.PrefCacheRound(int64(a.Swept()))
+		},
 	}
-	d.obs.Unmatched(a.UEs() - a.AssignedCount())
 }
 
 // applyVerdicts folds one BS's round verdicts into the run statistics and

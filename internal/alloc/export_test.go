@@ -13,11 +13,3 @@ func (d *DMRA) ForceNaive() *DMRA {
 	d.naive = true
 	return d
 }
-
-// ForceLegacy switches d to the pointer-based cached engine even when the
-// network has a dense SoA view, and returns d for chaining. The SoA
-// differential fuzz target pins the arena engine against it.
-func (d *DMRA) ForceLegacy() *DMRA {
-	d.legacy = true
-	return d
-}

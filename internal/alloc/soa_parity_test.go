@@ -1,8 +1,8 @@
 // Differential tests pinning the struct-of-arrays arena engine to the
-// pointer-based cached engine: identical assignments, statistics,
-// ordered event streams, and per-round snapshots, at every propose
-// worker count. In package alloc_test so it can drive internal/protocol
-// (which imports alloc) for the cross-runtime event comparison.
+// naive reference: identical assignments, statistics, ordered event
+// streams, and per-round snapshots, at every propose worker count. In
+// package alloc_test so it can drive internal/protocol (which imports
+// alloc) for the cross-runtime event comparison.
 package alloc_test
 
 import (
@@ -99,8 +99,8 @@ func compareRuns(t *testing.T, label string,
 	}
 }
 
-// TestSoAParity pins the SoA arena engine against the legacy cached
-// engine on a spread of scenario seeds, at every swept worker count:
+// TestSoAParity pins the SoA arena engine against the naive reference
+// on a spread of scenario seeds, at every swept worker count:
 // assignments, statistics, ordered event streams, and round snapshots
 // must be byte-identical. Race-enabled runs of this test (check.sh's
 // soa-parity gate at workers 3) double as the data-race gate on the
@@ -115,11 +115,11 @@ func TestSoAParity(t *testing.T) {
 			t.Fatalf("seed %d: NewNetwork-built scenario has no dense view", seed)
 		}
 		dcfg := alloc.DefaultDMRAConfig()
-		legacyRes, legacyEvents, legacySnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceLegacy(), net)
+		naiveRes, naiveEvents, naiveSnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceNaive(), net)
 		for _, workers := range soaTestWorkers() {
 			res, events, snaps := soaRun(t, alloc.NewDMRA(dcfg).WithProposeWorkers(workers), net)
 			compareRuns(t, "seed "+strconv.FormatUint(seed, 10)+" workers "+strconv.Itoa(workers),
-				res, events, snaps, legacyRes, legacyEvents, legacySnaps)
+				res, events, snaps, naiveRes, naiveEvents, naiveSnaps)
 		}
 	}
 }
@@ -146,14 +146,15 @@ func TestSoARoundHookSerialVsParallel(t *testing.T) {
 }
 
 // TestSoASmoke50k runs a 53,900-UE dense-city match (the base rush-hour
-// scenario at edge scale 7) with parallel propose and pins it to the
-// serial arena engine: identical statistics and assignments at every
-// swept worker count. At this population the pending list splits into
-// many real chunks per round, so a race-enabled run (check.sh's
-// soa-parity gate at workers 3) exercises the merge at benchmark-like
-// scale, not toy scale. Plain Allocate, no observer: the event volume
-// here would swamp the test sink, and stream-level parity is already
-// pinned by TestSoAParity and FuzzSoAParity.
+// scenario at edge scale 7) and pins the serial arena engine to the
+// naive reference, and parallel propose to the serial run: identical
+// statistics and assignments at every swept worker count. At this
+// population the pending list splits into many real chunks per round,
+// so a race-enabled run (check.sh's soa-parity gate at workers 3)
+// exercises the merge at benchmark-like scale, not toy scale. Plain
+// Allocate, no observer: the event volume here would swamp the test
+// sink, and stream-level parity is already pinned by TestSoAParity and
+// FuzzSoAParity.
 func TestSoASmoke50k(t *testing.T) {
 	net, err := workload.DenseCity().Scale(7).Build(1)
 	if err != nil {
@@ -170,22 +171,11 @@ func TestSoASmoke50k(t *testing.T) {
 	if serial.Stats.Accepts == 0 {
 		t.Fatal("50k scenario matched nothing; smoke is vacuous")
 	}
-	// Unobserved runs take the arena's scan propose path; pin it to the
-	// legacy lazy-heap engine at a population where the two accounting
-	// schemes diverge the most.
-	legacy, err := alloc.NewDMRA(dcfg).ForceLegacy().Allocate(net)
+	naive, err := alloc.NewDMRA(dcfg).ForceNaive().Allocate(net)
 	if err != nil {
-		t.Fatalf("legacy allocate: %v", err)
+		t.Fatalf("naive allocate: %v", err)
 	}
-	if legacy.Stats != serial.Stats {
-		t.Fatalf("scan stats diverge from legacy: %+v vs %+v", serial.Stats, legacy.Stats)
-	}
-	for u := range legacy.Assignment.ServingBS {
-		if legacy.Assignment.ServingBS[u] != serial.Assignment.ServingBS[u] {
-			t.Fatalf("UE %d: scan %d vs legacy %d", u,
-				serial.Assignment.ServingBS[u], legacy.Assignment.ServingBS[u])
-		}
-	}
+	comparePlain(t, "arena vs naive", serial, naive)
 	for _, workers := range soaTestWorkers() {
 		if workers == 1 {
 			continue
@@ -207,13 +197,13 @@ func TestSoASmoke50k(t *testing.T) {
 }
 
 // FuzzSoAParity is the SoA differential fuzz gate: on random scenarios,
-// configurations, and propose-worker counts, the arena engine must match
-// the legacy cached engine byte for byte — assignment, statistics,
-// ordered event stream, round snapshots — both observed and unobserved
-// (the unobserved leg is the one that selects on several workers; the
-// observed one pins event order with a one-worker select), and the
-// message-passing
-// protocol runtime must emit the same event stream as the SoA solver
+// configurations (rho of either sign), and propose-worker counts, the
+// arena engine must match the naive reference byte for byte —
+// assignment, statistics, ordered event stream, round snapshots — both
+// observed and unobserved (the unobserved leg is the one that selects
+// on several workers; the observed one pins event order with a
+// one-worker select), and the message-passing protocol runtime must
+// emit the same event stream as the SoA solver
 // (the wire runtime is pinned to the protocol stream, with seed-derived
 // SoA worker counts on its solver side, by FuzzEngineParity in
 // internal/wire — closing the three-runtime loop).
@@ -223,6 +213,7 @@ func FuzzSoAParity(f *testing.F) {
 	f.Add(uint64(42), int16(777), uint8(2), uint8(2))
 	f.Add(uint64(1234), int16(1000), uint8(3), uint8(8))
 	f.Add(uint64(99), int16(31), uint8(0), uint8(0))
+	f.Add(uint64(11), int16(-160), uint8(1), uint8(4))
 	f.Fuzz(func(t *testing.T, seed uint64, rhoRaw int16, flags, workersRaw uint8) {
 		net, err := alloc.GenScenarioForTest(seed).Build(seed)
 		if err != nil {
@@ -230,31 +221,24 @@ func FuzzSoAParity(f *testing.F) {
 		}
 		workers := 1 + int(workersRaw%8)
 		dcfg := alloc.DMRAConfig{
-			// The SoA engine requires rho >= 0 (the lazy-heap exactness
-			// precondition); negative rho routes to the legacy engine, which
-			// FuzzDMRACachedEquivalence already covers.
-			Rho:        float64(rhoRaw&0x7fff) / 4,
+			Rho:        float64(rhoRaw) / 4,
 			SPPriority: flags&1 == 0,
 			FuTieBreak: flags&2 == 0,
 		}
 
-		legacyRes, legacyEvents, legacySnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceLegacy(), net)
+		naiveRes, naiveEvents, naiveSnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceNaive(), net)
 		soaRes, soaEvents, soaSnaps := soaRun(t, alloc.NewDMRA(dcfg).WithProposeWorkers(workers), net)
-		compareRuns(t, "soa vs legacy", soaRes, soaEvents, soaSnaps, legacyRes, legacyEvents, legacySnaps)
+		compareRuns(t, "soa vs naive", soaRes, soaEvents, soaSnaps, naiveRes, naiveEvents, naiveSnaps)
 
 		// Unobserved: no hook forces the select onto one worker, so the
 		// BS-sliced select runs at the fuzzed width — it has no size
 		// threshold (engine.TestArenaSelectWidths checks it fans out at
-		// this scale) — and must still match the legacy engine.
-		plainLegacy, err := alloc.NewDMRA(dcfg).ForceLegacy().Allocate(net)
-		if err != nil {
-			t.Fatalf("legacy allocate: %v", err)
-		}
+		// this scale) — and must still match the naive reference.
 		plainSoA, err := alloc.NewDMRA(dcfg).WithProposeWorkers(workers).Allocate(net)
 		if err != nil {
 			t.Fatalf("soa allocate: %v", err)
 		}
-		comparePlain(t, "unobserved soa vs legacy", plainSoA, plainLegacy)
+		comparePlain(t, "unobserved soa vs naive", plainSoA, naiveRes)
 		comparePlain(t, "unobserved vs observed soa", plainSoA, soaRes)
 
 		// Cross-runtime: the message-passing protocol must reproduce the SoA

@@ -18,12 +18,12 @@ import (
 //   - Equivalence. A from-scratch epoch runs Alg. 1 over (waiting set,
 //     live residuals): the waiting UEs propose in ascending order
 //     against capacities equal to the standing assignment's residuals.
-//     Settle runs the *same* propose/select machinery (proposeRound and
-//     selectRound, through the canonical Config.SelectRound)
-//     over the same pending set in the same ascending order, against a
-//     ledger that mirrors those residuals debit-for-debit. The only
-//     state carried across Settles beyond the ledger is the per-UE
-//     alive-candidate list — covered by the next point.
+//     Settle runs the *same* round loop as Arena.Run (rounds: propose
+//     and the canonical Config.SelectRound) over the same pending set
+//     in the same ascending order, against a ledger that mirrors those
+//     residuals debit-for-debit. The only state carried across Settles
+//     beyond the ledger is the per-UE alive-candidate list — covered by
+//     the next point.
 //
 //   - Residual monotonicity. A candidate is dropped from a UE's region
 //     only when it is infeasible against the current residuals. Within
@@ -83,6 +83,7 @@ func (d *DeltaStats) Add(s DeltaStats) {
 // at a time and is not safe for concurrent use.
 type Incremental struct {
 	a       Arena
+	net     *mec.Network
 	workers int
 
 	// Private demand array swapped into the arena so SetDemand never
@@ -95,6 +96,9 @@ type Incremental struct {
 	// filtered at Settle).
 	pendBit Bitset
 	pend    []int32
+	// front is the sorted frontier of an observed Settle, the scope of
+	// its Propose/Cloud events (a.pending compacts round by round).
+	front []int32
 
 	released    int
 	invalidated int
@@ -102,24 +106,20 @@ type Incremental struct {
 
 // Begin starts an incremental session over net's dense candidate view
 // with an empty assignment and full capacities. Like Arena.Run it
-// requires a dense view and rho >= 0; workers <= 0 means GOMAXPROCS.
+// requires a dense view; workers <= 0 means GOMAXPROCS.
 func (inc *Incremental) Begin(net *mec.Network, cfg Config, workers int) error {
 	csr := net.Dense()
 	if csr == nil {
 		return fmt.Errorf("engine: Incremental.Begin: network has no dense candidate view")
 	}
-	if cfg.Rho < 0 {
-		return fmt.Errorf("engine: Incremental.Begin: rho %g < 0 needs the linear-rescan engine", cfg.Rho)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	inc.workers = workers
+	inc.net, inc.workers = net, workers
 	a := &inc.a
-	// The scan path recomputes preferences fresh on every propose, so a
+	// Propose recomputes preferences fresh on every sweep, so a
 	// persistent ledger needs no cached-value invalidation — only the
 	// feasibility drops tracked by the region stamps.
-	a.scan = true
 	a.reset(csr, cfg)
 	// reset pends the whole population for a one-shot run; a session
 	// starts empty and pends UEs as they arrive.
@@ -190,21 +190,20 @@ func (inc *Incremental) SetDemand(u mec.UEID, cru int) error {
 		}
 	}
 	a.cru[ui] = int32(cru)
-	a.hstamp[ui] = 0
+	a.stamp[ui] = 0
 	return nil
 }
 
 // release undoes UE u's standing match at BS b: credit the ledger with
 // exactly what Admit debited (a.cru[u] is still the admitted demand —
-// SetDemand releases before mutating), bump the BS version, and
-// invalidate every covering UE's cached drops.
+// SetDemand releases before mutating) and invalidate every covering
+// UE's cached drops.
 func (inc *Incremental) release(u, b int32) {
 	a := &inc.a
 	csr := a.csr
 	g := csr.FindCand(mec.UEID(u), mec.BSID(b))
 	a.remCRU[b*int32(csr.Services)+csr.Service[u]] += a.cru[u]
 	a.remRRB[b] += csr.RRBs[g]
-	a.ver[b]++
 	a.serving[u] = -1
 	a.assigned.Clear(u)
 	inc.released++
@@ -218,8 +217,8 @@ func (inc *Incremental) invalidateCover(b int32) {
 	a := &inc.a
 	off, ue := a.csr.CoverIndex()
 	for _, u := range ue[off[b]:off[b+1]] {
-		if a.hstamp[u] == a.run {
-			a.hstamp[u] = 0
+		if a.stamp[u] == a.run {
+			a.stamp[u] = 0
 			inc.invalidated++
 		}
 	}
@@ -232,7 +231,15 @@ func (inc *Incremental) invalidateCover(b int32) {
 // frontier drains completely: admitted UEs join the standing
 // assignment, the rest end cloud-served (Serving -1) and must Arrive
 // again to be reconsidered.
-func (inc *Incremental) Settle() (DeltaStats, error) {
+func (inc *Incremental) Settle() (DeltaStats, error) { return inc.SettleWith(nil) }
+
+// SettleWith is Settle with the hooks Arena.Run takes (nil: Settle).
+// Propose and Cloud fire over the frontier only, so the stream is the
+// from-scratch run's over the same waiting set minus the Cloud events
+// of UEs outside the frontier; Snapshot and RoundDone see the standing
+// assignment and ledger. A Settle with an empty frontier runs no round
+// and fires nothing.
+func (inc *Incremental) SettleWith(hooks *SoAHooks) (DeltaStats, error) {
 	a := &inc.a
 	a.pending = a.pending[:0]
 	for _, u := range inc.pend {
@@ -260,22 +267,18 @@ func (inc *Incremental) Settle() (DeltaStats, error) {
 	for _, u := range a.pending {
 		maxRounds += int(a.csr.Off[u+1] - a.csr.Off[u])
 	}
+	var snap *Snapshot
+	if hooks != nil {
+		inc.front = append(inc.front[:0], a.pending...)
+		if hooks.Snapshot != nil {
+			snap = NewSnapshot(inc.net)
+		}
+	}
 	a.startHelpers(min(inc.workers, len(a.pending)) - 1)
 	defer a.stopHelpers()
-	var stats SoAStats
-	for {
-		stats.Rounds++
-		n := a.proposeRound(inc.workers)
-		stats.Proposals += n
-		if n == 0 {
-			break
-		}
-		if err := a.selectRound(inc.workers, &stats, nil); err != nil {
-			return ds, err
-		}
-		if stats.Rounds > maxRounds {
-			return ds, fmt.Errorf("engine: incremental Settle exceeded %d rounds", maxRounds)
-		}
+	stats, err := a.rounds(inc.workers, maxRounds, hooks, snap, inc.front)
+	if err != nil {
+		return ds, err
 	}
 	ds.Rounds = stats.Rounds
 	ds.Proposals = stats.Proposals

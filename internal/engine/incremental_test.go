@@ -145,15 +145,11 @@ func TestIncrementalSetDemand(t *testing.T) {
 	}
 }
 
-// TestIncrementalBeginRejects pins the mode's preconditions.
+// TestIncrementalBeginRejects pins the mode's one precondition: a dense
+// candidate view.
 func TestIncrementalBeginRejects(t *testing.T) {
 	net := buildIncNet(t, 3)
-	cfg := engine.DefaultConfig()
-	cfg.Rho = -5
 	var inc engine.Incremental
-	if err := inc.Begin(net, cfg, 1); err == nil || !strings.Contains(err.Error(), "rho") {
-		t.Fatalf("negative rho accepted: %v", err)
-	}
 	sub := net.NewSubView().Refresh(nil, mec.NewState(net))
 	if err := inc.Begin(sub, engine.DefaultConfig(), 1); err == nil || !strings.Contains(err.Error(), "dense") {
 		t.Fatalf("dense-less SubView accepted: %v", err)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -11,26 +10,32 @@ import (
 
 // This file is the struct-of-arrays round engine: the same Alg. 1 state
 // machine as Proposer/SelectRound, re-laid-out for the
-// million-UE regime. The per-UE candidate heaps, the BS ledger, and every
-// round buffer live in a handful of flat arrays inside an Arena that is
-// reset — not reallocated — across runs, so a steady-state run performs
-// zero heap allocations and walks memory sequentially instead of chasing
-// a pointer per UE and another per candidate list.
+// million-UE regime. The per-UE live-candidate lists, the BS ledger, and
+// every round buffer live in a handful of flat arrays inside an Arena
+// that is reset — not reallocated — across runs, so a steady-state run
+// performs zero heap allocations and walks memory sequentially instead
+// of chasing a pointer per UE and another per candidate list.
+//
+// Propose is the Proposer's eager-drop scan: each UE sweeps its live
+// candidates, drops every one the ledger can no longer fit, and proposes
+// to the (Eq. 17 value, candidate index) lex-min of the rest. Dropping
+// is permanent because residuals never grow within a run, which holds
+// for any rho: nothing is cached but the live list.
 //
 // Both phases of a round optionally fan across workers. That is safe
 // and exactly deterministic because of how Alg. 1 rounds are structured:
 //
-//   - Propose only READS the residual ledger (ver/remCRU/remRRB); only
-//     the select phase writes it, and the two phases never overlap (each
+//   - Propose only READS the residual ledger (remCRU/remRRB); only the
+//     select phase writes it, and the two phases never overlap (each
 //     joins its workers before the next begins). Propose workers score
 //     against an immutable ledger by construction.
 //   - The pending list is cut into one contiguous chunk per propose
-//     worker. All per-UE mutable state (the lazy heap region, hlen) is
-//     touched only by the worker holding the UE's chunk, and each chunk
-//     writes proposals into its own slice of the proposal buffer. The
-//     serial merge concatenates chunks in worker order, which — because
-//     the pending list is ascending and chunks are contiguous — is
-//     exactly the order a serial sweep produces.
+//     worker. All per-UE mutable state (the live-candidate region, live)
+//     is touched only by the worker holding the UE's chunk, and each
+//     chunk writes proposals into its own slice of the proposal buffer.
+//     The serial merge concatenates chunks in worker order, which —
+//     because the pending list is ascending and chunks are contiguous —
+//     is exactly the order a serial sweep produces.
 //   - The merge also keeps, per (BS, service), the most preferred
 //     proposal by the integer key propose computed (selectKey, ties to
 //     the lower UE, i.e. the earlier proposal). That argmin is the
@@ -38,20 +43,16 @@ import (
 //     reach the canonical Config.SelectRound.
 //   - Select workers own disjoint, contiguous slices of the ascending
 //     list of BSs with winners. A BS's select writes only its own ledger
-//     row and version, and the serving slot of UEs that proposed to it;
-//     each UE proposes at most once per round, so no two workers share a
-//     UE. The one structure BSs do share — the assigned bitset, whose
-//     words span neighbouring UEs — is written serially after the join.
-//     With a Verdict hook attached the select runs on one worker, in
-//     ascending BS order, so the observed event order is unchanged.
+//     row and the serving slot of UEs that proposed to it; each UE
+//     proposes at most once per round, so no two workers share a UE. The
+//     one structure BSs do share — the assigned bitset, whose words span
+//     neighbouring UEs — is written serially after the join. With a
+//     Verdict hook attached the select runs on one worker, in ascending
+//     BS order, so the observed event order is unchanged.
 //
-// Assignments, statistics, cache counters, and the ordered event stream
+// Assignments, statistics, swept counts, and the ordered event stream
 // are therefore byte-identical at any worker count, the same determinism
 // contract the wire coordinator proves for shards.
-
-// staleVer32 marks a heap entry that has never been scored. Arena
-// versions count admissions from zero, so they can never reach it.
-const staleVer32 = ^uint32(0)
 
 // soaProposal is one UE's proposal of a round: the BS-preference key of
 // the request (Config.selectKey), the proposing UE, and the global
@@ -70,19 +71,22 @@ type soaWinner struct {
 	i   int32
 }
 
-// SoAHooks are the optional observation points of an Arena run. A nil
-// hooks pointer (or nil fields) keeps the run allocation- and
-// branch-free on the hot path. All hooks run on the caller's goroutine,
-// in deterministic order: Round, then Propose/Cloud in ascending UE
-// order over the whole unassigned population, then Verdict in BS order
-// (verdict order within a BS), then Snapshot, then RoundDone.
+// SoAHooks are the optional observation points of an Arena run or an
+// Incremental settle. A nil hooks pointer (or nil fields) keeps the run
+// allocation- and branch-free on the hot path. All hooks run on the
+// caller's goroutine, in deterministic order: Round, then Propose/Cloud
+// in ascending UE order over the unassigned UEs of the run's scope, then
+// Verdict in BS order (verdict order within a BS), then Snapshot, then
+// RoundDone. The scope is the whole population for Arena.Run and the
+// settle's frontier for Incremental.SettleWith.
 type SoAHooks struct {
 	// Round fires at the top of each round (1-based).
 	Round func(round int)
 	// Propose fires for each proposing UE, in ascending UE order.
 	Propose func(u, b int32)
-	// Cloud fires for each unassigned UE with no viable candidate left,
-	// interleaved with Propose in the same ascending-UE sweep.
+	// Cloud fires for each unassigned UE of the scope with no viable
+	// candidate left, interleaved with Propose in the same ascending-UE
+	// sweep.
 	Cloud func(u int32)
 	// Verdict fires for every select decision, BSs in ascending order.
 	Verdict func(b int32, v Verdict)
@@ -90,12 +94,13 @@ type SoAHooks struct {
 	// select phase (and once more after the final, empty round). The
 	// snapshot is reused across calls; Clone to retain.
 	Snapshot RoundHook
-	// RoundDone fires after Snapshot on every round that had proposals.
-	RoundDone func(round int)
+	// RoundDone fires after Snapshot on every round that had proposals,
+	// with the arena for reading its ledger and Swept count.
+	RoundDone func(round int, a *Arena)
 }
 
 // SoAStats are the run counters of an Arena run, matching the meaning of
-// the legacy driver's statistics exactly.
+// the naive reference's statistics exactly.
 type SoAStats struct {
 	Rounds    int
 	Proposals int
@@ -113,11 +118,9 @@ type Arena struct {
 	cfg Config
 
 	// Dense ledger, addressed by BS index: remCRU is Services-strided
-	// like CSR.CRUCap; ver counts admissions per BS and versions the
-	// lazy heap entries.
+	// like CSR.CRUCap.
 	remCRU []int32
 	remRRB []int32
-	ver    []uint32
 
 	// serving[u] is the admitting BS or -1 (mec.CloudBS); assigned is
 	// the same fact as a bitset for the O(1) membership tests in the
@@ -130,31 +133,23 @@ type Arena struct {
 	// changes never write through to the shared CSR.
 	cru []int32
 
-	// Flat lazy min-heaps, one region per UE at csr.Off[u]: hv/hver/hk
-	// are the prefEntry fields of pref.go in parallel arrays, hlen[u]
-	// is the live heap size. Infeasible candidates surface at the top
-	// and are swap-removed immediately, so no tombstone set is needed.
-	// Unobserved runs (scan == true) use only hk/hlen, as an unordered
-	// alive-candidate list per UE.
-	hv   []float64
-	hver []uint32
-	hk   []int32
-	hlen []int32
-	scan bool
+	// Live-candidate lists, one region per UE at csr.Off[u]: UE u's
+	// live candidate indices are idx[Off[u] : Off[u]+live[u]], unordered
+	// once swap-removal has run (the Proposer's layout over the CSR).
+	idx  []int32
+	live []int32
 
-	// Dirty-region tracking: a UE's heap region is valid only while
-	// hstamp[u] == run. reset bumps run instead of re-filling the
-	// O(links) heap arrays (the full-array zeroing ROADMAP measured at
-	// ~44% of observed-run CPU); each region is (re)initialized lazily
-	// at the UE's first propose of the run, inside the propose worker
-	// that owns it. The incremental engine clears individual stamps to
-	// force a region rebuild after a ledger credit.
-	hstamp []uint32
-	run    uint32
+	// Dirty-region tracking: a UE's region is valid only while
+	// stamp[u] == run. reset bumps run instead of re-filling the
+	// O(links) idx array; each region is (re)initialized lazily at the
+	// UE's first propose of the run, inside the propose worker that
+	// owns it. The incremental engine clears individual stamps to force
+	// a region rebuild after a ledger credit.
+	stamp []uint32
+	run   uint32
 
 	// pending holds the UEs that can still propose, ascending; each
-	// round it compacts to the UEs that proposed (exactly the legacy
-	// driver's pending-list discipline).
+	// round it compacts to the UEs that proposed.
 	pending []int32
 	// props collects the round's proposals: each pending-list chunk
 	// fills the props slice at its own offset, the merge compacts them
@@ -163,13 +158,13 @@ type Arena struct {
 	nprops int
 
 	// Per-propose-worker outputs: worker w owns pending[w*chunk:] up to
-	// chunk UEs; wcnt/wscan/wresc are its proposal count and cache
-	// counters, summed serially after the join so totals are
-	// worker-count independent.
-	chunk int
-	wcnt  []int32
-	wscan []uint64
-	wresc []uint64
+	// chunk UEs; wcnt/wswept are its proposal count and swept
+	// candidates, summed serially after the join into nprops and swept,
+	// so both are worker-count independent.
+	chunk  int
+	wcnt   []int32
+	wswept []uint64
+	swept  uint64
 
 	// Worker fan-out: a run on several workers starts its helper goroutines
 	// once (startHelpers) and hands each phase's worker slots to them
@@ -191,9 +186,6 @@ type Arena struct {
 	// Invariant-recount scratch.
 	invCRU []int32
 	invRRB []int32
-
-	snap              *Snapshot
-	scanned, rescored uint64
 }
 
 // grown returns s resized to n elements, reusing capacity when it
@@ -209,38 +201,37 @@ func grown[T any](s []T, n int) []T {
 // Run executes Alg. 1 to quiescence over net's dense candidate view,
 // with the propose phase partitioned across workers (workers <= 0 means
 // GOMAXPROCS). The result is byte-identical at any worker count. It
-// requires a dense view (NewNetwork-built networks) and rho >= 0 — the
-// lazy-heap lower-bound argument of pref.go is what makes the flat
-// heaps exact, and negative rho breaks it; callers route those runs to
-// the legacy engine.
+// requires a dense view (NewNetwork-built networks); any rho is exact.
 func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) (SoAStats, error) {
 	csr := net.Dense()
 	if csr == nil {
 		return SoAStats{}, fmt.Errorf("engine: Arena.Run: network has no dense candidate view")
 	}
-	if cfg.Rho < 0 {
-		return SoAStats{}, fmt.Errorf("engine: Arena.Run: rho %g < 0 needs the linear-rescan engine", cfg.Rho)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// With no hooks, nothing consumes per-event order or the cache
-	// counters, so propose can use the linear-scan path: the proposal —
-	// the (preference, candidate)-lex minimum over the currently
-	// feasible candidates — is identical by construction (see
-	// proposeUEScan), only the scanned/rescored accounting differs.
-	a.scan = hooks == nil
 	a.reset(csr, cfg)
 	a.startHelpers(min(workers, len(a.pending)) - 1)
 	defer a.stopHelpers()
-	var snapHook RoundHook
+	var snap *Snapshot
 	if hooks != nil && hooks.Snapshot != nil {
-		snapHook = hooks.Snapshot
-		a.snap = NewSnapshot(net)
+		snap = NewSnapshot(net)
 	}
+	// engine.RoundBound over the dense view.
+	stats, err := a.rounds(workers, csr.Links()+1, hooks, snap, nil)
+	if err != nil {
+		return stats, err
+	}
+	return stats, a.checkInvariants()
+}
 
+// rounds runs Alg. 1 rounds over the pending list until a round has no
+// proposal, firing hooks as documented on SoAHooks. scope lists the UEs
+// whose Propose/Cloud events fire, ascending; nil means every UE. snap,
+// when non-nil, is the buffer hooks.Snapshot receives. More than
+// maxRounds rounds with proposals is an error.
+func (a *Arena) rounds(workers, maxRounds int, hooks *SoAHooks, snap *Snapshot, scope []int32) (SoAStats, error) {
 	var stats SoAStats
-	maxRounds := csr.Links() + 1 // engine.RoundBound over the dense view
 	for {
 		stats.Rounds++
 		if hooks != nil && hooks.Round != nil {
@@ -249,37 +240,31 @@ func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) 
 		n := a.proposeRound(workers)
 		stats.Proposals += n
 		if hooks != nil && (hooks.Propose != nil || hooks.Cloud != nil) {
-			a.emitProposeEvents(hooks)
+			a.emitProposeEvents(hooks, scope)
+		}
+		if n > 0 {
+			if err := a.selectRound(workers, &stats, hooks); err != nil {
+				return stats, err
+			}
+		}
+		if snap != nil {
+			snap.CaptureArena(a, stats.Rounds)
+			hooks.Snapshot(snap)
 		}
 		if n == 0 {
-			if snapHook != nil {
-				a.snap.CaptureArena(a, stats.Rounds)
-				snapHook(a.snap)
-			}
-			break
-		}
-		if err := a.selectRound(workers, &stats, hooks); err != nil {
-			return stats, err
-		}
-		if snapHook != nil {
-			a.snap.CaptureArena(a, stats.Rounds)
-			snapHook(a.snap)
+			return stats, nil
 		}
 		if hooks != nil && hooks.RoundDone != nil {
-			hooks.RoundDone(stats.Rounds)
+			hooks.RoundDone(stats.Rounds, a)
 		}
 		if stats.Rounds > maxRounds {
-			return stats, fmt.Errorf("engine: Arena exceeded %d rounds", maxRounds)
+			return stats, fmt.Errorf("engine: Alg. 1 exceeded %d rounds", maxRounds)
 		}
 	}
-	if err := a.checkInvariants(); err != nil {
-		return stats, err
-	}
-	return stats, nil
 }
 
 // reset rewinds the arena for a fresh run over csr, reusing storage.
-// The O(links) heap regions are NOT re-filled here: bumping the run
+// The O(links) candidate regions are NOT re-filled here: bumping the run
 // stamp invalidates every region at once, and each is rebuilt lazily at
 // its UE's first propose (see initRegion) — so reset itself is
 // O(UEs + BSs·Services), and a run only pays region setup for UEs that
@@ -288,7 +273,6 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.csr = csr
 	a.cfg = cfg
 	a.cru = csr.CRU
-	a.scanned, a.rescored = 0, 0
 	a.nprops = 0
 	nUE, nBS, links := csr.UEs(), csr.BSs(), csr.Links()
 
@@ -296,8 +280,6 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	copy(a.remCRU, csr.CRUCap)
 	a.remRRB = grown(a.remRRB, nBS)
 	copy(a.remRRB, csr.MaxRRB)
-	a.ver = grown(a.ver, nBS)
-	clear(a.ver)
 
 	a.serving = grown(a.serving, nUE)
 	for i := range a.serving {
@@ -305,28 +287,21 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	}
 	a.assigned.Reset(nUE)
 
-	a.hk = grown(a.hk, links)
-	a.hlen = grown(a.hlen, nUE)
-	if !a.scan {
-		// The scan path never reads values or versions, so unobserved
-		// runs skip the allocation entirely; the sentinel fills happen
-		// per region in initRegion.
-		a.hv = grown(a.hv, links)
-		a.hver = grown(a.hver, links)
-	}
-	// One stamp bump invalidates every heap region. Stamps from earlier
-	// runs are always below the new run value, except after the (in
-	// practice unreachable) uint32 wrap or when the stamp array grows
-	// into stale capacity — both cleared explicitly.
+	a.idx = grown(a.idx, links)
+	a.live = grown(a.live, nUE)
+	// One stamp bump invalidates every region. Stamps from earlier runs
+	// are always below the new run value, except after the (in practice
+	// unreachable) uint32 wrap or when the stamp array grows into stale
+	// capacity — both cleared explicitly.
 	if a.run == ^uint32(0) {
 		a.run = 0
 	}
 	a.run++
-	if cap(a.hstamp) < nUE {
-		a.hstamp = make([]uint32, nUE)
+	if cap(a.stamp) < nUE {
+		a.stamp = make([]uint32, nUE)
 		a.run = 1
 	}
-	a.hstamp = a.hstamp[:nUE]
+	a.stamp = a.stamp[:nUE]
 
 	if cap(a.pending) < nUE {
 		a.pending = make([]int32, 0, nUE)
@@ -346,25 +321,18 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.hit.Reset(nBS)
 }
 
-// initRegion (re)builds UE u's heap region for the current run: the full
-// candidate list alive, in the all-equal-sentinel order that forms a
-// valid heap with a first-touch rescore forced. Called by the propose
-// worker that owns u, so the
-// writes are UE-local and race-free under parallel propose.
+// initRegion (re)builds UE u's candidate region for the current run:
+// every candidate live, in candidate order. Called by the propose worker
+// that owns u, so the writes are UE-local and race-free under parallel
+// propose.
 func (a *Arena) initRegion(u int32) {
 	lo, hi := a.csr.Off[u], a.csr.Off[u+1]
 	cnt := hi - lo
-	a.hlen[u] = cnt
+	a.live[u] = cnt
 	for k := int32(0); k < cnt; k++ {
-		a.hk[lo+k] = k
+		a.idx[lo+k] = k
 	}
-	if !a.scan {
-		for i := lo; i < hi; i++ {
-			a.hv[i] = math.Inf(-1)
-			a.hver[i] = staleVer32
-		}
-	}
-	a.hstamp[u] = a.run
+	a.stamp[u] = a.run
 }
 
 // proposeRound runs one propose phase over the pending list across the
@@ -375,19 +343,19 @@ func (a *Arena) initRegion(u int32) {
 func (a *Arena) proposeRound(workers int) int {
 	n := len(a.pending)
 	if n == 0 {
-		a.nprops = 0
+		a.nprops, a.swept = 0, 0
 		return 0
 	}
 	workers = max(1, min(workers, a.helpers+1, n))
 	a.chunk = (n + workers - 1) / workers
 	a.wcnt = grown(a.wcnt, workers)
-	a.wscan = grown(a.wscan, workers)
-	a.wresc = grown(a.wresc, workers)
+	a.wswept = grown(a.wswept, workers)
 	a.fanOut(jobPropose, workers)
 	a.proposeWorker(0)
 	a.wg.Wait()
 
 	out := 0
+	a.swept = 0
 	for w := 0; w < workers; w++ {
 		if c := int(a.wcnt[w]); c > 0 {
 			if lo := w * a.chunk; lo != out {
@@ -395,13 +363,13 @@ func (a *Arena) proposeRound(workers int) int {
 			}
 			out += c
 		}
-		a.scanned += a.wscan[w]
-		a.rescored += a.wresc[w]
+		a.swept += a.wswept[w]
 	}
 	a.nprops = out
 	// Next round's pending list is exactly this round's proposers: a UE
 	// leaves on assignment (checked at propose time) or on candidate
-	// exhaustion (it stopped proposing), matching the legacy driver.
+	// exhaustion (it stopped proposing): the UEs a full sweep would
+	// still see propose.
 	// Proposals arrive in ascending UE order, so keeping the first of
 	// equal keys breaks ties to the lower UE, as prefers does.
 	csr := a.csr
@@ -424,11 +392,11 @@ func (a *Arena) proposeRound(workers int) int {
 // proposeWorker proposes for worker w's chunk of the pending list,
 // writing proposals — each with its BS-preference key — into the props
 // slice at the chunk's offset, and its counts into slot w. It reads the
-// ledger and the assigned bitset but writes only UE-local heap state and
-// its own output slots.
+// ledger and the assigned bitset but writes only UE-local candidate
+// state and its own output slots.
 func (a *Arena) proposeWorker(w int) {
 	var cnt int32
-	var scanned, rescored uint64
+	var swept uint64
 	csr := a.csr
 	props, pending := a.props, a.pending
 	lo := min(w*a.chunk, len(pending))
@@ -438,20 +406,11 @@ func (a *Arena) proposeWorker(w int) {
 		if a.assigned.Get(u) {
 			continue
 		}
-		if a.hstamp[u] != a.run {
+		if a.stamp[u] != a.run {
 			a.initRegion(u)
 		}
-		var g int32
-		var ok bool
-		if a.scan {
-			g, ok = a.proposeUEScan(u)
-		} else {
-			var s, r uint64
-			g, ok, s, r = a.proposeUE(u)
-			scanned += s
-			rescored += r
-		}
-		if ok {
+		swept += uint64(a.live[u])
+		if g, ok := a.propose(u); ok {
 			props[lo+int(cnt)] = soaProposal{
 				key: a.cfg.selectKey(csr.SameSP[g], csr.Fu[u], csr.RRBs[g], a.cru[u]),
 				ue:  u,
@@ -461,24 +420,16 @@ func (a *Arena) proposeWorker(w int) {
 		}
 	}
 	a.wcnt[w] = cnt
-	a.wscan[w] = scanned
-	a.wresc[w] = rescored
+	a.wswept[w] = swept
 }
 
-// proposeUEScan is proposeUE for unobserved runs: a straight sweep over
-// the UE's unordered alive-candidate list (hk[Off[u]:Off[u]+hlen[u]])
-// that drops every currently-infeasible candidate and returns the
-// (preference, candidate-index)-lex minimum of the rest. It produces
-// exactly proposeUE's proposal: both return the lex-min over the
-// feasible candidates, and dropping infeasible ones eagerly (rather
-// than only when they surface at the heap top) changes nothing because
-// residuals never grow within a run — infeasible now means infeasible
-// forever. What it does not maintain is the heap's scanned/rescored
-// accounting, which only observed runs report. The payoff is locality:
-// each proposal touches one contiguous int32 run plus the ledger, with
-// no sift writes and no version traffic.
-func (a *Arena) proposeUEScan(u int32) (int32, bool) {
-	n := a.hlen[u]
+// propose is Proposer.Propose over the arena: one sweep of UE u's live
+// candidates (idx[Off[u]:Off[u]+live[u]]) that drops every candidate
+// the ledger can no longer fit and returns the global candidate index of
+// the (preference, candidate-index)-lex minimum of the rest. Each
+// proposal touches one contiguous int32 run plus the ledger.
+func (a *Arena) propose(u int32) (int32, bool) {
+	n := a.live[u]
 	if n == 0 {
 		return 0, false
 	}
@@ -487,18 +438,18 @@ func (a *Arena) proposeUEScan(u int32) (int32, bool) {
 	svc := csr.Service[u]
 	need := a.cru[u]
 	S := int32(csr.Services)
-	hk := a.hk
+	idx := a.idx
 	best := int32(-1)
 	var bestV float64
 	for i := int32(0); i < n; {
-		k := hk[base+i]
+		k := idx[base+i]
 		gi := base + k
 		b := csr.BS[gi]
 		remCRU := a.remCRU[b*S+svc]
 		remRRB := a.remRRB[b]
 		if remCRU < need || remRRB < csr.RRBs[gi] {
 			n--
-			hk[base+i] = hk[base+n]
+			idx[base+i] = idx[base+n]
 			continue
 		}
 		v := a.cfg.preference(csr.Price[gi], int(remCRU)+int(remRRB))
@@ -507,99 +458,28 @@ func (a *Arena) proposeUEScan(u int32) (int32, bool) {
 		}
 		i++
 	}
-	a.hlen[u] = n
+	a.live[u] = n
 	if best < 0 {
 		return 0, false
 	}
 	return base + best, true
 }
 
-// proposeUE picks UE u's minimum-preference candidate whose residuals
-// still fit it, permanently dropping view-infeasible candidates along
-// the way (Alg. 1 lines 3-10). It returns Proposer.Propose's choice
-// through a lazy min-heap of cached Eq. 17 values: an entry is re-scored
-// only when its BS's version moved, which is exact for rho >= 0 because
-// debits only ever raise a value, so a stale entry is a lower bound. An
-// infeasible candidate is always the freshly-refreshed top, so it is
-// swap-removed on the spot. Returns the global candidate index of the
-// chosen link.
-func (a *Arena) proposeUE(u int32) (g int32, ok bool, scanned, rescored uint64) {
-	n := a.hlen[u]
-	if n == 0 {
-		return 0, false, 0, 0
+// emitProposeEvents walks the scope in ascending UE order (nil: the
+// whole population) and fires Propose for this round's proposers and
+// Cloud for every other unassigned UE — the event order the naive
+// reference and the message-passing runtimes produce.
+func (a *Arena) emitProposeEvents(hooks *SoAHooks, scope []int32) {
+	n := len(scope)
+	if scope == nil {
+		n = a.csr.UEs()
 	}
-	csr := a.csr
-	base := csr.Off[u]
-	svc := csr.Service[u]
-	need := a.cru[u]
-	S := int32(csr.Services)
-	hv, hver, hk := a.hv, a.hver, a.hk
-	for n > 0 {
-		scanned += uint64(n)
-		for {
-			gi := base + hk[base]
-			b := csr.BS[gi]
-			cur := a.ver[b]
-			if hver[base] == cur {
-				break
-			}
-			hv[base] = a.cfg.preference(csr.Price[gi], int(a.remCRU[b*S+svc])+int(a.remRRB[b]))
-			hver[base] = cur
-			rescored++
-			a.heapSiftDown(base, n)
-		}
-		gi := base + hk[base]
-		b := csr.BS[gi]
-		if a.remCRU[b*S+svc] >= need && a.remRRB[b] >= csr.RRBs[gi] {
-			a.hlen[u] = n
-			return gi, true, scanned, rescored
-		}
-		n--
-		if n > 0 {
-			hv[base], hver[base], hk[base] = hv[base+n], hver[base+n], hk[base+n]
-			if n > 1 {
-				a.heapSiftDown(base, n)
-			}
-		}
-	}
-	a.hlen[u] = 0
-	return 0, false, scanned, rescored
-}
-
-// heapSiftDown restores the min-heap property from the root of the
-// n-entry heap region starting at base, ordered by (value, candidate
-// index) exactly like prefLess.
-func (a *Arena) heapSiftDown(base, n int32) {
-	hv, hver, hk := a.hv, a.hver, a.hk
-	i := int32(0)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && prefLess(hv[base+r], hk[base+r], hv[base+l], hk[base+l]) {
-			m = r
-		}
-		if !prefLess(hv[base+m], hk[base+m], hv[base+i], hk[base+i]) {
-			return
-		}
-		bi, bm := base+i, base+m
-		hv[bi], hv[bm] = hv[bm], hv[bi]
-		hver[bi], hver[bm] = hver[bm], hver[bi]
-		hk[bi], hk[bm] = hk[bm], hk[bi]
-		i = m
-	}
-}
-
-// emitProposeEvents walks the whole population in ascending UE order and
-// fires Propose for this round's proposers and Cloud for every other
-// unassigned UE — the event order the observed legacy path and the
-// message-passing runtimes produce.
-func (a *Arena) emitProposeEvents(hooks *SoAHooks) {
-	nUE := int32(a.csr.UEs())
 	pi := 0
-	for u := int32(0); u < nUE; u++ {
+	for i := 0; i < n; i++ {
+		u := int32(i)
+		if scope != nil {
+			u = scope[i]
+		}
 		if a.assigned.Get(u) {
 			continue
 		}
@@ -799,15 +679,13 @@ func (l *arenaLedger) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
 	return int(a.remCRU[l.bs*int32(a.csr.Services)+int32(j)]), int(a.remRRB[l.bs])
 }
 
-// Admit implements Ledger: debit the dense ledger, bump the BS version
-// (which lazily invalidates every cached preference against it), and
-// record the assignment. SelectRound only calls it after a Residual
-// feasibility check. The assigned bit is left to selectRound's join.
+// Admit implements Ledger: debit the dense ledger and record the
+// assignment. SelectRound only calls it after a Residual feasibility
+// check. The assigned bit is left to selectRound's join.
 func (l *arenaLedger) Admit(r Request) error {
 	a, b := l.a, l.bs
 	a.remCRU[b*int32(a.csr.Services)+int32(r.Service)] -= int32(r.CRUs)
 	a.remRRB[b] -= int32(r.RRBs)
-	a.ver[b]++
 	u := int32(r.UE)
 	a.serving[u] = b
 	l.admitted = append(l.admitted, u)
@@ -872,9 +750,7 @@ func (a *Arena) RemRRB(b int) int { return int(a.remRRB[b]) }
 // AssignedCount returns the number of served UEs.
 func (a *Arena) AssignedCount() int { return a.assigned.Count() }
 
-// CacheStats returns the cumulative Eq. 17 evaluations a naive sweep
-// would have performed and the evaluations the observed heap actually
-// ran. Unobserved (scan) runs do not count.
-func (a *Arena) CacheStats() (scanned, rescored uint64) {
-	return a.scanned, a.rescored
-}
+// Swept returns the live candidates the latest propose phase swept, one
+// Eq. 17 evaluation at most each: the dmra_pref_evaluations_total
+// increment of the round.
+func (a *Arena) Swept() uint64 { return a.swept }

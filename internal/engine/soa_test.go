@@ -68,12 +68,14 @@ func TestArenaSelectWidths(t *testing.T) {
 	}
 }
 
-// arenaEvent is one hook call of an observed arena run.
+// arenaEvent is one hook call of an observed arena run; swept is the
+// round's Swept count on RoundDone events.
 type arenaEvent struct {
 	kind  byte
 	round int
 	u, b  int32
 	v     Verdict
+	swept uint64
 }
 
 // observedArenaRun runs the arena with every hook attached, recording
@@ -83,12 +85,14 @@ func observedArenaRun(t *testing.T, a *Arena, net *mec.Network, cfg Config, work
 	var events []arenaEvent
 	var snaps []*Snapshot
 	stats, err := a.Run(net, cfg, workers, &SoAHooks{
-		Round:     func(r int) { events = append(events, arenaEvent{kind: 'R', round: r}) },
-		Propose:   func(u, b int32) { events = append(events, arenaEvent{kind: 'P', u: u, b: b}) },
-		Cloud:     func(u int32) { events = append(events, arenaEvent{kind: 'C', u: u}) },
-		Verdict:   func(b int32, v Verdict) { events = append(events, arenaEvent{kind: 'V', b: b, v: v}) },
-		Snapshot:  func(s *Snapshot) { snaps = append(snaps, s.Clone()) },
-		RoundDone: func(r int) { events = append(events, arenaEvent{kind: 'D', round: r}) },
+		Round:    func(r int) { events = append(events, arenaEvent{kind: 'R', round: r}) },
+		Propose:  func(u, b int32) { events = append(events, arenaEvent{kind: 'P', u: u, b: b}) },
+		Cloud:    func(u int32) { events = append(events, arenaEvent{kind: 'C', u: u}) },
+		Verdict:  func(b int32, v Verdict) { events = append(events, arenaEvent{kind: 'V', b: b, v: v}) },
+		Snapshot: func(s *Snapshot) { snaps = append(snaps, s.Clone()) },
+		RoundDone: func(r int, a *Arena) {
+			events = append(events, arenaEvent{kind: 'D', round: r, swept: a.Swept()})
+		},
 	})
 	if err != nil {
 		t.Fatalf("workers %d: observed run: %v", workers, err)
@@ -96,12 +100,12 @@ func observedArenaRun(t *testing.T, a *Arena, net *mec.Network, cfg Config, work
 	return stats, events, snaps
 }
 
-// TestArenaObservedProposeWidths pins the observed arena — the lazy-heap
-// propose with its per-worker cache counters, merged in chunk order — at
-// propose widths 2, 3, 5 and 16 against its serial run: identical
-// statistics, cache counters, ordered event stream and round snapshots,
-// on the 80-UE shape the parity fuzzers draw and on densecity-1k. It
-// also checks that propose really ran on more than one worker.
+// TestArenaObservedProposeWidths pins the observed arena — propose with
+// its per-worker swept counts, merged in chunk order — at propose widths
+// 2, 3, 5 and 16 against its serial run: identical statistics, per-round
+// swept counts, ordered event stream and round snapshots, on the 80-UE
+// shape the parity fuzzers draw and on densecity-1k. It also checks that
+// propose really ran on more than one worker.
 func TestArenaObservedProposeWidths(t *testing.T) {
 	small := workload.Default()
 	small.UEs = 80
@@ -122,15 +126,18 @@ func TestArenaObservedProposeWidths(t *testing.T) {
 		if want.Accepts == 0 {
 			t.Fatalf("%s: serial run admitted nothing; the test is vacuous", tc.name)
 		}
-		wantScan, wantResc := serial.CacheStats()
+		var wantSwept uint64
+		for _, e := range wantEvents {
+			wantSwept += e.swept
+		}
+		if wantSwept < uint64(want.Proposals) {
+			t.Fatalf("%s: %d candidates swept for %d proposals", tc.name, wantSwept, want.Proposals)
+		}
 		for _, workers := range []int{2, 3, 5, 16} {
 			var a Arena
 			got, events, snaps := observedArenaRun(t, &a, net, cfg, workers)
 			if got != want {
 				t.Fatalf("%s workers %d: stats %+v, serial %+v", tc.name, workers, got, want)
-			}
-			if s, r := a.CacheStats(); s != wantScan || r != wantResc {
-				t.Fatalf("%s workers %d: cache stats (%d, %d), serial (%d, %d)", tc.name, workers, s, r, wantScan, wantResc)
 			}
 			if len(events) != len(wantEvents) {
 				t.Fatalf("%s workers %d: %d events, serial %d", tc.name, workers, len(events), len(wantEvents))
@@ -148,7 +155,7 @@ func TestArenaObservedProposeWidths(t *testing.T) {
 					t.Fatalf("%s workers %d: snapshot %d differs: %v", tc.name, workers, i, snaps[i].Diff(wantSnaps[i]))
 				}
 			}
-			if cap(a.wscan) < 2 {
+			if cap(a.wswept) < 2 {
 				t.Fatalf("%s workers %d: propose never ran on more than one worker", tc.name, workers)
 			}
 		}

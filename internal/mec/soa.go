@@ -37,8 +37,8 @@ type CSR struct {
 
 	// Per-BS arrays. CRUCap is Services-strided: CRUCap[b*Services+j] is
 	// c_{b,j}.
-	CRUCap  []int32
-	MaxRRB  []int32
+	CRUCap   []int32
+	MaxRRB   []int32
 	Services int
 
 	// Lazily built inverted index (see CoverIndex).
@@ -160,8 +160,8 @@ func buildCSR(net *Network) *CSR {
 // csrState carries the lazily built dense view of a Network. Only
 // NewNetwork-built networks get one: a SubView's Network re-aliases its
 // link slices on every Refresh, so a cached flat copy would go stale —
-// Dense returns nil there and allocators fall back to the pointer-based
-// engine, whose per-epoch cost is proportional to the active set anyway.
+// Dense returns nil there. DMRA runs such networks through its naive
+// reference; only the baseline allocators and tests hand it SubViews.
 type csrState struct {
 	eligible bool
 	once     sync.Once
@@ -178,8 +178,8 @@ func (n *Network) Dense() *CSR {
 	}
 	n.dense.once.Do(func() {
 		// int32 candidate indices cap the flat layout at ~2.1e9 links;
-		// beyond that (far past the million-UE target) the pointer engine
-		// still works, so degrade instead of overflowing.
+		// beyond that (far past the million-UE target) the naive DMRA
+		// reference still works, so degrade instead of overflowing.
 		if n.TotalCandidateLinks() <= math.MaxInt32 {
 			n.dense.csr = buildCSR(n)
 		}

@@ -22,11 +22,9 @@ type Recorder struct {
 	cloud      *Counter
 	broadcasts *Counter
 
-	unmatched   *Gauge
-	taskHist    *Histogram
-	prefEval    *Counter
-	prefRescore *Counter
-	prefHitRate *Gauge
+	unmatched *Gauge
+	taskHist  *Histogram
+	prefEval  *Counter
 
 	deltaFrontier    *Gauge
 	deltaReleased    *Counter
@@ -64,9 +62,7 @@ func NewRecorder(reg *Registry, sink *Sink) *Recorder {
 		unmatched:  reg.Gauge("dmra_unmatched_ues"),
 		taskHist:   reg.Histogram("exp_task_seconds", DefaultLatencyBuckets()),
 
-		prefEval:    reg.Counter("dmra_pref_evaluations_total"),
-		prefRescore: reg.Counter("dmra_pref_rescores_total"),
-		prefHitRate: reg.Gauge("dmra_pref_cache_hit_rate"),
+		prefEval: reg.Counter("dmra_pref_evaluations_total"),
 
 		deltaFrontier:    reg.Gauge("dmra_delta_frontier_ues"),
 		deltaReleased:    reg.Counter("dmra_delta_released_total"),
@@ -242,20 +238,14 @@ func (r *Recorder) Unmatched(n int) {
 	r.unmatched.Set(float64(n))
 }
 
-// PrefCacheRound records one matching round of the incremental Eq. 17
-// preference cache: evaluations is what a naive full sweep would have
-// cost, rescored is the evaluations actually performed. The hit-rate
-// gauge holds the fraction of evaluations the cache avoided this round.
-// No-op on a nil recorder.
-func (r *Recorder) PrefCacheRound(evaluations, rescored int64) {
+// PrefCacheRound adds one matching round's swept candidates — the live
+// candidates the proposers swept, one Eq. 17 evaluation at most each —
+// to dmra_pref_evaluations_total. No-op on a nil recorder.
+func (r *Recorder) PrefCacheRound(swept int64) {
 	if r == nil {
 		return
 	}
-	r.prefEval.Add(evaluations)
-	r.prefRescore.Add(rescored)
-	if evaluations > 0 {
-		r.prefHitRate.Set(1 - float64(rescored)/float64(evaluations))
-	}
+	r.prefEval.Add(swept)
 }
 
 // CohortCounter returns the online-session lifecycle counter

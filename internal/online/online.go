@@ -76,18 +76,17 @@ type Config struct {
 	// Incremental requires the delta-repair epoch path and reports its
 	// work in the Delta* counters, which stay zero without it.
 	//
-	// An unobserved DMRA session with rho >= 0 over a NewNetwork-built
-	// scenario (the dense candidate view) takes that path by default:
-	// a persistent engine.Incremental carries the ledger and every UE's
-	// candidate state across epochs and repairs only the frontier churn
-	// touched, instead of re-running Alg. 1 from scratch over the
-	// waiting set, so epoch cost scales with arrivals and departures
-	// rather than the standing population. Setting Incremental also
-	// takes it with Obs attached, and rejects configs that cannot
-	// repair incrementally (another policy, rho < 0, no dense view)
-	// instead of falling back to from-scratch epochs. Every other report
-	// field is identical either way (the delta-repair fuzz gate proves
-	// the assignments equal).
+	// Every DMRA session over a NewNetwork-built scenario (the dense
+	// candidate view) takes that path by default, observed or not and
+	// for any rho: a persistent engine.Incremental carries the ledger
+	// and every UE's candidate state across epochs and repairs only the
+	// frontier churn touched, instead of re-running Alg. 1 from scratch
+	// over the waiting set, so epoch cost scales with arrivals and
+	// departures rather than the standing population. Setting
+	// Incremental rejects configs that cannot repair incrementally
+	// (another policy, no dense view) instead of falling back to
+	// from-scratch epochs. Every other report field is identical either
+	// way (the delta-repair fuzz gate proves the assignments equal).
 	Incremental bool
 	// Seed drives arrivals, holding times, and the scenario build.
 	Seed uint64
@@ -96,11 +95,10 @@ type Config struct {
 	RecordSeries bool
 	// Obs, when non-nil, streams every epoch's DMRA convergence events
 	// (when Algorithm == "dmra") and the per-cohort lifecycle counters
-	// to the recorder. To keep the per-epoch Alg. 1 event stream, an
-	// observed session re-matches from scratch unless Incremental is
-	// set, in which case it streams per-epoch delta statistics instead.
-	// Nil (the default) adds no per-epoch work and the report is
-	// identical either way.
+	// to the recorder, plus per-epoch delta statistics when Incremental
+	// is set. An epoch's Alg. 1 events cover its repair frontier: the
+	// waiting UEs with at least one candidate link. Nil (the default)
+	// adds no per-epoch work and the report is identical either way.
 	Obs *obs.Recorder
 	// Timeline, when non-nil, receives a periodic obs.TimelineSample as
 	// one JSON line every TimelineEveryS seconds of simulated time:
@@ -152,13 +150,8 @@ func (c Config) Validate() error {
 	case c.DurationS < c.EpochS:
 		return fmt.Errorf("online: duration %g below one epoch %g", c.DurationS, c.EpochS)
 	}
-	if c.Incremental {
-		switch {
-		case c.Algorithm != "dmra":
-			return fmt.Errorf("online: incremental mode needs the dmra policy, got %q", c.Algorithm)
-		case c.DMRA.Rho < 0:
-			return fmt.Errorf("online: incremental mode needs rho >= 0, got %g", c.DMRA.Rho)
-		}
+	if c.Incremental && c.Algorithm != "dmra" {
+		return fmt.Errorf("online: incremental mode needs the dmra policy, got %q", c.Algorithm)
 	}
 	if _, err := alloc.ByName(c.Algorithm); err != nil {
 		return err
@@ -282,6 +275,9 @@ func Run(cfg Config) (Report, error) {
 		if err := s.inc.Begin(net, engine.Config(cfg.DMRA), 1); err != nil {
 			return Report{}, err
 		}
+		if cfg.Obs != nil {
+			s.hooks = alloc.ArenaHooks(cfg.Obs)
+		}
 	} else {
 		if s.allocator, err = allocatorFor(cfg); err != nil {
 			return Report{}, err
@@ -311,15 +307,13 @@ func Run(cfg Config) (Report, error) {
 }
 
 // incrementalEpochs reports whether a session over net drives the
-// persistent delta-repair engine instead of re-matching from scratch.
-// That is always so when Incremental is set, and otherwise whenever the
-// engine is exact (DMRA with rho >= 0 over a dense candidate view) and
-// no recorder expects the per-epoch Alg. 1 event stream. Baselines,
-// rho < 0, observed sessions and dense-less scenarios keep the SubView
-// + allocator path.
+// persistent delta-repair engine instead of re-matching from scratch:
+// always when Incremental is set, and otherwise for every DMRA session
+// over a dense candidate view. Baselines, testHookAllocator and
+// dense-less scenarios keep the SubView + allocator path.
 func incrementalEpochs(cfg Config, net *mec.Network) bool {
 	return cfg.Incremental ||
-		(cfg.Algorithm == "dmra" && cfg.DMRA.Rho >= 0 && cfg.Obs == nil && net.Dense() != nil)
+		(cfg.Algorithm == "dmra" && testHookAllocator == nil && net.Dense() != nil)
 }
 
 // cohortPlan is one cohort's resolved slice of the session: its profile
@@ -500,17 +494,15 @@ type session struct {
 	// It and allocator are nil when inc drives the epochs.
 	subview   *mec.SubView
 	allocator alloc.Allocator
-	// epochRes recycles the allocator result across epochs so a DMRA
-	// session reuses one assignment buffer (and, through the allocator's
-	// pooled scratch, one preference cache) for the whole run.
-	epochRes alloc.Result
-	engine   sim.Engine
+	engine    sim.Engine
 	// inc is the persistent delta-repair engine (nil when the session
 	// re-matches from scratch; see incrementalEpochs). Its ledger mirrors
 	// state exactly: every Assign/Unassign the session performs is
 	// reported to it as churn, and each epoch's Settle repairs the
 	// matching instead of matchWaiting's full re-run.
 	inc *engine.Incremental
+	// hooks stream inc's settles to Obs (nil when unobserved).
+	hooks *engine.SoAHooks
 
 	// epochFn and the timeline closures are bound once at setup; the
 	// reschedule path reuses them instead of allocating a fresh closure
@@ -794,7 +786,7 @@ func (s *session) match() error {
 // failed Assign here is a desync bug, not an admission race; the
 // frontier always drains (admitted or cloud), so no UE stays waiting.
 func (s *session) matchIncremental() error {
-	ds, err := s.inc.Settle()
+	ds, err := s.inc.SettleWith(s.hooks)
 	if err != nil {
 		return fmt.Errorf("online: epoch settle: %w", err)
 	}
@@ -842,12 +834,6 @@ func (s *session) place(u mec.UEID, b mec.BSID) {
 	s.scheduleDeparture(u, co.hold.Sample(co.src))
 }
 
-// intoAllocator is the optional zero-allocation allocator fast path
-// (alloc.DMRA implements it); other policies fall back to Allocate.
-type intoAllocator interface {
-	AllocateInto(*mec.Network, *alloc.Result) error
-}
-
 // matchWaiting computes the policy's choice for each waiting UE given the
 // residual resources. The session-persistent SubView points the parent
 // network's precomputed links at the waiting set and snapshots the live
@@ -857,17 +843,11 @@ type intoAllocator interface {
 // zero residual capacity and rejects proposals normally, preserving
 // every waiting UE's true coverage count f_u.
 func (s *session) matchWaiting() (mec.Assignment, error) {
-	sub := s.subview.Refresh(s.waiting, s.state)
-	var err error
-	if ia, ok := s.allocator.(intoAllocator); ok {
-		err = ia.AllocateInto(sub, &s.epochRes)
-	} else {
-		s.epochRes, err = s.allocator.Allocate(sub)
-	}
+	res, err := s.allocator.Allocate(s.subview.Refresh(s.waiting, s.state))
 	if err != nil {
 		return mec.Assignment{}, fmt.Errorf("online: epoch allocation: %w", err)
 	}
-	return s.epochRes.Assignment, nil
+	return res.Assignment, nil
 }
 
 // marginOf returns the per-second profit of serving UE u on BS b.

@@ -323,13 +323,15 @@ func TestSubViewZeroResidualBSStaysPresent(t *testing.T) {
 
 // TestRunBuildsNoNetworksAfterSetup pins the sub-view refactor's headline
 // property: a whole dynamic session performs exactly one network build
-// (the scenario itself). An observed session re-matches from scratch and
-// every epoch reuses the session's SubView; the default session repairs
-// its epochs in the persistent delta-repair engine.
+// (the scenario itself). A baseline session re-matches from scratch and
+// every epoch reuses the session's SubView; default and observed DMRA
+// sessions repair their epochs in the persistent delta-repair engine.
 func TestRunBuildsNoNetworksAfterSetup(t *testing.T) {
 	observed := fastConfig()
 	observed.Obs = obs.NewRecorder(obs.NewRegistry(), nil)
-	for name, cfg := range map[string]Config{"default": fastConfig(), "observed": observed} {
+	baseline := fastConfig()
+	baseline.Algorithm = "greedy"
+	for name, cfg := range map[string]Config{"default": fastConfig(), "observed": observed, "baseline": baseline} {
 		before := mec.NetworkBuilds()
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)

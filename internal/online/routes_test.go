@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dmra/internal/alloc"
 	"dmra/internal/mec"
 	"dmra/internal/obs"
 	"dmra/internal/workload"
@@ -70,14 +71,23 @@ func routeCases() []struct {
 	}
 }
 
-// TestSessionEpochRoutesAgree runs each session shape down all three
-// epoch routes — the default delta repair, Incremental set, and an
-// observed session that re-matches from scratch — and requires the
-// reports equal once the Delta* counters are zeroed. The observed route
-// is the from-scratch reference: it must stream Alg. 1 events. rho < 0
-// has no delta-repair engine, so such a session must fall back to
-// from-scratch epochs instead of failing. No session may build a network
-// after its scenario, on either path.
+// fromScratch runs cfg down the SubView + allocator route with a DMRA
+// allocator as testHookAllocator: every epoch re-matches the waiting set
+// from scratch through the naive reference (a SubView has no dense
+// view), the reference the delta-repair routes must reproduce.
+func fromScratch(cfg Config) (Report, error) {
+	testHookAllocator = alloc.NewDMRA(cfg.DMRA)
+	defer func() { testHookAllocator = nil }()
+	return Run(cfg)
+}
+
+// TestSessionEpochRoutesAgree runs each session shape down every epoch
+// route — the default delta repair, Incremental set, an observed
+// session, and the from-scratch reference — and requires the reports
+// equal once the Delta* counters are zeroed. The observed session must
+// stream Alg. 1 events. A rho < 0 session takes the default route too
+// and must equal its own from-scratch reference. No session may build a
+// network after its scenario, on any route.
 func TestSessionEpochRoutesAgree(t *testing.T) {
 	for _, tt := range routeCases() {
 		t.Run(tt.name, func(t *testing.T) {
@@ -110,6 +120,14 @@ func TestSessionEpochRoutesAgree(t *testing.T) {
 				t.Errorf("Incremental report differs from the default:\n got %+v\nwant %+v", got, def)
 			}
 
+			ref, err := fromScratch(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(def, ref) {
+				t.Errorf("default report differs from the from-scratch reference:\n got %+v\nwant %+v", def, ref)
+			}
+
 			reg := obs.NewRegistry()
 			observed := cfg
 			observed.Obs = obs.NewRecorder(reg, nil)
@@ -118,10 +136,10 @@ func TestSessionEpochRoutesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			if reg.Counter("dmra_proposals_total").Value() == 0 {
-				t.Errorf("observed session streamed no Alg. 1 events; it did not re-match from scratch")
+				t.Errorf("observed session streamed no Alg. 1 events")
 			}
 			if !reflect.DeepEqual(def, got) {
-				t.Errorf("default report differs from the observed from-scratch one:\n got %+v\nwant %+v", def, got)
+				t.Errorf("observed report differs from the unobserved one:\n got %+v\nwant %+v", got, def)
 			}
 
 			neg := cfg
@@ -133,8 +151,14 @@ func TestSessionEpochRoutesAgree(t *testing.T) {
 			if rep.EdgeServed == 0 {
 				t.Errorf("rho < 0 session served nothing: %+v", rep)
 			}
-			if n := mec.NetworkBuilds() - builds; n != 4 {
-				t.Errorf("four sessions built %d networks, want 4 (one scenario each)", n)
+			if ref, err = fromScratch(neg); err != nil {
+				t.Fatalf("rho < 0 from-scratch session: %v", err)
+			}
+			if !reflect.DeepEqual(rep, ref) {
+				t.Errorf("rho < 0 report differs from the from-scratch reference:\n got %+v\nwant %+v", rep, ref)
+			}
+			if n := mec.NetworkBuilds() - builds; n != 6 {
+				t.Errorf("six sessions built %d networks, want 6 (one scenario each)", n)
 			}
 		})
 	}

@@ -405,8 +405,7 @@ func (r *runner) selectPhase(round int) {
 			admitted += len(bs.admitted)
 		}
 		r.cfg.Obs.Unmatched(len(r.ues) - admitted)
-		// The sweep reads every live candidate afresh: no cache hits.
-		r.cfg.Obs.PrefCacheRound(int64(r.swept-r.lastSwept), int64(r.swept-r.lastSwept))
+		r.cfg.Obs.PrefCacheRound(int64(r.swept - r.lastSwept))
 		r.lastSwept = r.swept
 	}
 }

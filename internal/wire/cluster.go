@@ -389,8 +389,7 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 				}
 			}
 			rec.Unmatched(unmatched)
-			// The sweep reads every live candidate afresh: no cache hits.
-			rec.PrefCacheRound(int64(swept-lastSwept), int64(swept-lastSwept))
+			rec.PrefCacheRound(int64(swept - lastSwept))
 			lastSwept = swept
 			rec.RoundLatency(time.Since(roundStart).Seconds())
 		}

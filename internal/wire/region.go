@@ -779,8 +779,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			for _, n := range swept {
 				total += n
 			}
-			// The sweep reads every live candidate afresh: no cache hits.
-			rec.PrefCacheRound(int64(total-lastSwept), int64(total-lastSwept))
+			rec.PrefCacheRound(int64(total - lastSwept))
 			lastSwept = total
 			rec.RoundLatency(time.Since(roundStart).Seconds())
 		}

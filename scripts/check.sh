@@ -92,8 +92,8 @@ region_parity() {
 
 soa_parity() {
 	# The struct-of-arrays arena engine must be byte-identical to the
-	# legacy cached engine — assignments, stats, event streams, round
-	# snapshots — at any propose-worker count. Sweep the worker width
+	# naive reference — assignments, stats, event streams, round
+	# snapshots — at any propose-worker count and either sign of rho. Sweep the worker width
 	# race-enabled (like the wire shard sweep): workers 3 runs propose on
 	# three goroutines (every round of two or more UEs fans out) and, in
 	# the unobserved FuzzSoAParity leg, the BS-sliced select too, so this
@@ -103,7 +103,7 @@ soa_parity() {
 	# order requests exactly like the BS preference, and
 	# TestArenaSelectWidths / TestArenaObservedProposeWidths sweep their
 	# own widths (2, 3, 5, 16 against a serial run), unobserved and
-	# observed.
+	# observed, the latter including the per-round swept counts.
 	for workers in 1 3; do
 		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
 			-run 'TestSoA|FuzzSoAParity' ./internal/alloc/
@@ -116,12 +116,14 @@ soa_parity() {
 
 delta_parity() {
 	# The incremental delta-repair engine must reproduce from-scratch DMRA
-	# exactly — per-UE placements, residual ledgers, round counters —
-	# across churn scripts at any propose-worker count. Sweep the worker
-	# width race-enabled like the SoA gate; the fuzz seeds run as regular
-	# tests, replaying the checked-in corpus (including past crashers).
-	# TestSession* pins the online session's epoch routes (default delta
-	# repair, Incremental, observed from-scratch) to identical reports.
+	# (the naive reference) exactly — per-UE placements, residual
+	# ledgers, round counters, and with hooks the frontier's ordered
+	# event stream — across churn scripts at any propose-worker count.
+	# Sweep the worker width race-enabled like the SoA gate; the fuzz
+	# seeds run as regular tests, replaying the checked-in corpus
+	# (including past crashers). TestSession* pins the online session's
+	# epoch routes (default delta repair, Incremental, observed, and the
+	# from-scratch reference, at both signs of rho) to identical reports.
 	for workers in 1 3; do
 		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
 			-run 'TestDelta|TestIncremental|TestSession|FuzzDeltaParity' ./internal/alloc/ ./internal/engine/ ./internal/online/
