@@ -163,7 +163,7 @@ func run(args []string) error {
 	fmt.Printf("profit-time:     %.0f price-units x s over %d epochs (%d matcher invocations)\n",
 		rep.ProfitTime, rep.Epochs, rep.ReassignChecks)
 	if cfg.Incremental {
-		fmt.Printf("delta repair:    %d frontier UEs, %d released, %d drop-caches invalidated, %d repair rounds\n",
+		fmt.Printf("delta repair:    %d frontier UEs, %d released, %d stale regions rebuilt, %d repair rounds\n",
 			rep.DeltaFrontier, rep.DeltaReleased, rep.DeltaInvalidated, rep.DeltaRepairRounds)
 	}
 

@@ -1,7 +1,9 @@
 package alloc
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dmra/internal/geo"
@@ -685,6 +687,42 @@ func TestLocalSearchPassCap(t *testing.T) {
 	}
 	if err := mec.ValidateAssignment(net, res.Assignment); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocalSearchLedgerFailureIsError corrupts the state under a served
+// UE — its links now need more radio blocks than its BS had when it was
+// admitted — so relocate cannot restore the slot it released. The search
+// must return the ledger error, not panic.
+func TestLocalSearchLedgerFailureIsError(t *testing.T) {
+	net := defaultNet(t, 200, 5)
+	seed, err := NewGreedy().Allocate(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := mec.NewState(net)
+	victim := mec.UEID(-1)
+	for u, b := range seed.Assignment.ServingBS {
+		if b == mec.CloudBS {
+			continue
+		}
+		if err := state.Assign(mec.UEID(u), b); err != nil {
+			t.Fatal(err)
+		}
+		if victim < 0 {
+			victim = mec.UEID(u)
+		}
+	}
+	if victim < 0 {
+		t.Fatal("greedy served nobody")
+	}
+	links := net.Candidates(victim) // aliases the network's link table
+	for k := range links {
+		links[k].RRBs = 1 << 20
+	}
+	_, err = NewLocalSearch().search(net, state, Stats{})
+	if !errors.Is(err, mec.ErrNoRRB) || !strings.Contains(err.Error(), "relocate") {
+		t.Fatalf("search over a corrupted ledger: %v, want a relocate ErrNoRRB", err)
 	}
 }
 

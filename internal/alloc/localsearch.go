@@ -52,23 +52,41 @@ func (a *LocalSearch) Allocate(net *mec.Network) (Result, error) {
 		}
 	}
 
+	stats, err := a.search(net, state, seed.Stats)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := state.CheckInvariants(); err != nil {
+		return Result{}, fmt.Errorf("alloc: LocalSearch produced invalid state: %w", err)
+	}
+	return Result{Assignment: state.Snapshot(), Stats: stats}, nil
+}
+
+// search runs the improvement sweeps over state until a local optimum or
+// the pass cap, counting moves into stats. Every Assign a move makes was
+// just shown feasible by a CanServe check or a release, so one failing
+// means the ledger no longer matches the network: the search stops and
+// returns that error.
+func (a *LocalSearch) search(net *mec.Network, state *mec.State, stats Stats) (Stats, error) {
 	maxPasses := a.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = DefaultMaxPasses
 	}
-	stats := seed.Stats
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for u := range net.UEs {
 			uid := mec.UEID(u)
+			var moved bool
+			var err error
 			if state.Assigned(uid) {
-				if a.relocate(net, state, uid) {
-					improved = true
-					stats.Accepts++
-				}
-				continue
+				moved, err = a.relocate(net, state, uid)
+			} else if moved, err = a.insert(net, state, uid); err == nil && !moved {
+				moved, err = a.eject(net, state, uid)
 			}
-			if a.insert(net, state, uid) || a.eject(net, state, uid) {
+			if err != nil {
+				return stats, err
+			}
+			if moved {
 				improved = true
 				stats.Accepts++
 			}
@@ -78,20 +96,16 @@ func (a *LocalSearch) Allocate(net *mec.Network) (Result, error) {
 			break
 		}
 	}
-
-	if err := state.CheckInvariants(); err != nil {
-		return Result{}, fmt.Errorf("alloc: LocalSearch produced invalid state: %w", err)
-	}
-	return Result{Assignment: state.Snapshot(), Stats: stats}, nil
+	return stats, nil
 }
 
 // relocate moves a served UE to its best feasible candidate if that
 // strictly raises its margin. Returns whether a move was made.
-func (a *LocalSearch) relocate(net *mec.Network, state *mec.State, u mec.UEID) bool {
+func (a *LocalSearch) relocate(net *mec.Network, state *mec.State, u mec.UEID) (bool, error) {
 	cur := state.ServingBS(u)
 	curLink, ok := net.Link(u, cur)
 	if !ok {
-		return false
+		return false, nil
 	}
 	curMargin := Margin(net, curLink)
 	// Release first so a move within the same BS's budget is visible.
@@ -106,14 +120,14 @@ func (a *LocalSearch) relocate(net *mec.Network, state *mec.State, u mec.UEID) b
 		}
 	}
 	if err := state.Assign(u, best); err != nil {
-		// The released slot must remain assignable; any failure is a bug.
-		panic(fmt.Sprintf("alloc: LocalSearch relocate: %v", err))
+		// The released slot must remain assignable.
+		return false, fmt.Errorf("alloc: LocalSearch relocate: %w", err)
 	}
-	return best != cur
+	return best != cur, nil
 }
 
 // insert places a cloud UE on its best feasible candidate, if any.
-func (a *LocalSearch) insert(net *mec.Network, state *mec.State, u mec.UEID) bool {
+func (a *LocalSearch) insert(net *mec.Network, state *mec.State, u mec.UEID) (bool, error) {
 	best := mec.CloudBS
 	bestMargin := 0.0
 	for _, l := range net.Candidates(u) {
@@ -125,18 +139,18 @@ func (a *LocalSearch) insert(net *mec.Network, state *mec.State, u mec.UEID) boo
 		}
 	}
 	if best == mec.CloudBS {
-		return false
+		return false, nil
 	}
 	if err := state.Assign(u, best); err != nil {
-		panic(fmt.Sprintf("alloc: LocalSearch insert: %v", err))
+		return false, fmt.Errorf("alloc: LocalSearch insert: %w", err)
 	}
-	return true
+	return true, nil
 }
 
 // eject tries to serve cloud UE u by evicting a cheaper UE from one of
 // u's candidate BSs; the victim is re-inserted at its best alternative
 // (possibly the cloud). The move commits only on a positive net gain.
-func (a *LocalSearch) eject(net *mec.Network, state *mec.State, u mec.UEID) bool {
+func (a *LocalSearch) eject(net *mec.Network, state *mec.State, u mec.UEID) (bool, error) {
 	for _, l := range net.Candidates(u) {
 		uMargin := Margin(net, l)
 		// Find a victim on this BS whose removal makes room for u.
@@ -153,10 +167,14 @@ func (a *LocalSearch) eject(net *mec.Network, state *mec.State, u mec.UEID) bool
 			state.Unassign(vid)
 			if !state.CanServe(u, l.BS) {
 				// Removing v does not free enough; restore and try next.
-				mustAssign(state, vid, l.BS)
+				if err := assignFeasible(state, vid, l.BS); err != nil {
+					return false, err
+				}
 				continue
 			}
-			mustAssign(state, u, l.BS)
+			if err := assignFeasible(state, u, l.BS); err != nil {
+				return false, err
+			}
 			// Re-insert the victim at its best remaining option.
 			vBest := mec.CloudBS
 			vBestMargin := 0.0
@@ -172,21 +190,28 @@ func (a *LocalSearch) eject(net *mec.Network, state *mec.State, u mec.UEID) bool
 			if gain <= 1e-12 {
 				// Roll back: undo u, restore v.
 				state.Unassign(u)
-				mustAssign(state, vid, l.BS)
+				if err := assignFeasible(state, vid, l.BS); err != nil {
+					return false, err
+				}
 				continue
 			}
 			if vBest != mec.CloudBS {
-				mustAssign(state, vid, vBest)
+				if err := assignFeasible(state, vid, vBest); err != nil {
+					return false, err
+				}
 			}
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
-// mustAssign restores an assignment known to be feasible.
-func mustAssign(state *mec.State, u mec.UEID, b mec.BSID) {
+// assignFeasible makes an assignment that a CanServe check or a release
+// just showed feasible; a failure means the ledger no longer matches the
+// network.
+func assignFeasible(state *mec.State, u mec.UEID, b mec.BSID) error {
 	if err := state.Assign(u, b); err != nil {
-		panic(fmt.Sprintf("alloc: LocalSearch rollback: %v", err))
+		return fmt.Errorf("alloc: LocalSearch eject: %w", err)
 	}
+	return nil
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"dmra/internal/mec"
 )
@@ -30,14 +29,21 @@ import (
 //     a Settle residuals only shrink (select only debits), so drops are
 //     permanent — the same argument that makes the Arena's eager drops
 //     exact. Across Settles a residual can grow, but only through the
-//     credit paths below (Depart, SetDemand release), and every credit
-//     at BS b clears the region stamp of every UE covering b via the
-//     CSR inverted index, forcing a full region rebuild at that UE's
-//     next propose. A drop that survives therefore saw no credit at its
-//     BS since it was made, so the candidate is still infeasible — the
-//     surviving region is exactly the feasible-candidate set a fresh
-//     sweep would compute, and the proposals (and hence the final
-//     assignment) are identical.
+//     credit paths below (Depart, SetDemand release), and those run
+//     only between Settles. The arena's run advances once per Settle
+//     and every region is stamped with the run it was built in, so a
+//     credit at BS b just records the current run in credit[b]: it
+//     came after every drop of every region stamped at or below that
+//     run. Before proposing, Settle checks each frontier UE's region
+//     against its candidates' credits and rebuilds it when any
+//     credit[b] >= stamp. A drop that survives therefore saw no credit
+//     at its BS since it was made, so the candidate is still
+//     infeasible — the surviving region is exactly the
+//     feasible-candidate set a fresh sweep would compute, and the
+//     proposals (and hence the final assignment) are identical. Only
+//     frontier UEs propose, so the check is paid by the frontier alone;
+//     a UE outside it is checked when it next arrives, against credits
+//     that have only grown.
 //
 // Arrivals and admissions need no invalidation: both only shrink
 // residuals. Demand changes additionally clear the UE's own stamp,
@@ -53,9 +59,10 @@ type DeltaStats struct {
 	// Released counts standing matches undone since the last Settle —
 	// departures of assigned UEs plus demand-change releases.
 	Released int
-	// Invalidated counts candidate regions reset by ledger credits:
-	// UEs whose cached drop sets had to be rebuilt because a BS they
-	// cover regained capacity.
+	// Invalidated counts the frontier UEs of this Settle whose cached
+	// candidate region was rebuilt because one of their candidate BSs
+	// was credited after the region was built. UEs outside the frontier
+	// are not counted: their regions are checked when they next arrive.
 	Invalidated int
 
 	Rounds    int
@@ -90,18 +97,18 @@ type Incremental struct {
 	// writes through to the shared, immutable CSR.
 	cruBuf []int32
 
-	// The pending frontier between Settles: pend accumulates appends in
-	// arrival order, pendBit is authoritative membership (a UE departing
-	// while pending just clears its bit; the dead slice entry is
-	// filtered at Settle).
+	// pendBit is the pending frontier between Settles (a UE departing
+	// while pending just clears its bit); Settle drains it ascending.
 	pendBit Bitset
-	pend    []int32
 	// front is the sorted frontier of an observed Settle, the scope of
 	// its Propose/Cloud events (a.pending compacts round by round).
 	front []int32
 
-	released    int
-	invalidated int
+	// credit[b] is the arena run of BS b's latest ledger credit: a region
+	// stamped at or below it may hold a drop at b the credit undid.
+	credit []uint32
+
+	released int
 }
 
 // Begin starts an incremental session over net's dense candidate view
@@ -129,8 +136,9 @@ func (inc *Incremental) Begin(net *mec.Network, cfg Config, workers int) error {
 	copy(inc.cruBuf, csr.CRU)
 	a.cru = inc.cruBuf
 	inc.pendBit.Reset(n)
-	inc.pend = inc.pend[:0]
-	inc.released, inc.invalidated = 0, 0
+	inc.credit = grown(inc.credit, csr.BSs())
+	clear(inc.credit)
+	inc.released = 0
 	return nil
 }
 
@@ -151,14 +159,12 @@ func (inc *Incremental) Arrive(u mec.UEID) error {
 		return nil
 	}
 	inc.pendBit.Set(ui)
-	inc.pend = append(inc.pend, ui)
 	return nil
 }
 
 // Depart removes UE u from the session. A pending UE just leaves the
-// frontier; an assigned UE's match is released — its BS is credited and
-// every UE covering that BS has its cached drops invalidated. A UE the
-// engine never held (cloud-served or inactive) is a no-op.
+// frontier; an assigned UE's match is released and its BS credited. A UE
+// the engine never held (cloud-served or inactive) is a no-op.
 func (inc *Incremental) Depart(u mec.UEID) {
 	a := &inc.a
 	ui := int32(u)
@@ -184,10 +190,7 @@ func (inc *Incremental) SetDemand(u mec.UEID, cru int) error {
 	ui := int32(u)
 	if b := a.serving[ui]; b >= 0 {
 		inc.release(ui, b)
-		if !inc.pendBit.Get(ui) {
-			inc.pendBit.Set(ui)
-			inc.pend = append(inc.pend, ui)
-		}
+		inc.pendBit.Set(ui)
 	}
 	a.cru[ui] = int32(cru)
 	a.stamp[ui] = 0
@@ -196,8 +199,10 @@ func (inc *Incremental) SetDemand(u mec.UEID, cru int) error {
 
 // release undoes UE u's standing match at BS b: credit the ledger with
 // exactly what Admit debited (a.cru[u] is still the admitted demand —
-// SetDemand releases before mutating) and invalidate every covering
-// UE's cached drops.
+// SetDemand releases before mutating) and stamp b's credit with the
+// current run, which invalidates the drops at b of every region built
+// so far. O(log candidates): the covering UEs are checked lazily, when
+// they next join a frontier.
 func (inc *Incremental) release(u, b int32) {
 	a := &inc.a
 	csr := a.csr
@@ -207,21 +212,7 @@ func (inc *Incremental) release(u, b int32) {
 	a.serving[u] = -1
 	a.assigned.Clear(u)
 	inc.released++
-	inc.invalidateCover(b)
-}
-
-// invalidateCover clears the region stamp of every UE that has BS b as
-// a candidate: b's residuals just grew, so drops against b may no
-// longer be justified and those regions must rebuild at next propose.
-func (inc *Incremental) invalidateCover(b int32) {
-	a := &inc.a
-	off, ue := a.csr.CoverIndex()
-	for _, u := range ue[off[b]:off[b+1]] {
-		if a.stamp[u] == a.run {
-			a.stamp[u] = 0
-			inc.invalidated++
-		}
-	}
+	inc.credit[b] = a.run
 }
 
 // Settle repairs the matching to quiescence: the accumulated frontier
@@ -241,31 +232,38 @@ func (inc *Incremental) Settle() (DeltaStats, error) { return inc.SettleWith(nil
 // and fires nothing.
 func (inc *Incremental) SettleWith(hooks *SoAHooks) (DeltaStats, error) {
 	a := &inc.a
-	a.pending = a.pending[:0]
-	for _, u := range inc.pend {
-		if inc.pendBit.Get(u) {
-			inc.pendBit.Clear(u)
-			a.pending = append(a.pending, u)
-		}
-	}
-	inc.pend = inc.pend[:0]
-	slices.Sort(a.pending)
-
-	ds := DeltaStats{
-		Frontier:    len(a.pending),
-		Released:    inc.released,
-		Invalidated: inc.invalidated,
-	}
-	inc.released, inc.invalidated = 0, 0
+	csr := a.csr
+	a.pending = inc.pendBit.Drain(a.pending[:0])
+	ds := DeltaStats{Frontier: len(a.pending), Released: inc.released}
+	inc.released = 0
 	if len(a.pending) == 0 {
 		return ds, nil
+	}
+	// Validate the frontier's regions against the credits since each
+	// was built; the run then advances, so credits after this Settle
+	// read as newer than every region it builds.
+	for _, u := range a.pending {
+		s := a.stamp[u]
+		if s < a.base {
+			continue
+		}
+		for g := csr.Off[u]; g < csr.Off[u+1]; g++ {
+			if inc.credit[csr.BS[g]] >= s {
+				a.stamp[u] = 0
+				ds.Invalidated++
+				break
+			}
+		}
+	}
+	if a.advance() {
+		clear(inc.credit)
 	}
 
 	// engine.RoundBound restricted to the frontier: each round with
 	// proposals permanently consumes at least one frontier candidate.
 	maxRounds := 1
 	for _, u := range a.pending {
-		maxRounds += int(a.csr.Off[u+1] - a.csr.Off[u])
+		maxRounds += int(csr.Off[u+1] - csr.Off[u])
 	}
 	var snap *Snapshot
 	if hooks != nil {

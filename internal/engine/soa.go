@@ -140,13 +140,15 @@ type Arena struct {
 	live []int32
 
 	// Dirty-region tracking: a UE's region is valid only while
-	// stamp[u] == run. reset bumps run instead of re-filling the
-	// O(links) idx array; each region is (re)initialized lazily at the
-	// UE's first propose of the run, inside the propose worker that
-	// owns it. The incremental engine clears individual stamps to force
-	// a region rebuild after a ledger credit.
+	// stamp[u] >= base. reset advances run and moves base up to it
+	// instead of re-filling the O(links) idx array; each region is
+	// (re)initialized lazily at the UE's first propose, stamped with the
+	// run it was built in, inside the propose worker that owns it. The
+	// incremental engine advances run once per Settle and clears
+	// individual stamps to force a region rebuild after a ledger credit.
 	stamp []uint32
 	run   uint32
+	base  uint32
 
 	// pending holds the UEs that can still propose, ascending; each
 	// round it compacts to the UEs that proposed.
@@ -264,9 +266,9 @@ func (a *Arena) rounds(workers, maxRounds int, hooks *SoAHooks, snap *Snapshot, 
 }
 
 // reset rewinds the arena for a fresh run over csr, reusing storage.
-// The O(links) candidate regions are NOT re-filled here: bumping the run
-// stamp invalidates every region at once, and each is rebuilt lazily at
-// its UE's first propose (see initRegion) — so reset itself is
+// The O(links) candidate regions are NOT re-filled here: moving the
+// stamp base invalidates every region at once, and each is rebuilt
+// lazily at its UE's first propose (see initRegion) — so reset itself is
 // O(UEs + BSs·Services), and a run only pays region setup for UEs that
 // actually propose.
 func (a *Arena) reset(csr *mec.CSR, cfg Config) {
@@ -289,19 +291,11 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 
 	a.idx = grown(a.idx, links)
 	a.live = grown(a.live, nUE)
-	// One stamp bump invalidates every region. Stamps from earlier runs
-	// are always below the new run value, except after the (in practice
-	// unreachable) uint32 wrap or when the stamp array grows into stale
-	// capacity — both cleared explicitly.
-	if a.run == ^uint32(0) {
-		a.run = 0
-	}
-	a.run++
-	if cap(a.stamp) < nUE {
-		a.stamp = make([]uint32, nUE)
-		a.run = 1
-	}
-	a.stamp = a.stamp[:nUE]
+	// One base move invalidates every region: stamps from earlier runs,
+	// stale capacity included, all hold past run values.
+	a.stamp = grown(a.stamp, nUE)
+	a.advance()
+	a.base = a.run
 
 	if cap(a.pending) < nUE {
 		a.pending = make([]int32, 0, nUE)
@@ -319,6 +313,21 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 		a.win[i].i = -1
 	}
 	a.hit.Reset(nBS)
+}
+
+// advance moves run to the next epoch. Stamps must never exceed run, so
+// run only grows: on the (in practice unreachable) uint32 wrap every
+// stamp is cleared and run and base restart at 1, where a cleared stamp
+// reads invalid. It reports the wrap, so callers keeping run values of
+// their own (the incremental credits) clear them too.
+func (a *Arena) advance() (wrapped bool) {
+	if a.run == ^uint32(0) {
+		clear(a.stamp[:cap(a.stamp)])
+		a.run, a.base = 1, 1
+		return true
+	}
+	a.run++
+	return false
 }
 
 // initRegion (re)builds UE u's candidate region for the current run:
@@ -406,7 +415,7 @@ func (a *Arena) proposeWorker(w int) {
 		if a.assigned.Get(u) {
 			continue
 		}
-		if a.stamp[u] != a.run {
+		if a.stamp[u] < a.base {
 			a.initRegion(u)
 		}
 		swept += uint64(a.live[u])

@@ -40,11 +40,6 @@ type CSR struct {
 	CRUCap   []int32
 	MaxRRB   []int32
 	Services int
-
-	// Lazily built inverted index (see CoverIndex).
-	invOnce sync.Once
-	bsOff   []int32
-	bsUE    []int32
 }
 
 // UEs returns the UE population size.
@@ -79,38 +74,6 @@ func (c *CSR) FindCand(u UEID, b BSID) int32 {
 		return lo
 	}
 	return -1
-}
-
-// CoverIndex returns the inverted candidate index: off[b]..off[b+1]
-// delimit, in ue, the ascending list of UEs that have BS b as a
-// candidate. It is the transpose of the Off/BS arrays, built lazily on
-// first use (one counting-sort pass over the links) and immutable after
-// that — safe for concurrent readers like CSR itself. The incremental
-// engine walks it to find the UEs whose cached preferences a ledger
-// credit may have invalidated.
-func (c *CSR) CoverIndex() (off, ue []int32) {
-	c.invOnce.Do(func() {
-		nBS := c.BSs()
-		c.bsOff = make([]int32, nBS+1)
-		c.bsUE = make([]int32, c.Links())
-		for _, b := range c.BS {
-			c.bsOff[b+1]++
-		}
-		for b := 0; b < nBS; b++ {
-			c.bsOff[b+1] += c.bsOff[b]
-		}
-		cur := make([]int32, nBS)
-		copy(cur, c.bsOff[:nBS])
-		// Iterating u ascending keeps each BS's UE list ascending.
-		for u := 0; u < c.UEs(); u++ {
-			for g := c.Off[u]; g < c.Off[u+1]; g++ {
-				b := c.BS[g]
-				c.bsUE[cur[b]] = int32(u)
-				cur[b]++
-			}
-		}
-	})
-	return c.bsOff, c.bsUE
 }
 
 // buildCSR flattens net's candidate structure. Called once per Network

@@ -168,8 +168,12 @@ func (r *Recorder) Residual(bs, crus, rrbs int) {
 
 // DeltaEpoch records one incremental-engine Settle: the frontier gauge
 // holds the latest repair-frontier size, the counters accumulate the
-// released matches, invalidated candidate regions, and repair rounds of
-// the session. No-op on a nil recorder.
+// released matches, the invalidated candidate regions and the repair
+// rounds of the session. invalidated is DeltaStats.Invalidated: the
+// frontier UEs whose region the Settle rebuilt because a candidate BS
+// was credited after it was built, so dmra_delta_invalidated_total
+// counts rebuilds at Settle, never UEs outside a frontier. No-op on a
+// nil recorder.
 func (r *Recorder) DeltaEpoch(frontier, released, invalidated, rounds int) {
 	if r == nil || r.reg == nil {
 		return

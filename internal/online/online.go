@@ -186,8 +186,9 @@ type Report struct {
 	// Delta* aggregate the incremental engine's per-Settle statistics
 	// over the session (all zero unless Config.Incremental is set):
 	// DeltaFrontier sums repair-frontier sizes, DeltaReleased counts
-	// standing matches undone by churn, DeltaInvalidated counts
-	// candidate regions rebuilt after ledger credits, and
+	// standing matches undone by churn, DeltaInvalidated counts the
+	// frontier UEs whose candidate region a Settle rebuilt because a
+	// candidate BS was credited since the region was built, and
 	// DeltaRepairRounds sums Alg. 1 rounds spent on repair.
 	DeltaFrontier     int
 	DeltaReleased     int

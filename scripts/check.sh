@@ -2,7 +2,8 @@
 # Full verification gate: vet plus the race-enabled test suite, which
 # exercises the parallel experiment engine at several worker counts, the
 # race-enabled parity sweeps, fixed-budget fuzz runs of the wire frame
-# and checkpoint decoders, a one-iteration smoke run of the hot-path benchmarks, and the
+# and checkpoint decoders and of delta-repair parity, a one-iteration
+# smoke run of the hot-path benchmarks, and the
 # telemetry-determinism gate, which proves that attaching the
 # observability layer does not change a single byte of experiment output.
 # Equivalent to `make check`.
@@ -17,7 +18,7 @@
 #   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
 #   scripts/check.sh region-parity     only the race-enabled region-cluster gate at several region counts
 #   scripts/check.sh soa-parity        only the race-enabled SoA-engine parity gate at several worker counts
-#   scripts/check.sh delta-parity      only the race-enabled delta-repair parity gate at several worker counts
+#   scripts/check.sh delta-parity      only the race-enabled delta-repair parity gate at several worker counts + a 20 s FuzzDeltaParity run
 #   scripts/check.sh workload-specs    only the example-spec validation + online spec smoke
 #   scripts/check.sh replay-parity     only the race-enabled trace-replay parity gate
 set -eu
@@ -124,11 +125,14 @@ delta_parity() {
 	# (including past crashers). TestSession* pins the online session's
 	# epoch routes (default delta repair, Incremental, observed, and the
 	# from-scratch reference, at both signs of rho) to identical reports.
+	# A 20 s fuzz run then searches new churn scripts: Settle's lazy credit
+	# check is the one place a stale candidate drop could survive.
 	for workers in 1 3; do
 		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
 			-run 'TestDelta|TestIncremental|TestSession|FuzzDeltaParity' ./internal/alloc/ ./internal/engine/ ./internal/online/
 	done
-	echo "delta parity: race-enabled delta-repair gate passed at workers 1 and 3"
+	go test -run '^$' -fuzz FuzzDeltaParity -fuzztime 20s ./internal/alloc/
+	echo "delta parity: race-enabled delta-repair gate passed at workers 1 and 3; FuzzDeltaParity ran 20 s without a failure"
 }
 
 bench_smoke() {
