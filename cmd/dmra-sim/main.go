@@ -17,11 +17,10 @@
 //	-repeat 1           re-run the in-process match N times (profiling window)
 //	-decentralized      run DMRA as message exchange and report costs
 //	-tcp                run DMRA over real TCP sockets (one server per BS)
-//	-shards 0           coordinator shards for -tcp (0 = one per core)
 //	-regions 0          region coordinators for -tcp (0 = single coordinator);
 //	                    BSs are partitioned geographically, results identical
-//	-checkpoint file    with -tcp -regions: checkpoint every round; resume
-//	                    from the file when it already exists
+//	-checkpoint file    with -tcp: checkpoint every round; resume from the
+//	                    file when it already exists
 //	-exchange-timeout 0 per-frame deadline for -tcp exchanges (0 = default 10s)
 //	-obs-addr host:port serve /metrics, /debug/vars, /debug/pprof live
 //	-trace file         write the typed convergence event stream as JSONL
@@ -64,9 +63,8 @@ func run(args []string) error {
 		repeat        = fs.Int("repeat", 1, "re-run the in-process DMRA match N times against one reused engine (profiling window)")
 		decentralized = fs.Bool("decentralized", false, "run DMRA as message exchange on the event simulator")
 		tcp           = fs.Bool("tcp", false, "run DMRA over real TCP sockets (one server per BS)")
-		shards        = fs.Int("shards", 0, "coordinator shards for -tcp (0 = one per core; results are identical for any value)")
 		regions       = fs.Int("regions", 0, "region coordinators for -tcp (0 = single coordinator; BSs partition geographically, results are identical for any value)")
-		checkpoint    = fs.String("checkpoint", "", "with -tcp -regions: write a resumable checkpoint every round, and resume from it when the file already exists")
+		checkpoint    = fs.String("checkpoint", "", "with -tcp: write a resumable checkpoint every round, and resume from it when the file already exists")
 		exchangeTO    = fs.Duration("exchange-timeout", 0, "per-frame deadline for -tcp exchanges (0 = default; a hung BS fails the run with an error naming it)")
 	)
 	obsFlags := cliobs.Register(fs)
@@ -87,8 +85,8 @@ func run(args []string) error {
 	if *regions > 0 && !*tcp {
 		return fmt.Errorf("-regions applies only to the -tcp runtime")
 	}
-	if *checkpoint != "" && *regions < 1 {
-		return fmt.Errorf("-checkpoint needs the region coordinator (-tcp -regions N)")
+	if *checkpoint != "" && !*tcp {
+		return fmt.Errorf("-checkpoint applies only to the -tcp runtime")
 	}
 
 	scenario := dmra.DefaultScenario()
@@ -132,7 +130,7 @@ func run(args []string) error {
 		Algorithm: *algo,
 		Seed:      *seed,
 		Rho:       *rho,
-		Shards:    shardsOf(*tcp, *shards),
+		Shards:    coordinatorsOf(*tcp, *regions, len(net.BSs)),
 		Scenario:  scenarioJSON,
 	}); err != nil {
 		return err
@@ -145,10 +143,8 @@ func run(args []string) error {
 	switch {
 	case *decentralized:
 		err = runDecentralized(net, *rho, obsRT.Rec)
-	case *tcp && *regions > 0:
-		err = runTCPRegions(net, *rho, *regions, *exchangeTO, *checkpoint, obsRT.Rec)
 	case *tcp:
-		err = runTCP(net, *rho, *shards, *exchangeTO, obsRT.Rec)
+		err = runTCP(net, *rho, *regions, *exchangeTO, *checkpoint, obsRT.Rec)
 	default:
 		var res dmra.Result
 		if *algo == "dmra" {
@@ -207,41 +203,13 @@ func runDecentralized(net *dmra.Network, rho float64, rec *dmra.ObsRecorder) err
 	return nil
 }
 
-func runTCP(net *dmra.Network, rho float64, shards int, exchangeTO time.Duration, rec *dmra.ObsRecorder) error {
-	cfg := dmra.DefaultDMRAConfig()
-	cfg.Rho = rho
-	cres, err := dmra.RunClusterWith(net, dmra.ClusterConfig{
-		DMRA:            cfg,
-		Shards:          shards,
-		ExchangeTimeout: exchangeTO,
-		Obs:             rec,
-	})
-	if err != nil {
-		return err
-	}
-	res := dmra.Result{
-		Assignment: cres.Assignment,
-		Profit:     dmra.Profit(net, cres.Assignment),
-	}
-	report(net, res)
-	fmt.Printf("tcp cluster: %d rounds, %d frames, %d B sent / %d B received\n",
-		cres.Rounds, cres.Frames, cres.BytesSent, cres.BytesReceived)
-	if rec != nil {
-		// The per-BS byte breakdown belongs to the observability view:
-		// print it only on observed runs to keep default output stable.
-		for b, t := range cres.PerBS {
-			fmt.Printf("  BS %-2d  %6d B sent  %6d B received\n", b, t.BytesSent, t.BytesReceived)
-		}
-	}
-	return nil
-}
-
-// runTCPRegions drives the region-partitioned multi-coordinator cluster.
-// A non-empty checkpointPath makes the run durable: the coordinator state
-// lands on disk at every round barrier, and an existing file (a killed
-// earlier run) is resumed instead of started over — the resumed result is
+// runTCP drives the TCP cluster: one server per BS and regions
+// coordinators (0 or 1 is a single coordinator). A non-empty
+// checkpointPath makes the run durable: the coordinator state lands on
+// disk at every round barrier, and an existing file (a killed earlier
+// run) is resumed instead of started over — the resumed result is
 // identical to an uninterrupted run.
-func runTCPRegions(net *dmra.Network, rho float64, regions int, exchangeTO time.Duration, checkpointPath string, rec *dmra.ObsRecorder) error {
+func runTCP(net *dmra.Network, rho float64, regions int, exchangeTO time.Duration, checkpointPath string, rec *dmra.ObsRecorder) error {
 	cfg := dmra.DefaultDMRAConfig()
 	cfg.Rho = rho
 	rcfg := dmra.RegionConfig{
@@ -268,13 +236,22 @@ func runTCPRegions(net *dmra.Network, rho float64, regions int, exchangeTO time.
 		Profit:     dmra.Profit(net, rres.Assignment),
 	}
 	report(net, res)
-	fmt.Printf("region cluster: %d regions, %d rounds, %d frames, %d B sent / %d B received\n",
-		rres.Regions, rres.Rounds, rres.Frames, rres.BytesSent, rres.BytesReceived)
-	fmt.Printf("  %d boundary UEs, %d cross-region handoff proposals\n",
-		rres.BoundaryUEs, rres.HandoffProposals)
+	fmt.Printf("tcp cluster: %d rounds, %d frames, %d B sent / %d B received\n",
+		rres.Rounds, rres.Frames, rres.BytesSent, rres.BytesReceived)
+	if rres.Regions > 1 {
+		fmt.Printf("  %d regions, %d boundary UEs, %d cross-region handoff proposals\n",
+			rres.Regions, rres.BoundaryUEs, rres.HandoffProposals)
+	}
 	if rres.CrashedBSs > 0 || rres.RestartedBSs > 0 {
 		fmt.Printf("  recovery: %d BS crashes, %d restarts, %d UEs re-admitted\n",
 			rres.CrashedBSs, rres.RestartedBSs, rres.ReadmittedUEs)
+	}
+	if rec != nil {
+		// The per-BS byte breakdown belongs to the observability view:
+		// print it only on observed runs to keep default output stable.
+		for b, t := range rres.PerBS {
+			fmt.Printf("  BS %-2d  %6d B sent  %6d B received\n", b, t.BytesSent, t.BytesReceived)
+		}
 	}
 	return nil
 }
@@ -303,13 +280,6 @@ func report(net *dmra.Network, res dmra.Result) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // runtimeName labels the runtime flavor for the manifest's Tool field.
 func runtimeName(decentralized, tcp bool) string {
 	switch {
@@ -322,11 +292,12 @@ func runtimeName(decentralized, tcp bool) string {
 	}
 }
 
-// shardsOf reports the effective manifest shard count (0 off the wire
-// runtime, where sharding does not apply).
-func shardsOf(tcp bool, shards int) int {
+// coordinatorsOf reports the manifest's effective coordinator count on
+// the wire runtime — the region count clamped exactly as RunRegionCluster
+// clamps it — and 0 off it.
+func coordinatorsOf(tcp bool, regions, bss int) int {
 	if !tcp {
 		return 0
 	}
-	return shards
+	return max(min(regions, bss), 1)
 }

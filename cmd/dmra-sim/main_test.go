@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dmra"
+	"dmra/internal/obs"
 )
 
 // capture runs fn with stdout redirected to a pipe and returns the output.
@@ -119,5 +120,80 @@ func TestRunTCPFlag(t *testing.T) {
 	}
 	if !strings.Contains(out, "tcp cluster:") || !strings.Contains(out, "frames") {
 		t.Errorf("tcp output missing cluster stats:\n%s", out)
+	}
+}
+
+// TestRunTCPManifestCoordinators reads the trace manifest back: on the
+// wire runtime it stamps the effective coordinator count (the -regions
+// value clamped to [1, |BS|]), and 0 off it.
+func TestRunTCPManifestCoordinators(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-tcp", "-regions", "3"}, 3},
+		{[]string{"-tcp"}, 1},
+		{[]string{"-tcp", "-regions", "1000"}, 25},
+		{[]string{"-decentralized"}, 0},
+	} {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		args := append([]string{"-ues", "60", "-seed", "3", "-trace", path}, tc.args...)
+		if _, err := capture(t, func() error { return run(args) }); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := obs.ReadTrace(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if m == nil {
+			t.Fatalf("%v: trace has no manifest", tc.args)
+		}
+		if m.Shards != tc.want {
+			t.Errorf("%v: manifest coordinators = %d, want %d", tc.args, m.Shards, tc.want)
+		}
+	}
+}
+
+// TestRunCheckpointPlainTCP checks -checkpoint runs with the single
+// coordinator: the file is written, a second invocation resumes from it
+// to the same result, and the flag is refused off the -tcp runtime.
+func TestRunCheckpointPlainTCP(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	args := []string{"-ues", "60", "-tcp", "-checkpoint", path}
+	first, err := capture(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("no checkpoint written: %v", err)
+	}
+	second, err := capture(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(second, "resuming from checkpoint") {
+		t.Errorf("second run did not resume:\n%s", second)
+	}
+	profit := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "total profit:") {
+				return line
+			}
+		}
+		t.Fatalf("no profit line:\n%s", out)
+		return ""
+	}
+	if profit(first) != profit(second) {
+		t.Errorf("resumed run %q, fresh run %q", profit(second), profit(first))
+	}
+	if _, err := capture(t, func() error {
+		return run([]string{"-ues", "10", "-checkpoint", path})
+	}); err == nil {
+		t.Error("-checkpoint accepted without -tcp")
 	}
 }

@@ -223,47 +223,32 @@ type ClusterResult = wire.ClusterResult
 type BSTraffic = wire.BSTraffic
 
 // RunCluster executes DMRA with one real TCP server per base station
-// (length-prefixed binary frames on loopback). The matching is identical to
-// Allocate(net, "dmra") under the same configuration; the point is
-// exercising the deployment path — serialization, sockets, concurrency,
-// clean shutdown.
+// (length-prefixed binary frames on loopback) and a single coordinator.
+// The matching is identical to Allocate(net, "dmra") under the same
+// configuration; the point is exercising the deployment path —
+// serialization, sockets, concurrency, clean shutdown. RunRegionCluster
+// takes the full configuration.
 func RunCluster(net *Network, cfg DMRAConfig) (ClusterResult, error) {
-	return wire.RunCluster(net, cfg)
+	res, err := wire.RunRegionCluster(net, wire.RegionConfig{DMRA: cfg})
+	return res.ClusterResult, err
 }
-
-// RunClusterObserved is RunCluster with an observability recorder: the
-// coordinator emits the same typed convergence event stream as the other
-// two runtimes, in deterministic UE/BS order. A nil recorder behaves
-// exactly like RunCluster.
-func RunClusterObserved(net *Network, cfg DMRAConfig, rec *ObsRecorder) (ClusterResult, error) {
-	return wire.RunClusterObserved(net, cfg, rec)
-}
-
-// ClusterConfig is the full TCP-cluster configuration: the DMRA
-// parameters plus the coordinator shard count, the per-frame exchange
-// timeout, and an optional observability recorder. Sharding changes
-// wall-clock only — results are byte-identical for every shard count.
-type ClusterConfig = wire.ClusterConfig
 
 // ClusterBSError is the typed failure of one base station in a cluster
 // run; it names the BS, the round, and the failing operation, and its
 // Timeout method reports an expired exchange deadline (a hung server).
 type ClusterBSError = wire.BSError
 
-// RunClusterWith is RunCluster under a full ClusterConfig.
-func RunClusterWith(net *Network, cfg ClusterConfig) (ClusterResult, error) {
-	return wire.RunClusterWith(net, cfg)
-}
-
-// RegionConfig configures a region-partitioned multi-coordinator cluster
-// run: several coordinators each own a geographic region of base stations,
-// with cross-region proposals reconciled by the per-round handoff merge.
-// It also carries the production-hardening knobs: BS crash recovery and
-// restart, and checkpoint/resume.
+// RegionConfig is the full TCP-cluster configuration: the DMRA
+// parameters, the region-coordinator count (each coordinator owns a
+// geographic region of base stations, with cross-region proposals
+// reconciled by the per-round handoff merge), the per-frame exchange
+// timeout, an optional observability recorder and round hook, and the
+// production-hardening knobs: BS crash recovery and restart, and
+// checkpoint/resume.
 type RegionConfig = wire.RegionConfig
 
-// RegionResult reports a region-partitioned cluster run: the ordinary
-// cluster accounting plus region topology and recovery counters.
+// RegionResult reports a TCP-cluster run: the socket accounting plus
+// region topology and recovery counters.
 type RegionResult = wire.RegionResult
 
 // ClusterCheckpoint is the coordinator state written at every round
@@ -271,10 +256,10 @@ type RegionResult = wire.RegionResult
 // uninterrupted run's result exactly.
 type ClusterCheckpoint = wire.Checkpoint
 
-// RunRegionCluster executes DMRA over TCP under a region-partitioned
-// multi-coordinator cluster. Region partitioning changes wall-clock and
-// ownership only — assignments and event streams are byte-identical to
-// RunClusterWith for every region count.
+// RunRegionCluster executes DMRA over TCP, one server per base station,
+// under cfg. Region partitioning changes wall-clock and ownership only —
+// assignments and event streams are byte-identical for every region
+// count, and a hung or failing BS surfaces as a *ClusterBSError.
 func RunRegionCluster(net *Network, cfg RegionConfig) (RegionResult, error) {
 	return wire.RunRegionCluster(net, cfg)
 }

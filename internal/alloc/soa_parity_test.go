@@ -21,7 +21,7 @@ import (
 // soaTestWorkers returns the propose-worker counts the SoA parity tests
 // sweep. scripts/check.sh sets DMRA_TEST_PROPOSE_WORKERS to pin a single
 // width (1 and 3, race-enabled) the way the wire suite sweeps
-// DMRA_TEST_SHARDS; unset, the tests sweep a spread locally.
+// DMRA_TEST_REGIONS; unset, the tests sweep a spread locally.
 func soaTestWorkers() []int {
 	if v := os.Getenv("DMRA_TEST_PROPOSE_WORKERS"); v != "" {
 		n, err := strconv.Atoi(v)

@@ -52,7 +52,7 @@ import (
 //
 // Assignments, statistics, swept counts, and the ordered event stream
 // are therefore byte-identical at any worker count, the same determinism
-// contract the wire coordinator proves for shards.
+// contract the wire coordinator proves for region counts.
 
 // soaProposal is one UE's proposal of a round: the BS-preference key of
 // the request (Config.selectKey), the proposing UE, and the global

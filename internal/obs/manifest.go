@@ -32,9 +32,9 @@ type Manifest struct {
 	Seed uint64 `json:"seed"`
 	// Rho is the Eq. 17 congestion weight the run used.
 	Rho float64 `json:"rho"`
-	// Shards is the wire coordinator's shard count (0 when not applicable).
-	// Excluded from the config hash: diffing a run across shard counts is
-	// exactly what the parity guarantee promises.
+	// Shards is the wire runtime's effective region-coordinator count (0
+	// when not applicable). Excluded from the config hash: diffing a run
+	// across region counts is exactly what the parity guarantee promises.
 	Shards int `json:"shards,omitempty"`
 	// Scenario is the raw workload.Config JSON used to build the network,
 	// when the producer had it. Tools rebuild the network from it.
@@ -46,7 +46,7 @@ type Manifest struct {
 // ComputeHash returns the hex SHA-256 over the manifest's identity
 // fields: schema version, algorithm, seed, rho and the scenario JSON.
 // Shards and Tool are deliberately excluded — runs that differ only in
-// shard count or producing binary are still comparable.
+// coordinator count or producing binary are still comparable.
 func (m *Manifest) ComputeHash() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d|alg=%s|seed=%d|rho=%g|", m.SchemaVersion, m.Algorithm, m.Seed, m.Rho)

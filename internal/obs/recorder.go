@@ -99,8 +99,9 @@ func (r *Recorder) Event(kind EventKind, round, ue, bs int) {
 }
 
 // EventShard records one protocol action attributed to the coordinator
-// shard owning the BS (internal/wire). Shard is carried in the trace for
-// attribution only; it is not part of the event identity.
+// region owning the BS (internal/wire). The region is carried in the
+// trace's Shard field for attribution only; it is not part of the event
+// identity.
 func (r *Recorder) EventShard(shard int, kind EventKind, round, ue, bs int) {
 	r.emit(Event{Kind: kind, Round: round, UE: ue, BS: bs, Shard: shard})
 }
@@ -223,9 +224,10 @@ func (r *Recorder) ReadmittedUEs(n int) {
 }
 
 // RegionRoundLatency records one region coordinator's exchange wall-clock
-// for a round in wire_region_round_seconds{region}. Like the shard
-// histogram, it is resolved through the registry per call — once per
-// region per round, off the frame hot path. No-op on a nil recorder.
+// for a round in wire_region_round_seconds{region}. Resolved through the
+// registry per call (the registry is mutex-guarded, and regions observe
+// concurrently); this runs once per region per round, so the lookup stays
+// off the frame hot path. No-op on a nil recorder.
 func (r *Recorder) RegionRoundLatency(region int, seconds float64) {
 	if r == nil || r.reg == nil {
 		return
@@ -273,19 +275,6 @@ func (r *Recorder) RoundLatency(seconds float64) {
 		return
 	}
 	r.reg.Histogram("wire_round_seconds", DefaultLatencyBuckets()).Observe(seconds)
-}
-
-// ShardRoundLatency records one coordinator shard's exchange wall-clock
-// for a round in wire_shard_round_seconds{shard}. Resolved through the
-// registry per call (the registry is mutex-guarded, and shards observe
-// concurrently); this runs once per shard per round, so the lookup stays
-// off the frame hot path. No-op on a nil recorder.
-func (r *Recorder) ShardRoundLatency(shard int, seconds float64) {
-	if r == nil || r.reg == nil {
-		return
-	}
-	name := Label("wire_shard_round_seconds", "shard", strconv.Itoa(shard))
-	r.reg.Histogram(name, DefaultLatencyBuckets()).Observe(seconds)
 }
 
 // TaskDone records one experiment-grid task: its latency lands in the

@@ -86,9 +86,10 @@ type Event struct {
 	UE    int       `json:"ue"`
 	BS    int       `json:"bs"`
 	TimeS float64   `json:"timeS,omitempty"`
-	// Shard attributes BS-owned events to the coordinator shard that owns
-	// the BS (internal/wire); 0 elsewhere. Not part of Key(): the sharding
-	// parity guarantee is exactly that event identity is shard-independent.
+	// Shard attributes BS-owned events to the coordinator region that
+	// owns the BS (internal/wire); 0 elsewhere. Not part of Key(): the
+	// region parity guarantee is exactly that event identity is
+	// independent of the region count.
 	Shard int `json:"shard,omitempty"`
 }
 

@@ -28,8 +28,8 @@ type DiffResult struct {
 // Diff replays two event streams over the same network and reports the
 // first divergent event plus the state delta at the end of the round it
 // occurred in. Event identity is compared by Key() — (round, UE, BS,
-// kind) — so traces from different runtimes or shard counts diff
-// cleanly despite differing timestamps and shard attributions.
+// kind) — so traces from different runtimes or region counts diff
+// cleanly despite differing timestamps and region attributions.
 func Diff(net *mec.Network, a, b []obs.Event) (DiffResult, error) {
 	idx := -1
 	n := len(a)

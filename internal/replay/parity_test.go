@@ -40,7 +40,7 @@ type liveRun struct {
 
 // runAllRuntimes executes the same scenario under all three runtimes —
 // synchronous solver, discrete-event protocol, TCP cluster at a
-// seed-derived shard count — each with a trace sink and a round hook.
+// seed-derived region count — each with a trace sink and a round hook.
 func runAllRuntimes(t *testing.T, net *mec.Network, seed uint64) []liveRun {
 	t.Helper()
 	var runs []liveRun
@@ -72,9 +72,9 @@ func runAllRuntimes(t *testing.T, net *mec.Network, seed uint64) []liveRun {
 
 	var wireCaptured []*engine.Snapshot
 	wireSink := obs.NewSink(nil, 1<<17)
-	if _, err := wire.RunClusterWith(net, wire.ClusterConfig{
+	if _, err := wire.RunRegionCluster(net, wire.RegionConfig{
 		DMRA:      alloc.DefaultDMRAConfig(),
-		Shards:    1 + int(seed/3%8),
+		Regions:   1 + int(seed/3%8),
 		Obs:       obs.NewRecorder(nil, wireSink),
 		RoundHook: hook(&wireCaptured),
 	}); err != nil {
@@ -141,7 +141,7 @@ func TestReplayParity(t *testing.T) {
 }
 
 // FuzzReplayParity extends the gate over fuzzed scenario shapes and
-// shard counts.
+// region counts.
 func FuzzReplayParity(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 7, 42, 137, 5000} {
 		f.Add(seed)

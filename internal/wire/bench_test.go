@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -12,18 +13,14 @@ import (
 	"dmra/internal/workload"
 )
 
-// benchClusterNet builds the rush-hour dense-city scenario (the heaviest
-// case of internal/alloc's BenchmarkAllocate, matching examples/densecity):
-// hotspot-clustered demand and Zipf services over the paper's 25-BS grid.
+// benchClusterNet builds the dense city's 25 BSs under 16 times its UEs
+// and hotspots: 17,600 UEs, the shape the cluster-dense18k workload runs.
+// Few BSs keep the connections per run few; many UEs keep each run long
+// enough that coordinator work, not socket setup, dominates.
 func benchClusterNet(b testing.TB) *mec.Network {
-	cfg := workload.Default()
-	cfg.UEs = 1100
-	cfg.UEDist = workload.UEHotspot
-	cfg.HotspotCount = 3
-	cfg.HotspotSigmaM = 100
-	cfg.HotspotFraction = 0.9
-	cfg.ServiceDist = workload.ServiceZipf
-	cfg.ZipfS = 1.1
+	cfg := workload.DenseCity()
+	cfg.UEs *= 16
+	cfg.HotspotCount *= 16
 	net_, err := cfg.Build(1)
 	if err != nil {
 		b.Fatal(err)
@@ -31,26 +28,14 @@ func benchClusterNet(b testing.TB) *mec.Network {
 	return net_
 }
 
-// benchShards returns the sharded coordinator width to benchmark against
-// the serial one: GOMAXPROCS clamped to [2, 8]. At least 2 so the sharded
-// path is genuinely exercised even on a single-core host — there the
-// exchanges of a round interleave rather than run in parallel, and the
-// comparison degrades to a scheduling-overhead check.
-func benchShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	if n > 8 {
-		n = 8
-	}
-	return n
-}
+// benchRegions are the coordinator widths BenchmarkCluster compares: the
+// single coordinator and the two-region partition.
+var benchRegions = []int{1, 2}
 
-func benchCluster(b *testing.B, net_ *mec.Network, shards int) {
+func benchCluster(b *testing.B, net_ *mec.Network, regions int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := RunClusterWith(net_, ClusterConfig{DMRA: alloc.DefaultDMRAConfig(), Shards: shards})
+		res, err := RunRegionCluster(net_, RegionConfig{DMRA: alloc.DefaultDMRAConfig(), Regions: regions})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,72 +46,61 @@ func benchCluster(b *testing.B, net_ *mec.Network, shards int) {
 }
 
 // BenchmarkCluster times a full TCP-cluster run — server startup, every
-// framed exchange, shutdown — on the dense-city scenario, serial versus
-// sharded coordinator. The parity tests guarantee both produce identical
-// results; this measures only the wall-clock effect of sharding the
-// exchange fan-out.
+// framed exchange, shutdown — on the 17,600-UE dense city, at one and two
+// region coordinators. The parity tests guarantee both produce identical
+// results; this measures only the wall-clock effect of the partition.
 func BenchmarkCluster(b *testing.B) {
 	net_ := benchClusterNet(b)
-	b.Run("densecity-1100ue/shards-1", func(b *testing.B) { benchCluster(b, net_, 1) })
-	b.Run("densecity-1100ue/sharded", func(b *testing.B) { benchCluster(b, net_, benchShards()) })
+	for _, regions := range benchRegions {
+		b.Run(fmt.Sprintf("densecity-17600ue/regions-%d", regions), func(b *testing.B) { benchCluster(b, net_, regions) })
+	}
 }
 
-// minClusterRunNs times iters full cluster runs and returns the fastest,
-// in nanoseconds. Minimum-of-K rather than testing.Benchmark's mean: every
-// run opens |BS| loopback connections, and the TIME_WAIT sockets earlier
-// runs leave behind slow later ones for up to a minute, so a mean drifts
-// with however much socket churn preceded it while the minimum tracks the
-// unpolluted cost.
-func minClusterRunNs(t *testing.T, net_ *mec.Network, shards, iters int) int64 {
+// clusterRunNs times one full cluster run in nanoseconds.
+func clusterRunNs(t *testing.T, net_ *mec.Network, regions int) int64 {
 	t.Helper()
-	best := int64(-1)
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		if _, err := RunClusterWith(net_, ClusterConfig{DMRA: alloc.DefaultDMRAConfig(), Shards: shards}); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start).Nanoseconds(); best < 0 || d < best {
-			best = d
-		}
+	start := time.Now()
+	if _, err := RunRegionCluster(net_, RegionConfig{DMRA: alloc.DefaultDMRAConfig(), Regions: regions}); err != nil {
+		t.Fatal(err)
 	}
-	return best
+	return time.Since(start).Nanoseconds()
 }
 
 // TestWriteClusterBenchBaseline appends one JSON line to the file named
-// by BENCH_BASELINE (skipped when unset): serial and sharded ns/op for
-// the dense-city cluster run plus the shard count and speedup. Run via
-// `make bench`; scripts/benchdiff.sh gates ns/op regressions. Serial and
-// sharded iterations interleave so both face the same socket-table state.
+// by BENCH_BASELINE (skipped when unset): the minimum ns/op of each
+// region count's cluster run over a fixed number of samples. Minimum
+// rather than testing.Benchmark's mean: every run opens |BS| loopback
+// connections, and the TIME_WAIT sockets earlier runs leave behind slow
+// later ones, so a mean drifts with the preceding socket churn while the
+// minimum tracks the unpolluted cost. Region counts interleave so every
+// case faces the same socket-table state. Run via `make bench`;
+// scripts/benchdiff.sh gates ns/op regressions.
 func TestWriteClusterBenchBaseline(t *testing.T) {
 	path := os.Getenv("BENCH_BASELINE")
 	if path == "" {
 		t.Skip("BENCH_BASELINE not set")
 	}
 	net_ := benchClusterNet(t)
-	const iters = 4
-	serial, sharded := int64(-1), int64(-1)
-	for i := 0; i < iters; i++ {
-		if d := minClusterRunNs(t, net_, 1, 1); serial < 0 || d < serial {
-			serial = d
+	const samples = 5
+	best := make([]int64, len(benchRegions))
+	for i := 0; i < samples; i++ {
+		for k, regions := range benchRegions {
+			if d := clusterRunNs(t, net_, regions); i == 0 || d < best[k] {
+				best[k] = d
+			}
 		}
-		if d := minClusterRunNs(t, net_, benchShards(), 1); sharded < 0 || d < sharded {
-			sharded = d
-		}
+	}
+	cases := map[string]any{}
+	for k, regions := range benchRegions {
+		cases[fmt.Sprintf("densecity-17600ue-regions-%d", regions)] = map[string]any{"ns_op": best[k]}
 	}
 	baseline := map[string]any{
 		"time":       time.Now().UTC().Format(time.RFC3339),
 		"benchmark":  "BenchmarkCluster",
 		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"shards":     benchShards(),
-		"cases": map[string]any{
-			"densecity-1100ue-serial": map[string]any{
-				"ns_op": serial,
-			},
-			"densecity-1100ue-sharded": map[string]any{
-				"ns_op":   sharded,
-				"speedup": float64(serial) / float64(sharded),
-			},
-		},
+		"regions":    benchRegions,
+		"samples":    samples,
+		"cases":      cases,
 	}
 	data, err := json.Marshal(baseline)
 	if err != nil {

@@ -30,11 +30,12 @@ func fuzzShape(seed uint64) workload.Config {
 // FuzzEngineParity is the three-runtime engine gate: for randomized
 // scenario shapes, the in-process solver (internal/alloc), the
 // discrete-event message protocol (internal/protocol), and the TCP
-// cluster (this package) — all thin drivers over internal/engine — must
-// produce the identical assignment, and the two message-passing runtimes
-// must emit the identical ordered typed event stream. The same seed also
-// drives a lossy protocol run, which may diverge from the loss-free
-// matching but must stay feasible and quiesce.
+// cluster (this package) at a seed-derived region count — all thin
+// drivers over internal/engine — must produce the identical assignment,
+// and the two message-passing runtimes must emit the identical ordered
+// typed event stream. The same seed also drives a lossy protocol run,
+// which may diverge from the loss-free matching but must stay feasible
+// and quiesce.
 func FuzzEngineParity(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 7, 42, 137, 5000} {
 		f.Add(seed)
@@ -62,14 +63,15 @@ func FuzzEngineParity(f *testing.F) {
 			t.Fatalf("seed %d: protocol: %v", seed, err)
 		}
 
-		// The shard count is seed-derived so the fuzzer also explores the
-		// sharded coordinator: event parity against the protocol runtime
-		// below is exactly the sharding determinism guarantee.
+		// The region count is seed-derived so the fuzzer also explores the
+		// multi-coordinator partition: event parity against the protocol
+		// runtime below is exactly the region determinism guarantee (only
+		// the region attribution in Event.Shard differs).
 		wireSink := obs.NewSink(nil, 1<<17)
-		cluster, err := RunClusterWith(net_, ClusterConfig{
-			DMRA:   alloc.DefaultDMRAConfig(),
-			Shards: 1 + int(seed/3%8),
-			Obs:    obs.NewRecorder(nil, wireSink),
+		cluster, err := RunRegionCluster(net_, RegionConfig{
+			DMRA:    alloc.DefaultDMRAConfig(),
+			Regions: 1 + int(seed/3%8),
+			Obs:     obs.NewRecorder(nil, wireSink),
 		})
 		if err != nil {
 			t.Fatalf("seed %d: cluster: %v", seed, err)
@@ -83,29 +85,6 @@ func FuzzEngineParity(f *testing.F) {
 			}
 		}
 
-		// The region-partitioned multi-coordinator cluster is the fourth
-		// runtime: a seed-derived region count must reproduce the identical
-		// assignment and ordered event stream (its events merge in the same
-		// global UE/BS order; only the Shard attribution differs).
-		regionSink := obs.NewSink(nil, 1<<17)
-		region, err := RunRegionCluster(net_, RegionConfig{
-			DMRA:    alloc.DefaultDMRAConfig(),
-			Regions: 1 + int(seed/5%5),
-			Obs:     obs.NewRecorder(nil, regionSink),
-		})
-		if err != nil {
-			t.Fatalf("seed %d: region cluster: %v", seed, err)
-		}
-		for u := range cluster.Assignment.ServingBS {
-			if w, r := cluster.Assignment.ServingBS[u], region.Assignment.ServingBS[u]; w != r {
-				t.Fatalf("seed %d: UE %d assignment diverges: wire %d, region %d", seed, u, w, r)
-			}
-		}
-		if cluster.Rounds != region.Rounds || cluster.Frames != region.Frames {
-			t.Fatalf("seed %d: rounds/frames wire %d/%d, region %d/%d",
-				seed, cluster.Rounds, cluster.Frames, region.Rounds, region.Frames)
-		}
-
 		pe, we := protoSink.Events(), wireSink.Events()
 		if int64(len(pe)) != protoSink.Total() || int64(len(we)) != wireSink.Total() {
 			t.Fatalf("seed %d: event ring dropped events", seed)
@@ -116,15 +95,6 @@ func FuzzEngineParity(f *testing.F) {
 		for i := range pe {
 			if pe[i].Key() != we[i].Key() || pe[i].Kind != we[i].Kind {
 				t.Fatalf("seed %d event %d: protocol %+v vs wire %+v", seed, i, pe[i], we[i])
-			}
-		}
-		re := regionSink.Events()
-		if len(re) != len(we) {
-			t.Fatalf("seed %d: wire emitted %d events, region cluster %d", seed, len(we), len(re))
-		}
-		for i := range re {
-			if re[i].Key() != we[i].Key() || re[i].Kind != we[i].Kind {
-				t.Fatalf("seed %d event %d: wire %+v vs region %+v", seed, i, we[i], re[i])
 			}
 		}
 

@@ -42,9 +42,9 @@ func TestTraceParityProtocolVsWire(t *testing.T) {
 			return err
 		})
 		cluster := traceKeys(t, func(rec *obs.Recorder) error {
-			cc := testClusterConfig(alloc.DefaultDMRAConfig())
-			cc.Obs = rec
-			_, err := RunClusterWith(net_, cc)
+			rc := testRegionConfig(alloc.DefaultDMRAConfig())
+			rc.Obs = rec
+			_, err := RunRegionCluster(net_, rc)
 			return err
 		})
 		if len(proto) != len(cluster) {
@@ -64,7 +64,7 @@ func TestTraceParityProtocolVsWire(t *testing.T) {
 // run totals.
 func TestClusterPerBSTraffic(t *testing.T) {
 	net_ := buildNet(t, 120, 3)
-	res, err := RunClusterWith(net_, testClusterConfig(alloc.DefaultDMRAConfig()))
+	res, err := RunRegionCluster(net_, testRegionConfig(alloc.DefaultDMRAConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ import (
 	"dmra/internal/obs"
 )
 
-// RegionConfig parameterizes a region-partitioned multi-coordinator run:
-// several coordinators, each owning a disjoint geographic region of base
-// stations, drive the same Alg. 1 rounds the single coordinator does. The
-// zero value (plus a DMRA config) is a valid single-region run.
+// RegionConfig parameterizes a TCP-cluster run: one or more coordinators,
+// each owning a disjoint geographic region of base stations, drive Alg. 1
+// rounds against one TCP server per BS. The zero value (plus a DMRA
+// config) is a valid single-coordinator, default-timeout run.
 type RegionConfig struct {
 	// DMRA is the algorithm configuration shared with alloc.NewDMRA.
 	DMRA alloc.DMRAConfig
@@ -36,16 +36,23 @@ type RegionConfig struct {
 	// outcome. Regions <= 0 or 1 is a single coordinator.
 	Regions int
 	// ExchangeTimeout bounds every frame written to or read from a BS
-	// connection; <= 0 selects DefaultExchangeTimeout.
+	// connection, including the shutdown frames. A hung BS fails the run
+	// with a *BSError naming it (Timeout() == true) instead of blocking
+	// forever. <= 0 selects DefaultExchangeTimeout.
 	ExchangeTimeout time.Duration
 	// Obs, if non-nil, receives the typed convergence event stream
-	// (identical to the single coordinator's), region/recovery counters,
-	// and the wire_region_round_seconds{region} latency histograms.
-	// BS-attributed events carry the owning region in Event.Shard
-	// (attribution only, never event identity).
+	// (emitted from the merge goroutine only, in deterministic UE/BS
+	// order, identical for every region count), per-round residual
+	// gauges, region/recovery counters, and the wire_round_seconds /
+	// wire_region_round_seconds{region} latency histograms. BS-attributed
+	// events carry the owning region in Event.Shard (attribution only,
+	// never event identity, so traces stay diffable across region counts).
 	Obs *obs.Recorder
 	// RoundHook, if non-nil, observes the full matching state after each
-	// round's merge phase, exactly as ClusterConfig.RoundHook does.
+	// round's merge phase (and once more for the final round in which no
+	// UE proposed): per-BS residuals as reported by the BS servers'
+	// broadcasts, and per-UE serving BS. The snapshot is reused across
+	// rounds; Clone to retain.
 	RoundHook engine.RoundHook
 
 	// Recover enables BS-crash recovery: a failed exchange (hung server,
@@ -80,8 +87,8 @@ type RegionConfig struct {
 	Resume *Checkpoint
 }
 
-// RegionResult reports a region-partitioned cluster run: the ordinary
-// cluster accounting plus region topology and recovery counts.
+// RegionResult reports a TCP-cluster run: the socket accounting plus
+// region topology and recovery counts.
 type RegionResult struct {
 	ClusterResult
 	// Regions is the effective region-coordinator count.
@@ -239,8 +246,8 @@ type proposal struct {
 	ok  bool
 }
 
-// RunRegionCluster executes DMRA over TCP under a region-partitioned
-// multi-coordinator cluster: rc.Regions coordinator goroutines each own a
+// RunRegionCluster executes DMRA with one TCP server per base station,
+// driven by rc.Regions coordinator goroutines that each own a
 // geographically contiguous group of base stations (geo.Partition over BS
 // positions) and the UEs homed in their region. Every round, each region
 // proposes for its own pending UEs in parallel; the proposals are merged
@@ -250,8 +257,11 @@ type proposal struct {
 // exchanges, and verdicts and broadcasts merge in global BS order behind
 // the round barrier. The merge discipline makes the assignment, the
 // ordered obs event stream, frame counts, and per-BS byte totals
-// byte-identical to RunClusterWith for every region count (parity- and
-// fuzz-tested).
+// byte-identical for every region count, and the assignment identical to
+// alloc.NewDMRA(rc.DMRA).Allocate (parity- and fuzz-tested). Every
+// exchange is bounded by rc.ExchangeTimeout, and any BS-side failure —
+// hung exchange, select error, server close error — surfaces as a
+// *BSError naming the base station.
 //
 // On top of the partition, the run is hardened for production: Recover
 // survives BS crashes mid-run (detect via the exchange deadlines, close
@@ -272,7 +282,6 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		regions = 1
 	}
 	res.Regions = regions
-	res.Shards = regions
 	rec := rc.Obs
 
 	// Geographic partition: region of BS b from the grid-backed
@@ -320,10 +329,10 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	conns := make([]net.Conn, len(net_.BSs))
 	var stopWorkers func()
 	defer func() {
-		// Same teardown discipline as RunClusterWith: sever connections
-		// first so no region worker stays parked in a read, then stop the
-		// workers, then close the servers, folding the first close error
-		// (in global BS order) into the run's error.
+		// Teardown order matters: sever the connections first so no
+		// region worker stays parked in a read, then stop the workers,
+		// then close the servers, folding the first close error (in
+		// global BS order) into the run's error instead of discarding it.
 		for _, c := range conns {
 			if c != nil {
 				c.Close()
@@ -716,7 +725,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		dispatch(regionWork{round: round, exchange: true})
 
 		// Merge phase, in global BS order. Without Recover the first
-		// failure aborts the run exactly as the single coordinator does;
+		// failure aborts the run with a *BSError naming the BS;
 		// with Recover each failed BS crashes out of the run and the
 		// round's surviving verdicts still apply.
 		if rc.Recover {

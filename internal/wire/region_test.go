@@ -40,64 +40,55 @@ func setAfterRoundHook(t *testing.T, hook func(round int) error) {
 	t.Cleanup(func() { testHookAfterRound = nil })
 }
 
-// TestRegionClusterParity is the tentpole's determinism gate: for region
-// counts {1, 2, 4}, a region-partitioned multi-coordinator run must be
-// byte-identical to the single-coordinator cluster — same assignment, same
-// ordered event stream, same rounds, frames, and per-BS byte totals.
+// TestRegionClusterParity pins the region partition against the
+// in-process solver: for region counts {1, 2, 4}, the assignment must equal
+// alloc's, the rounds, frames and per-BS byte totals must equal the single
+// coordinator's, the cross-region handoff merge must carry proposals once
+// the map is split, and a healthy run must report no recovery events.
 func TestRegionClusterParity(t *testing.T) {
 	net_ := buildNet(t, 220, 11)
-
-	baseSink := obs.NewSink(nil, 1<<17)
-	base, err := RunClusterWith(net_, ClusterConfig{
-		DMRA:   alloc.DefaultDMRAConfig(),
-		Shards: 1,
-		Obs:    obs.NewRecorder(nil, baseSink),
-	})
+	solver, err := alloc.NewDMRA(alloc.DefaultDMRAConfig()).Allocate(net_)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseEvents := baseSink.Events()
 
+	var base RegionResult
 	for _, regions := range []int{1, 2, 4} {
-		sink := obs.NewSink(nil, 1<<17)
-		res, err := RunRegionCluster(net_, RegionConfig{
-			DMRA:    alloc.DefaultDMRAConfig(),
-			Regions: regions,
-			Obs:     obs.NewRecorder(nil, sink),
-		})
+		res, err := RunRegionCluster(net_, RegionConfig{DMRA: alloc.DefaultDMRAConfig(), Regions: regions})
 		if err != nil {
 			t.Fatalf("regions=%d: %v", regions, err)
 		}
 		if res.Regions != regions {
 			t.Fatalf("regions=%d: effective region count %d", regions, res.Regions)
 		}
-		if res.Rounds != base.Rounds || res.Frames != base.Frames {
-			t.Fatalf("regions=%d: rounds/frames %d/%d, serial %d/%d",
-				regions, res.Rounds, res.Frames, base.Rounds, base.Frames)
-		}
-		for u := range base.Assignment.ServingBS {
-			if res.Assignment.ServingBS[u] != base.Assignment.ServingBS[u] {
-				t.Fatalf("regions=%d: UE %d assigned %d, serial %d",
-					regions, u, res.Assignment.ServingBS[u], base.Assignment.ServingBS[u])
-			}
-		}
-		events := sink.Events()
-		if len(events) != len(baseEvents) {
-			t.Fatalf("regions=%d: %d events, serial %d", regions, len(events), len(baseEvents))
-		}
-		for i := range events {
-			if events[i].Key() != baseEvents[i].Key() || events[i].Kind != baseEvents[i].Kind {
-				t.Fatalf("regions=%d event %d: %+v, serial %+v", regions, i, events[i], baseEvents[i])
-			}
-		}
-		for b := range base.PerBS {
-			if res.PerBS[b] != base.PerBS[b] {
-				t.Fatalf("regions=%d BS %d: traffic %+v, serial %+v",
-					regions, b, res.PerBS[b], base.PerBS[b])
+		for u := range solver.Assignment.ServingBS {
+			if res.Assignment.ServingBS[u] != solver.Assignment.ServingBS[u] {
+				t.Fatalf("regions=%d: UE %d assigned %d, solver %d",
+					regions, u, res.Assignment.ServingBS[u], solver.Assignment.ServingBS[u])
 			}
 		}
 		if res.CrashedBSs != 0 || res.RestartedBSs != 0 || res.ReadmittedUEs != 0 {
 			t.Fatalf("regions=%d: healthy run reported recovery events: %+v", regions, res)
+		}
+		if regions == 1 {
+			if res.HandoffProposals != 0 {
+				t.Fatalf("single coordinator counted %d cross-region handoffs", res.HandoffProposals)
+			}
+			base = res
+			continue
+		}
+		if res.HandoffProposals == 0 {
+			t.Errorf("regions=%d: no proposal crossed a region boundary", regions)
+		}
+		if res.Rounds != base.Rounds || res.Frames != base.Frames {
+			t.Fatalf("regions=%d: rounds/frames %d/%d, single coordinator %d/%d",
+				regions, res.Rounds, res.Frames, base.Rounds, base.Frames)
+		}
+		for b := range base.PerBS {
+			if res.PerBS[b] != base.PerBS[b] {
+				t.Fatalf("regions=%d BS %d: traffic %+v, single coordinator %+v",
+					regions, b, res.PerBS[b], base.PerBS[b])
+			}
 		}
 	}
 }
@@ -320,9 +311,10 @@ func TestRegionClusterChaosCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestRegionClusterNoGoroutineLeakOnFailure mirrors the single-coordinator
-// leak gate: after a region run fails mid-round, every region worker and
-// BS server goroutine must exit.
+// TestRegionClusterNoGoroutineLeakOnFailure mirrors
+// TestClusterNoGoroutineLeakOnFailure at another region count: after a
+// region run fails mid-round, every region worker and BS server goroutine
+// must exit.
 func TestRegionClusterNoGoroutineLeakOnFailure(t *testing.T) {
 	setStartHook(t, func(s *BSServer) {
 		drainLedger(s, -1) // invalid ledger: select fails on every BS

@@ -111,7 +111,7 @@ func TestClusterParityWithSolver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dist, err := RunClusterWith(net, testClusterConfig(alloc.DefaultDMRAConfig()))
+			dist, err := RunRegionCluster(net, testRegionConfig(alloc.DefaultDMRAConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestClusterParityAcrossConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := RunClusterWith(net, testClusterConfig(cfg))
+		dist, err := RunRegionCluster(net, testRegionConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestClusterParityAcrossConfigs(t *testing.T) {
 
 func TestClusterAccounting(t *testing.T) {
 	net := buildNet(t, 120, 3)
-	res, err := RunClusterWith(net, testClusterConfig(alloc.DefaultDMRAConfig()))
+	res, err := RunRegionCluster(net, testRegionConfig(alloc.DefaultDMRAConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestBSServerLifecycle(t *testing.T) {
 
 func TestClusterRepeatable(t *testing.T) {
 	net := buildNet(t, 100, 9)
-	a, err := RunClusterWith(net, testClusterConfig(alloc.DefaultDMRAConfig()))
+	a, err := RunRegionCluster(net, testRegionConfig(alloc.DefaultDMRAConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunClusterWith(net, testClusterConfig(alloc.DefaultDMRAConfig()))
+	b, err := RunRegionCluster(net, testRegionConfig(alloc.DefaultDMRAConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,8 @@
 #   scripts/check.sh bench-smoke       only the one-iteration benchmark smoke run
 #   scripts/check.sh engine-guard      only the single-round-engine grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
-#   scripts/check.sh wire-shards       only the race-enabled wire suite at several shard counts
 #   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
-#   scripts/check.sh region-parity     only the race-enabled region-cluster gate at several region counts
+#   scripts/check.sh region-parity     only the race-enabled wire suite at several region counts
 #   scripts/check.sh soa-parity        only the race-enabled SoA-engine parity gate at several worker counts
 #   scripts/check.sh delta-parity      only the race-enabled delta-repair parity gate at several worker counts + a 20 s FuzzDeltaParity run
 #   scripts/check.sh workload-specs    only the example-spec validation + online spec smoke
@@ -56,16 +55,6 @@ wire_guard() {
 	echo "wire guard: all wire frame I/O goes through the deadline helpers"
 }
 
-wire_shards() {
-	# The sharded coordinator must be byte-identical to the serial one; run
-	# the whole wire suite race-enabled at both widths so every parity and
-	# accounting test doubles as a sharding test.
-	for shards in 1 3; do
-		DMRA_TEST_SHARDS=$shards go test -race -count=1 ./internal/wire/
-	done
-	echo "wire shards: race-enabled wire suite passed at shards 1 and 3"
-}
-
 wire_fuzz() {
 	# The frame decoder reads bytes from the network and the checkpoint
 	# decoder reads a file a crashed run left behind: fuzz both for a
@@ -79,23 +68,23 @@ wire_fuzz() {
 }
 
 region_parity() {
-	# The region-partitioned multi-coordinator cluster must be byte-identical
-	# to the single coordinator, and must survive BS crashes. Sweep the
-	# region count the recovery tests run under (the parity test itself
-	# compares regions 1, 2 and 4 internally); each sweep runs the chaos
-	# iteration — a BS server killed and revived mid-run — race-enabled.
+	# The TCP coordinator must be byte-identical at every region count and
+	# must survive BS crashes. Run the whole wire suite race-enabled at
+	# two region counts, so every parity, accounting and failure test
+	# doubles as a multi-coordinator test (the parity tests also sweep
+	# region counts internally); each sweep runs the chaos iteration — a
+	# BS server killed and revived mid-run — race-enabled.
 	for regions in 1 3; do
-		DMRA_TEST_REGIONS=$regions go test -race -count=1 \
-			-run 'TestRegionCluster' ./internal/wire/
+		DMRA_TEST_REGIONS=$regions go test -race -count=1 ./internal/wire/
 	done
-	echo "region parity: race-enabled region-cluster gate passed at regions 1 and 3 (incl. chaos + checkpoint/resume)"
+	echo "region parity: race-enabled wire suite passed at regions 1 and 3 (incl. chaos + checkpoint/resume)"
 }
 
 soa_parity() {
 	# The struct-of-arrays arena engine must be byte-identical to the
 	# naive reference — assignments, stats, event streams, round
 	# snapshots — at any propose-worker count and either sign of rho. Sweep the worker width
-	# race-enabled (like the wire shard sweep): workers 3 runs propose on
+	# race-enabled (like the wire region sweep): workers 3 runs propose on
 	# three goroutines (every round of two or more UEs fans out) and, in
 	# the unobserved FuzzSoAParity leg, the BS-sliced select too, so this
 	# is also the data-race gate on the parallel merge. The 50k-UE smoke
@@ -168,8 +157,8 @@ workload_specs() {
 replay_parity() {
 	# The time-travel debugger's foundation: state reconstructed from a
 	# JSONL trace must equal the live engine state at every round barrier,
-	# for all three runtimes at several shard counts. Race-enabled because
-	# the wire runtime's round hook runs against live shard goroutines.
+	# for all three runtimes at several region counts. Race-enabled because
+	# the wire runtime's round hook runs against live region goroutines.
 	go test -race -count=1 -run 'TestReplayParity|TestDiffAcrossRuntimes' ./internal/replay/
 	echo "replay parity: reconstructed state matches live engine state across alloc, protocol and wire"
 }
@@ -206,10 +195,6 @@ wire-guard)
 	wire_guard
 	exit 0
 	;;
-wire-shards)
-	wire_shards
-	exit 0
-	;;
 wire-fuzz)
 	wire_fuzz
 	exit 0
@@ -242,7 +227,6 @@ go vet ./...
 # layer that broke.
 go test -race ./internal/engine/
 go test -race ./...
-wire_shards
 wire_fuzz
 region_parity
 soa_parity
