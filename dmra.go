@@ -195,9 +195,6 @@ type ProtocolConfig = protocol.Config
 // and round costs.
 type ProtocolResult = protocol.Result
 
-// TraceEvent is one observable protocol action (request, accept, ...).
-type TraceEvent = protocol.TraceEvent
-
 // DefaultProtocolConfig returns a 1 ms-latency protocol with default DMRA
 // parameters.
 func DefaultProtocolConfig() ProtocolConfig {

@@ -1,6 +1,7 @@
 // Decentralized runs DMRA as real message exchange between UE and BS
-// agents on the discrete-event simulator, traces the first protocol round,
-// and verifies the outcome matches the synchronous solver.
+// agents on the discrete-event simulator, prints the first protocol
+// round's events from the typed observability stream, and verifies the
+// outcome matches the synchronous solver.
 package main
 
 import (
@@ -18,33 +19,38 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Trace a handful of round-1 events so the message flow is visible:
-	// requests go UE -> BS, accepts/broadcasts come back.
+	// Record the typed event stream in an in-memory ring large enough to
+	// hold the whole run, then print a handful of round-1 events so the
+	// message flow is visible: requests go UE -> BS, accepts/broadcasts
+	// come back.
 	cfg := dmra.DefaultProtocolConfig()
 	cfg.LatencyS = 2e-3 // 2 ms one-way latency
-	shown := 0
-	cfg.Trace = func(ev dmra.TraceEvent) {
-		if ev.Round > 1 || shown >= 12 {
-			return
-		}
-		shown++
-		switch ev.Kind {
-		case "round":
-			fmt.Printf("%6.1f ms  round %d begins\n", ev.TimeS*1e3, ev.Round)
-		case "request":
-			fmt.Printf("%6.1f ms  UE %-3d --request--> BS %d\n", ev.TimeS*1e3, ev.UE, ev.BS)
-		case "accept":
-			fmt.Printf("%6.1f ms  UE %-3d <--accept--- BS %d\n", ev.TimeS*1e3, ev.UE, ev.BS)
-		case "reject":
-			fmt.Printf("%6.1f ms  UE %-3d <--reject--- BS %d\n", ev.TimeS*1e3, ev.UE, ev.BS)
-		case "broadcast":
-			fmt.Printf("%6.1f ms  BS %-3d broadcasts remaining resources\n", ev.TimeS*1e3, ev.BS)
-		}
-	}
+	sink := dmra.NewObsSink(nil, 1<<14)
+	cfg.Obs = dmra.NewObsRecorder(nil, sink)
 
 	dist, err := dmra.RunDecentralized(net, cfg)
 	if err != nil {
 		log.Fatal(err)
+	}
+	shown := 0
+	for _, ev := range sink.Events() {
+		if ev.Round > 1 || shown >= 12 {
+			break
+		}
+		shown++
+		ms := ev.TimeS * 1e3
+		switch ev.Kind.String() {
+		case "round":
+			fmt.Printf("%6.1f ms  round %d begins\n", ms, ev.Round)
+		case "propose":
+			fmt.Printf("%6.1f ms  UE %-3d --request--> BS %d\n", ms, ev.UE, ev.BS)
+		case "accept":
+			fmt.Printf("%6.1f ms  UE %-3d <--accept--- BS %d\n", ms, ev.UE, ev.BS)
+		case "reject-permanent", "reject-trim":
+			fmt.Printf("%6.1f ms  UE %-3d <--reject--- BS %d\n", ms, ev.UE, ev.BS)
+		case "broadcast":
+			fmt.Printf("%6.1f ms  BS %-3d broadcasts remaining resources\n", ms, ev.BS)
+		}
 	}
 	fmt.Println("  ...")
 

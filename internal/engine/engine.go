@@ -3,21 +3,23 @@
 // are made of:
 //
 //   - the Eq. 17 preference ordering a UE proposes by (Config.Preference,
-//     swept by Proposer, which drops view-infeasible candidates eagerly);
+//     swept with eager drops of infeasible candidates by Arena over its
+//     ledger and by Proposer over broadcast-fed views);
 //   - the BS-side per-service selection with the full tie-break chain
 //     (same-SP, smallest f_u, smallest footprint, lowest UE ID);
 //   - the strict Alg. 1 lines 22-25 prefix trim against the radio budget
 //     (Config.SelectRound over a Ledger);
 //   - the broadcast-driven view bookkeeping that keeps UE-local resource
-//     pictures current (ViewTable).
+//     pictures current (Proposer.ApplyBroadcast).
 //
 // The runtimes are thin drivers over these pieces and differ only in how
-// messages move: internal/alloc runs the rounds synchronously against the
-// shared mec.State ledger, internal/protocol delivers them as
-// discrete-event messages between agents, and internal/wire frames them
-// over TCP to per-BS server processes. Because every decision routes
-// through this one package, the three produce bit-identical matchings —
-// an equivalence the parity and fuzz tests in internal/wire assert.
+// messages move: internal/alloc runs the rounds synchronously in the
+// Arena, whose flat per-BS ledger every UE reads directly,
+// internal/protocol delivers them as discrete-event messages between
+// agents, and internal/wire frames them over TCP to per-BS server
+// processes. Because every decision routes through this one package, the
+// three produce bit-identical matchings — an equivalence the parity and
+// fuzz tests in internal/wire assert.
 package engine
 
 import (

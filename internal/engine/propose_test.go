@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"slices"
 	"testing"
 
 	"dmra/internal/engine"
@@ -27,17 +28,22 @@ func genScenario(seed uint64) workload.Config {
 	return cfg
 }
 
+// residualFunc is a leg's reference resource picture: what UE u's k-th
+// candidate BS (net.Candidates(u)[k]) has left for u, its remaining CRUs
+// of u's service and its remaining RRBs.
+type residualFunc func(u mec.UEID, k int) (remCRU, remRRBs int)
+
 // naiveBest is the reference sweep Proposer.Propose must reproduce: the
 // first strictly-smaller Eq. 17 preference, in candidate order, over the
-// candidates that are not dropped and that rv can still fit. tied reports
-// whether another such candidate shares the winning value, i.e. whether
-// the candidate-index tie-break decided the answer.
-func naiveBest(cfg engine.Config, net *mec.Network, u mec.UEID, rv engine.ResidualView, dropped []bool) (best int, tied bool) {
+// candidates that are not dropped and that res can still fit. tied
+// reports whether another such candidate shares the winning value, i.e.
+// whether the candidate-index tie-break decided the answer.
+func naiveBest(cfg engine.Config, net *mec.Network, u mec.UEID, res residualFunc, dropped []bool) (best int, tied bool) {
 	best = -1
 	bestV := 0.0
 	ue := &net.UEs[u]
 	for k, l := range net.Candidates(u) {
-		remC, remR := rv.CandidateResidual(u, k)
+		remC, remR := res(u, k)
 		if dropped[k] || remC < ue.CRUDemand || remR < l.RRBs {
 			continue
 		}
@@ -52,71 +58,107 @@ func naiveBest(cfg engine.Config, net *mec.Network, u mec.UEID, rv engine.Residu
 	return best, tied
 }
 
-// viewLowerer lowers a ViewTable the way broadcasts do: BS b's residuals
-// only ever shrink, and each broadcast reaches a random subset of the UEs
-// it covers, so every UE's view is monotone non-increasing but views of
-// one BS disagree. New values are drawn from a few levels, often exactly
-// a covered UE's demand, so equal residuals (Eq. 17 ties) and exact fits
-// are common.
-type viewLowerer struct {
-	net    *mec.Network
-	tbl    *engine.ViewTable
-	remCRU [][]int
-	remRRB []int
-}
-
-func newViewLowerer(net *mec.Network) *viewLowerer {
-	l := &viewLowerer{net: net, tbl: engine.NewViewTable(net), remCRU: make([][]int, len(net.BSs)), remRRB: make([]int, len(net.BSs))}
-	for b := range net.BSs {
-		l.remCRU[b] = append([]int(nil), net.BSs[b].CRUCapacity...)
-		l.remRRB[b] = net.BSs[b].MaxRRBs
-	}
-	return l
-}
-
-func (l *viewLowerer) lower(src *rng.Source) {
-	b := mec.BSID(src.Intn(len(l.net.BSs)))
-	cov := l.tbl.Covered(b)
-	if len(cov) == 0 {
-		return
-	}
-	u := cov[src.Intn(len(cov))]
-	link, _ := l.net.Link(u, b)
-	cru, rrb := l.remCRU[b], &l.remRRB[b]
-	switch src.Intn(3) {
-	case 0: // exact fit for u
-		svc := l.net.UEs[u].Service
-		cru[svc] = min(cru[svc], l.net.UEs[u].CRUDemand)
-		*rrb = min(*rrb, link.RRBs)
-	case 1: // a shared low level
-		lvl := 2 * src.Intn(8)
+// ledgerLeg lowers a mec.State by random grants and broadcasts the
+// granting BS's residuals to every UE it covers — the loss-free case of
+// the message-passing runtimes, where every view of a BS equals its
+// ledger. The reference reads the ledger.
+func ledgerLeg(t *testing.T, net *mec.Network, p *engine.Proposer) (func(*rng.Source), residualFunc) {
+	state := mec.NewState(net)
+	cru := make([]int, net.Services)
+	lower := func(src *rng.Source) {
+		u := mec.UEID(src.Intn(len(net.UEs)))
+		cands := net.Candidates(u)
+		if len(cands) == 0 || state.Assigned(u) {
+			return
+		}
+		b := cands[src.Intn(len(cands))].BS
+		if !state.CanServe(u, b) {
+			return
+		}
+		if err := state.Assign(u, b); err != nil {
+			t.Fatalf("assign: %v", err)
+		}
 		for j := range cru {
-			cru[j] = min(cru[j], lvl)
+			cru[j] = state.RemainingCRU(b, mec.ServiceID(j))
 		}
-		*rrb = min(*rrb, lvl)
-	default: // a small debit
-		svc := l.net.UEs[u].Service
-		cru[svc] = max(0, cru[svc]-src.Intn(3))
-		*rrb = max(0, *rrb-src.Intn(3))
+		p.ApplyBroadcast(b, cru, state.RemainingRRBs(b), p.Covered(b))
 	}
-	var receivers []mec.UEID
-	for _, v := range cov {
-		if src.Float64() < 0.7 {
-			receivers = append(receivers, v)
+	res := func(u mec.UEID, k int) (int, int) {
+		return state.Residual(net.Candidates(u)[k].BS, net.UEs[u].Service)
+	}
+	return lower, res
+}
+
+// viewsLeg lowers the proposer's views the way lossy broadcasts do: BS
+// b's residuals only ever shrink, and each broadcast reaches a random
+// subset of the UEs it covers, so every UE's view is monotone
+// non-increasing but views of one BS disagree. New values are drawn from
+// a few levels, often exactly a covered UE's demand, so equal residuals
+// (Eq. 17 ties) and exact fits are common. The reference is a shadow copy
+// of every UE's view, updated for the same receivers.
+func viewsLeg(net *mec.Network, p *engine.Proposer) (func(*rng.Source), residualFunc) {
+	remCRU := make([][]int, len(net.BSs))
+	remRRB := make([]int, len(net.BSs))
+	for b := range net.BSs {
+		remCRU[b] = append([]int(nil), net.BSs[b].CRUCapacity...)
+		remRRB[b] = net.BSs[b].MaxRRBs
+	}
+	type view struct{ cru, rrb int }
+	shadow := make([][]view, len(net.UEs))
+	for u := range net.UEs {
+		for _, l := range net.Candidates(mec.UEID(u)) {
+			shadow[u] = append(shadow[u], view{net.BSs[l.BS].CRUCapacity[net.UEs[u].Service], net.BSs[l.BS].MaxRRBs})
 		}
 	}
-	l.tbl.ApplyBroadcast(b, cru, *rrb, receivers)
+	lower := func(src *rng.Source) {
+		b := mec.BSID(src.Intn(len(net.BSs)))
+		cov := p.Covered(b)
+		if len(cov) == 0 {
+			return
+		}
+		u := cov[src.Intn(len(cov))]
+		link, _ := net.Link(u, b)
+		cru, rrb := remCRU[b], &remRRB[b]
+		switch src.Intn(3) {
+		case 0: // exact fit for u
+			svc := net.UEs[u].Service
+			cru[svc] = min(cru[svc], net.UEs[u].CRUDemand)
+			*rrb = min(*rrb, link.RRBs)
+		case 1: // a shared low level
+			lvl := 2 * src.Intn(8)
+			for j := range cru {
+				cru[j] = min(cru[j], lvl)
+			}
+			*rrb = min(*rrb, lvl)
+		default: // a small debit
+			svc := net.UEs[u].Service
+			cru[svc] = max(0, cru[svc]-src.Intn(3))
+			*rrb = max(0, *rrb-src.Intn(3))
+		}
+		var receivers []mec.UEID
+		for _, v := range cov {
+			if src.Float64() < 0.7 {
+				receivers = append(receivers, v)
+				k := slices.IndexFunc(net.Candidates(v), func(l mec.Link) bool { return l.BS == b })
+				shadow[v][k] = view{cru[net.UEs[v].Service], *rrb}
+			}
+		}
+		p.ApplyBroadcast(b, cru, *rrb, receivers)
+	}
+	res := func(u mec.UEID, k int) (int, int) {
+		return shadow[u][k].cru, shadow[u][k].rrb
+	}
+	return lower, res
 }
 
 // TestProposerMatchesNaiveSweep drives a proposer through a random
 // interleaving of monotone view lowering, DropBS calls and proposals,
 // checking every proposal (target, request, and the candidate-index
-// tie-break) against the full sweep. It runs over both views the
-// runtimes use: the synchronous solver's mec.State ledger, lowered by
-// grants, and the message-passing runtimes' ViewTable, lowered by lossy
-// broadcasts. Half the scenarios have one SP and distance-free pricing,
-// so every link has the same price and Eq. 17 ties whenever residuals
-// match.
+// tie-break) against the full sweep. It runs two legs: views lowered by
+// loss-free broadcasts of a mec.State ledger lowered by grants, and views
+// lowered by lossy broadcasts. Half the scenarios have one SP and
+// distance-free pricing, so every link has the same price and Eq. 17
+// ties whenever residuals match.
 func TestProposerMatchesNaiveSweep(t *testing.T) {
 	ties := 0
 	for _, rho := range []float64{-1, 0, engine.DefaultConfig().Rho, 50} {
@@ -133,28 +175,20 @@ func TestProposerMatchesNaiveSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rho %g seed %d: build: %v", rho, seed, err)
 			}
-			state := mec.NewState(net)
-			ledger := func(src *rng.Source) {
-				u := mec.UEID(src.Intn(len(net.UEs)))
-				if cands := net.Candidates(u); len(cands) > 0 && !state.Assigned(u) {
-					if l := cands[src.Intn(len(cands))]; state.CanServe(u, l.BS) {
-						if err := state.Assign(u, l.BS); err != nil {
-							t.Fatalf("assign: %v", err)
-						}
-					}
-				}
-			}
-			views := newViewLowerer(net)
 			legs := []struct {
-				name  string
-				rv    engine.ResidualView
-				lower func(*rng.Source)
+				name string
+				leg  func(*engine.Proposer) (func(*rng.Source), residualFunc)
 			}{
-				{"ledger", state, ledger},
-				{"views", views.tbl, views.lower},
+				{"ledger", func(p *engine.Proposer) (func(*rng.Source), residualFunc) { return ledgerLeg(t, net, p) }},
+				{"views", func(p *engine.Proposer) (func(*rng.Source), residualFunc) { return viewsLeg(net, p) }},
 			}
 			for _, leg := range legs {
-				ties += checkProposerLeg(t, cfg, net, leg.rv, leg.lower, rng.New(seed).SplitLabeled("propose-"+leg.name))
+				p, err := engine.NewProposer(net, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lower, res := leg.leg(p)
+				ties += checkProposerLeg(t, cfg, net, p, res, lower, rng.New(seed).SplitLabeled("propose-"+leg.name))
 			}
 		}
 	}
@@ -163,11 +197,10 @@ func TestProposerMatchesNaiveSweep(t *testing.T) {
 	}
 }
 
-// checkProposerLeg runs one random script against rv and returns how
+// checkProposerLeg runs one random script against p and returns how
 // many proposals the tie-break decided.
-func checkProposerLeg(t *testing.T, cfg engine.Config, net *mec.Network, rv engine.ResidualView, lower func(*rng.Source), src *rng.Source) (ties int) {
+func checkProposerLeg(t *testing.T, cfg engine.Config, net *mec.Network, p *engine.Proposer, res residualFunc, lower func(*rng.Source), src *rng.Source) (ties int) {
 	t.Helper()
-	p := engine.NewProposer(net, cfg)
 	dropped := make([][]bool, len(net.UEs))
 	for u := range dropped {
 		dropped[u] = make([]bool, len(net.Candidates(mec.UEID(u))))
@@ -188,9 +221,9 @@ func checkProposerLeg(t *testing.T, cfg engine.Config, net *mec.Network, rv engi
 		case 1:
 			lower(src)
 		default:
-			wantK, tied := naiveBest(cfg, net, u, rv, dropped[u])
+			wantK, tied := naiveBest(cfg, net, u, res, dropped[u])
 			before := swept
-			req, b, ok := p.Propose(u, rv, &swept)
+			req, b, ok := p.Propose(u, &swept)
 			if swept-before > uint64(len(cands)) {
 				t.Fatalf("rho %g step %d UE %d: swept %d of %d candidates", cfg.Rho, step, u, swept-before, len(cands))
 			}
@@ -229,7 +262,10 @@ func TestProposerEmptyAndDropBS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	p := engine.NewProposer(net, engine.DefaultConfig())
+	p, err := engine.NewProposer(net, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for u := range net.UEs {
 		uid := mec.UEID(u)
 		cands := net.Candidates(uid)

@@ -38,9 +38,10 @@ type Verdict struct {
 	Permanent bool
 }
 
-// Ledger is the BS-side resource book SelectRound admits against: the
-// shared mec.State for the synchronous solver, or a private per-BS ledger
-// (BSLedger) for the message-passing runtimes.
+// Ledger is the BS-side resource book SelectRound admits against: one BS
+// row of the Arena's flat ledger for the synchronous solver, the shared
+// mec.State for internal/alloc's naive test reference, or a private
+// per-BS ledger (BSLedger) for the message-passing runtimes.
 type Ledger interface {
 	// Residual returns the BS's remaining CRUs for service j and its
 	// remaining RRBs.

@@ -171,9 +171,6 @@ func TestStateResetReuse(t *testing.T) {
 	if cru != s.RemainingCRU(b, net.UEs[u].Service) || rrb != s.RemainingRRBs(b) {
 		t.Fatal("Residual disagrees with RemainingCRU/RemainingRRBs")
 	}
-	if c, r := s.CandidateResidual(u, 0); c != cru || r != rrb {
-		t.Fatalf("CandidateResidual(u, 0) = (%d, %d), want Residual's (%d, %d)", c, r, cru, rrb)
-	}
 	s.Unassign(u)
 
 	s.Reset(net)

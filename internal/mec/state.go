@@ -133,15 +133,6 @@ func (s *State) UsedRRBs() int {
 	return s.usedRRBs
 }
 
-// CandidateResidual returns what UE u's k-th candidate BS
-// (Candidates(u)[k]) has left for u: its remaining CRUs of u's service
-// and its remaining RRBs. It makes the ledger a proposer's view
-// (engine.ResidualView).
-func (s *State) CandidateResidual(u UEID, k int) (remCRU, remRRBs int) {
-	b := s.net.links[u][k].BS
-	return s.remCRU[b][s.net.UEs[u].Service], s.remRRB[b]
-}
-
 // ServingBS returns the BS currently serving UE u, or CloudBS.
 func (s *State) ServingBS(u UEID) BSID {
 	return s.assignment.ServingBS[u]

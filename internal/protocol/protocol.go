@@ -19,6 +19,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dmra/internal/alloc"
 	"dmra/internal/engine"
@@ -32,7 +33,8 @@ import (
 type Config struct {
 	// DMRA is the algorithm configuration shared with alloc.DMRA.
 	DMRA alloc.DMRAConfig
-	// LatencyS is the one-way message latency in seconds (default 1 ms).
+	// LatencyS is the one-way message latency in seconds; <= 0 selects
+	// the 1 ms default, and a non-finite value is a config error.
 	LatencyS float64
 	// MaxRounds bounds the protocol (default: engine.RoundBound — one
 	// round per candidate link + 1, the deferred-acceptance bound that
@@ -50,13 +52,11 @@ type Config struct {
 	DropRate float64
 	// LossSeed drives the loss process deterministically.
 	LossSeed uint64
-	// Trace, if non-nil, receives every protocol event as it happens.
-	Trace func(TraceEvent)
-	// Obs, if non-nil, receives the typed observability stream: every
-	// event lands in the metrics registry and trace sink, and per-round
-	// residual-capacity gauges are published after each select phase.
-	// Unlike Trace's string kinds, Obs splits rejects into permanent and
-	// trim, matching internal/wire's verdicts event for event.
+	// Obs, if non-nil, receives the typed observability stream, stamped
+	// with simulation time: every event lands in the metrics registry and
+	// trace sink, and per-round residual-capacity gauges are published
+	// after each select phase. Rejects split into permanent and trim,
+	// matching internal/wire's verdicts event for event.
 	Obs *obs.Recorder
 	// RoundHook, if non-nil, observes the full matching state at the end
 	// of every round (the controller's decision point, after accepts have
@@ -69,20 +69,6 @@ type Config struct {
 // parameters.
 func DefaultConfig() Config {
 	return Config{DMRA: alloc.DefaultDMRAConfig(), LatencyS: 1e-3}
-}
-
-// TraceEvent describes one observable protocol action.
-type TraceEvent struct {
-	// TimeS is the simulation time in seconds.
-	TimeS float64
-	// Kind is one of "round", "request", "accept", "reject", "broadcast",
-	// "cloud".
-	Kind string
-	// Round is the 1-based protocol round.
-	Round int
-	// UE and BS identify the parties (-1 when not applicable).
-	UE mec.UEID
-	BS mec.BSID
 }
 
 // Result is the outcome of a protocol run.
@@ -114,14 +100,6 @@ type Result struct {
 // with pending requests).
 var ErrDidNotQuiesce = errors.New("protocol: exceeded round bound without quiescing")
 
-// ueAgent is a user-equipment actor.
-type ueAgent struct {
-	id mec.UEID
-	// servedBy is CloudBS until an Accept arrives.
-	servedBy mec.BSID
-	assigned bool
-}
-
 // bsAgent is a base-station actor with a private resource ledger.
 type bsAgent struct {
 	id    mec.BSID
@@ -135,10 +113,13 @@ type bsAgent struct {
 
 // Run executes the decentralized protocol to quiescence.
 func Run(net *mec.Network, cfg Config) (Result, error) {
+	if math.IsNaN(cfg.LatencyS) || math.IsInf(cfg.LatencyS, 0) {
+		return Result{}, fmt.Errorf("protocol: latency %g is not finite", cfg.LatencyS)
+	}
 	if cfg.LatencyS <= 0 {
 		cfg.LatencyS = 1e-3
 	}
-	if cfg.DropRate < 0 || cfg.DropRate >= 1 {
+	if !(cfg.DropRate >= 0 && cfg.DropRate < 1) {
 		return Result{}, fmt.Errorf("protocol: drop rate %g outside [0, 1)", cfg.DropRate)
 	}
 	if cfg.MaxRounds <= 0 {
@@ -148,7 +129,11 @@ func Run(net *mec.Network, cfg Config) (Result, error) {
 			cfg.MaxRounds *= 10
 		}
 	}
-	r := &runner{net: net, cfg: cfg}
+	prop, err := engine.NewProposer(net, cfg.DMRA)
+	if err != nil {
+		return Result{}, fmt.Errorf("protocol: %w", err)
+	}
+	r := &runner{net: net, cfg: cfg, prop: prop}
 	if cfg.DropRate > 0 {
 		r.loss = rng.New(cfg.LossSeed).SplitLabeled("protocol-loss")
 	}
@@ -160,17 +145,15 @@ type runner struct {
 	net    *mec.Network
 	cfg    Config
 	engine sim.Engine
-	ues    []*ueAgent
 	bss    []*bsAgent
 	loss   *rng.Source
 	res    Result
 
-	// prop is the engine's UE-side round machine: the same Eq. 17 sweep
-	// the other runtimes use, reading each UE's views from the table.
+	// serving[u] is the BS serving UE u, CloudBS until an accept arrives.
+	serving []mec.BSID
+	// prop is the UE side: each UE's live candidates and its
+	// broadcast-fed resource views, swept by the engine's Eq. 17 rule.
 	prop *engine.Proposer
-	// views holds the UE-local resource views; broadcasts are applied
-	// through it.
-	views *engine.ViewTable
 	// swept counts the candidates the proposer has swept, and lastSwept
 	// its value at the previous round, for the per-round observability
 	// delta.
@@ -202,16 +185,7 @@ func (r *runner) lost() bool {
 }
 
 func (r *runner) setup() {
-	r.prop = engine.NewProposer(r.net, r.cfg.DMRA)
-	r.views = engine.NewViewTable(r.net)
-	r.ues = make([]*ueAgent, len(r.net.UEs))
-	for u := range r.net.UEs {
-		uid := mec.UEID(u)
-		r.ues[u] = &ueAgent{
-			id:       uid,
-			servedBy: mec.CloudBS,
-		}
-	}
+	r.serving = mec.NewAssignment(len(r.net.UEs)).ServingBS
 	r.bss = make([]*bsAgent, len(r.net.BSs))
 	for b := range r.net.BSs {
 		bs := &r.net.BSs[b]
@@ -241,9 +215,7 @@ func (r *runner) exportRound(round int) {
 		copy(r.snap.CRURow(b), bs.led.RemainingCRU())
 		r.snap.RemRRB[b] = bs.led.RemainingRRBs()
 	}
-	for u, agent := range r.ues {
-		r.snap.ServingBS[u] = agent.servedBy
-	}
+	copy(r.snap.ServingBS, r.serving)
 	r.cfg.RoundHook(r.snap)
 }
 
@@ -258,10 +230,7 @@ func (r *runner) run() (Result, error) {
 		return Result{}, fmt.Errorf("protocol: %w", r.fatal)
 	}
 
-	r.res.Assignment = mec.NewAssignment(len(r.net.UEs))
-	for u, agent := range r.ues {
-		r.res.Assignment.ServingBS[u] = agent.servedBy
-	}
+	r.res.Assignment = mec.Assignment{ServingBS: r.serving}
 	if err := mec.ValidateAssignment(r.net, r.res.Assignment); err != nil {
 		return Result{}, fmt.Errorf("protocol: produced invalid assignment: %w", err)
 	}
@@ -270,7 +239,7 @@ func (r *runner) run() (Result, error) {
 	// with reservation timeouts.
 	for _, bs := range r.bss {
 		for u := range bs.admitted {
-			if r.ues[u].servedBy != bs.id {
+			if r.serving[u] != bs.id {
 				r.res.LeakedReservations++
 			}
 		}
@@ -279,13 +248,7 @@ func (r *runner) run() (Result, error) {
 	return r.res, nil
 }
 
-func (r *runner) trace(kind string, round int, ue mec.UEID, bs mec.BSID) {
-	if r.cfg.Trace != nil {
-		r.cfg.Trace(TraceEvent{TimeS: r.engine.Now(), Kind: kind, Round: round, UE: ue, BS: bs})
-	}
-}
-
-// observe mirrors trace into the typed observability stream.
+// observe emits one event on the typed observability stream.
 func (r *runner) observe(kind obs.EventKind, round int, ue mec.UEID, bs mec.BSID) {
 	if r.cfg.Obs != nil {
 		r.cfg.Obs.EventAt(r.engine.Now(), kind, round, int(ue), int(bs))
@@ -300,22 +263,20 @@ func (r *runner) startRound(round int, protocolErr *error) {
 	}
 	r.res.Rounds = round
 	r.requestsThisRound = 0
-	r.trace("round", round, -1, -1)
 	r.observe(obs.KindRound, round, -1, -1)
 	L := r.cfg.LatencyS
 
-	for _, agent := range r.ues {
-		if agent.assigned {
+	for u, b := range r.serving {
+		if b != mec.CloudBS {
 			continue
 		}
-		req, bsID, ok := r.propose(agent)
+		req, bsID, ok := r.propose(mec.UEID(u))
 		if !ok {
 			continue
 		}
 		r.requestsThisRound++
 		r.res.Requests++
 		r.res.Messages++
-		r.trace("request", round, req.UE, bsID)
 		r.observe(obs.KindPropose, round, req.UE, bsID)
 		if r.lost() {
 			continue // the UE retries next round
@@ -339,11 +300,10 @@ func (r *runner) startRound(round int, protocolErr *error) {
 // propose picks the UE's best candidate from its local view through the
 // engine's proposer, dropping candidates the view says are exhausted
 // (Alg. 1 lines 4-10).
-func (r *runner) propose(agent *ueAgent) (engine.Request, mec.BSID, bool) {
-	req, bsID, ok := r.prop.Propose(agent.id, r.views, &r.swept)
+func (r *runner) propose(u mec.UEID) (engine.Request, mec.BSID, bool) {
+	req, bsID, ok := r.prop.Propose(u, &r.swept)
 	if !ok {
-		r.trace("cloud", r.res.Rounds, agent.id, mec.CloudBS)
-		r.observe(obs.KindCloudFallback, r.res.Rounds, agent.id, mec.CloudBS)
+		r.observe(obs.KindCloudFallback, r.res.Rounds, u, mec.CloudBS)
 	}
 	return req, bsID, ok
 }
@@ -404,7 +364,7 @@ func (r *runner) selectPhase(round int) {
 			r.cfg.Obs.Residual(int(bs.id), crus, bs.led.RemainingRRBs())
 			admitted += len(bs.admitted)
 		}
-		r.cfg.Obs.Unmatched(len(r.ues) - admitted)
+		r.cfg.Obs.Unmatched(len(r.serving) - admitted)
 		r.cfg.Obs.PrefCacheRound(int64(r.swept - r.lastSwept))
 		r.lastSwept = r.swept
 	}
@@ -414,17 +374,12 @@ func (r *runner) selectPhase(round int) {
 func (r *runner) sendAccept(round int, bs *bsAgent, u mec.UEID) {
 	r.res.Accepts++
 	r.res.Messages++
-	r.trace("accept", round, u, bs.id)
 	r.observe(obs.KindAccept, round, u, bs.id)
 	if r.lost() {
 		return
 	}
-	agent := r.ues[u]
 	bsID := bs.id
-	r.engine.Schedule(r.cfg.LatencyS, func() {
-		agent.assigned = true
-		agent.servedBy = bsID
-	})
+	r.engine.Schedule(r.cfg.LatencyS, func() { r.serving[u] = bsID })
 }
 
 // sendReject delivers a resource reject. A permanent reject (the BS can
@@ -434,7 +389,6 @@ func (r *runner) sendAccept(round int, bs *bsAgent, u mec.UEID) {
 func (r *runner) sendReject(round int, bs *bsAgent, u mec.UEID, permanent bool) {
 	r.res.Rejects++
 	r.res.Messages++
-	r.trace("reject", round, u, bs.id)
 	if permanent {
 		r.observe(obs.KindRejectPermanent, round, u, bs.id)
 	} else {
@@ -443,11 +397,8 @@ func (r *runner) sendReject(round int, bs *bsAgent, u mec.UEID, permanent bool) 
 	if r.lost() || !permanent {
 		return
 	}
-	agent := r.ues[u]
 	bsID := bs.id
-	r.engine.Schedule(r.cfg.LatencyS, func() {
-		r.prop.DropBS(agent.id, bsID)
-	})
+	r.engine.Schedule(r.cfg.LatencyS, func() { r.prop.DropBS(u, bsID) })
 }
 
 // broadcast emits the BS's remaining resources to every covered UE
@@ -456,13 +407,12 @@ func (r *runner) sendReject(round int, bs *bsAgent, u mec.UEID, permanent bool) 
 func (r *runner) broadcast(round int, bs *bsAgent) {
 	r.res.Broadcasts++
 	r.res.Messages++
-	r.trace("broadcast", round, -1, bs.id)
 	r.observe(obs.KindBroadcast, round, -1, bs.id)
 	remCRU := append([]int(nil), bs.led.RemainingCRU()...)
 	remRRB := bs.led.RemainingRRBs()
 	bsID := bs.id
 	var receivers []mec.UEID
-	for _, u := range r.views.Covered(bsID) {
+	for _, u := range r.prop.Covered(bsID) {
 		if r.lost() {
 			continue
 		}
@@ -472,6 +422,6 @@ func (r *runner) broadcast(round int, bs *bsAgent) {
 		// A UE that missed the reception keeps its older view, which
 		// only over-promises: broadcasts arrive in order and residuals
 		// never grow, so every view stays monotone non-increasing.
-		r.views.ApplyBroadcast(bsID, remCRU, remRRB, receivers)
+		r.prop.ApplyBroadcast(bsID, remCRU, remRRB, receivers)
 	})
 }

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -112,29 +114,6 @@ func TestSimTimeScalesWithLatency(t *testing.T) {
 	}
 	if slow.Rounds != fast.Rounds {
 		t.Errorf("latency changed round count: %d vs %d", slow.Rounds, fast.Rounds)
-	}
-}
-
-func TestTraceEventsEmitted(t *testing.T) {
-	net := buildNet(t, 50, 9)
-	kinds := make(map[string]int)
-	cfg := DefaultConfig()
-	cfg.Trace = func(ev TraceEvent) { kinds[ev.Kind]++ }
-	res, err := Run(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kinds["round"] != res.Rounds {
-		t.Errorf("round events %d != rounds %d", kinds["round"], res.Rounds)
-	}
-	if kinds["request"] != res.Requests {
-		t.Errorf("request events %d != requests %d", kinds["request"], res.Requests)
-	}
-	if kinds["accept"] != res.Accepts {
-		t.Errorf("accept events %d != accepts %d", kinds["accept"], res.Accepts)
-	}
-	if kinds["broadcast"] != res.Broadcasts {
-		t.Errorf("broadcast events %d != broadcasts %d", kinds["broadcast"], res.Broadcasts)
 	}
 }
 
@@ -258,11 +237,28 @@ func TestLossFreeNeverLeaks(t *testing.T) {
 
 func TestInvalidDropRateRejected(t *testing.T) {
 	net := buildNet(t, 10, 1)
-	for _, bad := range []float64{-0.1, 1.0, 1.5} {
+	for _, bad := range []float64{-0.1, 1.0, 1.5, math.NaN()} {
 		cfg := DefaultConfig()
 		cfg.DropRate = bad
 		if _, err := Run(net, cfg); err == nil {
 			t.Errorf("drop rate %g accepted", bad)
+		}
+	}
+	// A non-finite latency is a config error too, not a stalled run or
+	// an infinite completion time; non-positive values keep selecting
+	// the 1 ms default.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.LatencyS = bad
+		if _, err := Run(net, cfg); err == nil || errors.Is(err, ErrDidNotQuiesce) {
+			t.Errorf("latency %g: err = %v, want a config error", bad, err)
+		}
+	}
+	for _, dflt := range []float64{0, -1} {
+		cfg := DefaultConfig()
+		cfg.LatencyS = dflt
+		if _, err := Run(net, cfg); err != nil {
+			t.Errorf("latency %g: %v", dflt, err)
 		}
 	}
 }

@@ -56,14 +56,6 @@ func (c countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ueAgent is the coordinator-hosted thin UE agent: its assignment
-// status. Its resource views live in the run's engine.ViewTable, and
-// proposal scoring and the candidate list in the engine's Proposer.
-type ueAgent struct {
-	assigned bool
-	servedBy mec.BSID
-}
-
 // testHookStartBS, when non-nil, runs on every BS server after it starts
 // and before the coordinator dials it. Tests use it to corrupt ledgers,
 // inject recorded errors, or wedge servers; always nil in production.

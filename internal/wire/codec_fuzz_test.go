@@ -86,12 +86,14 @@ func clusterRoundFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	net_ := buildNet(tb, 60, 1)
 	cfg := alloc.DefaultDMRAConfig()
-	prop := engine.NewProposer(net_, cfg)
-	views := engine.NewViewTable(net_)
+	prop, err := engine.NewProposer(net_, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	batches := make([][]Request, len(net_.BSs))
 	var swept uint64
 	for u := range net_.UEs {
-		if req, b, ok := prop.Propose(mec.UEID(u), views, &swept); ok {
+		if req, b, ok := prop.Propose(mec.UEID(u), &swept); ok {
 			batches[b] = append(batches[b], req)
 		}
 	}

@@ -324,6 +324,13 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			return RegionResult{}, verr
 		}
 	}
+	// One proposer for the run: its per-UE state is touched only for the
+	// UE being proposed for, and each region proposes only for the UEs it
+	// homes, so the parallel propose phase is race-free.
+	prop, perr := engine.NewProposer(net_, rc.DMRA)
+	if perr != nil {
+		return RegionResult{}, fmt.Errorf("wire: %w", perr)
+	}
 
 	servers := make([]*BSServer, len(net_.BSs))
 	conns := make([]net.Conn, len(net_.BSs))
@@ -389,25 +396,15 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		}
 	}
 
-	// One proposer for the run: its per-UE state is touched only for the
-	// UE being proposed for, and each region proposes only for the UEs it
-	// homes, so the parallel propose phase is race-free. Each region
-	// counts its swept candidates in its own slot.
-	prop := engine.NewProposer(net_, rc.DMRA)
+	// Each region counts its swept candidates in its own slot.
 	swept := make([]uint64, regions)
 	var lastSwept uint64
-	views := engine.NewViewTable(net_)
-	ues := make([]ueAgent, len(net_.UEs))
-	for u := range ues {
-		ues[u].servedBy = mec.CloudBS
-	}
+	// The coordinator hosts the thin UE agents: serving[u] is the BS
+	// serving UE u (CloudBS while it is pending), and prop holds every
+	// UE's live candidates and broadcast-fed views.
+	serving := mec.NewAssignment(len(net_.UEs)).ServingBS
 	if cp != nil {
-		for u := range ues {
-			if b := cp.ServingBS[u]; b != mec.CloudBS {
-				ues[u].assigned = true
-				ues[u].servedBy = b
-			}
-		}
+		copy(serving, cp.ServingBS)
 		// Views restore from the checkpointed residuals — in a loss-free
 		// cluster every covered UE's view of a BS equals its last
 		// broadcast, which is exactly what the checkpoint holds. Every
@@ -416,7 +413,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		// proposer's first sweep of each UE re-drops them and the
 		// continuation is byte-identical.
 		for b := range net_.BSs {
-			views.ApplyBroadcast(mec.BSID(b), cp.cruRow(b), cp.RemRRB[b], views.Covered(mec.BSID(b)))
+			prop.ApplyBroadcast(mec.BSID(b), cp.cruRow(b), cp.RemRRB[b], prop.Covered(mec.BSID(b)))
 		}
 	}
 
@@ -455,11 +452,11 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 					var n uint64
 					for _, u := range regionUEs[r] {
 						proposals[u] = proposal{}
-						if ues[u].assigned {
+						if serving[u] != mec.CloudBS {
 							continue
 						}
 						for {
-							req, bsID, ok := prop.Propose(mec.UEID(u), views, &n)
+							req, bsID, ok := prop.Propose(mec.UEID(u), &n)
 							if !ok {
 								break
 							}
@@ -537,13 +534,11 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			servers[b] = nil
 		}
 		readmitted := 0
-		for u := range ues {
-			st := &ues[u]
-			if st.servedBy != mec.BSID(b) {
+		for u, s := range serving {
+			if s != mec.BSID(b) {
 				continue
 			}
-			st.assigned = false
-			st.servedBy = mec.CloudBS
+			serving[u] = mec.CloudBS
 			prop.DropBS(mec.UEID(u), mec.BSID(b))
 			readmitted++
 		}
@@ -559,16 +554,16 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	// serving a UE answers one empty exchange. A dead one crashes (its
 	// UEs re-admitted) and the round loop continues.
 	probeServing := func(round int) bool {
-		serving := make([]bool, len(net_.BSs))
-		for _, st := range ues {
-			if st.assigned {
-				serving[st.servedBy] = true
+		busy := make([]bool, len(net_.BSs))
+		for _, s := range serving {
+			if s != mec.CloudBS {
+				busy[s] = true
 			}
 		}
 		crashed := false
 		var probe RoundResponse
 		for b := range net_.BSs {
-			if !serving[b] || dead[b] || conns[b] == nil {
+			if !busy[b] || dead[b] || conns[b] == nil {
 				continue
 			}
 			if perr := exchange(conns[b], timeout, &RoundRequest{Round: round}, &probe); perr != nil {
@@ -592,9 +587,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 				snap.RemRRB[b] = resp.RemainingRRBs
 			}
 		}
-		for u, st := range ues {
-			snap.ServingBS[u] = st.servedBy
-		}
+		copy(snap.ServingBS, serving)
 		if rc.RoundHook != nil {
 			rc.RoundHook(snap)
 		}
@@ -683,8 +676,8 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		dispatch(regionWork{round: round})
 		anyRequest := false
 		handoffs := 0
-		for u, st := range ues {
-			if st.assigned {
+		for u, s := range serving {
+			if s != mec.CloudBS {
 				continue
 			}
 			slot := &proposals[u]
@@ -751,11 +744,9 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			}
 			res.Frames += 2
 			for _, v := range resp.Verdicts {
-				st := &ues[v.UE]
 				if v.Accepted {
 					rec.EventShard(regionOf[b], obs.KindAccept, round, int(v.UE), b)
-					st.assigned = true
-					st.servedBy = mec.BSID(b)
+					serving[v.UE] = mec.BSID(b)
 				} else if v.Permanent {
 					rec.EventShard(regionOf[b], obs.KindRejectPermanent, round, int(v.UE), b)
 					prop.DropBS(v.UE, mec.BSID(b))
@@ -764,7 +755,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 				}
 			}
 			rec.EventShard(regionOf[b], obs.KindBroadcast, round, -1, b)
-			views.ApplyBroadcast(mec.BSID(b), resp.RemainingCRU, resp.RemainingRRBs, views.Covered(mec.BSID(b)))
+			prop.ApplyBroadcast(mec.BSID(b), resp.RemainingCRU, resp.RemainingRRBs, prop.Covered(mec.BSID(b)))
 			if rec != nil {
 				crus := 0
 				for _, c := range resp.RemainingCRU {
@@ -778,8 +769,8 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		}
 		if rec != nil {
 			unmatched := 0
-			for _, st := range ues {
-				if !st.assigned {
+			for _, s := range serving {
+				if s == mec.CloudBS {
 					unmatched++
 				}
 			}
@@ -823,10 +814,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		res.Frames += 2
 	}
 
-	res.Assignment = mec.NewAssignment(len(net_.UEs))
-	for u, st := range ues {
-		res.Assignment.ServingBS[u] = st.servedBy
-	}
+	res.Assignment = mec.Assignment{ServingBS: serving}
 	if verr := mec.ValidateAssignment(net_, res.Assignment); verr != nil {
 		return RegionResult{}, fmt.Errorf("wire: invalid assignment: %w", verr)
 	}

@@ -2,8 +2,8 @@
 # Full verification gate: vet plus the race-enabled test suite, which
 # exercises the parallel experiment engine at several worker counts, the
 # race-enabled parity sweeps, fixed-budget fuzz runs of the wire frame
-# and checkpoint decoders and of delta-repair parity, a one-iteration
-# smoke run of the hot-path benchmarks, and the
+# and checkpoint decoders, of engine parity and of delta-repair parity,
+# a one-iteration smoke run of the hot-path benchmarks, and the
 # telemetry-determinism gate, which proves that attaching the
 # observability layer does not change a single byte of experiment output.
 # Equivalent to `make check`.
@@ -15,7 +15,7 @@
 #   scripts/check.sh engine-guard      only the single-round-engine grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
 #   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
-#   scripts/check.sh region-parity     only the race-enabled wire suite at several region counts
+#   scripts/check.sh region-parity     only the race-enabled wire suite at several region counts + a 15 s FuzzEngineParity run
 #   scripts/check.sh soa-parity        only the race-enabled SoA-engine parity gate at several worker counts
 #   scripts/check.sh delta-parity      only the race-enabled delta-repair parity gate at several worker counts + a 20 s FuzzDeltaParity run
 #   scripts/check.sh workload-specs    only the example-spec validation + online spec smoke
@@ -73,11 +73,15 @@ region_parity() {
 	# two region counts, so every parity, accounting and failure test
 	# doubles as a multi-coordinator test (the parity tests also sweep
 	# region counts internally); each sweep runs the chaos iteration — a
-	# BS server killed and revived mid-run — race-enabled.
+	# BS server killed and revived mid-run — race-enabled. A 15 s
+	# FuzzEngineParity run then searches new scenarios: the TCP cluster
+	# and the simulated protocol share the engine's Proposer, and the
+	# fuzzer pins both against the synchronous solver.
 	for regions in 1 3; do
 		DMRA_TEST_REGIONS=$regions go test -race -count=1 ./internal/wire/
 	done
-	echo "region parity: race-enabled wire suite passed at regions 1 and 3 (incl. chaos + checkpoint/resume)"
+	go test -run '^$' -fuzz FuzzEngineParity -fuzztime 15s ./internal/wire/
+	echo "region parity: race-enabled wire suite passed at regions 1 and 3 (incl. chaos + checkpoint/resume); FuzzEngineParity ran 15 s without a failure"
 }
 
 soa_parity() {
