@@ -15,10 +15,10 @@ vet:
 	$(GO) vet ./...
 
 # check is the full verification gate: scripts/check.sh with no
-# arguments — vet, the race-enabled suite, the parity sweeps (the wire
-# suite at two region counts among them), the wire frame and checkpoint
-# fuzzers, the benchmark smoke run, the spec smoke runs, the
-# telemetry-determinism gate and the grep guards.
+# arguments — gofmt, vet, the race-enabled suite, the parity sweeps (the
+# wire suite at two region counts among them), the wire frame and
+# checkpoint fuzzers, the parity-harness fuzzer, the benchmark smoke run,
+# the spec smoke runs, the telemetry-determinism gate and the grep guards.
 check:
 	./scripts/check.sh
 

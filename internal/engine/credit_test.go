@@ -187,13 +187,6 @@ func TestIncrementalRunWrap(t *testing.T) {
 			s ^= s << 17
 			u := mec.UEID(int(s>>8) % n)
 			switch {
-			case s&3 == 3:
-				d := 1 + int(s>>40)%6
-				for _, inc := range []*engine.Incremental{&wrap, &twin} {
-					if err := inc.SetDemand(u, d); err != nil {
-						t.Fatalf("SetDemand: %v", err)
-					}
-				}
 			case active[u]:
 				wrap.Depart(u)
 				twin.Depart(u)

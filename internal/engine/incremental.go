@@ -29,9 +29,9 @@ import (
 //     a Settle residuals only shrink (select only debits), so drops are
 //     permanent — the same argument that makes the Arena's eager drops
 //     exact. Across Settles a residual can grow, but only through the
-//     credit paths below (Depart, SetDemand release), and those run
-//     only between Settles. The arena's run advances once per Settle
-//     and every region is stamped with the run it was built in, so a
+//     credit path below (Depart), and that runs only between Settles.
+//     The arena's run advances once per Settle and every region is
+//     stamped with the run it was built in, so a
 //     credit at BS b just records the current run in credit[b]: it
 //     came after every drop of every region stamped at or below that
 //     run. Before proposing, Settle checks each frontier UE's region
@@ -46,18 +46,17 @@ import (
 //     that have only grown.
 //
 // Arrivals and admissions need no invalidation: both only shrink
-// residuals. Demand changes additionally clear the UE's own stamp,
-// since its drops were made relative to the old demand.
+// residuals.
 
 // DeltaStats describes one Settle: how big the repair frontier was, how
 // much standing state churn undid since the previous Settle, and the
 // Alg. 1 round counters of the repair itself (same meaning as SoAStats).
 type DeltaStats struct {
 	// Frontier is the number of UEs that had to re-run Alg. 1 this
-	// Settle: arrivals plus matches released by demand changes.
+	// Settle: the arrivals since the last one.
 	Frontier int
-	// Released counts standing matches undone since the last Settle —
-	// departures of assigned UEs plus demand-change releases.
+	// Released counts standing matches undone since the last Settle:
+	// departures of assigned UEs.
 	Released int
 	// Invalidated counts the frontier UEs of this Settle whose cached
 	// candidate region was rebuilt because one of their candidate BSs
@@ -85,17 +84,13 @@ func (d *DeltaStats) Add(s DeltaStats) {
 // Incremental is the delta-repair DMRA engine: a long-lived Arena whose
 // ledger and assignment persist across epochs, repaired under churn by
 // re-running Alg. 1 restricted to the affected frontier. Begin starts a
-// session; Arrive/Depart/SetDemand report churn; Settle repairs to
+// session; Arrive/Depart report churn; Settle repairs to
 // quiescence. Like the Arena it owns, an Incremental serves one session
 // at a time and is not safe for concurrent use.
 type Incremental struct {
 	a       Arena
 	net     *mec.Network
 	workers int
-
-	// Private demand array swapped into the arena so SetDemand never
-	// writes through to the shared, immutable CSR.
-	cruBuf []int32
 
 	// pendBit is the pending frontier between Settles (a UE departing
 	// while pending just clears its bit); Settle drains it ascending.
@@ -131,11 +126,7 @@ func (inc *Incremental) Begin(net *mec.Network, cfg Config, workers int) error {
 	// reset pends the whole population for a one-shot run; a session
 	// starts empty and pends UEs as they arrive.
 	a.pending = a.pending[:0]
-	n := csr.UEs()
-	inc.cruBuf = grown(inc.cruBuf, n)
-	copy(inc.cruBuf, csr.CRU)
-	a.cru = inc.cruBuf
-	inc.pendBit.Reset(n)
+	inc.pendBit.Reset(csr.UEs())
 	inc.credit = grown(inc.credit, csr.BSs())
 	clear(inc.credit)
 	inc.released = 0
@@ -177,29 +168,8 @@ func (inc *Incremental) Depart(u mec.UEID) {
 	}
 }
 
-// SetDemand changes UE u's CRU demand. An assigned UE is released first
-// (credit the old demand, not the new) and re-pended so it competes
-// again under the new demand at the next Settle; a pending UE stays
-// pending. In both cases the UE's own region is invalidated: its drops
-// were made relative to the old demand.
-func (inc *Incremental) SetDemand(u mec.UEID, cru int) error {
-	if cru < 0 {
-		return fmt.Errorf("engine: Incremental.SetDemand: UE %d demand %d < 0", u, cru)
-	}
-	a := &inc.a
-	ui := int32(u)
-	if b := a.serving[ui]; b >= 0 {
-		inc.release(ui, b)
-		inc.pendBit.Set(ui)
-	}
-	a.cru[ui] = int32(cru)
-	a.stamp[ui] = 0
-	return nil
-}
-
 // release undoes UE u's standing match at BS b: credit the ledger with
-// exactly what Admit debited (a.cru[u] is still the admitted demand —
-// SetDemand releases before mutating) and stamp b's credit with the
+// exactly what Admit debited and stamp b's credit with the
 // current run, which invalidates the drops at b of every region built
 // so far. O(log candidates): the covering UEs are checked lazily, when
 // they next join a frontier.
@@ -207,7 +177,7 @@ func (inc *Incremental) release(u, b int32) {
 	a := &inc.a
 	csr := a.csr
 	g := csr.FindCand(mec.UEID(u), mec.BSID(b))
-	a.remCRU[b*int32(csr.Services)+csr.Service[u]] += a.cru[u]
+	a.remCRU[b*int32(csr.Services)+csr.Service[u]] += csr.CRU[u]
 	a.remRRB[b] += csr.RRBs[g]
 	a.serving[u] = -1
 	a.assigned.Clear(u)
@@ -292,9 +262,6 @@ func (inc *Incremental) Serving() []int32 { return inc.a.serving }
 // ServingBS returns UE u's serving BS index, -1 when the engine holds
 // no match for it.
 func (inc *Incremental) ServingBS(u mec.UEID) int32 { return inc.a.serving[u] }
-
-// Demand returns UE u's current CRU demand as the engine sees it.
-func (inc *Incremental) Demand(u mec.UEID) int { return int(inc.a.cru[u]) }
 
 // RemCRU returns BS b's residual CRUs for service j.
 func (inc *Incremental) RemCRU(b, j int) int { return inc.a.RemCRU(b, j) }

@@ -93,58 +93,6 @@ func TestIncrementalLifecycle(t *testing.T) {
 	}
 }
 
-// TestIncrementalSetDemand pins the demand-change sequencing: releasing
-// before mutating (so the credit matches the admit), re-pending the UE,
-// and serving it under the new demand at the next Settle.
-func TestIncrementalSetDemand(t *testing.T) {
-	net := buildIncNet(t, 5)
-	var inc engine.Incremental
-	if err := inc.Begin(net, engine.DefaultConfig(), 2); err != nil {
-		t.Fatalf("Begin: %v", err)
-	}
-	for u := range net.UEs {
-		if err := inc.Arrive(mec.UEID(u)); err != nil {
-			t.Fatalf("Arrive: %v", err)
-		}
-	}
-	if _, err := inc.Settle(); err != nil {
-		t.Fatalf("Settle: %v", err)
-	}
-	var served mec.UEID = -1
-	for u := range net.UEs {
-		if inc.ServingBS(mec.UEID(u)) >= 0 {
-			served = mec.UEID(u)
-			break
-		}
-	}
-	if served < 0 {
-		t.Skip("scenario admitted nothing")
-	}
-	old := inc.Demand(served)
-	if err := inc.SetDemand(served, old+1); err != nil {
-		t.Fatalf("SetDemand: %v", err)
-	}
-	if inc.ServingBS(served) >= 0 {
-		t.Fatal("demand change left the UE assigned without re-competing")
-	}
-	if inc.Demand(served) != old+1 {
-		t.Fatalf("demand %d after SetDemand(%d)", inc.Demand(served), old+1)
-	}
-	ds, err := inc.Settle()
-	if err != nil {
-		t.Fatalf("re-settle: %v", err)
-	}
-	if ds.Frontier != 1 {
-		t.Fatalf("re-settle frontier %d, want exactly the re-pended UE", ds.Frontier)
-	}
-	if err := inc.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	if err := inc.SetDemand(served, -1); err == nil {
-		t.Fatal("negative demand accepted")
-	}
-}
-
 // TestIncrementalBeginRejects pins the mode's one precondition: a dense
 // candidate view.
 func TestIncrementalBeginRejects(t *testing.T) {

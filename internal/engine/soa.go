@@ -128,11 +128,6 @@ type Arena struct {
 	serving  []int32
 	assigned Bitset
 
-	// cru[u] is UE u's CRU demand. Plain runs alias csr.CRU (immutable);
-	// the incremental engine swaps in a private, mutable copy so demand
-	// changes never write through to the shared CSR.
-	cru []int32
-
 	// Live-candidate lists, one region per UE at csr.Off[u]: UE u's
 	// live candidate indices are idx[Off[u] : Off[u]+live[u]], unordered
 	// once swap-removal has run (the Proposer's layout over the CSR).
@@ -274,7 +269,6 @@ func (a *Arena) rounds(workers, maxRounds int, hooks *SoAHooks, snap *Snapshot, 
 func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.csr = csr
 	a.cfg = cfg
-	a.cru = csr.CRU
 	a.nprops = 0
 	nUE, nBS, links := csr.UEs(), csr.BSs(), csr.Links()
 
@@ -421,7 +415,7 @@ func (a *Arena) proposeWorker(w int) {
 		swept += uint64(a.live[u])
 		if g, ok := a.propose(u); ok {
 			props[lo+int(cnt)] = soaProposal{
-				key: a.cfg.selectKey(csr.SameSP[g], csr.Fu[u], csr.RRBs[g], a.cru[u]),
+				key: a.cfg.selectKey(csr.SameSP[g], csr.Fu[u], csr.RRBs[g], csr.CRU[u]),
 				ue:  u,
 				g:   g,
 			}
@@ -445,7 +439,7 @@ func (a *Arena) propose(u int32) (int32, bool) {
 	csr := a.csr
 	base := csr.Off[u]
 	svc := csr.Service[u]
-	need := a.cru[u]
+	need := csr.CRU[u]
 	S := int32(csr.Services)
 	idx := a.idx
 	best := int32(-1)
@@ -645,7 +639,7 @@ func (a *Arena) selectBSs(sw *selectWorker, bss []int32, hooks *SoAHooks) {
 			sw.reqs = append(sw.reqs, Request{
 				UE:          mec.UEID(u),
 				Service:     mec.ServiceID(j),
-				CRUs:        int(a.cru[u]),
+				CRUs:        int(csr.CRU[u]),
 				RRBs:        int(csr.RRBs[g]),
 				SameSP:      csr.SameSP[g],
 				Fu:          int(csr.Fu[u]),
@@ -724,7 +718,7 @@ func (a *Arena) checkInvariants() error {
 		if g < 0 {
 			return fmt.Errorf("engine: arena state invalid: UE %d served by non-candidate BS %d", u, b)
 		}
-		a.invCRU[b*S+csr.Service[u]] += a.cru[u]
+		a.invCRU[b*S+csr.Service[u]] += csr.CRU[u]
 		a.invRRB[b] += csr.RRBs[g]
 	}
 	for b := int32(0); int(b) < csr.BSs(); b++ {

@@ -29,9 +29,9 @@ func TestGridIndexNearCoversBruteForce(t *testing.T) {
 		for _, cell := range []float64{50, 200, 450, 5000} {
 			g := NewGridIndex(pts, cell)
 			queries := append(area.RandomPoints(src, 20),
-				Point{X: -500, Y: -500},  // far outside the bounding box
-				Point{X: 3000, Y: 200},   // outside on one axis
-				Point{X: 600, Y: 450},    // interior
+				Point{X: -500, Y: -500}, // far outside the bounding box
+				Point{X: 3000, Y: 200},  // outside on one axis
+				Point{X: 600, Y: 450},   // interior
 			)
 			for _, q := range queries {
 				for _, radius := range []float64{0, 30, 150, 450, 2500} {

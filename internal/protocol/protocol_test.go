@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dmra/internal/alloc"
 	"dmra/internal/mec"
@@ -20,56 +19,6 @@ func buildNet(t *testing.T, ues int, seed uint64) *mec.Network {
 		t.Fatal(err)
 	}
 	return net
-}
-
-// TestParityWithSyncSolver is the core integration check: the actor-based
-// protocol and the synchronous in-memory solver must produce the identical
-// matching, UE for UE.
-func TestParityWithSyncSolver(t *testing.T) {
-	for _, n := range []int{0, 1, 50, 300, 800} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			net := buildNet(t, n, seed)
-			sync, err := alloc.NewDMRA(alloc.DefaultDMRAConfig()).Allocate(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dist, err := Run(net, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for u := range sync.Assignment.ServingBS {
-				if sync.Assignment.ServingBS[u] != dist.Assignment.ServingBS[u] {
-					t.Fatalf("n=%d seed=%d: UE %d sync->%d protocol->%d",
-						n, seed, u, sync.Assignment.ServingBS[u], dist.Assignment.ServingBS[u])
-				}
-			}
-		}
-	}
-}
-
-func TestParityAcrossConfigs(t *testing.T) {
-	net := buildNet(t, 400, 7)
-	for _, dc := range []alloc.DMRAConfig{
-		{Rho: 0, SPPriority: true, FuTieBreak: true},
-		{Rho: 500, SPPriority: false, FuTieBreak: true},
-		{Rho: 2000, SPPriority: true, FuTieBreak: false},
-		{Rho: 250},
-	} {
-		sync, err := alloc.NewDMRA(dc).Allocate(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dist, err := Run(net, Config{DMRA: dc, LatencyS: 1e-3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := range sync.Assignment.ServingBS {
-			if sync.Assignment.ServingBS[u] != dist.Assignment.ServingBS[u] {
-				t.Fatalf("cfg %+v: UE %d sync->%d protocol->%d",
-					dc, u, sync.Assignment.ServingBS[u], dist.Assignment.ServingBS[u])
-			}
-		}
-	}
 }
 
 func TestResultAccounting(t *testing.T) {
@@ -276,49 +225,5 @@ func TestAcceptRetransmissionServesUEs(t *testing.T) {
 	}
 	if got := res.Assignment.ServedCount(); got < 80 {
 		t.Errorf("served %d/100 under loss; retransmission path not effective", got)
-	}
-}
-
-func TestFuzzParityOnRandomShapes(t *testing.T) {
-	// Cross-shape extension of the parity guarantee: over randomized
-	// scenario shapes (sparse services, narrow coverage, shadowing, both
-	// pricing laws), the loss-free protocol equals the sync solver.
-	f := func(seed uint64) bool {
-		cfg := workload.Default()
-		// Mirror internal/alloc's fuzz generator in a compact form.
-		cfg.SPs = int(seed%4) + 1
-		cfg.BSsPerSP = int(seed/4%5) + 1
-		cfg.Services = int(seed/20%6) + 1
-		cfg.ServicesPerBS = cfg.Services
-		cfg.UEs = int(seed % 90)
-		cfg.Radio.CoverageRadiusM = 200 + float64(seed%7)*40
-		cfg.SPCRUPrice = 12
-		net, err := cfg.Build(seed)
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		sync, err := alloc.NewDMRA(alloc.DefaultDMRAConfig()).Allocate(net)
-		if err != nil {
-			return false
-		}
-		dist, err := Run(net, DefaultConfig())
-		if err != nil {
-			return false
-		}
-		for u := range sync.Assignment.ServingBS {
-			if sync.Assignment.ServingBS[u] != dist.Assignment.ServingBS[u] {
-				t.Logf("seed %d: UE %d diverges", seed, u)
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 25}
-	if testing.Short() {
-		cfg.MaxCount = 5
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"dmra/internal/engine"
 	"dmra/internal/mec"
 	"dmra/internal/obs"
-	"dmra/internal/protocol"
 	"dmra/internal/workload"
 )
 
@@ -43,66 +42,6 @@ func drainLedger(s *BSServer, z int) {
 		cru[j] = z
 	}
 	s.led.Reset(cru, z)
-}
-
-// TestClusterShardParity is the coordinator's determinism gate: at every
-// region count, the run must reproduce the discrete-event protocol — an
-// independent runtime — exactly (same assignment, same ordered event
-// stream), and the single coordinator's rounds, frames and per-BS byte
-// totals.
-func TestClusterShardParity(t *testing.T) {
-	net_ := buildNet(t, 220, 11)
-
-	protoSink := obs.NewSink(nil, 1<<17)
-	protoCfg := protocol.DefaultConfig()
-	protoCfg.Obs = obs.NewRecorder(nil, protoSink)
-	proto, err := protocol.Run(net_, protoCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	protoEvents := protoSink.Events()
-
-	var base RegionResult
-	for _, regions := range []int{1, 2, 3, 4, 7} {
-		sink := obs.NewSink(nil, 1<<17)
-		res, err := RunRegionCluster(net_, RegionConfig{
-			DMRA:    alloc.DefaultDMRAConfig(),
-			Regions: regions,
-			Obs:     obs.NewRecorder(nil, sink),
-		})
-		if err != nil {
-			t.Fatalf("regions=%d: %v", regions, err)
-		}
-		for u := range proto.Assignment.ServingBS {
-			if res.Assignment.ServingBS[u] != proto.Assignment.ServingBS[u] {
-				t.Fatalf("regions=%d: UE %d assigned %d, protocol %d",
-					regions, u, res.Assignment.ServingBS[u], proto.Assignment.ServingBS[u])
-			}
-		}
-		events := sink.Events()
-		if len(events) != len(protoEvents) {
-			t.Fatalf("regions=%d: %d events, protocol %d", regions, len(events), len(protoEvents))
-		}
-		for i := range events {
-			if events[i].Key() != protoEvents[i].Key() || events[i].Kind != protoEvents[i].Kind {
-				t.Fatalf("regions=%d event %d: %+v, protocol %+v", regions, i, events[i], protoEvents[i])
-			}
-		}
-		if regions == 1 {
-			base = res
-			continue
-		}
-		if res.Rounds != base.Rounds || res.Frames != base.Frames {
-			t.Fatalf("regions=%d: rounds/frames %d/%d, single coordinator %d/%d",
-				regions, res.Rounds, res.Frames, base.Rounds, base.Frames)
-		}
-		for b := range base.PerBS {
-			if res.PerBS[b] != base.PerBS[b] {
-				t.Fatalf("regions=%d BS %d: traffic %+v, single coordinator %+v",
-					regions, b, res.PerBS[b], base.PerBS[b])
-			}
-		}
-	}
 }
 
 // TestClusterShardLatencyHistograms checks the per-round and per-region

@@ -7,56 +7,7 @@ import (
 	"time"
 
 	"dmra/internal/alloc"
-	"dmra/internal/obs"
-	"dmra/internal/protocol"
 )
-
-// traceKeys runs one of the observed runtimes and returns its ordered
-// (kind, round, ue, bs) event sequence.
-func traceKeys(t *testing.T, run func(rec *obs.Recorder) error) []obs.Event {
-	t.Helper()
-	sink := obs.NewSink(nil, 1<<17)
-	if err := run(obs.NewRecorder(nil, sink)); err != nil {
-		t.Fatal(err)
-	}
-	events := sink.Events()
-	if int64(len(events)) != sink.Total() {
-		t.Fatalf("ring dropped events: kept %d of %d (grow the test ring)", len(events), sink.Total())
-	}
-	return events
-}
-
-// TestTraceParityProtocolVsWire is the observability analogue of the
-// assignment-parity tests: on a loss-free run, the discrete-event message
-// protocol and the TCP cluster must emit the identical ordered sequence
-// of typed convergence events — same rounds, same proposals, same
-// verdicts, same broadcasts, keyed by (round, ue, bs, kind). Timing
-// (Seq/TimeS) is implementation-specific and excluded.
-func TestTraceParityProtocolVsWire(t *testing.T) {
-	for _, n := range []int{40, 250} {
-		net_ := buildNet(t, n, 3)
-		proto := traceKeys(t, func(rec *obs.Recorder) error {
-			cfg := protocol.DefaultConfig()
-			cfg.Obs = rec
-			_, err := protocol.Run(net_, cfg)
-			return err
-		})
-		cluster := traceKeys(t, func(rec *obs.Recorder) error {
-			rc := testRegionConfig(alloc.DefaultDMRAConfig())
-			rc.Obs = rec
-			_, err := RunRegionCluster(net_, rc)
-			return err
-		})
-		if len(proto) != len(cluster) {
-			t.Fatalf("n=%d: protocol emitted %d events, cluster %d", n, len(proto), len(cluster))
-		}
-		for i := range proto {
-			if proto[i].Key() != cluster[i].Key() || proto[i].Kind != cluster[i].Kind {
-				t.Fatalf("n=%d event %d: protocol %+v vs cluster %+v", n, i, proto[i], cluster[i])
-			}
-		}
-	}
-}
 
 // TestClusterPerBSTraffic asserts the coordinator's per-BS byte
 // accounting: one entry per BS, every connection carried traffic (at

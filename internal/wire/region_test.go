@@ -40,59 +40,6 @@ func setAfterRoundHook(t *testing.T, hook func(round int) error) {
 	t.Cleanup(func() { testHookAfterRound = nil })
 }
 
-// TestRegionClusterParity pins the region partition against the
-// in-process solver: for region counts {1, 2, 4}, the assignment must equal
-// alloc's, the rounds, frames and per-BS byte totals must equal the single
-// coordinator's, the cross-region handoff merge must carry proposals once
-// the map is split, and a healthy run must report no recovery events.
-func TestRegionClusterParity(t *testing.T) {
-	net_ := buildNet(t, 220, 11)
-	solver, err := alloc.NewDMRA(alloc.DefaultDMRAConfig()).Allocate(net_)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var base RegionResult
-	for _, regions := range []int{1, 2, 4} {
-		res, err := RunRegionCluster(net_, RegionConfig{DMRA: alloc.DefaultDMRAConfig(), Regions: regions})
-		if err != nil {
-			t.Fatalf("regions=%d: %v", regions, err)
-		}
-		if res.Regions != regions {
-			t.Fatalf("regions=%d: effective region count %d", regions, res.Regions)
-		}
-		for u := range solver.Assignment.ServingBS {
-			if res.Assignment.ServingBS[u] != solver.Assignment.ServingBS[u] {
-				t.Fatalf("regions=%d: UE %d assigned %d, solver %d",
-					regions, u, res.Assignment.ServingBS[u], solver.Assignment.ServingBS[u])
-			}
-		}
-		if res.CrashedBSs != 0 || res.RestartedBSs != 0 || res.ReadmittedUEs != 0 {
-			t.Fatalf("regions=%d: healthy run reported recovery events: %+v", regions, res)
-		}
-		if regions == 1 {
-			if res.HandoffProposals != 0 {
-				t.Fatalf("single coordinator counted %d cross-region handoffs", res.HandoffProposals)
-			}
-			base = res
-			continue
-		}
-		if res.HandoffProposals == 0 {
-			t.Errorf("regions=%d: no proposal crossed a region boundary", regions)
-		}
-		if res.Rounds != base.Rounds || res.Frames != base.Frames {
-			t.Fatalf("regions=%d: rounds/frames %d/%d, single coordinator %d/%d",
-				regions, res.Rounds, res.Frames, base.Rounds, base.Frames)
-		}
-		for b := range base.PerBS {
-			if res.PerBS[b] != base.PerBS[b] {
-				t.Fatalf("regions=%d BS %d: traffic %+v, single coordinator %+v",
-					regions, b, res.PerBS[b], base.PerBS[b])
-			}
-		}
-	}
-}
-
 // TestRegionClusterTopology checks the geographic partition and its
 // accounting: every region owns base stations, boundary UEs exist once the
 // map is split, region counts clamp to the BS count, and each region

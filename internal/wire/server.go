@@ -23,10 +23,9 @@ type BSServer struct {
 
 	ln net.Listener
 
-	mu       sync.Mutex
-	led      *engine.BSLedger
-	sel      engine.SelectScratch
-	admitted map[mec.UEID]bool
+	mu  sync.Mutex
+	led *engine.BSLedger
+	sel engine.SelectScratch
 
 	// connMu guards conn, the single accepted coordinator connection,
 	// which Close must be able to close to unblock a serve goroutine
@@ -62,7 +61,6 @@ func StartBS(id mec.BSID, cruCapacity []int, maxRRBs int, cfg alloc.DMRAConfig, 
 		writeTimeout: writeTimeout,
 		ln:           ln,
 		led:          engine.NewBSLedger(cruCapacity, maxRRBs),
-		admitted:     make(map[mec.UEID]bool),
 		closed:       make(chan struct{}),
 	}
 	s.wg.Add(1)
@@ -194,9 +192,6 @@ func (s *BSServer) process(req *RoundRequest, resp *RoundResponse) {
 		return
 	}
 	for _, v := range verdicts {
-		if v.Accepted {
-			s.admitted[v.Req.UE] = true
-		}
 		resp.Verdicts = append(resp.Verdicts, Verdict{UE: v.Req.UE, Accepted: v.Accepted, Permanent: v.Permanent})
 	}
 	resp.RemainingCRU = append(resp.RemainingCRU, s.led.RemainingCRU()...)

@@ -101,52 +101,6 @@ func buildNet(t testing.TB, ues int, seed uint64) *mec.Network {
 	return net
 }
 
-// TestClusterParityWithSolver is the package's core check: DMRA over real
-// TCP sockets produces the identical matching to the in-memory solver.
-func TestClusterParityWithSolver(t *testing.T) {
-	for _, n := range []int{0, 40, 250} {
-		for seed := uint64(1); seed <= 2; seed++ {
-			net := buildNet(t, n, seed)
-			sync, err := alloc.NewDMRA(alloc.DefaultDMRAConfig()).Allocate(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dist, err := RunRegionCluster(net, testRegionConfig(alloc.DefaultDMRAConfig()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for u := range sync.Assignment.ServingBS {
-				if sync.Assignment.ServingBS[u] != dist.Assignment.ServingBS[u] {
-					t.Fatalf("n=%d seed=%d UE %d: solver %d vs cluster %d",
-						n, seed, u, sync.Assignment.ServingBS[u], dist.Assignment.ServingBS[u])
-				}
-			}
-		}
-	}
-}
-
-func TestClusterParityAcrossConfigs(t *testing.T) {
-	net := buildNet(t, 150, 5)
-	for _, cfg := range []alloc.DMRAConfig{
-		{Rho: 0, SPPriority: true, FuTieBreak: true},
-		{Rho: 800, SPPriority: false, FuTieBreak: false},
-	} {
-		sync, err := alloc.NewDMRA(cfg).Allocate(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dist, err := RunRegionCluster(net, testRegionConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := range sync.Assignment.ServingBS {
-			if sync.Assignment.ServingBS[u] != dist.Assignment.ServingBS[u] {
-				t.Fatalf("cfg %+v UE %d differs", cfg, u)
-			}
-		}
-	}
-}
-
 func TestClusterAccounting(t *testing.T) {
 	net := buildNet(t, 120, 3)
 	res, err := RunRegionCluster(net, testRegionConfig(alloc.DefaultDMRAConfig()))

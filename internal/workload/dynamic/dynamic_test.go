@@ -354,15 +354,18 @@ func TestParseTrace(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"",                  // no events
-		"abc,web\n",         // bad time
-		"-1,web\n",          // negative time
-		"1,web\n0.5,web\n",  // unsorted
-		"1\n",               // missing cohort
-		"1, ,3\n",           // empty cohort
-		"1,web,many\n",      // bad demand
-		"1,web,-2\n",        // negative demand
-		"1,web,3,extra\n",   // too many columns
+		"",                          // no events
+		"abc,web\n",                 // bad time
+		"-1,web\n",                  // negative time
+		"NaN,web\n",                 // not a number
+		"inf,web\n",                 // infinite
+		"1,web\nnan,web\n0.5,web\n", // NaN hides the unsorted pair
+		"1,web\n0.5,web\n",          // unsorted
+		"1\n",                       // missing cohort
+		"1, ,3\n",                   // empty cohort
+		"1,web,many\n",              // bad demand
+		"1,web,-2\n",                // negative demand
+		"1,web,3,extra\n",           // too many columns
 	} {
 		if _, err := ParseTrace(bufio.NewScanner(strings.NewReader(bad))); err == nil {
 			t.Errorf("ParseTrace accepted %q", bad)

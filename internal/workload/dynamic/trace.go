@@ -3,6 +3,7 @@ package dynamic
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -20,9 +21,9 @@ type TraceEvent struct {
 
 // ParseTrace reads a CSV arrival trace: one "t,cohort[,demand]" row per
 // event, with '#' comments and an optional "t,cohort,demand" header.
-// Times must be non-decreasing and non-negative; demands non-negative
-// integers. Every cohort named in the trace must exist in the spec the
-// trace feeds (the caller checks that, via Spec.CheckTrace).
+// Times must be finite, non-negative and non-decreasing; demands
+// non-negative integers. Every cohort named in the trace must exist in
+// the spec the trace feeds (the caller checks that, via Spec.CheckTrace).
 func ParseTrace(r *bufio.Scanner) ([]TraceEvent, error) {
 	var events []TraceEvent
 	line := 0
@@ -44,7 +45,7 @@ func ParseTrace(r *bufio.Scanner) ([]TraceEvent, error) {
 			return nil, fmt.Errorf("dynamic: trace line %d: want t,cohort[,demand], got %q", line, text)
 		}
 		t, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil || t < 0 {
+		if err != nil || t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 			return nil, fmt.Errorf("dynamic: trace line %d: bad time %q", line, parts[0])
 		}
 		if n := len(events); n > 0 && t < events[n-1].TimeS {

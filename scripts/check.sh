@@ -1,23 +1,23 @@
 #!/bin/sh
-# Full verification gate: vet plus the race-enabled test suite, which
-# exercises the parallel experiment engine at several worker counts, the
-# race-enabled parity sweeps, fixed-budget fuzz runs of the wire frame
-# and checkpoint decoders, of engine parity and of delta-repair parity,
-# a one-iteration smoke run of the hot-path benchmarks, and the
+# Full verification gate: gofmt and vet plus the race-enabled test
+# suite, which exercises the parallel experiment engine at several worker
+# counts, the race-enabled parity sweeps, fixed-budget fuzz runs of the
+# wire frame and checkpoint decoders and of the differential parity
+# harness, a one-iteration smoke run of the hot-path benchmarks, and the
 # telemetry-determinism gate, which proves that attaching the
 # observability layer does not change a single byte of experiment output.
 # Equivalent to `make check`.
 #
 # Usage:
-#   scripts/check.sh                   vet + race suite + every step below
+#   scripts/check.sh                   gofmt + vet + race suite + every step below
+#   scripts/check.sh gofmt             only the gofmt gate
 #   scripts/check.sh obs-determinism   only the telemetry gate
 #   scripts/check.sh bench-smoke       only the one-iteration benchmark smoke run
 #   scripts/check.sh engine-guard      only the single-round-engine grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
 #   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
-#   scripts/check.sh region-parity     only the race-enabled wire suite at several region counts + a 15 s FuzzEngineParity run
-#   scripts/check.sh soa-parity        only the race-enabled SoA-engine parity gate at several worker counts
-#   scripts/check.sh delta-parity      only the race-enabled delta-repair parity gate at several worker counts + a 20 s FuzzDeltaParity run
+#   scripts/check.sh region-parity     only the race-enabled wire suite at several region counts
+#   scripts/check.sh parity            only the race-enabled differential parity harness at several widths and region counts + a 35 s FuzzParity run
 #   scripts/check.sh workload-specs    only the example-spec validation + online spec smoke
 #   scripts/check.sh replay-parity     only the race-enabled trace-replay parity gate
 set -eu
@@ -67,65 +67,59 @@ wire_fuzz() {
 	echo "wire fuzz: FuzzReadFrame ran 20 s and FuzzLoadCheckpoint 10 s without a failure"
 }
 
+gofmt_check() {
+	# Formatting drift is invisible to vet and the tests; fail on any
+	# file gofmt would rewrite.
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		echo "gofmt: files need formatting:" >&2
+		echo "$unformatted" >&2
+		exit 1
+	fi
+	echo "gofmt: every Go file is formatted"
+}
+
 region_parity() {
 	# The TCP coordinator must be byte-identical at every region count and
 	# must survive BS crashes. Run the whole wire suite race-enabled at
-	# two region counts, so every parity, accounting and failure test
-	# doubles as a multi-coordinator test (the parity tests also sweep
-	# region counts internally); each sweep runs the chaos iteration — a
-	# BS server killed and revived mid-run — race-enabled. A 15 s
-	# FuzzEngineParity run then searches new scenarios: the TCP cluster
-	# and the simulated protocol share the engine's Proposer, and the
-	# fuzzer pins both against the synchronous solver.
+	# two region counts, so every accounting, checkpoint and failure test
+	# doubles as a multi-coordinator test; each sweep runs the chaos
+	# iteration — a BS server killed and revived mid-run — race-enabled.
+	# Region-count parity against the other runtimes is the parity step's.
 	for regions in 1 3; do
 		DMRA_TEST_REGIONS=$regions go test -race -count=1 ./internal/wire/
 	done
-	go test -run '^$' -fuzz FuzzEngineParity -fuzztime 15s ./internal/wire/
-	echo "region parity: race-enabled wire suite passed at regions 1 and 3 (incl. chaos + checkpoint/resume); FuzzEngineParity ran 15 s without a failure"
+	echo "region parity: race-enabled wire suite passed at regions 1 and 3 (incl. chaos + checkpoint/resume)"
 }
 
-soa_parity() {
-	# The struct-of-arrays arena engine must be byte-identical to the
-	# naive reference — assignments, stats, event streams, round
-	# snapshots — at any propose-worker count and either sign of rho. Sweep the worker width
-	# race-enabled (like the wire region sweep): workers 3 runs propose on
-	# three goroutines (every round of two or more UEs fans out) and, in
-	# the unobserved FuzzSoAParity leg, the BS-sliced select too, so this
-	# is also the data-race gate on the parallel merge. The 50k-UE smoke
-	# run exercises the same parallel path at benchmark-like contention.
-	# The engine's own tests run once, race-enabled: the argmin key must
-	# order requests exactly like the BS preference, and
-	# TestArenaSelectWidths / TestArenaObservedProposeWidths sweep their
-	# own widths (2, 3, 5, 16 against a serial run), unobserved and
-	# observed, the latter including the per-round swept counts.
-	for workers in 1 3; do
-		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
-			-run 'TestSoA|FuzzSoAParity' ./internal/alloc/
+parity() {
+	# DMRA must reach the same matching in memory, as UE/BS messages and
+	# over TCP. TestParity and FuzzParity (internal/alloc) pin the arena
+	# engine and the incremental delta-repair engine to the naive
+	# reference — assignments, stats, ordered events, round snapshots,
+	# residual ledgers — and the protocol and the region cluster to each
+	# other and to the solver. Run the harness race-enabled at propose
+	# width and region count 1, then 3: width 3 runs propose (and, when
+	# unobserved, the BS-sliced select) on three goroutines, so this is
+	# also the data-race gate on the parallel merge; the fuzz seeds replay
+	# as tests. The 50k-UE smoke runs the same parallel path at
+	# benchmark-like contention. The engine's own tests run race-enabled
+	# too: the argmin key must order requests exactly like the BS
+	# preference, TestArenaSelectWidths / TestArenaObservedProposeWidths
+	# sweep their own widths, TestIncremental* pins the credit epochs, and
+	# online's TestSession* pins the session's epoch routes to identical
+	# reports. A 35 s fuzz run then searches new scenarios and churn
+	# scripts; its TCP rows are paced to the loopback port budget, so it
+	# runs two workers whatever the core count, and a 20-exec
+	# minimization cap keeps the budget on new inputs.
+	for n in 1 3; do
+		DMRA_TEST_PROPOSE_WORKERS=$n DMRA_TEST_REGIONS=$n go test -race -count=1 \
+			-run 'TestParity|FuzzParity|TestSoASmoke50k' -timeout 20m ./internal/alloc/
+		go test -race -count=1 -run 'TestIncremental|TestSession' ./internal/engine/ ./internal/online/
 	done
 	go test -race -count=1 -run 'TestSelectKey|TestArena' ./internal/engine/
-	DMRA_TEST_PROPOSE_WORKERS=3 go test -race -count=1 -run 'TestSoASmoke50k' \
-		-timeout 20m ./internal/alloc/
-	echo "soa parity: race-enabled SoA engine gate passed at workers 1 and 3 (+ engine key/width tests, 50k smoke)"
-}
-
-delta_parity() {
-	# The incremental delta-repair engine must reproduce from-scratch DMRA
-	# (the naive reference) exactly — per-UE placements, residual
-	# ledgers, round counters, and with hooks the frontier's ordered
-	# event stream — across churn scripts at any propose-worker count.
-	# Sweep the worker width race-enabled like the SoA gate; the fuzz
-	# seeds run as regular tests, replaying the checked-in corpus
-	# (including past crashers). TestSession* pins the online session's
-	# epoch routes (default delta repair, Incremental, observed, and the
-	# from-scratch reference, at both signs of rho) to identical reports.
-	# A 20 s fuzz run then searches new churn scripts: Settle's lazy credit
-	# check is the one place a stale candidate drop could survive.
-	for workers in 1 3; do
-		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
-			-run 'TestDelta|TestIncremental|TestSession|FuzzDeltaParity' ./internal/alloc/ ./internal/engine/ ./internal/online/
-	done
-	go test -run '^$' -fuzz FuzzDeltaParity -fuzztime 20s ./internal/alloc/
-	echo "delta parity: race-enabled delta-repair gate passed at workers 1 and 3; FuzzDeltaParity ran 20 s without a failure"
+	go test -run '^$' -fuzz FuzzParity -fuzztime 35s -fuzzminimizetime 20x -parallel 2 ./internal/alloc/
+	echo "parity: race-enabled harness passed at width/regions 1 and 3 (+ 50k smoke, engine and session tests); FuzzParity ran 35 s without a failure"
 }
 
 bench_smoke() {
@@ -203,16 +197,16 @@ wire-fuzz)
 	wire_fuzz
 	exit 0
 	;;
+gofmt)
+	gofmt_check
+	exit 0
+	;;
 region-parity)
 	region_parity
 	exit 0
 	;;
-soa-parity)
-	soa_parity
-	exit 0
-	;;
-delta-parity)
-	delta_parity
+parity)
+	parity
 	exit 0
 	;;
 workload-specs)
@@ -225,6 +219,7 @@ replay-parity)
 	;;
 esac
 
+gofmt_check
 go vet ./...
 # The engine's parity-critical tests run race-enabled as part of the full
 # suite below; internal/engine is called out here so a failure names the
@@ -233,8 +228,7 @@ go test -race ./internal/engine/
 go test -race ./...
 wire_fuzz
 region_parity
-soa_parity
-delta_parity
+parity
 replay_parity
 bench_smoke
 workload_specs
