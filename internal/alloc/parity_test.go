@@ -79,8 +79,8 @@ func testRegions(def ...int) []int {
 // TestParity runs the harness over a fixed table: generator shapes at
 // their own populations across a spread of propose widths, a width sweep
 // past the fuzzed range, one shape crowded from zero to 800 UEs, a region
-// sweep, and DMRA configurations across both ablation switches and both
-// signs of rho.
+// sweep, DMRA configurations across both ablation switches and both
+// signs of rho, and 25 more generator shapes without the cluster.
 func TestParity(t *testing.T) {
 	const own = -1 // keep the generator's own UE count
 	dflt := alloc.DefaultDMRAConfig()
@@ -111,9 +111,10 @@ func TestParity(t *testing.T) {
 		{"rho800-plain", 1234, 400, alloc.DMRAConfig{Rho: 800}, []int{1, 3}, []int{3}},
 		{"rho-40", 1234, 400, alloc.DMRAConfig{Rho: -40, SPPriority: true, FuTieBreak: true}, []int{1, 3}, []int{3}},
 	}
-	handoffs := 0
+	handoffs, ran := 0, 0
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
+			ran++
 			wl := alloc.GenScenarioForTest(r.seed)
 			if r.ues != own {
 				wl.UEs = r.ues
@@ -132,46 +133,111 @@ func TestParity(t *testing.T) {
 			})
 		})
 	}
+	// Random generator shapes (sparse services, narrow coverage,
+	// shadowing, both pricing laws) at their own populations: every row
+	// but the region cluster.
+	t.Run("shapes", func(t *testing.T) {
+		shapes := uint64(25)
+		if testing.Short() {
+			shapes = 5
+		}
+		for seed := uint64(2000); seed < 2000+shapes; seed++ {
+			net, err := alloc.GenScenarioForTest(seed).Build(seed)
+			if err != nil {
+				t.Fatalf("seed %d: build: %v", seed, err)
+			}
+			t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+				checkParity(t, parityCase{net: net, cfg: dflt, workers: testWidths(1), skipCluster: true, seed: seed})
+			})
+		}
+	})
 	// Unless DMRA_TEST_REGIONS pins one region, some row must split the
 	// map so that proposals cross it.
-	if handoffs == 0 && testRegions(2)[0] > 1 {
+	if ran > 0 && handoffs == 0 && testRegions(2)[0] > 1 {
 		t.Error("no proposal crossed a region boundary; the handoff merge went untested")
 	}
 }
 
-// FuzzParity is the harness's fuzz face: a fuzzed generator seed, rho of
-// either sign (rhoRaw/4, or rhoRaw itself when flags bit 3 is set), both
-// ablation switches (flags bits 0 and 1), a propose width of 1-8, a
-// seed-derived region count of 1-8 and a churn script. The
+// FuzzParity is the harness's fuzz face; scripts/check.sh fuzzes it.
+// Its corpus starts from every seed set below. FuzzSoAParity,
+// FuzzDMRACachedEquivalence and FuzzDeltaParity replay one set each,
+// under the name of the check it was written for; all four run the same
+// body, fuzzParity.
+func FuzzParity(f *testing.F) {
+	fuzzParity(f, soaSeeds, unscaledRhoSeeds, churnSeeds, clusterSeeds())
+}
+
+// FuzzSoAParity replays soaSeeds.
+func FuzzSoAParity(f *testing.F) { fuzzParity(f, soaSeeds) }
+
+// FuzzDMRACachedEquivalence replays unscaledRhoSeeds.
+func FuzzDMRACachedEquivalence(f *testing.F) { fuzzParity(f, unscaledRhoSeeds) }
+
+// FuzzDeltaParity replays churnSeeds.
+func FuzzDeltaParity(f *testing.F) { fuzzParity(f, churnSeeds) }
+
+// parityInput is one fuzz input of the harness; see fuzzParity.
+type parityInput struct {
+	seed              uint64
+	rhoRaw            int16
+	flags, workersRaw uint8
+	script            []byte
+}
+
+// soaSeeds: propose widths 1-8, no churn script.
+var soaSeeds = []parityInput{
+	{1, 250, 0, 1, nil},
+	{7, 0, 1, 3, nil},
+	{42, 777, 2, 2, nil},
+	{1234, 1000, 3, 8, nil},
+	{99, 31, 0, 0, nil},
+	{11, -160, 1, 4, nil},
+}
+
+// unscaledRhoSeeds: unscaled rho (flags bit 3), out to the int16
+// extremes.
+var unscaledRhoSeeds = []parityInput{
+	{1, 250, 8, 0, nil},
+	{7, 0, 9, 0, nil},
+	{42, -40, 10, 0, nil},
+	{1234, 1000, 11, 0, nil},
+	{99, -8192, 8, 0, nil},
+}
+
+// churnSeeds: churn scripts for the Incremental row.
+var churnSeeds = []parityInput{
+	{1, 250, 0, 1, []byte{0, 4, 8, 1, 2, 12, 3, 0}},
+	{7, 0, 1, 3, deltaScript(7, 64)},
+	{42, 777, 2, 2, deltaScript(42, 128)},
+	{1234, 1000, 3, 8, deltaScript(1234, 32)},
+	{99, 31, 0, 0, deltaScript(99, 200)},
+	{11, -160, 5, 2, deltaScript(11, 160)},
+}
+
+// clusterSeeds: the default configuration (rho 250) with the cluster
+// rows, at seed-derived widths and region counts.
+func clusterSeeds() []parityInput {
+	var in []parityInput
+	for _, seed := range []uint64{0, 1, 7, 42, 137, 5000} {
+		in = append(in, parityInput{seed, 1000, 0x70, uint8(seed / 7 % 8), nil})
+	}
+	return in
+}
+
+// fuzzParity runs the harness on each input of f: a fuzzed generator
+// seed, rho of either sign (rhoRaw/4, or rhoRaw itself when flags bit 3
+// is set), both ablation switches (flags bits 0 and 1), a propose width
+// of 1-8, a seed-derived region count of 1-8 and a churn script. The
 // region-cluster rows run only on inputs with flags bits 4-6 all set
 // (0x70): each cluster run starts a TCP server per BS, paced to the
 // loopback port budget (see paceServers), and on every input they would
 // hold the other rows to that pace. Fuzz with -parallel 2 or fewer.
-func FuzzParity(f *testing.F) {
-	// Propose widths 1-8, no churn script.
-	f.Add(uint64(1), int16(250), uint8(0), uint8(1), []byte(nil))
-	f.Add(uint64(7), int16(0), uint8(1), uint8(3), []byte(nil))
-	f.Add(uint64(42), int16(777), uint8(2), uint8(2), []byte(nil))
-	f.Add(uint64(1234), int16(1000), uint8(3), uint8(8), []byte(nil))
-	f.Add(uint64(99), int16(31), uint8(0), uint8(0), []byte(nil))
-	f.Add(uint64(11), int16(-160), uint8(1), uint8(4), []byte(nil))
-	// Unscaled rho (flags bit 3), out to the int16 extremes.
-	f.Add(uint64(1), int16(250), uint8(8), uint8(0), []byte(nil))
-	f.Add(uint64(7), int16(0), uint8(9), uint8(0), []byte(nil))
-	f.Add(uint64(42), int16(-40), uint8(10), uint8(0), []byte(nil))
-	f.Add(uint64(1234), int16(1000), uint8(11), uint8(0), []byte(nil))
-	f.Add(uint64(99), int16(-8192), uint8(8), uint8(0), []byte(nil))
-	// Churn scripts for the Incremental row.
-	f.Add(uint64(1), int16(250), uint8(0), uint8(1), []byte{0, 4, 8, 1, 2, 12, 3, 0})
-	f.Add(uint64(7), int16(0), uint8(1), uint8(3), deltaScript(7, 64))
-	f.Add(uint64(42), int16(777), uint8(2), uint8(2), deltaScript(42, 128))
-	f.Add(uint64(1234), int16(1000), uint8(3), uint8(8), deltaScript(1234, 32))
-	f.Add(uint64(99), int16(31), uint8(0), uint8(0), deltaScript(99, 200))
-	f.Add(uint64(11), int16(-160), uint8(5), uint8(2), deltaScript(11, 160))
-	// The default configuration (rho 250) with the cluster rows, at
-	// seed-derived widths and region counts.
-	for _, seed := range []uint64{0, 1, 7, 42, 137, 5000} {
-		f.Add(seed, int16(1000), uint8(0x70), uint8(seed/7%8), []byte(nil))
+// The seed sets are added to f's corpus in order.
+func fuzzParity(f *testing.F, sets ...[]parityInput) {
+	for _, set := range sets {
+		for _, in := range set {
+			f.Add(in.seed, in.rhoRaw, in.flags, in.workersRaw, in.script)
+		}
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, rhoRaw int16, flags, workersRaw uint8, script []byte) {
 		net, err := alloc.GenScenarioForTest(seed).Build(seed)
