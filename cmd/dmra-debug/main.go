@@ -163,11 +163,11 @@ func runState(args []string) error {
 		if st.Phase == replay.PhaseMatched {
 			fmt.Printf(" on BS %d", st.ServingBS)
 		}
-		cands := net.Candidates(mec.UEID(*ue))
-		fmt.Printf("\n  proposals: %d, pruned candidates: %d of %d", st.Proposals, st.Pruned, len(cands))
+		fu := net.CoverCount(mec.UEID(*ue))
+		fmt.Printf("\n  proposals: %d, pruned candidates: %d of %d", st.Proposals, st.Pruned, fu)
 		if st.PrefPos >= 0 {
 			fmt.Printf("\n  last proposal: BS %d (preference position %d of %d)",
-				st.LastBS, st.PrefPos+1, len(cands))
+				st.LastBS, st.PrefPos+1, fu)
 		}
 		fmt.Println()
 	}

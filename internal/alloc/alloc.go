@@ -72,15 +72,16 @@ func ByName(name string) (Allocator, error) {
 // line 1): BSs are removed permanently once they lack resources at propose
 // time, because BS resources never grow back (no eviction in Alg. 1).
 type candidateSet struct {
-	// remaining[u] holds the indices into net.Candidates(u) still viable.
+	// remaining[u] holds the still-viable candidates of u, as offsets
+	// into u's CandRange.
 	remaining [][]int
 }
 
 func newCandidateSet(net *mec.Network) *candidateSet {
 	cs := &candidateSet{remaining: make([][]int, len(net.UEs))}
 	for u := range net.UEs {
-		n := len(net.Candidates(mec.UEID(u)))
-		idx := make([]int, n)
+		lo, hi := net.CandRange(mec.UEID(u))
+		idx := make([]int, hi-lo)
 		for i := range idx {
 			idx[i] = i
 		}
@@ -96,9 +97,9 @@ func (cs *candidateSet) empty(u mec.UEID) bool {
 // forEach calls fn for every still-viable candidate link of u with its
 // position in the remaining list.
 func (cs *candidateSet) forEach(net *mec.Network, u mec.UEID, fn func(pos int, l mec.Link)) {
-	all := net.Candidates(u)
+	lo, _ := net.CandRange(u)
 	for pos, i := range cs.remaining[u] {
-		fn(pos, all[i])
+		fn(pos, net.LinkAt(u, lo+int32(i)))
 	}
 }
 

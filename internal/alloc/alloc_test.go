@@ -523,7 +523,9 @@ func TestGreedyMarginOrdering(t *testing.T) {
 func TestMargin(t *testing.T) {
 	net := defaultNet(t, 50, 5)
 	for u := 0; u < 50; u++ {
-		for _, l := range net.Candidates(mec.UEID(u)) {
+		lo, hi := net.CandRange(mec.UEID(u))
+		for k := lo; k < hi; k++ {
+			l := net.LinkAt(mec.UEID(u), k)
 			m := Margin(net, l)
 			if m <= 0 {
 				t.Fatalf("Eq. 16 guarantees positive margins, got %v on link %+v", m, l)
@@ -716,9 +718,10 @@ func TestLocalSearchLedgerFailureIsError(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("greedy served nobody")
 	}
-	links := net.Candidates(victim) // aliases the network's link table
-	for k := range links {
-		links[k].RRBs = 1 << 20
+	csr := net.Dense() // the network's own store
+	lo, hi := net.CandRange(victim)
+	for k := lo; k < hi; k++ {
+		csr.RRBs[k] = 1 << 20
 	}
 	_, err = NewLocalSearch().search(net, state, Stats{})
 	if !errors.Is(err, mec.ErrNoRRB) || !strings.Contains(err.Error(), "relocate") {

@@ -61,13 +61,12 @@ func (a *Auction) Allocate(net *mec.Network) (Result, error) {
 	// bounded. maxRounds encodes that bound with slack.
 	maxMargin := 0.0
 	for u := range net.UEs {
-		for _, l := range net.Candidates(mec.UEID(u)) {
-			if m := Margin(net, l); m > maxMargin {
-				maxMargin = m
-			}
+		lo, hi := net.CandRange(mec.UEID(u))
+		for k := lo; k < hi; k++ {
+			maxMargin = max(maxMargin, Margin(net, net.LinkAt(mec.UEID(u), k)))
 		}
 	}
-	maxRounds := len(net.UEs) + net.TotalCandidateLinks() +
+	maxRounds := len(net.UEs) + net.Dense().Links() +
 		len(net.BSs)*(int(maxMargin/eps)+2) + 1
 
 	for round := 0; ; round++ {

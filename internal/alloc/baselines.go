@@ -33,8 +33,9 @@ func (a *Random) Allocate(net *mec.Network) (Result, error) {
 	for _, u := range src.Perm(len(net.UEs)) {
 		uid := mec.UEID(u)
 		var feasible []mec.Link
-		for _, l := range net.Candidates(uid) {
-			if state.CanServe(uid, l.BS) {
+		lo, hi := net.CandRange(uid)
+		for k := lo; k < hi; k++ {
+			if l := net.LinkAt(uid, k); state.CanServe(uid, l.BS) {
 				feasible = append(feasible, l)
 			}
 		}
@@ -84,7 +85,10 @@ func (a *Greedy) Allocate(net *mec.Network) (Result, error) {
 
 	var links []mec.Link
 	for u := range net.UEs {
-		links = append(links, net.Candidates(mec.UEID(u))...)
+		lo, hi := net.CandRange(mec.UEID(u))
+		for k := lo; k < hi; k++ {
+			links = append(links, net.LinkAt(mec.UEID(u), k))
+		}
 	}
 	sort.SliceStable(links, func(i, j int) bool {
 		mi, mj := Margin(net, links[i]), Margin(net, links[j])

@@ -26,10 +26,10 @@ func (a *DCSP) Name() string { return "DCSP" }
 // Occupation returns the fraction of BS b's combined CRU+RRB pool in use,
 // the quantity DCSP's UEs minimize.
 func Occupation(s *mec.State, b mec.BSID) float64 {
-	bs := &s.Network().BSs[b]
-	capTotal := bs.MaxRRBs
-	for _, c := range bs.CRUCapacity {
-		capTotal += c
+	csr := s.Network().Dense()
+	capTotal := int(csr.MaxRRB[b])
+	for _, c := range csr.CRURow(b) {
+		capTotal += int(c)
 	}
 	if capTotal == 0 {
 		return 1
@@ -166,19 +166,21 @@ func (a *NonCo) Allocate(net *mec.Network) (Result, error) {
 
 	// Single propose round: every UE contacts its max-SINR candidate.
 	inbox := make([][]mec.Link, len(net.BSs))
+	sinr := net.Dense().SINR
 	for u := range net.UEs {
 		uid := mec.UEID(u)
-		var best mec.Link
-		found := false
-		for _, l := range net.Candidates(uid) {
-			if !found || l.SINR > best.SINR {
-				best, found = l, true
-			}
-		}
-		if !found {
+		lo, hi := net.CandRange(uid)
+		if lo == hi {
 			continue
 		}
-		inbox[best.BS] = append(inbox[best.BS], best)
+		best := lo
+		for k := lo + 1; k < hi; k++ {
+			if sinr[k] > sinr[best] {
+				best = k
+			}
+		}
+		l := net.LinkAt(uid, best)
+		inbox[l.BS] = append(inbox[l.BS], l)
 		stats.Proposals++
 	}
 

@@ -25,9 +25,8 @@ func DefaultDMRAConfig() DMRAConfig {
 // DMRA is the Decentralized Multi-SP Resource Allocation scheme (Alg. 1).
 //
 // This type is the synchronous in-memory solver. It runs the
-// struct-of-arrays engine (engine.Arena) over the network's dense
-// candidate view; networks without one (mec.SubView views, or more than
-// MaxInt32 links) take the naive reference instead. internal/protocol
+// struct-of-arrays engine (engine.Arena) over the network's candidate
+// store, a mec.SubView's included. internal/protocol
 // runs the same engine rounds as real message exchange between UE/BS
 // actors and internal/wire runs them over TCP; the runtimes are
 // integration-tested to produce identical assignments.
@@ -131,7 +130,7 @@ func (d *DMRA) Allocate(net *mec.Network) (Result, error) {
 // the same Result (benchmarks, repeated experiment points) see zero heap
 // allocations per run in steady state with a nil observer.
 func (d *DMRA) AllocateInto(net *mec.Network, res *Result) error {
-	if d.naive || net.Dense() == nil {
+	if d.naive {
 		return d.allocateNaive(net, res)
 	}
 	a, _ := d.pool.Get().(*engine.Arena)

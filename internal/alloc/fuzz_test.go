@@ -5,46 +5,8 @@ import (
 	"testing/quick"
 
 	"dmra/internal/mec"
-	"dmra/internal/rng"
 	"dmra/internal/workload"
 )
-
-// fuzzScenario derives a random but valid scenario shape from a seed,
-// exercising corners the figure scenarios never touch: tiny SP counts,
-// sparse services, Zipf skew, uniform and hotspot placement, narrow
-// coverage, both pricing laws, and shadowing.
-func fuzzScenario(seed uint64) workload.Config {
-	src := rng.New(seed).SplitLabeled("fuzz-shape")
-	cfg := workload.Default()
-	cfg.SPs = src.IntBetween(1, 5)
-	cfg.BSsPerSP = src.IntBetween(1, 6)
-	cfg.Services = src.IntBetween(1, 8)
-	cfg.ServicesPerBS = src.IntBetween(1, cfg.Services)
-	cfg.UEs = src.IntBetween(0, 120)
-	cfg.Radio.CoverageRadiusM = src.FloatBetween(150, 500)
-	if src.Float64() < 0.3 {
-		cfg.Placement = workload.PlacementRandom
-	} else if src.Float64() < 0.3 {
-		cfg.Placement = workload.PlacementHex
-	}
-	if src.Float64() < 0.5 {
-		cfg.UEDist = workload.UEUniform
-	}
-	if src.Float64() < 0.3 {
-		cfg.ServiceDist = workload.ServiceZipf
-		cfg.ZipfS = src.FloatBetween(0.5, 2)
-	}
-	if src.Float64() < 0.3 {
-		cfg.Pricing.Law = mec.DistancePower
-		cfg.Pricing.DistanceSigma = 0.01
-	}
-	if src.Float64() < 0.3 {
-		cfg.Radio.ShadowingStdDB = src.FloatBetween(2, 10)
-	}
-	// Keep Eq. 16 satisfiable under the worst-case candidate price.
-	cfg.SPCRUPrice = 12
-	return cfg
-}
 
 // TestFuzzAllAllocatorsOnRandomShapes is the cross-cutting safety net:
 // every allocator must produce a validated feasible assignment on every
@@ -53,7 +15,7 @@ func TestFuzzAllAllocatorsOnRandomShapes(t *testing.T) {
 	allocators := allAllocators()
 	allocators = append(allocators, NewStableMatch(), NewLocalSearch(), NewAuction())
 	f := func(seed uint64) bool {
-		cfg := fuzzScenario(seed)
+		cfg := workload.RandomShape(seed)
 		if err := cfg.Validate(); err != nil {
 			t.Logf("seed %d: invalid config: %v", seed, err)
 			return false
@@ -94,7 +56,7 @@ func TestFuzzAllAllocatorsOnRandomShapes(t *testing.T) {
 // message runtime's own tests cover the default shapes).
 func TestFuzzDMRADeterministicOnRandomShapes(t *testing.T) {
 	f := func(seed uint64) bool {
-		cfg := fuzzScenario(seed)
+		cfg := workload.RandomShape(seed)
 		net, err := cfg.Build(seed)
 		if err != nil {
 			return false

@@ -111,7 +111,9 @@ func (a *LocalSearch) relocate(net *mec.Network, state *mec.State, u mec.UEID) (
 	// Release first so a move within the same BS's budget is visible.
 	state.Unassign(u)
 	best, bestMargin := cur, curMargin
-	for _, l := range net.Candidates(u) {
+	lo, hi := net.CandRange(u)
+	for k := lo; k < hi; k++ {
+		l := net.LinkAt(u, k)
 		if !state.CanServe(u, l.BS) {
 			continue
 		}
@@ -130,7 +132,9 @@ func (a *LocalSearch) relocate(net *mec.Network, state *mec.State, u mec.UEID) (
 func (a *LocalSearch) insert(net *mec.Network, state *mec.State, u mec.UEID) (bool, error) {
 	best := mec.CloudBS
 	bestMargin := 0.0
-	for _, l := range net.Candidates(u) {
+	lo, hi := net.CandRange(u)
+	for k := lo; k < hi; k++ {
+		l := net.LinkAt(u, k)
 		if !state.CanServe(u, l.BS) {
 			continue
 		}
@@ -151,7 +155,9 @@ func (a *LocalSearch) insert(net *mec.Network, state *mec.State, u mec.UEID) (bo
 // u's candidate BSs; the victim is re-inserted at its best alternative
 // (possibly the cloud). The move commits only on a positive net gain.
 func (a *LocalSearch) eject(net *mec.Network, state *mec.State, u mec.UEID) (bool, error) {
-	for _, l := range net.Candidates(u) {
+	lo, hi := net.CandRange(u)
+	for k := lo; k < hi; k++ {
+		l := net.LinkAt(u, k)
 		uMargin := Margin(net, l)
 		// Find a victim on this BS whose removal makes room for u.
 		for v := range net.UEs {
@@ -178,7 +184,9 @@ func (a *LocalSearch) eject(net *mec.Network, state *mec.State, u mec.UEID) (boo
 			// Re-insert the victim at its best remaining option.
 			vBest := mec.CloudBS
 			vBestMargin := 0.0
-			for _, vl := range net.Candidates(vid) {
+			vlo, vhi := net.CandRange(vid)
+			for vk := vlo; vk < vhi; vk++ {
+				vl := net.LinkAt(vid, vk)
 				if !state.CanServe(vid, vl.BS) {
 					continue
 				}

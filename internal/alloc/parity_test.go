@@ -115,7 +115,7 @@ func TestParity(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			ran++
-			wl := alloc.GenScenarioForTest(r.seed)
+			wl := workload.RandomShape(r.seed)
 			if r.ues != own {
 				wl.UEs = r.ues
 			}
@@ -142,7 +142,7 @@ func TestParity(t *testing.T) {
 			shapes = 5
 		}
 		for seed := uint64(2000); seed < 2000+shapes; seed++ {
-			net, err := alloc.GenScenarioForTest(seed).Build(seed)
+			net, err := workload.RandomShape(seed).Build(seed)
 			if err != nil {
 				t.Fatalf("seed %d: build: %v", seed, err)
 			}
@@ -240,7 +240,7 @@ func fuzzParity(f *testing.F, sets ...[]parityInput) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, rhoRaw int16, flags, workersRaw uint8, script []byte) {
-		net, err := alloc.GenScenarioForTest(seed).Build(seed)
+		net, err := workload.RandomShape(seed).Build(seed)
 		if err != nil {
 			t.Skip() // generator can produce shapes Build rejects; not under test
 		}
@@ -327,7 +327,7 @@ func solve(t *testing.T, d *alloc.DMRA, net *mec.Network, observed bool) solverR
 	var run solverRun
 	var sink *obs.Sink
 	if observed {
-		sink = newSink(net, net.TotalCandidateLinks())
+		sink = newSink()
 		d.WithObserver(obs.NewRecorder(nil, sink)).
 			WithRoundHook(func(s *engine.Snapshot) { run.snaps = append(run.snaps, s.Clone()) })
 	}
@@ -351,14 +351,11 @@ func validate(t *testing.T, label string, net *mec.Network, serving []mec.BSID) 
 	}
 }
 
-// newSink returns an event sink whose ring holds a run over net in which
-// the proposing UEs have cands candidate links between them: at most
-// engine.RoundBound's 1 + cands rounds, each a Round event, a Propose or
-// Cloud event and a verdict per UE, and a broadcast per BS. Sized to the
-// run because the ring is allocated up front; drain checks that nothing
-// was dropped.
-func newSink(net *mec.Network, cands int) *obs.Sink {
-	return obs.NewSink(nil, min(1<<17, (2+cands)*(1+2*len(net.UEs)+len(net.BSs))))
+// newSink returns an event sink for one run. Its ring grows with the
+// run up to a fixed cap far above any harness run's event count; drain
+// checks that nothing was dropped.
+func newSink() *obs.Sink {
+	return obs.NewSink(nil, 1<<20)
 }
 
 // drain returns sink's events, failing if its ring dropped any.
@@ -424,7 +421,7 @@ func compareSnaps(t *testing.T, label string, got, want []*engine.Snapshot) {
 // handoffs.
 func checkMessages(t *testing.T, c parityCase, solver alloc.Result) int {
 	t.Helper()
-	sink := newSink(c.net, c.net.TotalCandidateLinks())
+	sink := newSink()
 	proto, err := protocol.Run(c.net, protocol.Config{DMRA: c.cfg, LatencyS: 1e-3, Obs: obs.NewRecorder(nil, sink)})
 	if err != nil {
 		t.Fatalf("protocol: %v", err)
@@ -453,7 +450,7 @@ func checkMessages(t *testing.T, c parityCase, solver alloc.Result) int {
 	for i, regions := range append([]int{1}, c.regions...) {
 		label := fmt.Sprintf("cluster at %d regions", regions)
 		paceServers(len(c.net.BSs))
-		sink := newSink(c.net, c.net.TotalCandidateLinks())
+		sink := newSink()
 		res, err := wire.RunRegionCluster(c.net, wire.RegionConfig{DMRA: c.cfg, Regions: regions, Obs: obs.NewRecorder(nil, sink)})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -520,7 +517,10 @@ func paceServers(n int) {
 func crossings(net *mec.Network, events []obs.Event, bsRegion []int) int {
 	n := 0
 	for _, e := range events {
-		if e.Kind == obs.KindPropose && bsRegion[e.BS] != bsRegion[net.Candidates(mec.UEID(e.UE))[0].BS] {
+		if e.Kind != obs.KindPropose {
+			continue
+		}
+		if lo, _ := net.CandRange(mec.UEID(e.UE)); bsRegion[e.BS] != bsRegion[net.Dense().BS[lo]] {
 			n++
 		}
 	}
@@ -638,11 +638,7 @@ func (h *churn) epoch() {
 	var snaps int
 	var last *engine.Snapshot
 	if h.observed {
-		cands := 0
-		for _, u := range h.waiting {
-			cands += len(h.net.Candidates(u))
-		}
-		incSink, naiveSink = newSink(h.net, cands), newSink(h.net, cands)
+		incSink, naiveSink = newSink(), newSink()
 		hooks = alloc.ArenaHooks(obs.NewRecorder(nil, incSink))
 		hooks.Snapshot = func(s *engine.Snapshot) { snaps, last = snaps+1, s }
 		naive.WithObserver(obs.NewRecorder(nil, naiveSink))
@@ -724,7 +720,7 @@ func (h *churn) compareEvents(frontier int, incSink, naiveSink *obs.Sink) {
 	t := h.t
 	inFront := map[int]bool{}
 	for _, u := range h.waiting {
-		if len(h.net.Candidates(u)) > 0 {
+		if h.net.CoverCount(u) > 0 {
 			inFront[int(u)] = true
 		}
 	}

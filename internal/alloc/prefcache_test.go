@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dmra/internal/mec"
+	"dmra/internal/workload"
 )
 
 // The proposer's differential test against the naive sweep lives in
@@ -14,7 +15,7 @@ import (
 // bug: dropIdx used to append in place, shifting elements inside the
 // backing array that earlier remaining-slice snapshots still aliased.
 func TestCandidateSetDropIdxNoAliasing(t *testing.T) {
-	wl := fuzzScenario(1)
+	wl := workload.RandomShape(1)
 	wl.UEs = 10
 	net, err := wl.Build(1)
 	if err != nil {

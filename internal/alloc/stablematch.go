@@ -39,7 +39,11 @@ func (a *StableMatch) Allocate(net *mec.Network) (Result, error) {
 	ueLinks := make([]map[mec.BSID]mec.Link, nUE)
 	residentPrefs := make([][]int, nUE)
 	for u := 0; u < nUE; u++ {
-		cands := append([]mec.Link(nil), net.Candidates(mec.UEID(u))...)
+		var cands []mec.Link
+		lo, hi := net.CandRange(mec.UEID(u))
+		for k := lo; k < hi; k++ {
+			cands = append(cands, net.LinkAt(mec.UEID(u), k))
+		}
 		sort.SliceStable(cands, func(i, j int) bool {
 			if cands[i].PricePerCRU != cands[j].PricePerCRU {
 				return cands[i].PricePerCRU < cands[j].PricePerCRU
@@ -62,7 +66,9 @@ func (a *StableMatch) Allocate(net *mec.Network) (Result, error) {
 	hospitalCands := make([][]cand, nBS)
 	totalRRBDemand := make([]int, nBS)
 	for u := 0; u < nUE; u++ {
-		for _, l := range net.Candidates(mec.UEID(u)) {
+		lo, hi := net.CandRange(mec.UEID(u))
+		for k := lo; k < hi; k++ {
+			l := net.LinkAt(mec.UEID(u), k)
 			hospitalCands[l.BS] = append(hospitalCands[l.BS], cand{ue: u, margin: Margin(net, l)})
 			totalRRBDemand[l.BS] += l.RRBs
 		}
@@ -84,7 +90,7 @@ func (a *StableMatch) Allocate(net *mec.Network) (Result, error) {
 		// Seats: radio budget over the mean candidate RRB demand.
 		if len(cs) > 0 {
 			avg := float64(totalRRBDemand[b]) / float64(len(cs))
-			capacity[b] = int(float64(net.BSs[b].MaxRRBs) / avg)
+			capacity[b] = int(float64(net.Dense().MaxRRB[b]) / avg)
 			if capacity[b] < 1 {
 				capacity[b] = 1
 			}

@@ -25,7 +25,8 @@ import "dmra/internal/mec"
 func RoundBound(net *mec.Network) int {
 	total := 0
 	for u := range net.UEs {
-		total += len(net.Candidates(mec.UEID(u)))
+		lo, hi := net.CandRange(mec.UEID(u))
+		total += int(hi - lo)
 	}
 	return total + 1
 }

@@ -6,6 +6,7 @@ import (
 
 	"dmra/internal/engine"
 	"dmra/internal/mec"
+	"dmra/internal/workload"
 )
 
 // TestRoundBound pins the bound to its definition — one round per
@@ -14,14 +15,14 @@ import (
 // historically (every assignable UE has at least one candidate).
 func TestRoundBound(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
-		net, err := genScenario(seed).Build(seed)
+		net, err := workload.RandomShape(seed).Build(seed)
 		if err != nil {
 			continue
 		}
 		links := 0
 		covered := 0
 		for u := range net.UEs {
-			c := len(net.Candidates(mec.UEID(u)))
+			c := net.CoverCount(mec.UEID(u))
 			links += c
 			if c > 0 {
 				covered++

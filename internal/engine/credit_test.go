@@ -8,6 +8,7 @@ import (
 	"dmra/internal/geo"
 	"dmra/internal/mec"
 	"dmra/internal/radio"
+	"dmra/internal/workload"
 )
 
 // creditNet builds two far-apart BSs, each with room for exactly one of
@@ -161,7 +162,7 @@ func TestIncrementalRunWrap(t *testing.T) {
 	const start = math.MaxUint32 - 16
 	for seed := uint64(1); seed <= 30; seed++ {
 		// A contended population, so regions hold drops across the wrap.
-		wl := genScenario(seed)
+		wl := workload.RandomShape(seed)
 		wl.UEs = 300
 		net, err := wl.Build(seed)
 		if err != nil {

@@ -106,14 +106,11 @@ type Incremental struct {
 	released int
 }
 
-// Begin starts an incremental session over net's dense candidate view
-// with an empty assignment and full capacities. Like Arena.Run it
-// requires a dense view; workers <= 0 means GOMAXPROCS.
+// Begin starts an incremental session over net's candidate store with
+// an empty assignment and the store's capacities; workers <= 0 means
+// GOMAXPROCS. The returned error is always nil.
 func (inc *Incremental) Begin(net *mec.Network, cfg Config, workers int) error {
 	csr := net.Dense()
-	if csr == nil {
-		return fmt.Errorf("engine: Incremental.Begin: network has no dense candidate view")
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -146,7 +143,7 @@ func (inc *Incremental) Arrive(u mec.UEID) error {
 	if inc.pendBit.Get(ui) {
 		return fmt.Errorf("engine: Incremental.Arrive: UE %d is already pending", u)
 	}
-	if a.csr.Off[u+1] == a.csr.Off[u] {
+	if lo, hi := a.csr.CandRange(u); lo == hi {
 		return nil
 	}
 	inc.pendBit.Set(ui)

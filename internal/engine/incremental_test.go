@@ -1,24 +1,21 @@
 package engine_test
 
 import (
-	"strings"
 	"testing"
 
 	"dmra/internal/engine"
 	"dmra/internal/mec"
+	"dmra/internal/workload"
 )
 
-// buildIncNet builds a small deterministic scenario with a dense view.
+// buildIncNet builds a small deterministic scenario.
 func buildIncNet(t *testing.T, seed uint64) *mec.Network {
 	t.Helper()
-	wl := genScenario(seed)
+	wl := workload.RandomShape(seed)
 	wl.UEs = 80
 	net, err := wl.Build(seed)
 	if err != nil {
 		t.Fatalf("build: %v", err)
-	}
-	if net.Dense() == nil {
-		t.Fatal("NewNetwork-built scenario has no dense view")
 	}
 	return net
 }
@@ -90,17 +87,6 @@ func TestIncrementalLifecycle(t *testing.T) {
 	}
 	if err := inc.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after drain: %v", err)
-	}
-}
-
-// TestIncrementalBeginRejects pins the mode's one precondition: a dense
-// candidate view.
-func TestIncrementalBeginRejects(t *testing.T) {
-	net := buildIncNet(t, 3)
-	var inc engine.Incremental
-	sub := net.NewSubView().Refresh(nil, mec.NewState(net))
-	if err := inc.Begin(sub, engine.DefaultConfig(), 1); err == nil || !strings.Contains(err.Error(), "dense") {
-		t.Fatalf("dense-less SubView accepted: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 
 	"dmra/internal/mec"
@@ -59,14 +58,10 @@ type Proposer struct {
 	refs    [][]coverRef
 }
 
-// NewProposer returns a proposer over net's dense candidate view, with
-// every candidate live and every view at the deployment capacities. It
-// fails for networks without a dense view (mec.Network.Dense).
-func NewProposer(net *mec.Network, cfg Config) (*Proposer, error) {
+// NewProposer returns a proposer over net's candidate store, with every
+// candidate live and every view at the store's capacities.
+func NewProposer(net *mec.Network, cfg Config) *Proposer {
 	csr := net.Dense()
-	if csr == nil {
-		return nil, fmt.Errorf("engine: NewProposer: network has no dense candidate view")
-	}
 	nUE, nBS, links := csr.UEs(), csr.BSs(), csr.Links()
 	p := &Proposer{
 		csr:     csr,
@@ -102,7 +97,7 @@ func NewProposer(net *mec.Network, cfg Config) (*Proposer, error) {
 			p.refs[b] = append(p.refs[b], coverRef{slot: g, svc: svc})
 		}
 	}
-	return p, nil
+	return p
 }
 
 // Propose returns UE u's request for this round and its target BS, or

@@ -10,26 +10,18 @@ import (
 	"dmra/internal/workload"
 )
 
-// genScenario draws a randomized-but-buildable workload shape, mirroring
-// the differential-fuzz generator in internal/alloc's tests.
-func genScenario(seed uint64) workload.Config {
-	src := rng.New(seed).SplitLabeled("engine-scenario")
-	cfg := workload.Default()
-	cfg.SPs = src.IntBetween(1, 5)
-	cfg.BSsPerSP = src.IntBetween(1, 6)
-	cfg.Services = src.IntBetween(1, 8)
-	cfg.ServicesPerBS = src.IntBetween(1, cfg.Services)
-	cfg.UEs = src.IntBetween(0, 120)
-	cfg.Radio.CoverageRadiusM = src.FloatBetween(150, 500)
-	if src.Float64() < 0.5 {
-		cfg.Placement = workload.PlacementRandom
+// cands assembles UE u's candidate links from net's store.
+func cands(net *mec.Network, u mec.UEID) []mec.Link {
+	lo, hi := net.CandRange(u)
+	var out []mec.Link
+	for k := lo; k < hi; k++ {
+		out = append(out, net.LinkAt(u, k))
 	}
-	cfg.SPCRUPrice = 12
-	return cfg
+	return out
 }
 
 // residualFunc is a leg's reference resource picture: what UE u's k-th
-// candidate BS (net.Candidates(u)[k]) has left for u, its remaining CRUs
+// candidate BS (cands(net, u)[k]) has left for u, its remaining CRUs
 // of u's service and its remaining RRBs.
 type residualFunc func(u mec.UEID, k int) (remCRU, remRRBs int)
 
@@ -42,7 +34,7 @@ func naiveBest(cfg engine.Config, net *mec.Network, u mec.UEID, res residualFunc
 	best = -1
 	bestV := 0.0
 	ue := &net.UEs[u]
-	for k, l := range net.Candidates(u) {
+	for k, l := range cands(net, u) {
 		remC, remR := res(u, k)
 		if dropped[k] || remC < ue.CRUDemand || remR < l.RRBs {
 			continue
@@ -67,7 +59,7 @@ func ledgerLeg(t *testing.T, net *mec.Network, p *engine.Proposer) (func(*rng.So
 	cru := make([]int, net.Services)
 	lower := func(src *rng.Source) {
 		u := mec.UEID(src.Intn(len(net.UEs)))
-		cands := net.Candidates(u)
+		cands := cands(net, u)
 		if len(cands) == 0 || state.Assigned(u) {
 			return
 		}
@@ -84,7 +76,7 @@ func ledgerLeg(t *testing.T, net *mec.Network, p *engine.Proposer) (func(*rng.So
 		p.ApplyBroadcast(b, cru, state.RemainingRRBs(b), p.Covered(b))
 	}
 	res := func(u mec.UEID, k int) (int, int) {
-		return state.Residual(net.Candidates(u)[k].BS, net.UEs[u].Service)
+		return state.Residual(cands(net, u)[k].BS, net.UEs[u].Service)
 	}
 	return lower, res
 }
@@ -106,7 +98,7 @@ func viewsLeg(net *mec.Network, p *engine.Proposer) (func(*rng.Source), residual
 	type view struct{ cru, rrb int }
 	shadow := make([][]view, len(net.UEs))
 	for u := range net.UEs {
-		for _, l := range net.Candidates(mec.UEID(u)) {
+		for _, l := range cands(net, mec.UEID(u)) {
 			shadow[u] = append(shadow[u], view{net.BSs[l.BS].CRUCapacity[net.UEs[u].Service], net.BSs[l.BS].MaxRRBs})
 		}
 	}
@@ -139,7 +131,7 @@ func viewsLeg(net *mec.Network, p *engine.Proposer) (func(*rng.Source), residual
 		for _, v := range cov {
 			if src.Float64() < 0.7 {
 				receivers = append(receivers, v)
-				k := slices.IndexFunc(net.Candidates(v), func(l mec.Link) bool { return l.BS == b })
+				k := slices.IndexFunc(cands(net, v), func(l mec.Link) bool { return l.BS == b })
 				shadow[v][k] = view{cru[net.UEs[v].Service], *rrb}
 			}
 		}
@@ -165,7 +157,7 @@ func TestProposerMatchesNaiveSweep(t *testing.T) {
 		cfg := engine.DefaultConfig()
 		cfg.Rho = rho
 		for seed := uint64(0); seed < 8; seed++ {
-			wl := genScenario(seed)
+			wl := workload.RandomShape(seed)
 			wl.UEs = 60
 			if seed%2 == 0 {
 				wl.SPs = 1
@@ -183,10 +175,7 @@ func TestProposerMatchesNaiveSweep(t *testing.T) {
 				{"views", func(p *engine.Proposer) (func(*rng.Source), residualFunc) { return viewsLeg(net, p) }},
 			}
 			for _, leg := range legs {
-				p, err := engine.NewProposer(net, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				p := engine.NewProposer(net, cfg)
 				lower, res := leg.leg(p)
 				ties += checkProposerLeg(t, cfg, net, p, res, lower, rng.New(seed).SplitLabeled("propose-"+leg.name))
 			}
@@ -203,12 +192,12 @@ func checkProposerLeg(t *testing.T, cfg engine.Config, net *mec.Network, p *engi
 	t.Helper()
 	dropped := make([][]bool, len(net.UEs))
 	for u := range dropped {
-		dropped[u] = make([]bool, len(net.Candidates(mec.UEID(u))))
+		dropped[u] = make([]bool, len(cands(net, mec.UEID(u))))
 	}
 	var swept uint64
 	for step := 0; step < 600; step++ {
 		u := mec.UEID(src.Intn(len(net.UEs)))
-		cands := net.Candidates(u)
+		cands := cands(net, u)
 		switch src.Intn(4) {
 		case 0:
 			if len(cands) > 0 {
@@ -256,19 +245,16 @@ func checkProposerLeg(t *testing.T, cfg engine.Config, net *mec.Network, p *engi
 // non-candidate BS is a no-op, repeated drops do not double-count, and
 // Empty flips exactly when the last candidate goes.
 func TestProposerEmptyAndDropBS(t *testing.T) {
-	wl := genScenario(3)
+	wl := workload.RandomShape(3)
 	wl.UEs = 20
 	net, err := wl.Build(3)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	p, err := engine.NewProposer(net, engine.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := engine.NewProposer(net, engine.DefaultConfig())
 	for u := range net.UEs {
 		uid := mec.UEID(u)
-		cands := net.Candidates(uid)
+		cands := cands(net, uid)
 		if p.Empty(uid) != (len(cands) == 0) {
 			t.Fatalf("UE %d: Empty=%v with %d candidates", u, p.Empty(uid), len(cands))
 		}

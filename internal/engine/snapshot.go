@@ -31,8 +31,8 @@ type Snapshot struct {
 	ServingBS []mec.BSID
 }
 
-// NewSnapshot returns the round-0 state over net: full capacities,
-// every UE unserved.
+// NewSnapshot returns the round-0 state over net: the capacities of its
+// store, every UE unserved.
 func NewSnapshot(net *mec.Network) *Snapshot {
 	s := &Snapshot{
 		Services:  net.Services,
@@ -40,9 +40,12 @@ func NewSnapshot(net *mec.Network) *Snapshot {
 		RemRRB:    make([]int, len(net.BSs)),
 		ServingBS: make([]mec.BSID, len(net.UEs)),
 	}
+	csr := net.Dense()
 	for b := range net.BSs {
-		copy(s.CRURow(b), net.BSs[b].CRUCapacity)
-		s.RemRRB[b] = net.BSs[b].MaxRRBs
+		for j, c := range csr.CRURow(mec.BSID(b)) {
+			s.CRURow(b)[j] = int(c)
+		}
+		s.RemRRB[b] = int(csr.MaxRRB[b])
 	}
 	for u := range s.ServingBS {
 		s.ServingBS[u] = mec.CloudBS

@@ -195,15 +195,12 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Run executes Alg. 1 to quiescence over net's dense candidate view,
-// with the propose phase partitioned across workers (workers <= 0 means
-// GOMAXPROCS). The result is byte-identical at any worker count. It
-// requires a dense view (NewNetwork-built networks); any rho is exact.
+// Run executes Alg. 1 to quiescence over net's candidate store, with
+// the propose phase partitioned across workers (workers <= 0 means
+// GOMAXPROCS). The result is byte-identical at any worker count; any rho
+// is exact.
 func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) (SoAStats, error) {
 	csr := net.Dense()
-	if csr == nil {
-		return SoAStats{}, fmt.Errorf("engine: Arena.Run: network has no dense candidate view")
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -214,7 +211,7 @@ func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) 
 	if hooks != nil && hooks.Snapshot != nil {
 		snap = NewSnapshot(net)
 	}
-	// engine.RoundBound over the dense view.
+	// engine.RoundBound over the whole store.
 	stats, err := a.rounds(workers, csr.Links()+1, hooks, snap, nil)
 	if err != nil {
 		return stats, err
@@ -296,7 +293,7 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	}
 	a.pending = a.pending[:0]
 	for u := 0; u < nUE; u++ {
-		if csr.Off[u+1] > csr.Off[u] {
+		if lo, hi := csr.CandRange(mec.UEID(u)); hi > lo {
 			a.pending = append(a.pending, int32(u))
 		}
 	}

@@ -6,32 +6,31 @@ import (
 
 	"dmra/internal/engine"
 	"dmra/internal/mec"
+	"dmra/internal/workload"
 )
 
 // viewOf reads UE u's view of BS b out of the proposer.
 func viewOf(t *testing.T, net *mec.Network, p *engine.Proposer, u mec.UEID, b mec.BSID) (remCRU, remRRBs int) {
 	t.Helper()
-	k := slices.IndexFunc(net.Candidates(u), func(l mec.Link) bool { return l.BS == b })
-	if k < 0 {
+	g := net.Dense().FindCand(u, b)
+	if g < 0 {
 		t.Fatalf("BS %d is not a candidate of UE %d", b, u)
 	}
-	return p.ViewForTest(u, k)
+	lo, _ := net.CandRange(u)
+	return p.ViewForTest(u, int(g-lo))
 }
 
 // TestViewTableBroadcast pins the Proposer's view bookkeeping: initial
 // views equal the deployment capacities, and ApplyBroadcast updates
 // exactly the receivers, in or out of Covered order.
 func TestViewTableBroadcast(t *testing.T) {
-	wl := genScenario(5)
+	wl := workload.RandomShape(5)
 	wl.UEs = 40
 	net, err := wl.Build(5)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	p, err := engine.NewProposer(net, engine.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := engine.NewProposer(net, engine.DefaultConfig())
 
 	var b mec.BSID = -1
 	for bb := range net.BSs {

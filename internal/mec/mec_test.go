@@ -139,7 +139,7 @@ func TestLinkBuilding(t *testing.T) {
 	if got := net.CoverCount(2); got != 0 {
 		t.Errorf("f_2 = %d, want 0 (out of range)", got)
 	}
-	if got := net.TotalCandidateLinks(); got != 3 {
+	if got := net.Dense().Links(); got != 3 {
 		t.Errorf("total links = %d, want 3", got)
 	}
 
@@ -471,8 +471,8 @@ func TestSummarize(t *testing.T) {
 	if s.Uncovered != 1 {
 		t.Errorf("uncovered = %d, want 1 (the far UE)", s.Uncovered)
 	}
-	if s.CandidateLinks != net.TotalCandidateLinks() {
-		t.Errorf("links = %d vs %d", s.CandidateLinks, net.TotalCandidateLinks())
+	if s.CandidateLinks != net.Dense().Links() {
+		t.Errorf("links = %d vs %d", s.CandidateLinks, net.Dense().Links())
 	}
 	if s.TotalRRBs != 110 {
 		t.Errorf("total RRBs = %d, want 110", s.TotalRRBs)

@@ -12,9 +12,10 @@ import (
 	"dmra/internal/radio"
 )
 
-// Link is the precomputed state of one reachable, service-compatible UE-BS
-// pair. Allocators iterate candidate links instead of re-deriving radio and
-// pricing quantities on every proposal round.
+// Link is one reachable, service-compatible UE-BS pair with its
+// precomputed radio and pricing quantities. The network stores its
+// candidates as columns (see CSR); LinkAt and Link assemble a Link value
+// from them on demand.
 type Link struct {
 	UE UEID
 	BS BSID
@@ -29,13 +30,15 @@ type Link struct {
 	// SINR is lambda_{u,i} (linear), including the link's shadowing draw
 	// when enabled; NonCo ranks candidates by it.
 	SINR float64
-	// ShadowDB is the link's log-normal shadowing loss (0 when disabled).
-	ShadowDB float64
 }
 
 // Network is an immutable scenario: the entity sets of Table I plus every
 // derived per-link quantity. Build one with NewNetwork and share it freely;
 // all methods are safe for concurrent readers.
+//
+// BSs describe the deployment. The capacities an allocation over the
+// network draws on are the capacity rows of Dense(): the BSs' own for a
+// NewNetwork network, the live residuals for a SubView's.
 type Network struct {
 	SPs      []SP
 	BSs      []BS
@@ -44,20 +47,16 @@ type Network struct {
 	Radio    radio.Config
 	Pricing  Pricing
 
-	// links[u] holds the candidate links of UE u (B_u in Alg. 1): BSs that
-	// cover u and host u's requested service, in BS order.
-	links [][]Link
-	// coverCount[u] is f_u: how many BSs cover u and host its service.
-	coverCount []int
-	// dense lazily carries the struct-of-arrays candidate view (see
-	// soa.go). Only NewNetwork-built networks are eligible.
-	dense csrState
+	// csr is the candidate store: B_u (the BSs that cover u and host its
+	// service, in BS order) with every per-link quantity, f_u, and the
+	// capacity rows.
+	csr CSR
 }
 
 // NewNetwork validates the scenario and precomputes per-link radio and
 // pricing state. It returns an error for structurally invalid scenarios
 // (bad references, capacity/pricing violations of Eq. 16, invalid radio
-// parameters).
+// parameters, more candidate links than int32 indices address).
 func NewNetwork(sps []SP, bss []BS, ues []UE, services int, rc radio.Config, pr Pricing) (*Network, error) {
 	networkBuilds.Add(1)
 	n := &Network{
@@ -74,7 +73,6 @@ func NewNetwork(sps []SP, bss []BS, ues []UE, services int, rc radio.Config, pr 
 	if err := n.buildLinks(); err != nil {
 		return nil, err
 	}
-	n.dense.eligible = true
 	return n, nil
 }
 
@@ -143,165 +141,166 @@ func (n *Network) validate() error {
 	return nil
 }
 
-// buildLinks computes B_u, f_u, and the per-link quantities for every
-// reachable service-compatible pair, and enforces the SP-profitability
-// constraint (Eq. 16) on every candidate link.
+// buildLinks writes the candidate store: the per-UE and per-BS rows,
+// then B_u, f_u and the per-link quantities of every reachable
+// service-compatible pair, enforcing the SP-profitability constraint
+// (Eq. 16) on every candidate link.
 //
 // Instead of the all-pairs O(|UE|*|BS|) distance scan, BS positions go
 // into a uniform spatial grid (cell size = coverage radius) and each UE
 // examines only nearby cells, so per-UE work is proportional to local
-// coverage density. Large populations additionally fan across a worker
-// pool; each UE writes only its own pre-indexed slot and candidate BSs
-// are visited in ascending BS order, so the result is byte-identical to
-// the sequential brute-force build.
+// coverage density. Large populations fan contiguous chunks of UEs across
+// a worker pool: each worker appends its chunks' candidates to columns of
+// its own, candidate BSs are visited in ascending BS order, and the chunks
+// are then copied into the store in UE order. The store is therefore
+// byte-identical to the sequential brute-force build at any GOMAXPROCS,
+// and the error returned is the lowest-index UE's, exactly what the
+// sequential loop would surface first.
 func (n *Network) buildLinks() error {
-	n.links = make([][]Link, len(n.UEs))
-	n.coverCount = make([]int, len(n.UEs))
-	if len(n.UEs) == 0 || len(n.BSs) == 0 {
+	nUE, nBS := len(n.UEs), len(n.BSs)
+	c := &n.csr
+	c.Services = n.Services
+	c.Off = make([]int32, nUE+1)
+	c.Service = make([]int32, nUE)
+	c.CRU = make([]int32, nUE)
+	for u := range n.UEs {
+		c.Service[u] = int32(n.UEs[u].Service)
+		c.CRU[u] = int32(n.UEs[u].CRUDemand)
+	}
+	c.CRUCap = make([]int32, nBS*n.Services)
+	c.MaxRRB = make([]int32, nBS)
+	for b := range n.BSs {
+		for j, cap := range n.BSs[b].CRUCapacity {
+			c.CRUCap[b*n.Services+j] = int32(cap)
+		}
+		c.MaxRRB[b] = int32(n.BSs[b].MaxRRBs)
+	}
+	c.Fu = make([]int32, nUE)
+	if nUE == 0 || nBS == 0 {
 		return nil
 	}
-	pts := make([]geo.Point, len(n.BSs))
+	pts := make([]geo.Point, nBS)
 	for b := range n.BSs {
 		pts[b] = n.BSs[b].Pos
 	}
 	grid := geo.NewGridIndex(pts, n.Radio.CoverageRadiusM)
 
+	// chunks[i] covers UEs [i*buildChunk, (i+1)*buildChunk): the worker
+	// whose columns hold its candidates, their span there, its first
+	// error, and its offset in the store.
+	type chunk struct {
+		w, lo, hi, at int
+		err           error
+	}
+	chunks := make([]chunk, (nUE+buildChunk-1)/buildChunk)
 	workers := runtime.GOMAXPROCS(0)
-	if w := len(n.UEs) * len(n.BSs) / parallelBuildThreshold; w < workers {
+	if w := nUE * nBS / parallelBuildThreshold; w < workers {
 		workers = w
 	}
-	if workers <= 1 {
-		var near []int32
-		arena := newLinkArena(len(n.UEs))
-		for u := range n.UEs {
-			var err error
-			if near, err = n.buildLinksForUE(u, grid, near, arena); err != nil {
-				return err
-			}
-		}
-		return nil
+	workers = max(1, min(workers, len(chunks)))
+	// Each worker's columns start sized for ~8 candidates per UE of its
+	// share (above the dense-city mean of ~7), so the common case never
+	// regrows them.
+	share := min(nUE, (len(chunks)+workers-1)/workers*buildChunk)
+	cols := make([]columns, workers)
+	for w := range cols {
+		cols[w] = makeColumns(0, 8*share)
 	}
+	parallel(workers, len(chunks), func(w, i int) {
+		// Append to a local copy: the workers' column headers share
+		// cache lines, so writing them per candidate would ping-pong them.
+		ws := cols[w]
+		ch := chunk{w: w, lo: len(ws.BS)}
+		var near []int32
+		for u := i * buildChunk; u < min(nUE, (i+1)*buildChunk) && ch.err == nil; u++ {
+			near, ch.err = n.buildUE(u, grid, near, &ws)
+		}
+		ch.hi = len(ws.BS)
+		cols[w], chunks[i] = ws, ch
+	})
 
-	// errs[u] keeps the error deterministic: the lowest-index failure is
-	// returned, exactly what the sequential loop would surface first.
-	errs := make([]error, len(n.UEs))
+	total := 0
+	for i := range chunks {
+		if chunks[i].err != nil {
+			return chunks[i].err
+		}
+		chunks[i].at = total
+		total += chunks[i].hi - chunks[i].lo
+	}
+	// int32 candidate indices address at most MaxInt32 links.
+	if total > math.MaxInt32 {
+		return fmt.Errorf("mec: %d candidate links exceed the %d an int32 index addresses", total, math.MaxInt32)
+	}
+	c.columns = makeColumns(total, total)
+	parallel(workers, len(chunks), func(_, i int) {
+		ch := &chunks[i]
+		c.columns.copyFrom(ch.at, &cols[ch.w], ch.lo, ch.hi)
+		off := int32(ch.at)
+		for u := i * buildChunk; u < min(nUE, (i+1)*buildChunk); u++ {
+			off += c.Fu[u]
+			c.Off[u+1] = off
+		}
+	})
+	return nil
+}
+
+// parallel calls fn(w, i) for every i in [0, n), handing the indices out
+// in ascending order to workers goroutines (the caller's among them); w
+// identifies the goroutine.
+func parallel(workers, n int, fn func(w, i int)) {
 	var next atomic.Int64
+	work := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(w, i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var near []int32
-			arena := newLinkArena(len(n.UEs)/workers + 1)
-			for {
-				u := int(next.Add(1)) - 1
-				if u >= len(n.UEs) {
-					return
-				}
-				near, errs[u] = n.buildLinksForUE(u, grid, near, arena)
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // parallelBuildThreshold is the UE*BS product below which buildLinks runs
 // sequentially: tiny scenarios finish faster than goroutines spin up.
 const parallelBuildThreshold = 1 << 14
 
-// linkArena backs the candidate slices of one build worker with a few
-// large blocks instead of one organically-grown slice per UE. The
-// per-UE append pattern allocated ~4 slices per UE — at a million UEs
-// over a gigabyte of zeroing and growth copying, the single largest
-// cost of scenario construction. Handed-out slices are capacity-capped
-// three-index views, so no append through one of them can ever reach a
-// neighbour's links.
-type linkArena struct {
-	block []Link
-}
+// buildChunk is the number of UEs a build worker claims at a time.
+const buildChunk = 1024
 
-// newLinkArena sizes the first block for ~8 candidates per UE (above
-// the dense-city mean of ~7, so the common case is one block), clamped
-// so small scenarios stay small and huge ones amortize in ~80 MB steps.
-func newLinkArena(ues int) *linkArena {
-	size := 8 * ues
-	if size < 256 {
-		size = 256
-	}
-	if size > linkArenaMaxBlock {
-		size = linkArenaMaxBlock
-	}
-	return &linkArena{block: make([]Link, 0, size)}
-}
-
-// linkArenaMaxBlock bounds block size (in links) so arena waste — at
-// most one unfinished block — stays under ~100 MB at any scale.
-const linkArenaMaxBlock = 1 << 20
-
-// push appends one link to the run that began at index start, moving
-// the run to a fresh block when the current one fills; it returns the
-// (possibly relocated) run start.
-func (a *linkArena) push(start int, l Link) int {
-	if len(a.block) == cap(a.block) {
-		partial := len(a.block) - start
-		size := cap(a.block)
-		if size < 2*partial+64 {
-			// A single UE outgrowing a block only happens at tiny arena
-			// sizes; keep its run contiguous.
-			size = 2*partial + 64
-		}
-		nb := make([]Link, partial, size)
-		copy(nb, a.block[start:])
-		a.block = nb
-		start = 0
-	}
-	a.block = append(a.block, l)
-	return start
-}
-
-// take seals the run that began at start and returns it as a
-// capacity-capped slice (nil when empty, like the append-built slices
-// this replaces).
-func (a *linkArena) take(start int) []Link {
-	if start == len(a.block) {
-		return nil
-	}
-	return a.block[start:len(a.block):len(a.block)]
-}
-
-// buildLinksForUE fills links[u] and coverCount[u], reusing near as the
-// grid-query scratch buffer and arena as the backing store for the
-// candidate slice; it returns the (possibly grown) scratch. Candidates
-// come out in ascending BS order — the order Link's binary search and
-// the allocators' tie-breaking both rely on.
-func (n *Network) buildLinksForUE(u int, grid *geo.GridIndex, near []int32, arena *linkArena) ([]int32, error) {
+// buildUE appends UE u's candidates to cols in ascending BS order — the
+// order FindCand's binary search and the allocators' tie-breaking both
+// rely on — and records their count as f_u. near is the grid-query
+// scratch buffer; the (possibly grown) scratch is returned.
+func (n *Network) buildUE(u int, grid *geo.GridIndex, near []int32, cols *columns) ([]int32, error) {
 	ue := &n.UEs[u]
 	sp := &n.SPs[ue.SP]
+	c := &n.csr
 	near = grid.Near(ue.Pos, n.Radio.CoverageRadiusM, near[:0])
-	start := len(arena.block)
+	count := int32(0)
 	for _, b32 := range near {
 		b := int(b32)
-		bs := &n.BSs[b]
-		if !bs.Hosts(ue.Service) {
+		// BS.Hosts, read from the store's dense capacity rows instead of
+		// chasing a pointer into each BS's capacity slice.
+		if c.CRUCap[b*c.Services+int(ue.Service)] == 0 {
 			continue
 		}
+		bs := &n.BSs[b]
 		d := ue.Pos.DistanceTo(bs.Pos)
 		if !n.Radio.Covers(d) {
 			continue
 		}
-		shadow := n.Radio.ShadowDB(u, b)
-		sinr, rrbs, err := n.Radio.LinkBudgetWith(d, ue.RateBps, shadow)
+		sinr, rrbs, err := n.Radio.LinkBudgetWith(d, ue.RateBps, n.Radio.ShadowDB(u, b))
 		if err != nil {
 			// Covered but rate-unreachable: treat as out of range.
 			continue
 		}
-		if rrbs > bs.MaxRRBs {
+		if rrbs > int(c.MaxRRB[b]) {
 			// The UE alone would exceed the BS's whole radio budget.
 			continue
 		}
@@ -311,19 +310,15 @@ func (n *Network) buildLinksForUE(u int, grid *geo.GridIndex, near []int32, aren
 				"mec: Eq. 16 violated: SP %d price %g <= p_{%d,%d} %g + other cost %g",
 				ue.SP, sp.CRUPrice, b, u, price, sp.OtherCostPerCRU)
 		}
-		start = arena.push(start, Link{
-			UE:          UEID(u),
-			BS:          BSID(b),
-			DistanceM:   d,
-			RRBs:        rrbs,
-			PricePerCRU: price,
-			SameSP:      ue.SP == bs.SP,
-			SINR:        sinr,
-			ShadowDB:    shadow,
-		})
+		cols.BS = append(cols.BS, b32)
+		cols.RRBs = append(cols.RRBs, int32(rrbs))
+		cols.Price = append(cols.Price, price)
+		cols.SameSP = append(cols.SameSP, ue.SP == bs.SP)
+		cols.DistanceM = append(cols.DistanceM, d)
+		cols.SINR = append(cols.SINR, sinr)
+		count++
 	}
-	n.links[u] = arena.take(start)
-	n.coverCount[u] = len(n.links[u])
+	c.Fu[u] = count
 	return near, nil
 }
 
@@ -343,45 +338,41 @@ func (n *Network) PricePerCRU(sameSP bool, distanceM float64) float64 {
 	return base + dist*b
 }
 
-// Candidates returns B_u: the candidate links of UE u. The returned slice
-// is owned by the Network and must not be modified.
-func (n *Network) Candidates(u UEID) []Link {
-	return n.links[u]
+// Dense returns the network's candidate store. It is immutable for a
+// NewNetwork network and safe for concurrent readers.
+func (n *Network) Dense() *CSR { return &n.csr }
+
+// CandRange returns the [lo, hi) window of UE u's candidates in the
+// store's per-candidate columns; see CSR.CandRange.
+func (n *Network) CandRange(u UEID) (lo, hi int32) { return n.csr.CandRange(u) }
+
+// LinkAt assembles the candidate link at global index k, which must lie
+// in CandRange(u).
+func (n *Network) LinkAt(u UEID, k int32) Link {
+	c := &n.csr
+	return Link{
+		UE:          u,
+		BS:          BSID(c.BS[k]),
+		DistanceM:   c.DistanceM[k],
+		RRBs:        int(c.RRBs[k]),
+		PricePerCRU: c.Price[k],
+		SameSP:      c.SameSP[k],
+		SINR:        c.SINR[k],
+	}
 }
 
 // Link returns the precomputed link between UE u and BS b, if b is one of
-// u's candidates. Candidate lists are sorted by BS, so the lookup is a
-// binary search — this sits on the protocol/wire request path, where the
-// old linear scan was O(f_u) per message.
+// u's candidates: a binary search over u's BS-sorted window.
 func (n *Network) Link(u UEID, b BSID) (Link, bool) {
-	ls := n.links[u]
-	lo, hi := 0, len(ls)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ls[mid].BS < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	k := n.csr.FindCand(u, b)
+	if k < 0 {
+		return Link{}, false
 	}
-	if lo < len(ls) && ls[lo].BS == b {
-		return ls[lo], true
-	}
-	return Link{}, false
+	return n.LinkAt(u, k), true
 }
 
 // CoverCount returns f_u: the number of BSs that cover UE u and host its
 // requested service.
 func (n *Network) CoverCount(u UEID) int {
-	return n.coverCount[u]
-}
-
-// TotalCandidateLinks returns the number of candidate UE-BS pairs, a
-// measure of matching-problem density used in reports.
-func (n *Network) TotalCandidateLinks() int {
-	total := 0
-	for _, ls := range n.links {
-		total += len(ls)
-	}
-	return total
+	return int(n.csr.Fu[u])
 }

@@ -1,7 +1,6 @@
 package mec
 
 import (
-	"reflect"
 	"testing"
 
 	"dmra/internal/geo"
@@ -50,79 +49,14 @@ func randomScenario(t *testing.T, seed uint64, nUE, nBS int, shadow bool) *Netwo
 	return net
 }
 
-// bruteLinks recomputes UE u's candidate list with the all-pairs scan the
-// grid-indexed build replaced. It must match buildLinksForUE exactly.
-func bruteLinks(n *Network, u int) []Link {
-	ue := &n.UEs[u]
+// candidates assembles UE u's candidate links from the store.
+func candidates(n *Network, u UEID) []Link {
+	lo, hi := n.CandRange(u)
 	var out []Link
-	for b := range n.BSs {
-		bs := &n.BSs[b]
-		if !bs.Hosts(ue.Service) {
-			continue
-		}
-		d := ue.Pos.DistanceTo(bs.Pos)
-		if !n.Radio.Covers(d) {
-			continue
-		}
-		shadow := n.Radio.ShadowDB(u, b)
-		rrbs, err := n.Radio.RRBsNeededWith(d, ue.RateBps, shadow)
-		if err != nil || rrbs > bs.MaxRRBs {
-			continue
-		}
-		out = append(out, Link{
-			UE:          UEID(u),
-			BS:          BSID(b),
-			DistanceM:   d,
-			RRBs:        rrbs,
-			PricePerCRU: n.PricePerCRU(ue.SP == bs.SP, d),
-			SameSP:      ue.SP == bs.SP,
-			SINR:        n.Radio.SINRWith(d, shadow),
-			ShadowDB:    shadow,
-		})
+	for k := lo; k < hi; k++ {
+		out = append(out, n.LinkAt(u, k))
 	}
 	return out
-}
-
-// TestBuildLinksMatchesBruteForce pins the grid-indexed (and, at larger
-// sizes, parallel) link build to the all-pairs reference, field by field.
-func TestBuildLinksMatchesBruteForce(t *testing.T) {
-	cases := []struct {
-		name     string
-		seed     uint64
-		nUE, nBS int
-		shadow   bool
-	}{
-		{"tiny", 1, 3, 2, false},
-		{"small", 2, 40, 9, false},
-		{"shadowed", 3, 60, 12, true},
-		{"parallel", 4, 700, 30, true}, // 700*30 > parallelBuildThreshold
-		{"no-ues", 5, 0, 8, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			net := randomScenario(t, tc.seed, tc.nUE, tc.nBS, tc.shadow)
-			anyCovered := false
-			for u := range net.UEs {
-				want := bruteLinks(net, u)
-				got := net.Candidates(UEID(u))
-				if len(got) != len(want) {
-					t.Fatalf("UE %d: %d candidates, brute force found %d", u, len(got), len(want))
-				}
-				for k := range want {
-					if !reflect.DeepEqual(got[k], want[k]) {
-						t.Fatalf("UE %d candidate %d differs:\n got %+v\nwant %+v", u, k, got[k], want[k])
-					}
-				}
-				if net.CoverCount(UEID(u)) != len(want) {
-					t.Fatalf("UE %d: CoverCount %d, want %d", u, net.CoverCount(UEID(u)), len(want))
-				}
-				anyCovered = anyCovered || len(want) > 0
-			}
-			if tc.nUE >= 40 && !anyCovered {
-				t.Fatal("scenario degenerate: no UE has any candidate")
-			}
-		})
-	}
 }
 
 // TestLinkBinarySearchMatchesScan checks Link against a linear scan for
@@ -133,7 +67,7 @@ func TestLinkBinarySearchMatchesScan(t *testing.T) {
 		for b := range net.BSs {
 			var want Link
 			found := false
-			for _, l := range net.Candidates(UEID(u)) {
+			for _, l := range candidates(net, UEID(u)) {
 				if l.BS == BSID(b) {
 					want, found = l, true
 					break
@@ -156,7 +90,7 @@ func TestStateResetReuse(t *testing.T) {
 	var b BSID
 	found := false
 	for uu := range net.UEs {
-		if cs := net.Candidates(UEID(uu)); len(cs) > 0 {
+		if cs := candidates(net, UEID(uu)); len(cs) > 0 {
 			u, b, found = UEID(uu), cs[0].BS, true
 			break
 		}

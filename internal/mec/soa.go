@@ -1,12 +1,7 @@
 package mec
 
-import (
-	"math"
-	"sync"
-)
-
-// CSR is the struct-of-arrays view of a Network's candidate structure: the
-// per-UE candidate lists flattened into contiguous arrays in CSR form
+// CSR is a Network's candidate store in struct-of-arrays form: the per-UE
+// candidate lists flattened into contiguous columns in CSR form
 // (Off[u]..Off[u+1] delimit UE u's candidates), the per-UE demand fields
 // the propose phase reads, and the per-BS capacity rows in one dense
 // Services-strided array. Everything the DMRA hot loop touches per
@@ -14,32 +9,66 @@ import (
 // million-UE round walks memory sequentially instead of chasing one
 // pointer per UE and one more per candidate list.
 //
-// A CSR is derived once per Network (lazily, under a sync.Once) and is
-// immutable; it aliases nothing mutable, so it is safe for any number of
-// concurrent readers — including the parallel propose workers of
-// internal/engine.
+// NewNetwork writes the store once and it is immutable from then on, so
+// it is safe for any number of concurrent readers — including the
+// parallel propose workers of internal/engine. A SubView's store shares
+// the parent's columns and owns only its capacity rows and Active mask.
 type CSR struct {
-	// Off[u]..Off[u+1] delimit UE u's candidates in the flat arrays below.
+	// Off[u]..Off[u+1] delimit UE u's candidates in the columns below.
 	// len(Off) == UEs+1; Off[UEs] is the total candidate-link count.
 	Off []int32
 
-	// Per-candidate arrays, parallel to each other, in the same ascending-BS
-	// order as Network.Candidates.
-	BS     []int32   // candidate BS id
-	RRBs   []int32   // n_{u,i} for the link
-	Price  []float64 // p_{i,u}
-	SameSP []bool    // UE and BS share an SP
+	// Per-candidate columns, in ascending BS order per UE.
+	columns
 
 	// Per-UE arrays.
 	Service []int32 // requested service j
 	CRU     []int32 // c_j^u demand
 	Fu      []int32 // coverage count f_u
 
-	// Per-BS arrays. CRUCap is Services-strided: CRUCap[b*Services+j] is
-	// c_{b,j}.
+	// Per-BS capacity rows. CRUCap is Services-strided: CRUCap[b*Services+j]
+	// is c_{b,j}.
 	CRUCap   []int32
 	MaxRRB   []int32
 	Services int
+
+	// Active, when non-nil, restricts the network to a SubView's active
+	// UEs: CandRange and FindCand see no candidates for a UE with
+	// Active[u] false. Nil means every UE is active.
+	Active []bool
+}
+
+// columns are the per-candidate arrays of a CSR, parallel to each other.
+type columns struct {
+	BS        []int32   // candidate BS id
+	RRBs      []int32   // n_{u,i} for the link
+	Price     []float64 // p_{i,u}
+	SameSP    []bool    // UE and BS share an SP
+	DistanceM []float64 // d_{i,u} in metres
+	SINR      []float64 // lambda_{u,i}, linear
+}
+
+// makeColumns returns columns of n zeroed candidates with room for
+// capacity.
+func makeColumns(n, capacity int) columns {
+	return columns{
+		BS:        make([]int32, n, capacity),
+		RRBs:      make([]int32, n, capacity),
+		Price:     make([]float64, n, capacity),
+		SameSP:    make([]bool, n, capacity),
+		DistanceM: make([]float64, n, capacity),
+		SINR:      make([]float64, n, capacity),
+	}
+}
+
+// copyFrom copies src's candidates [lo, hi) to c starting at index at.
+func (c *columns) copyFrom(at int, src *columns, lo, hi int) {
+	copy(c.BS[at:], src.BS[lo:hi])
+	copy(c.RRBs[at:], src.RRBs[lo:hi])
+	copy(c.Price[at:], src.Price[lo:hi])
+	copy(c.SameSP[at:], src.SameSP[lo:hi])
+	copy(c.DistanceM[at:], src.DistanceM[lo:hi])
+	copy(c.SINR[at:], src.SINR[lo:hi])
 }
 
 // UEs returns the UE population size.
@@ -48,12 +77,16 @@ func (c *CSR) UEs() int { return len(c.Off) - 1 }
 // BSs returns the base-station count.
 func (c *CSR) BSs() int { return len(c.MaxRRB) }
 
-// Links returns the total candidate-link count.
+// Links returns the total candidate-link count, inactive UEs' included.
 func (c *CSR) Links() int { return int(c.Off[len(c.Off)-1]) }
 
 // CandRange returns the [lo, hi) window of UE u's candidates in the flat
-// per-candidate arrays.
+// per-candidate columns; the window is empty for a UE outside the Active
+// mask.
 func (c *CSR) CandRange(u UEID) (lo, hi int32) {
+	if c.Active != nil && !c.Active[u] {
+		return c.Off[u], c.Off[u]
+	}
 	return c.Off[u], c.Off[u+1]
 }
 
@@ -61,7 +94,8 @@ func (c *CSR) CandRange(u UEID) (lo, hi int32) {
 // -1 when b is not a candidate. Candidates are BS-sorted, so the lookup is
 // a binary search over u's window.
 func (c *CSR) FindCand(u UEID, b BSID) int32 {
-	lo, hi := c.Off[u], c.Off[u+1]
+	lo, end := c.CandRange(u)
+	hi := end
 	for lo < hi {
 		mid := int32(uint32(lo+hi) >> 1)
 		if c.BS[mid] < int32(b) {
@@ -70,82 +104,13 @@ func (c *CSR) FindCand(u UEID, b BSID) int32 {
 			hi = mid
 		}
 	}
-	if lo < c.Off[u+1] && c.BS[lo] == int32(b) {
+	if lo < end && c.BS[lo] == int32(b) {
 		return lo
 	}
 	return -1
 }
 
-// buildCSR flattens net's candidate structure. Called once per Network
-// under the csrOnce latch.
-func buildCSR(net *Network) *CSR {
-	nUE := len(net.UEs)
-	total := net.TotalCandidateLinks()
-	c := &CSR{
-		Off:      make([]int32, nUE+1),
-		BS:       make([]int32, total),
-		RRBs:     make([]int32, total),
-		Price:    make([]float64, total),
-		SameSP:   make([]bool, total),
-		Service:  make([]int32, nUE),
-		CRU:      make([]int32, nUE),
-		Fu:       make([]int32, nUE),
-		CRUCap:   make([]int32, len(net.BSs)*net.Services),
-		MaxRRB:   make([]int32, len(net.BSs)),
-		Services: net.Services,
-	}
-	pos := int32(0)
-	for u := range net.UEs {
-		c.Off[u] = pos
-		for _, l := range net.links[u] {
-			c.BS[pos] = int32(l.BS)
-			c.RRBs[pos] = int32(l.RRBs)
-			c.Price[pos] = l.PricePerCRU
-			c.SameSP[pos] = l.SameSP
-			pos++
-		}
-		ue := &net.UEs[u]
-		c.Service[u] = int32(ue.Service)
-		c.CRU[u] = int32(ue.CRUDemand)
-		c.Fu[u] = int32(net.coverCount[u])
-	}
-	c.Off[nUE] = pos
-	for b := range net.BSs {
-		bs := &net.BSs[b]
-		for j, cap := range bs.CRUCapacity {
-			c.CRUCap[b*net.Services+j] = int32(cap)
-		}
-		c.MaxRRB[b] = int32(bs.MaxRRBs)
-	}
-	return c
-}
-
-// csrState carries the lazily built dense view of a Network. Only
-// NewNetwork-built networks get one: a SubView's Network re-aliases its
-// link slices on every Refresh, so a cached flat copy would go stale —
-// Dense returns nil there. DMRA runs such networks through its naive
-// reference; only the baseline allocators and tests hand it SubViews.
-type csrState struct {
-	eligible bool
-	once     sync.Once
-	csr      *CSR
-}
-
-// Dense returns the network's struct-of-arrays candidate view, building
-// it on first use, or nil for networks whose candidate lists can change
-// (SubView sessions). The returned CSR is immutable and safe for
-// concurrent readers.
-func (n *Network) Dense() *CSR {
-	if !n.dense.eligible {
-		return nil
-	}
-	n.dense.once.Do(func() {
-		// int32 candidate indices cap the flat layout at ~2.1e9 links;
-		// beyond that (far past the million-UE target) the naive DMRA
-		// reference still works, so degrade instead of overflowing.
-		if n.TotalCandidateLinks() <= math.MaxInt32 {
-			n.dense.csr = buildCSR(n)
-		}
-	})
-	return n.dense.csr
+// CRURow returns BS b's capacity row, one entry per service.
+func (c *CSR) CRURow(b BSID) []int32 {
+	return c.CRUCap[int(b)*c.Services : (int(b)+1)*c.Services]
 }

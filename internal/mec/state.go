@@ -47,8 +47,9 @@ func (a Assignment) Clone() Assignment {
 }
 
 // State tracks the mutable resource ledger of an allocation in progress:
-// remaining CRUs per (BS, service), remaining RRBs per BS, and the current
-// partial assignment. Allocators must route every grant through Assign so
+// remaining CRUs per (BS, service), remaining RRBs per BS (starting from
+// the capacity rows of the network's store), and the current partial
+// assignment. Allocators must route every grant through Assign so
 // that the capacity constraints (Eq. 12, 14) can never be violated.
 type State struct {
 	net *Network
@@ -84,17 +85,20 @@ func NewState(net *Network) *State {
 // NewState to keep repeated runs allocation-free.
 func (s *State) Reset(net *Network) {
 	s.net = net
+	c := &net.csr
 	if len(s.remCRU) != len(net.BSs) {
 		s.remCRU = make([][]int, len(net.BSs))
 		s.remRRB = make([]int, len(net.BSs))
 	}
 	for b := range net.BSs {
-		caps := net.BSs[b].CRUCapacity
+		caps := c.CRURow(BSID(b))
 		if len(s.remCRU[b]) != len(caps) {
 			s.remCRU[b] = make([]int, len(caps))
 		}
-		copy(s.remCRU[b], caps)
-		s.remRRB[b] = net.BSs[b].MaxRRBs
+		for j, cap := range caps {
+			s.remCRU[b][j] = int(cap)
+		}
+		s.remRRB[b] = int(c.MaxRRB[b])
 	}
 	s.usedRRBs = 0
 	if len(s.rrbsUsed) != len(net.UEs) {
@@ -260,10 +264,11 @@ func (s *State) CheckInvariants() error {
 		usedRRB[b] += l.RRBs
 	}
 	totalRRB := 0
+	c := &s.net.csr
 	for b := range s.net.BSs {
 		totalRRB += usedRRB[b]
 		for j := 0; j < s.net.Services; j++ {
-			cap := s.net.BSs[b].CRUCapacity[j]
+			cap := int(c.CRUCap[b*s.net.Services+j])
 			used := usedCRU[b*s.net.Services+j]
 			if used > cap {
 				return fmt.Errorf("mec: invariant: BS %d service %d uses %d/%d CRUs (Eq. 12)", b, j, used, cap)
@@ -273,12 +278,13 @@ func (s *State) CheckInvariants() error {
 					b, j, s.remCRU[b][j], cap-used)
 			}
 		}
-		if usedRRB[b] > s.net.BSs[b].MaxRRBs {
-			return fmt.Errorf("mec: invariant: BS %d uses %d/%d RRBs (Eq. 14)", b, usedRRB[b], s.net.BSs[b].MaxRRBs)
+		maxRRB := int(c.MaxRRB[b])
+		if usedRRB[b] > maxRRB {
+			return fmt.Errorf("mec: invariant: BS %d uses %d/%d RRBs (Eq. 14)", b, usedRRB[b], maxRRB)
 		}
-		if s.remRRB[b] != s.net.BSs[b].MaxRRBs-usedRRB[b] {
+		if s.remRRB[b] != maxRRB-usedRRB[b] {
 			return fmt.Errorf("mec: invariant: BS %d ledger says %d RRBs left, recount says %d",
-				b, s.remRRB[b], s.net.BSs[b].MaxRRBs-usedRRB[b])
+				b, s.remRRB[b], maxRRB-usedRRB[b])
 		}
 	}
 	if s.usedRRBs != totalRRB {

@@ -29,7 +29,7 @@ func TestUsedRRBsRandomScripts(t *testing.T) {
 			u := UEID(src.Intn(len(net.UEs)))
 			if s.Assigned(u) && src.Intn(3) == 0 {
 				s.Unassign(u)
-			} else if cands := net.Candidates(u); len(cands) > 0 {
+			} else if cands := candidates(net, u); len(cands) > 0 {
 				// Failed grants must leave the total untouched too.
 				_ = s.Assign(u, cands[src.Intn(len(cands))].BS)
 			}
@@ -58,7 +58,7 @@ func TestCheckInvariantsCatchesDriftedRRBTotal(t *testing.T) {
 	net := randomScenario(t, 3, 100, 6, false)
 	s := NewState(net)
 	for u := range net.UEs {
-		if c := net.Candidates(UEID(u)); len(c) > 0 && s.Assign(UEID(u), c[0].BS) == nil {
+		if c := candidates(net, UEID(u)); len(c) > 0 && s.Assign(UEID(u), c[0].BS) == nil {
 			break
 		}
 	}
@@ -75,7 +75,7 @@ func TestSubViewRefreshDropsInactive(t *testing.T) {
 	net := randomScenario(t, 7, 200, 10, false)
 	var covered []UEID
 	for u := range net.UEs {
-		if len(net.Candidates(UEID(u))) > 0 {
+		if net.CoverCount(UEID(u)) > 0 {
 			covered = append(covered, UEID(u))
 		}
 	}
@@ -97,15 +97,15 @@ func TestSubViewRefreshDropsInactive(t *testing.T) {
 	for _, u := range covered {
 		want := 0
 		if u == covered[1] || u == covered[5] {
-			want = len(net.Candidates(u))
+			want = net.CoverCount(u)
 		}
-		if got := len(sub.Candidates(u)); got != want {
+		if got := len(candidates(sub, u)); got != want {
 			t.Errorf("UE %d exposes %d candidates after Refresh, want %d", u, got, want)
 		}
 	}
 	sub = sv.Refresh(nil, st)
 	for _, u := range covered {
-		if n := len(sub.Candidates(u)); n != 0 {
+		if n := len(candidates(sub, u)); n != 0 {
 			t.Errorf("UE %d exposes %d candidates with an empty active set", u, n)
 		}
 	}

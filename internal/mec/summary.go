@@ -55,27 +55,24 @@ func (n *Network) Summarize() NetworkSummary {
 		}
 	}
 	for u := range n.UEs {
-		cands := n.Candidates(UEID(u))
-		s.CandidateLinks += len(cands)
-		bucket := len(cands)
-		if bucket >= histBuckets {
-			bucket = histBuckets - 1
-		}
-		s.CoverageHistogram[bucket]++
-		if len(cands) == 0 {
+		lo, hi := n.CandRange(UEID(u))
+		f := int(hi - lo)
+		s.CandidateLinks += f
+		s.CoverageHistogram[min(f, histBuckets-1)]++
+		if f == 0 {
 			s.Uncovered++
 			continue
 		}
-		nearest := cands[0]
-		for _, l := range cands {
-			if l.SameSP {
+		nearest := lo
+		for k := lo; k < hi; k++ {
+			if n.csr.SameSP[k] {
 				s.SameSPLinks++
 			}
-			if l.DistanceM < nearest.DistanceM {
-				nearest = l
+			if n.csr.DistanceM[k] < n.csr.DistanceM[nearest] {
+				nearest = k
 			}
 		}
-		s.DemandRRBs += nearest.RRBs
+		s.DemandRRBs += int(n.csr.RRBs[nearest])
 		s.DemandCRUs += n.UEs[u].CRUDemand
 	}
 	if s.UEs > 0 {

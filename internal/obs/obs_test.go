@@ -201,6 +201,31 @@ func TestSinkRingAndJSONL(t *testing.T) {
 	}
 }
 
+// TestSinkRingGrowsThenWraps checks the on-demand ring at every fill
+// level: while it grows it holds every event in order, and once full it
+// drops the oldest, through several wraps, never holding more than its
+// cap. A large cap stays unallocated until events arrive.
+func TestSinkRingGrowsThenWraps(t *testing.T) {
+	const size = 300 // grows 64, 192, 300
+	sink := NewSink(nil, size)
+	if n := cap(sink.ring); n != 0 {
+		t.Fatalf("fresh sink holds a %d-event ring", n)
+	}
+	for i := 1; i <= 4*size+5; i++ {
+		sink.Emit(Event{Kind: KindPropose, UE: i})
+		got := sink.Events()
+		if want := min(i, size); len(got) != want || cap(sink.ring) > size {
+			t.Fatalf("after %d events: ring holds %d (cap %d), want %d", i, len(got), cap(sink.ring), want)
+		}
+		first := i - len(got) + 1
+		for k, e := range got {
+			if e.UE != first+k || e.Seq != int64(first+k) {
+				t.Fatalf("after %d events: ring[%d] = %+v, want UE and seq %d", i, k, e, first+k)
+			}
+		}
+	}
+}
+
 // errWriter fails after n writes.
 type errWriter struct{ n int }
 

@@ -105,23 +105,27 @@ func (e Event) Key() [4]int {
 // Sinks are safe for concurrent use; events from concurrent emitters are
 // sequenced in lock order.
 type Sink struct {
-	mu       sync.Mutex
-	w        io.Writer
+	mu sync.Mutex
+	w  io.Writer
+	// ring grows on demand up to size events, then wraps: start is the
+	// index of the oldest entry.
 	ring     []Event
-	start    int // index of the oldest ring entry
-	n        int // live ring entries
+	size     int
+	start    int
 	seq      int64
 	err      error
 	manifest *Manifest
 }
 
 // NewSink returns a sink writing JSONL to w (nil w disables the writer)
-// and retaining the last ringSize events (ringSize <= 0 picks 4096).
+// and retaining the last ringSize events (ringSize <= 0 picks 4096). The
+// ring grows as events arrive, so a generous ringSize costs nothing a
+// run does not use.
 func NewSink(w io.Writer, ringSize int) *Sink {
 	if ringSize <= 0 {
 		ringSize = 4096
 	}
-	return &Sink{w: w, ring: make([]Event, ringSize)}
+	return &Sink{w: w, size: ringSize}
 }
 
 // Emit records one event, assigning its sequence number. No-op on nil.
@@ -133,12 +137,16 @@ func (s *Sink) Emit(e Event) {
 	defer s.mu.Unlock()
 	s.seq++
 	e.Seq = s.seq
-	if s.n < len(s.ring) {
-		s.ring[(s.start+s.n)%len(s.ring)] = e
-		s.n++
+	if len(s.ring) < s.size {
+		if len(s.ring) == cap(s.ring) {
+			grown := make([]Event, len(s.ring), min(s.size, 2*len(s.ring)+64))
+			copy(grown, s.ring)
+			s.ring = grown
+		}
+		s.ring = append(s.ring, e)
 	} else {
 		s.ring[s.start] = e
-		s.start = (s.start + 1) % len(s.ring)
+		s.start = (s.start + 1) % s.size
 	}
 	if s.w != nil && s.err == nil {
 		data, err := json.Marshal(e)
@@ -159,11 +167,9 @@ func (s *Sink) Events() []Event {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Event, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.ring[(s.start+i)%len(s.ring)]
-	}
-	return out
+	out := make([]Event, 0, len(s.ring))
+	out = append(out, s.ring[s.start:]...)
+	return append(out, s.ring[:s.start]...)
 }
 
 // Total returns the number of events emitted over the sink's lifetime

@@ -76,16 +76,14 @@ type Config struct {
 	// Incremental requires the delta-repair epoch path and reports its
 	// work in the Delta* counters, which stay zero without it.
 	//
-	// Every DMRA session over a NewNetwork-built scenario (the dense
-	// candidate view) takes that path by default, observed or not and
-	// for any rho: a persistent engine.Incremental carries the ledger
+	// Every DMRA session takes that path by default, observed or not
+	// and for any rho: a persistent engine.Incremental carries the ledger
 	// and every UE's candidate state across epochs and repairs only the
 	// frontier churn touched, instead of re-running Alg. 1 from scratch
 	// over the waiting set, so epoch cost scales with arrivals and
 	// departures rather than the standing population. Setting
 	// Incremental rejects configs that cannot repair incrementally
-	// (another policy, no dense view) instead of falling back to
-	// from-scratch epochs. Every other report field is identical either
+	// (another policy) instead of falling back to from-scratch epochs. Every other report field is identical either
 	// way (the delta-repair fuzz gate proves the assignments equal).
 	Incremental bool
 	// Seed drives arrivals, holding times, and the scenario build.
@@ -265,17 +263,12 @@ func Run(cfg Config) (Report, error) {
 		active:   make(map[mec.UEID]placement, len(net.UEs)),
 		cohortOf: make([]int, len(net.UEs)),
 	}
-	if incrementalEpochs(cfg, net) {
-		if net.Dense() == nil {
-			return Report{}, fmt.Errorf("online: incremental mode needs a dense candidate view (NewNetwork-built scenario)")
-		}
+	if incrementalEpochs(cfg) {
 		s.inc = new(engine.Incremental)
 		// One propose worker: an epoch's frontier is a few hundred UEs,
 		// too few to pay for a fan-out, and replicated sessions already
-		// run one per core.
-		if err := s.inc.Begin(net, engine.Config(cfg.DMRA), 1); err != nil {
-			return Report{}, err
-		}
+		// run one per core. Begin's error is always nil.
+		_ = s.inc.Begin(net, engine.Config(cfg.DMRA), 1)
 		if cfg.Obs != nil {
 			s.hooks = alloc.ArenaHooks(cfg.Obs)
 		}
@@ -307,14 +300,12 @@ func Run(cfg Config) (Report, error) {
 	return s.run()
 }
 
-// incrementalEpochs reports whether a session over net drives the
-// persistent delta-repair engine instead of re-matching from scratch:
-// always when Incremental is set, and otherwise for every DMRA session
-// over a dense candidate view. Baselines, testHookAllocator and
-// dense-less scenarios keep the SubView + allocator path.
-func incrementalEpochs(cfg Config, net *mec.Network) bool {
-	return cfg.Incremental ||
-		(cfg.Algorithm == "dmra" && testHookAllocator == nil && net.Dense() != nil)
+// incrementalEpochs reports whether a session drives the persistent
+// delta-repair engine instead of re-matching from scratch: always when
+// Incremental is set, and otherwise for every DMRA session. Baselines
+// and testHookAllocator keep the SubView + allocator path.
+func incrementalEpochs(cfg Config) bool {
+	return cfg.Incremental || (cfg.Algorithm == "dmra" && testHookAllocator == nil)
 }
 
 // cohortPlan is one cohort's resolved slice of the session: its profile
@@ -836,9 +827,9 @@ func (s *session) place(u mec.UEID, b mec.BSID) {
 }
 
 // matchWaiting computes the policy's choice for each waiting UE given the
-// residual resources. The session-persistent SubView points the parent
-// network's precomputed links at the waiting set and snapshots the live
-// residuals as BS capacities — no network rebuild, no UE renumbering:
+// residual resources. The session-persistent SubView masks the parent
+// network's candidate store to the waiting set and snapshots the live
+// residuals as its capacity rows — no network rebuild, no UE renumbering:
 // the returned assignment is indexed by real UE ID, with every
 // non-waiting UE on the cloud. A fully drained BS stays present with
 // zero residual capacity and rejects proposals normally, preserving

@@ -296,17 +296,17 @@ func TestSubViewZeroResidualBSStaysPresent(t *testing.T) {
 	}
 
 	sub := net.NewSubView().Refresh([]mec.UEID{1}, state)
-	if got := sub.BSs[0].MaxRRBs; got != 0 {
-		t.Errorf("drained BS 0 in sub-view has MaxRRBs = %d, want 0", got)
+	if got := sub.Dense().MaxRRB[0]; got != 0 {
+		t.Errorf("drained BS 0 in sub-view has an RRB row of %d, want 0", got)
 	}
 	if got, want := sub.CoverCount(1), net.CoverCount(1); got != want {
 		t.Errorf("sub-view f_u = %d, want parent's %d", got, want)
 	}
-	if got, want := len(sub.Candidates(1)), len(net.Candidates(1)); got != want {
-		t.Errorf("sub-view candidate count = %d, want %d (drained BS must stay a candidate)", got, want)
+	if lo, hi := sub.CandRange(1); int(hi-lo) != net.CoverCount(1) {
+		t.Errorf("sub-view candidate count = %d, want %d (drained BS must stay a candidate)", hi-lo, net.CoverCount(1))
 	}
-	if cands := sub.Candidates(0); cands != nil {
-		t.Errorf("inactive UE 0 has %d candidates, want none", len(cands))
+	if lo, hi := sub.CandRange(0); hi != lo {
+		t.Errorf("inactive UE 0 has %d candidates, want none", hi-lo)
 	}
 
 	res, err := alloc.NewDMRA(alloc.DefaultDMRAConfig()).Allocate(sub)

@@ -73,8 +73,9 @@ func routeCases() []struct {
 
 // fromScratch runs cfg down the SubView + allocator route with a DMRA
 // allocator as testHookAllocator: every epoch re-matches the waiting set
-// from scratch through the naive reference (a SubView has no dense
-// view), the reference the delta-repair routes must reproduce.
+// from scratch with the arena engine over the SubView's masked store
+// (TestParity pins the arena to the naive reference), the reference the
+// delta-repair routes must reproduce.
 func fromScratch(cfg Config) (Report, error) {
 	testHookAllocator = alloc.NewDMRA(cfg.DMRA)
 	defer func() { testHookAllocator = nil }()

@@ -57,7 +57,11 @@ func (s *Solver) Solve(net *mec.Network) (Solution, error) {
 	cands := make([][]mec.Link, n)
 	maxMargin := make([]float64, n)
 	for u := 0; u < n; u++ {
-		links := append([]mec.Link(nil), net.Candidates(mec.UEID(u))...)
+		var links []mec.Link
+		lo, hi := net.CandRange(mec.UEID(u))
+		for k := lo; k < hi; k++ {
+			links = append(links, net.LinkAt(mec.UEID(u), k))
+		}
 		sort.SliceStable(links, func(i, j int) bool {
 			return alloc.Margin(net, links[i]) > alloc.Margin(net, links[j])
 		})
@@ -160,10 +164,9 @@ func UpperBound(net *mec.Network) float64 {
 	total := 0.0
 	for u := range net.UEs {
 		best := 0.0
-		for _, l := range net.Candidates(mec.UEID(u)) {
-			if m := alloc.Margin(net, l); m > best {
-				best = m
-			}
+		lo, hi := net.CandRange(mec.UEID(u))
+		for k := lo; k < hi; k++ {
+			best = max(best, alloc.Margin(net, net.LinkAt(mec.UEID(u), k)))
 		}
 		total += best
 	}

@@ -129,11 +129,7 @@ func Run(net *mec.Network, cfg Config) (Result, error) {
 			cfg.MaxRounds *= 10
 		}
 	}
-	prop, err := engine.NewProposer(net, cfg.DMRA)
-	if err != nil {
-		return Result{}, fmt.Errorf("protocol: %w", err)
-	}
-	r := &runner{net: net, cfg: cfg, prop: prop}
+	r := &runner{net: net, cfg: cfg, prop: engine.NewProposer(net, cfg.DMRA)}
 	if cfg.DropRate > 0 {
 		r.loss = rng.New(cfg.LossSeed).SplitLabeled("protocol-loss")
 	}

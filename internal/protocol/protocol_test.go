@@ -123,7 +123,7 @@ func TestLossyRunStaysFeasible(t *testing.T) {
 		}
 		// Loss must not strand everyone: the retry machinery keeps the
 		// protocol productive.
-		if res.Assignment.ServedCount() < net.TotalCandidateLinks()/20 {
+		if res.Assignment.ServedCount() < net.Dense().Links()/20 {
 			t.Errorf("drop=%g: only %d UEs served", drop, res.Assignment.ServedCount())
 		}
 	}

@@ -134,12 +134,12 @@ func (m *Machine) checkBS(e obs.Event) error {
 
 // prefPos returns bs's index in u's candidate list, or -1.
 func (m *Machine) prefPos(u mec.UEID, bs mec.BSID) int {
-	for i, l := range m.net.Candidates(u) {
-		if l.BS == bs {
-			return i
-		}
+	k := m.net.Dense().FindCand(u, bs)
+	if k < 0 {
+		return -1
 	}
-	return -1
+	lo, _ := m.net.CandRange(u)
+	return int(k - lo)
 }
 
 // Apply folds one event into the state. Errors leave the machine in a

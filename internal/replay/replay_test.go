@@ -77,7 +77,7 @@ func TestAcceptSemantics(t *testing.T) {
 	// Find a UE with at least two candidates for the conflict case.
 	var u mec.UEID = mec.UEID(len(net.UEs))
 	for i := range net.UEs {
-		if len(net.Candidates(mec.UEID(i))) >= 2 {
+		if net.CoverCount(mec.UEID(i)) >= 2 {
 			u = mec.UEID(i)
 			break
 		}
@@ -85,8 +85,9 @@ func TestAcceptSemantics(t *testing.T) {
 	if int(u) == len(net.UEs) {
 		t.Skip("no UE with two candidates in this shape")
 	}
-	cands := net.Candidates(u)
-	b0, b1 := cands[0].BS, cands[1].BS
+	lo, _ := net.CandRange(u)
+	l0 := net.LinkAt(u, lo)
+	b0, b1 := l0.BS, net.LinkAt(u, lo+1).BS
 
 	m := New(net)
 	if err := m.Apply(obs.Event{Kind: obs.KindRound, Round: 1, UE: -1, BS: -1}); err != nil {
@@ -101,8 +102,8 @@ func TestAcceptSemantics(t *testing.T) {
 	if got := m.Snapshot().CRU(int(b0), int(ue.Service)); got != wantCRU {
 		t.Fatalf("RemCRU after accept = %d, want %d", got, wantCRU)
 	}
-	if got := m.Snapshot().RemRRB[b0]; got != net.BSs[b0].MaxRRBs-cands[0].RRBs {
-		t.Fatalf("RemRRB after accept = %d, want %d", got, net.BSs[b0].MaxRRBs-cands[0].RRBs)
+	if got := m.Snapshot().RemRRB[b0]; got != net.BSs[b0].MaxRRBs-l0.RRBs {
+		t.Fatalf("RemRRB after accept = %d, want %d", got, net.BSs[b0].MaxRRBs-l0.RRBs)
 	}
 	if st := m.UE(int(u)); st.Phase != PhaseMatched || st.ServingBS != b0 {
 		t.Fatalf("status after accept = %+v", st)

@@ -35,15 +35,13 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"schema":1,"round":1}`))
 	f.Add([]byte(`{"schema":1,"round":1,"services":-1,"remCRU":null}`))
 	// A UE and a BS that is not one of its candidates.
-	ue := slices.IndexFunc(net_.UEs, func(ue mec.UE) bool { return len(net_.Candidates(ue.ID)) < len(net_.BSs) })
+	ue := slices.IndexFunc(net_.UEs, func(ue mec.UE) bool { return net_.CoverCount(ue.ID) < len(net_.BSs) })
 	if ue < 0 {
 		f.Fatal("every UE has every BS as a candidate")
 	}
 	stranger := mec.BSID(0)
-	for _, l := range net_.Candidates(mec.UEID(ue)) {
-		if l.BS == stranger {
-			stranger++
-		}
+	for net_.Dense().FindCand(mec.UEID(ue), stranger) >= 0 {
+		stranger++
 	}
 	for _, edit := range []func(c *Checkpoint){
 		func(c *Checkpoint) { c.Schema++ },
@@ -119,11 +117,8 @@ func checkCheckpointFits(t *testing.T, net_ *mec.Network, cp *Checkpoint) {
 		if b == mec.CloudBS {
 			continue
 		}
-		candidate := false
-		for _, l := range net_.Candidates(mec.UEID(u)) {
-			candidate = candidate || l.BS == b
-		}
-		if !candidate {
+		lo, hi := net_.CandRange(mec.UEID(u))
+		if !slices.Contains(net_.Dense().BS[lo:hi], int32(b)) {
 			t.Fatalf("accepted UE %d served by BS %d, not a candidate", u, b)
 		}
 	}

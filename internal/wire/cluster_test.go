@@ -209,7 +209,7 @@ func TestClusterRoundsExceedUEPlusOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := len(net_.Candidates(0))
+	cands := net_.CoverCount(0)
 	if cands < 3 {
 		t.Fatalf("scenario gives the UE %d candidates, need >= 3", cands)
 	}

@@ -86,10 +86,7 @@ func clusterRoundFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	net_ := buildNet(tb, 60, 1)
 	cfg := alloc.DefaultDMRAConfig()
-	prop, err := engine.NewProposer(net_, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	prop := engine.NewProposer(net_, cfg)
 	batches := make([][]Request, len(net_.BSs))
 	var swept uint64
 	for u := range net_.UEs {

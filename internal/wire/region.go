@@ -296,13 +296,14 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	homeOf := make([]int, len(net_.UEs))
 	regionUEs := make([][]int, regions)
 	for u := range net_.UEs {
-		cands := net_.Candidates(mec.UEID(u))
+		csr := net_.Dense()
+		lo, hi := csr.CandRange(mec.UEID(u))
 		home := 0
 		spans := false
-		if len(cands) > 0 {
-			home = regionOf[cands[0].BS]
-			for _, l := range cands[1:] {
-				if regionOf[l.BS] != home {
+		if hi > lo {
+			home = regionOf[csr.BS[lo]]
+			for k := lo + 1; k < hi; k++ {
+				if regionOf[csr.BS[k]] != home {
 					spans = true
 				}
 			}
@@ -327,10 +328,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	// One proposer for the run: its per-UE state is touched only for the
 	// UE being proposed for, and each region proposes only for the UEs it
 	// homes, so the parallel propose phase is race-free.
-	prop, perr := engine.NewProposer(net_, rc.DMRA)
-	if perr != nil {
-		return RegionResult{}, fmt.Errorf("wire: %w", perr)
-	}
+	prop := engine.NewProposer(net_, rc.DMRA)
 
 	servers := make([]*BSServer, len(net_.BSs))
 	conns := make([]net.Conn, len(net_.BSs))

@@ -190,6 +190,45 @@ func (c Config) Scale(s int) Config {
 	return c
 }
 
+// RandomShape derives a random but valid scenario shape from a seed,
+// exercising corners the figure scenarios never touch: tiny SP counts,
+// sparse services, Zipf skew, uniform and hotspot placement, narrow
+// coverage, both pricing laws, and shadowing. The differential parity
+// harness, the engine tests and the store's build test all draw their
+// scenarios from it; build the shape with the same seed.
+func RandomShape(seed uint64) Config {
+	src := rng.New(seed).SplitLabeled("fuzz-shape")
+	cfg := Default()
+	cfg.SPs = src.IntBetween(1, 5)
+	cfg.BSsPerSP = src.IntBetween(1, 6)
+	cfg.Services = src.IntBetween(1, 8)
+	cfg.ServicesPerBS = src.IntBetween(1, cfg.Services)
+	cfg.UEs = src.IntBetween(0, 120)
+	cfg.Radio.CoverageRadiusM = src.FloatBetween(150, 500)
+	if src.Float64() < 0.3 {
+		cfg.Placement = PlacementRandom
+	} else if src.Float64() < 0.3 {
+		cfg.Placement = PlacementHex
+	}
+	if src.Float64() < 0.5 {
+		cfg.UEDist = UEUniform
+	}
+	if src.Float64() < 0.3 {
+		cfg.ServiceDist = ServiceZipf
+		cfg.ZipfS = src.FloatBetween(0.5, 2)
+	}
+	if src.Float64() < 0.3 {
+		cfg.Pricing.Law = mec.DistancePower
+		cfg.Pricing.DistanceSigma = 0.01
+	}
+	if src.Float64() < 0.3 {
+		cfg.Radio.ShadowingStdDB = src.FloatBetween(2, 10)
+	}
+	// Keep Eq. 16 satisfiable under the worst-case candidate price.
+	cfg.SPCRUPrice = 12
+	return cfg
+}
+
 // defaultRadio is radio.DefaultConfig plus the 20 dB inter-cell
 // interference margin DESIGN.md calibrates for the dense deployment.
 func defaultRadio() radio.Config {

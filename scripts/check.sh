@@ -3,8 +3,8 @@
 # suite, which exercises the parallel experiment engine at several worker
 # counts, the race-enabled parity sweeps, fixed-budget fuzz runs of the
 # wire frame and checkpoint decoders and of the differential parity
-# harness, a one-iteration smoke run of the hot-path benchmarks, and the
-# telemetry-determinism gate, which proves that attaching the
+# harness, a one-iteration smoke run of the hot-path benchmarks, vet and
+# tests of the bench/ module, and the telemetry-determinism gate, which proves that attaching the
 # observability layer does not change a single byte of experiment output.
 # Equivalent to `make check`.
 #
@@ -20,6 +20,7 @@
 #   scripts/check.sh parity            only the race-enabled differential parity harness at several widths and region counts + a 35 s FuzzParity run
 #   scripts/check.sh workload-specs    only the example-spec validation + online spec smoke
 #   scripts/check.sh replay-parity     only the race-enabled trace-replay parity gate
+#   scripts/check.sh bench-module      only vet + tests of the bench/ module
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -161,6 +162,16 @@ replay_parity() {
 	echo "replay parity: reconstructed state matches live engine state across alloc, protocol and wire"
 }
 
+bench_module() {
+	# bench/ is a module of its own that compiles against the program's
+	# packages, and nothing else in the gate builds it: vet and test it
+	# so an API change that breaks the benchmark fails here, not in a
+	# benchmark run.
+	go -C bench vet ./...
+	go -C bench test -count=1 ./...
+	echo "bench module: vet and tests passed"
+}
+
 obs_determinism() {
 	# Run one figure twice — plain, and with the full observability stack
 	# (ephemeral debug server + JSONL trace + instrumented grid) — and
@@ -217,6 +228,10 @@ replay-parity)
 	replay_parity
 	exit 0
 	;;
+bench-module)
+	bench_module
+	exit 0
+	;;
 esac
 
 gofmt_check
@@ -231,6 +246,7 @@ region_parity
 parity
 replay_parity
 bench_smoke
+bench_module
 workload_specs
 obs_determinism
 engine_guard
