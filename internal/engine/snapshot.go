@@ -38,18 +38,10 @@ func NewSnapshot(net *mec.Network) *Snapshot {
 		Services:  net.Services,
 		RemCRU:    make([]int, len(net.BSs)*net.Services),
 		RemRRB:    make([]int, len(net.BSs)),
-		ServingBS: make([]mec.BSID, len(net.UEs)),
+		ServingBS: mec.NewAssignment(len(net.UEs)).ServingBS,
 	}
 	csr := net.Dense()
-	for b := range net.BSs {
-		for j, c := range csr.CRURow(mec.BSID(b)) {
-			s.CRURow(b)[j] = int(c)
-		}
-		s.RemRRB[b] = int(csr.MaxRRB[b])
-	}
-	for u := range s.ServingBS {
-		s.ServingBS[u] = mec.CloudBS
-	}
+	capture[int32](s, 0, csr.CRUCap, csr.MaxRRB, nil)
 	return s
 }
 
@@ -66,33 +58,29 @@ func (s *Snapshot) CRURow(b int) []int {
 // synchronous runtime's source of truth), reusing the snapshot's
 // storage.
 func (s *Snapshot) CaptureState(st *mec.State, round int) {
-	net := st.Network()
-	s.Round = round
-	for b := range net.BSs {
-		row := s.CRURow(b)
-		for j := range row {
-			row[j] = st.RemainingCRU(mec.BSID(b), mec.ServiceID(j))
-		}
-		s.RemRRB[b] = st.RemainingRRBs(mec.BSID(b))
-	}
-	for u := range net.UEs {
-		s.ServingBS[u] = st.ServingBS(mec.UEID(u))
-	}
+	remCRU, remRRB, serving := st.Rows()
+	capture(s, round, remCRU, remRRB, serving)
 }
 
-// CaptureArena fills the snapshot from a live SoA arena. Both sides are
-// dense with the same stride, so the residual copy is two flat array
-// walks — no per-BS rows or maps are materialized.
+// CaptureArena fills the snapshot from a live SoA arena, reusing the
+// snapshot's storage.
 func (s *Snapshot) CaptureArena(a *Arena, round int) {
+	capture(s, round, a.remCRU, a.remRRB, a.serving)
+}
+
+// capture fills s from flat residual rows, Services-strided like the
+// snapshot's own (the layout mec.State and the arena share), and a
+// serving row: flat array walks, no per-BS rows materialized.
+func capture[B mec.BSID | int32](s *Snapshot, round int, remCRU, remRRB []int32, serving []B) {
 	s.Round = round
-	for i, rem := range a.remCRU {
+	for i, rem := range remCRU {
 		s.RemCRU[i] = int(rem)
 	}
-	for b, rem := range a.remRRB {
+	for b, rem := range remRRB {
 		s.RemRRB[b] = int(rem)
 	}
-	for u := range s.ServingBS {
-		s.ServingBS[u] = mec.BSID(a.serving[u])
+	for u, b := range serving {
+		s.ServingBS[u] = mec.BSID(b)
 	}
 }
 

@@ -181,8 +181,7 @@ type Arena struct {
 	sw  []selectWorker
 
 	// Invariant-recount scratch.
-	invCRU []int32
-	invRRB []int32
+	use mec.Usage
 }
 
 // grown returns s resized to n elements, reusing capacity when it
@@ -692,41 +691,18 @@ func (l *arenaLedger) Admit(r Request) error {
 	return nil
 }
 
-// checkInvariants recounts the ledger from the final assignment, the
-// arena-side mirror of mec.State.CheckInvariants: every served UE must
-// sit on a real candidate link, the bitset must agree with serving, and
-// capacities minus admitted demand must equal the residuals exactly.
+// checkInvariants checks the final state: the bitset must agree with
+// serving, and mec.Recount must find every served UE on a candidate
+// link within capacity and the residuals equal to capacity minus the
+// admitted demand.
 func (a *Arena) checkInvariants() error {
-	csr := a.csr
-	S := int32(csr.Services)
-	a.invCRU = grown(a.invCRU, len(csr.CRUCap))
-	clear(a.invCRU)
-	a.invRRB = grown(a.invRRB, csr.BSs())
-	clear(a.invRRB)
-	for u := int32(0); int(u) < csr.UEs(); u++ {
-		b := a.serving[u]
-		if (b >= 0) != a.assigned.Get(u) {
-			return fmt.Errorf("engine: arena state invalid: UE %d serving=%d but assigned bit %v", u, b, a.assigned.Get(u))
+	for u, b := range a.serving {
+		if (b >= 0) != a.assigned.Get(int32(u)) {
+			return fmt.Errorf("engine: arena state invalid: UE %d serving=%d but assigned bit %v", u, b, a.assigned.Get(int32(u)))
 		}
-		if b < 0 {
-			continue
-		}
-		g := csr.FindCand(mec.UEID(u), mec.BSID(b))
-		if g < 0 {
-			return fmt.Errorf("engine: arena state invalid: UE %d served by non-candidate BS %d", u, b)
-		}
-		a.invCRU[b*S+csr.Service[u]] += csr.CRU[u]
-		a.invRRB[b] += csr.RRBs[g]
 	}
-	for b := int32(0); int(b) < csr.BSs(); b++ {
-		for j := int32(0); j < S; j++ {
-			if got, want := a.remCRU[b*S+j], csr.CRUCap[b*S+j]-a.invCRU[b*S+j]; got != want || got < 0 {
-				return fmt.Errorf("engine: arena ledger drift: BS %d service %d residual CRUs = %d, recount %d", b, j, got, want)
-			}
-		}
-		if got, want := a.remRRB[b], csr.MaxRRB[b]-a.invRRB[b]; got != want || got < 0 {
-			return fmt.Errorf("engine: arena ledger drift: BS %d residual RRBs = %d, recount %d", b, got, want)
-		}
+	if _, err := mec.Recount(a.csr, a.serving, a.remCRU, a.remRRB, &a.use); err != nil {
+		return fmt.Errorf("engine: arena state invalid: %w", err)
 	}
 	return nil
 }

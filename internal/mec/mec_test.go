@@ -202,6 +202,11 @@ func TestNewNetworkValidation(t *testing.T) {
 		{"UE bad service", testSPs(1), []BS{goodBS}, []UE{{ID: 0, SP: 0, Service: 7, CRUDemand: 4, RateBps: 2e6}}, 2, "unknown service"},
 		{"UE zero demand", testSPs(1), []BS{goodBS}, []UE{{ID: 0, SP: 0, Service: 0, CRUDemand: 0, RateBps: 2e6}}, 2, "CRU demand"},
 		{"UE zero rate", testSPs(1), []BS{goodBS}, []UE{{ID: 0, SP: 0, Service: 0, CRUDemand: 4}}, 2, "rate"},
+		// The store's capacity and demand rows are int32: larger values
+		// would wrap there.
+		{"BS capacity past int32", testSPs(1), []BS{{ID: 0, SP: 0, CRUCapacity: []int{1, math.MaxInt32 + 1}, MaxRRBs: 5}}, []UE{goodUE}, 2, "capacity 2147483648 above"},
+		{"BS RRBs past int32", testSPs(1), []BS{{ID: 0, SP: 0, CRUCapacity: []int{1, 1}, MaxRRBs: math.MaxInt32 + 1}}, []UE{goodUE}, 2, "RRB budget 2147483648"},
+		{"UE demand past int32", testSPs(1), []BS{goodBS}, []UE{{ID: 0, SP: 0, Service: 0, CRUDemand: math.MaxInt32 + 1, RateBps: 2e6}}, 2, "CRU demand 2147483648"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -340,29 +345,102 @@ func TestStateRRBExhaustion(t *testing.T) {
 	}
 }
 
+// TestValidateAssignment has one row per kind of violation the recount
+// must catch, plus a valid assignment with cloud UEs.
 func TestValidateAssignment(t *testing.T) {
 	ues := []UE{
 		{ID: 0, SP: 0, Pos: geo.Point{X: 100, Y: 0}, Service: 0, CRUDemand: 4, RateBps: 2e6},
 		{ID: 1, SP: 1, Pos: geo.Point{X: 300, Y: 0}, Service: 0, CRUDemand: 4, RateBps: 2e6},
+		// Covered by no BS.
+		{ID: 2, SP: 0, Pos: geo.Point{X: 2000, Y: 2000}, Service: 0, CRUDemand: 4, RateBps: 2e6},
+		// 60 + 60 CRUs exceed BS 0's 100.
+		{ID: 3, SP: 0, Pos: geo.Point{X: 100, Y: 0}, Service: 0, CRUDemand: 60, RateBps: 2e6},
+		{ID: 4, SP: 0, Pos: geo.Point{X: 100, Y: 0}, Service: 0, CRUDemand: 60, RateBps: 2e6},
+	}
+	// ~2 RRBs each at 400 m: 40 of them exceed BS 0's 55 RRBs while
+	// using 40 of its CRUs.
+	radioHungry := make([]UEID, 40)
+	for i := range radioHungry {
+		radioHungry[i] = UEID(len(ues))
+		ues = append(ues, UE{ID: UEID(len(ues)), SP: 0, Pos: geo.Point{X: 0, Y: 400}, Service: 0, CRUDemand: 1, RateBps: 6e6})
 	}
 	net := twoBSNetwork(t, ues)
-
-	good := NewAssignment(2)
-	good.ServingBS[0] = 0
-	good.ServingBS[1] = 1
-	if err := ValidateAssignment(net, good); err != nil {
-		t.Errorf("valid assignment rejected: %v", err)
+	assignment := func(serve map[UEID]BSID) Assignment {
+		a := NewAssignment(len(ues))
+		for u, b := range serve {
+			a.ServingBS[u] = b
+		}
+		return a
 	}
-
-	bad := NewAssignment(2)
-	bad.ServingBS[0] = 7
-	if err := ValidateAssignment(net, bad); err == nil {
-		t.Error("assignment to nonexistent BS accepted")
+	allOnBS0 := map[UEID]BSID{}
+	for _, u := range radioHungry {
+		allOnBS0[u] = 0
 	}
+	tests := []struct {
+		name    string
+		a       Assignment
+		wantErr error  // nil: valid
+		wantSub string // a substring of the error
+	}{
+		{"valid with cloud UEs", assignment(map[UEID]BSID{0: 0, 1: 1, 3: 0}), nil, ""},
+		{"Eq. 12", assignment(map[UEID]BSID{3: 0, 4: 0}), ErrNoCRU, "Eq. 12"},
+		{"Eq. 13", assignment(map[UEID]BSID{2: 0}), ErrNotCandidate, "Eq. 13"},
+		{"Eq. 14", assignment(allOnBS0), ErrNoRRB, "Eq. 14"},
+		{"ID past the BSs", assignment(map[UEID]BSID{0: 7}), ErrNotCandidate, "Eq. 13"},
+		{"negative ID", assignment(map[UEID]BSID{0: -2}), ErrNotCandidate, "Eq. 13"},
+		{"candidate + 2^32", assignment(map[UEID]BSID{0: 1 << 32}), ErrNotCandidate, "Eq. 13"},
+		{"wrong length", Assignment{ServingBS: []BSID{0}}, nil, "covers 1 UEs"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := ValidateAssignment(net, tt.a)
+			if tt.wantSub == "" {
+				if err != nil {
+					t.Fatalf("valid assignment rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.wantSub) {
+				t.Fatalf("error %v, want one mentioning %q", err, tt.wantSub)
+			}
+			if tt.wantErr != nil && !errors.Is(err, tt.wantErr) {
+				t.Fatalf("error %v, want %v", err, tt.wantErr)
+			}
+		})
+	}
+}
 
-	short := Assignment{ServingBS: []BSID{0}}
-	if err := ValidateAssignment(net, short); err == nil {
-		t.Error("wrong-length assignment accepted")
+// TestFindCandRejectsOutOfRangeBS: an ID outside [0, BSs) is no
+// candidate, even one that truncates to a candidate's ID in int32.
+func TestFindCandRejectsOutOfRangeBS(t *testing.T) {
+	net := randomScenario(t, 5, 60, 8, false)
+	c := net.Dense()
+	links := 0
+	for u := range net.UEs {
+		lo, hi := c.CandRange(UEID(u))
+		for k := lo; k < hi; k++ {
+			b := BSID(c.BS[k])
+			if got := c.FindCand(UEID(u), b); got != k {
+				t.Fatalf("UE %d BS %d: FindCand = %d, want %d", u, b, got, k)
+			}
+			for _, alias := range []BSID{b + 1<<32, b - 1<<32} {
+				if got := c.FindCand(UEID(u), alias); got != -1 {
+					t.Fatalf("UE %d: FindCand(%d) = %d, want -1", u, alias, got)
+				}
+				if _, ok := net.Link(UEID(u), alias); ok {
+					t.Fatalf("UE %d: Link(%d) found a link", u, alias)
+				}
+			}
+			links++
+		}
+		for _, b := range []BSID{CloudBS, -2, BSID(len(net.BSs))} {
+			if got := c.FindCand(UEID(u), b); got != -1 {
+				t.Fatalf("UE %d: FindCand(%d) = %d, want -1", u, b, got)
+			}
+		}
+	}
+	if links == 0 {
+		t.Fatal("scenario has no candidate links")
 	}
 }
 

@@ -56,7 +56,8 @@ type Network struct {
 // NewNetwork validates the scenario and precomputes per-link radio and
 // pricing state. It returns an error for structurally invalid scenarios
 // (bad references, capacity/pricing violations of Eq. 16, invalid radio
-// parameters, more candidate links than int32 indices address).
+// parameters, capacities or demands past the store's int32 rows, more
+// candidate links than int32 indices address).
 func NewNetwork(sps []SP, bss []BS, ues []UE, services int, rc radio.Config, pr Pricing) (*Network, error) {
 	networkBuilds.Add(1)
 	n := &Network{
@@ -115,9 +116,12 @@ func (n *Network) validate() error {
 			if c < 0 {
 				return fmt.Errorf("mec: BS %d service %d has negative capacity %d", i, j, c)
 			}
+			if c > math.MaxInt32 {
+				return fmt.Errorf("mec: BS %d service %d has capacity %d above %d", i, j, c, math.MaxInt32)
+			}
 		}
-		if bs.MaxRRBs <= 0 {
-			return fmt.Errorf("mec: BS %d has non-positive RRB budget %d", i, bs.MaxRRBs)
+		if bs.MaxRRBs <= 0 || bs.MaxRRBs > math.MaxInt32 {
+			return fmt.Errorf("mec: BS %d has RRB budget %d outside [1, %d]", i, bs.MaxRRBs, math.MaxInt32)
 		}
 	}
 	for i := range n.UEs {
@@ -131,8 +135,8 @@ func (n *Network) validate() error {
 		if int(ue.Service) < 0 || int(ue.Service) >= n.Services {
 			return fmt.Errorf("mec: UE %d requests unknown service %d", i, ue.Service)
 		}
-		if ue.CRUDemand <= 0 {
-			return fmt.Errorf("mec: UE %d has non-positive CRU demand %d", i, ue.CRUDemand)
+		if ue.CRUDemand <= 0 || ue.CRUDemand > math.MaxInt32 {
+			return fmt.Errorf("mec: UE %d has CRU demand %d outside [1, %d]", i, ue.CRUDemand, math.MaxInt32)
 		}
 		if ue.RateBps <= 0 {
 			return fmt.Errorf("mec: UE %d has non-positive rate %g", i, ue.RateBps)

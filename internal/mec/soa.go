@@ -91,9 +91,13 @@ func (c *CSR) CandRange(u UEID) (lo, hi int32) {
 }
 
 // FindCand returns the global candidate index of UE u's link to BS b, or
-// -1 when b is not a candidate. Candidates are BS-sorted, so the lookup is
-// a binary search over u's window.
+// -1 when b is not a candidate (an ID outside [0, BSs()) included).
+// Candidates are BS-sorted, so the lookup is a binary search over u's
+// window.
 func (c *CSR) FindCand(u UEID, b BSID) int32 {
+	if b < 0 || int(b) >= c.BSs() {
+		return -1
+	}
 	lo, end := c.CandRange(u)
 	hi := end
 	for lo < hi {

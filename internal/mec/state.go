@@ -3,6 +3,7 @@ package mec
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Assignment is the outcome of an allocation: for every UE, the serving BS
@@ -53,10 +54,11 @@ func (a Assignment) Clone() Assignment {
 // that the capacity constraints (Eq. 12, 14) can never be violated.
 type State struct {
 	net *Network
-	// remCRU[b][j] is c_{b,j} minus CRUs already granted.
-	remCRU [][]int
-	// remRRB[b] is N_b minus RRBs already granted.
-	remRRB []int
+	// remCRU and remRRB are the residual rows, shaped like the store's
+	// CRUCap and MaxRRB: remCRU[b*Services+j] is c_{b,j} minus the CRUs
+	// already granted, remRRB[b] is N_b minus the RRBs already granted.
+	remCRU []int32
+	remRRB []int32
 	// assignment is the current partial matching.
 	assignment Assignment
 	// rrbsUsed[u] records the RRBs granted to UE u (for release).
@@ -64,11 +66,9 @@ type State struct {
 	// usedRRBs is the sum of rrbsUsed: the RRBs granted across all BSs,
 	// kept current by Assign and Unassign so occupancy reads are O(1).
 	usedRRBs int
-	// invariantCRU/invariantRRB are CheckInvariants' recount scratch,
-	// allocated on first use and reused so steady-state verification is
-	// allocation-free.
-	invariantCRU []int
-	invariantRRB []int
+	// use is CheckInvariants' recount scratch, reused so steady-state
+	// verification is allocation-free.
+	use Usage
 }
 
 // NewState returns a fresh ledger over net with all resources available
@@ -85,21 +85,8 @@ func NewState(net *Network) *State {
 // NewState to keep repeated runs allocation-free.
 func (s *State) Reset(net *Network) {
 	s.net = net
-	c := &net.csr
-	if len(s.remCRU) != len(net.BSs) {
-		s.remCRU = make([][]int, len(net.BSs))
-		s.remRRB = make([]int, len(net.BSs))
-	}
-	for b := range net.BSs {
-		caps := c.CRURow(BSID(b))
-		if len(s.remCRU[b]) != len(caps) {
-			s.remCRU[b] = make([]int, len(caps))
-		}
-		for j, cap := range caps {
-			s.remCRU[b][j] = int(cap)
-		}
-		s.remRRB[b] = int(c.MaxRRB[b])
-	}
+	s.remCRU = append(s.remCRU[:0], net.csr.CRUCap...)
+	s.remRRB = append(s.remRRB[:0], net.csr.MaxRRB...)
 	s.usedRRBs = 0
 	if len(s.rrbsUsed) != len(net.UEs) {
 		s.assignment = NewAssignment(len(net.UEs))
@@ -115,20 +102,30 @@ func (s *State) Reset(net *Network) {
 // Network returns the immutable scenario this state allocates over.
 func (s *State) Network() *Network { return s.net }
 
+// Rows returns the residual rows and the serving row the ledger keeps,
+// aliasing its storage: remCRU is Services-strided like the store's
+// CRUCap. Callers must not modify them.
+func (s *State) Rows() (remCRU, remRRB []int32, serving []BSID) {
+	return s.remCRU, s.remRRB, s.assignment.ServingBS
+}
+
+// cru returns the index of (b, j) in remCRU.
+func (s *State) cru(b BSID, j ServiceID) int { return int(b)*s.net.Services + int(j) }
+
 // RemainingCRU returns the unallocated CRUs of BS b for service j.
 func (s *State) RemainingCRU(b BSID, j ServiceID) int {
-	return s.remCRU[b][j]
+	return int(s.remCRU[s.cru(b, j)])
 }
 
 // RemainingRRBs returns the unallocated radio blocks of BS b.
 func (s *State) RemainingRRBs(b BSID) int {
-	return s.remRRB[b]
+	return int(s.remRRB[b])
 }
 
 // Residual returns BS b's remaining CRUs for service j and remaining RRBs
 // in one call — the two Eq. 17 inputs that change during matching.
 func (s *State) Residual(b BSID, j ServiceID) (remCRU, remRRBs int) {
-	return s.remCRU[b][j], s.remRRB[b]
+	return s.RemainingCRU(b, j), s.RemainingRRBs(b)
 }
 
 // UsedRRBs returns the radio blocks currently granted across all BSs:
@@ -163,7 +160,8 @@ func (s *State) CanServe(u UEID, b BSID) bool {
 		return false
 	}
 	ue := &s.net.UEs[u]
-	return s.remCRU[b][ue.Service] >= ue.CRUDemand && s.remRRB[b] >= l.RRBs
+	remCRU, remRRBs := s.Residual(b, ue.Service)
+	return remCRU >= ue.CRUDemand && remRRBs >= l.RRBs
 }
 
 // Assign grants UE u's task to BS b, debiting b's CRU and RRB pools. It
@@ -178,16 +176,17 @@ func (s *State) Assign(u UEID, b BSID) error {
 		return fmt.Errorf("%w: UE %d, BS %d", ErrNotCandidate, u, b)
 	}
 	ue := &s.net.UEs[u]
-	if s.remCRU[b][ue.Service] < ue.CRUDemand {
+	remCRU, remRRBs := s.Residual(b, ue.Service)
+	if remCRU < ue.CRUDemand {
 		return fmt.Errorf("%w: UE %d needs %d CRUs of service %d on BS %d, %d left",
-			ErrNoCRU, u, ue.CRUDemand, ue.Service, b, s.remCRU[b][ue.Service])
+			ErrNoCRU, u, ue.CRUDemand, ue.Service, b, remCRU)
 	}
-	if s.remRRB[b] < l.RRBs {
+	if remRRBs < l.RRBs {
 		return fmt.Errorf("%w: UE %d needs %d RRBs on BS %d, %d left",
-			ErrNoRRB, u, l.RRBs, b, s.remRRB[b])
+			ErrNoRRB, u, l.RRBs, b, remRRBs)
 	}
-	s.remCRU[b][ue.Service] -= ue.CRUDemand
-	s.remRRB[b] -= l.RRBs
+	s.remCRU[s.cru(b, ue.Service)] -= int32(ue.CRUDemand)
+	s.remRRB[b] -= int32(l.RRBs)
 	s.assignment.ServingBS[u] = b
 	s.rrbsUsed[u] = l.RRBs
 	s.usedRRBs += l.RRBs
@@ -203,8 +202,8 @@ func (s *State) Unassign(u UEID) {
 		return
 	}
 	ue := &s.net.UEs[u]
-	s.remCRU[b][ue.Service] += ue.CRUDemand
-	s.remRRB[b] += s.rrbsUsed[u]
+	s.remCRU[s.cru(b, ue.Service)] += int32(ue.CRUDemand)
+	s.remRRB[b] += int32(s.rrbsUsed[u])
 	s.usedRRBs -= s.rrbsUsed[u]
 	s.rrbsUsed[u] = 0
 	s.assignment.ServingBS[u] = CloudBS
@@ -233,80 +232,86 @@ func (s *State) SnapshotInto(dst Assignment) Assignment {
 // scratch rather than trusting the incremental counters, so it also detects
 // ledger corruption.
 func (s *State) CheckInvariants() error {
-	// Flat per-(BS, service) scratch, kept on the State so per-round
-	// verification in the hot loop does not allocate.
-	// Both lengths must be checked: two scenarios can share the
-	// BSs*Services product while disagreeing on the BS count (1x2 vs
-	// 2x1), and a pooled State crosses scenarios.
-	if len(s.invariantCRU) != len(s.net.BSs)*s.net.Services || len(s.invariantRRB) != len(s.net.BSs) {
-		s.invariantCRU = make([]int, len(s.net.BSs)*s.net.Services)
-		s.invariantRRB = make([]int, len(s.net.BSs))
+	used, err := Recount(&s.net.csr, s.assignment.ServingBS, s.remCRU, s.remRRB, &s.use)
+	if err != nil {
+		return err
 	}
-	usedCRU := s.invariantCRU
-	usedRRB := s.invariantRRB
-	for i := range usedCRU {
-		usedCRU[i] = 0
-	}
-	for i := range usedRRB {
-		usedRRB[i] = 0
-	}
-	for u := range s.net.UEs {
-		b := s.assignment.ServingBS[u]
-		if b == CloudBS {
-			continue
-		}
-		l, ok := s.net.Link(UEID(u), b)
-		if !ok {
-			return fmt.Errorf("mec: invariant: UE %d assigned to non-candidate BS %d (Eq. 13)", u, b)
-		}
-		ue := &s.net.UEs[u]
-		usedCRU[int(b)*s.net.Services+int(ue.Service)] += ue.CRUDemand
-		usedRRB[b] += l.RRBs
-	}
-	totalRRB := 0
-	c := &s.net.csr
-	for b := range s.net.BSs {
-		totalRRB += usedRRB[b]
-		for j := 0; j < s.net.Services; j++ {
-			cap := int(c.CRUCap[b*s.net.Services+j])
-			used := usedCRU[b*s.net.Services+j]
-			if used > cap {
-				return fmt.Errorf("mec: invariant: BS %d service %d uses %d/%d CRUs (Eq. 12)", b, j, used, cap)
-			}
-			if s.remCRU[b][j] != cap-used {
-				return fmt.Errorf("mec: invariant: BS %d service %d ledger says %d CRUs left, recount says %d",
-					b, j, s.remCRU[b][j], cap-used)
-			}
-		}
-		maxRRB := int(c.MaxRRB[b])
-		if usedRRB[b] > maxRRB {
-			return fmt.Errorf("mec: invariant: BS %d uses %d/%d RRBs (Eq. 14)", b, usedRRB[b], maxRRB)
-		}
-		if s.remRRB[b] != maxRRB-usedRRB[b] {
-			return fmt.Errorf("mec: invariant: BS %d ledger says %d RRBs left, recount says %d",
-				b, s.remRRB[b], maxRRB-usedRRB[b])
-		}
-	}
-	if s.usedRRBs != totalRRB {
-		return fmt.Errorf("mec: invariant: ledger says %d RRBs used in total, recount says %d", s.usedRRBs, totalRRB)
+	if int64(s.usedRRBs) != used {
+		return fmt.Errorf("mec: invariant: ledger says %d RRBs used in total, recount says %d", s.usedRRBs, used)
 	}
 	return nil
 }
 
 // ValidateAssignment checks a completed assignment against net's TPM
-// constraints without needing the ledger that produced it.
+// constraints (Eq. 12-14) without needing the ledger that produced it:
+// one Recount pass, no replay through a State.
 func ValidateAssignment(net *Network, a Assignment) error {
-	if len(a.ServingBS) != len(net.UEs) {
-		return fmt.Errorf("mec: assignment covers %d UEs, scenario has %d", len(a.ServingBS), len(net.UEs))
+	_, err := Recount(&net.csr, a.ServingBS, nil, nil, &Usage{})
+	return err
+}
+
+// Usage is Recount's scratch: the CRUs granted per (BS, service),
+// Services-strided like CSR.CRUCap, and the RRBs granted per BS. The
+// sums are wider than the store's int32 rows, so an infeasible
+// assignment cannot wrap them. The zero value is ready to use.
+type Usage struct {
+	cru, rrb []int64
+}
+
+// Recount is the one feasibility recount of an assignment over c's
+// capacity rows; serving holds one BS index or CloudBS per UE. In one
+// pass over the served UEs it checks that each sits on one of its
+// candidate BSs (Eq. 13; an ID out of range is none), adds its CRUs and
+// RRBs into use, and checks the BS's CRUs for the UE's service (Eq. 12)
+// and its RRBs (Eq. 14) against capacity. When remCRU and remRRB are
+// non-nil — a ledger's residual rows, shaped like c's capacity rows —
+// every residual must also equal capacity minus usage. It returns the
+// RRBs granted in total and the first violation. use is caller-owned
+// scratch, reused across calls, so a steady-state check allocates
+// nothing.
+func Recount[B ~int | ~int32](c *CSR, serving []B, remCRU, remRRB []int32, use *Usage) (int64, error) {
+	if len(serving) != c.UEs() {
+		return 0, fmt.Errorf("mec: assignment covers %d UEs, scenario has %d", len(serving), c.UEs())
 	}
-	s := NewState(net)
-	for u, b := range a.ServingBS {
-		if b == CloudBS {
+	use.cru = slices.Grow(use.cru[:0], len(c.CRUCap))[:len(c.CRUCap)]
+	use.rrb = slices.Grow(use.rrb[:0], c.BSs())[:c.BSs()]
+	clear(use.cru)
+	clear(use.rrb)
+	for u, b := range serving {
+		if b == -1 {
 			continue
 		}
-		if err := s.Assign(UEID(u), b); err != nil {
-			return err
+		k := c.FindCand(UEID(u), BSID(b))
+		if k < 0 {
+			return 0, fmt.Errorf("%w: UE %d on BS %d (Eq. 13)", ErrNotCandidate, u, b)
+		}
+		i := int(b)*c.Services + int(c.Service[u])
+		use.cru[i] += int64(c.CRU[u])
+		use.rrb[b] += int64(c.RRBs[k])
+		if use.cru[i] > int64(c.CRUCap[i]) {
+			return 0, fmt.Errorf("%w: BS %d service %d grants %d of %d CRUs with UE %d (Eq. 12)",
+				ErrNoCRU, b, c.Service[u], use.cru[i], c.CRUCap[i], u)
+		}
+		if use.rrb[b] > int64(c.MaxRRB[b]) {
+			return 0, fmt.Errorf("%w: BS %d grants %d of %d RRBs with UE %d (Eq. 14)",
+				ErrNoRRB, b, use.rrb[b], c.MaxRRB[b], u)
 		}
 	}
-	return s.CheckInvariants()
+	var total int64
+	for b, used := range use.rrb {
+		total += used
+		if remRRB == nil {
+			continue
+		}
+		for i := b * c.Services; i < (b+1)*c.Services; i++ {
+			if want := int64(c.CRUCap[i]) - use.cru[i]; int64(remCRU[i]) != want {
+				return 0, fmt.Errorf("mec: ledger drift: BS %d service %d has %d CRUs left, recount says %d",
+					b, i-b*c.Services, remCRU[i], want)
+			}
+		}
+		if want := int64(c.MaxRRB[b]) - used; int64(remRRB[b]) != want {
+			return 0, fmt.Errorf("mec: ledger drift: BS %d has %d RRBs left, recount says %d", b, remRRB[b], want)
+		}
+	}
+	return total, nil
 }

@@ -59,12 +59,8 @@ func (n *Network) NewSubView() *SubView {
 // of the UE pool.
 func (sv *SubView) Refresh(active []UEID, res *State) *Network {
 	c := &sv.net.csr
-	for b := range c.MaxRRB {
-		for j, rem := range res.remCRU[b] {
-			c.CRUCap[b*c.Services+j] = int32(rem)
-		}
-		c.MaxRRB[b] = int32(res.remRRB[b])
-	}
+	copy(c.CRUCap, res.remCRU)
+	copy(c.MaxRRB, res.remRRB)
 	for _, u := range sv.prev {
 		c.Active[u] = false
 	}

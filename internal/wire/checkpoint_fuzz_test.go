@@ -58,6 +58,15 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		func(c *Checkpoint) { c.PerBS[2].BytesReceived = -1 },
 		func(c *Checkpoint) { c.ServingBS[0] = mec.BSID(len(net_.BSs)) },
 		func(c *Checkpoint) { c.ServingBS[ue] = stranger },
+		// A served UE's BS offset by 2^32: int32 truncation would take
+		// it for the candidate.
+		func(c *Checkpoint) {
+			u := slices.IndexFunc(c.ServingBS, func(b mec.BSID) bool { return b != mec.CloudBS })
+			if u < 0 {
+				f.Fatal("the checkpoint serves no UE")
+			}
+			c.ServingBS[u] += 1 << 32
+		},
 	} {
 		var c Checkpoint
 		if err := json.Unmarshal(saved, &c); err != nil {
@@ -118,7 +127,7 @@ func checkCheckpointFits(t *testing.T, net_ *mec.Network, cp *Checkpoint) {
 			continue
 		}
 		lo, hi := net_.CandRange(mec.UEID(u))
-		if !slices.Contains(net_.Dense().BS[lo:hi], int32(b)) {
+		if !slices.ContainsFunc(net_.Dense().BS[lo:hi], func(c int32) bool { return mec.BSID(c) == b }) {
 			t.Fatalf("accepted UE %d served by BS %d, not a candidate", u, b)
 		}
 	}

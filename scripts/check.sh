@@ -2,8 +2,8 @@
 # Full verification gate: gofmt and vet plus the race-enabled test
 # suite, which exercises the parallel experiment engine at several worker
 # counts, the race-enabled parity sweeps, fixed-budget fuzz runs of the
-# wire frame and checkpoint decoders and of the differential parity
-# harness, a one-iteration smoke run of the hot-path benchmarks, vet and
+# wire frame and checkpoint decoders, of the feasibility validator and
+# of the differential parity harness, a one-iteration smoke run of the hot-path benchmarks, vet and
 # tests of the bench/ module, and the telemetry-determinism gate, which proves that attaching the
 # observability layer does not change a single byte of experiment output.
 # Equivalent to `make check`.
@@ -16,6 +16,7 @@
 #   scripts/check.sh engine-guard      only the single-round-engine grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
 #   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
+#   scripts/check.sh mec-fuzz          only the 10 s FuzzValidateAssignment run of the feasibility validator against the ledger replay
 #   scripts/check.sh region-parity     only the race-enabled wire suite at several region counts
 #   scripts/check.sh parity            only the race-enabled differential parity harness at several widths and region counts + a 35 s FuzzParity run
 #   scripts/check.sh workload-specs    only the example-spec validation + online spec smoke
@@ -66,6 +67,16 @@ wire_fuzz() {
 	go test -run '^$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/wire/
 	go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 100x ./internal/wire/
 	echo "wire fuzz: FuzzReadFrame ran 20 s and FuzzLoadCheckpoint 10 s without a failure"
+}
+
+mec_fuzz() {
+	# mec.ValidateAssignment is the feasibility check every runtime's
+	# output passes and it reads assignments it did not produce: fuzz it
+	# against the ledger replay (State.Assign per served UE, then
+	# CheckInvariants) so a verdict that differs, or a panic on a wild BS
+	# ID, fails the gate.
+	go test -run '^$' -fuzz FuzzValidateAssignment -fuzztime 10s ./internal/mec/
+	echo "mec fuzz: FuzzValidateAssignment ran 10 s without a failure"
 }
 
 gofmt_check() {
@@ -208,6 +219,10 @@ wire-fuzz)
 	wire_fuzz
 	exit 0
 	;;
+mec-fuzz)
+	mec_fuzz
+	exit 0
+	;;
 gofmt)
 	gofmt_check
 	exit 0
@@ -242,6 +257,7 @@ go vet ./...
 go test -race ./internal/engine/
 go test -race ./...
 wire_fuzz
+mec_fuzz
 region_parity
 parity
 replay_parity
