@@ -23,7 +23,7 @@ check:
 	./scripts/check.sh
 
 # bench times the experiment engine (plain and instrumented), the DMRA
-# hot path (cached vs naive), and scenario construction, then appends
+# hot path (arena vs naive), and scenario construction, then appends
 # one baseline line per benchmark to BENCH_exp.json for cross-PR
 # comparison (diff with scripts/benchdiff.sh).
 bench:

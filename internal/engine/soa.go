@@ -701,7 +701,7 @@ func (a *Arena) checkInvariants() error {
 			return fmt.Errorf("engine: arena state invalid: UE %d serving=%d but assigned bit %v", u, b, a.assigned.Get(int32(u)))
 		}
 	}
-	if _, err := mec.Recount(a.csr, a.serving, a.remCRU, a.remRRB, &a.use); err != nil {
+	if err := mec.Recount(a.csr, a.serving, a.remCRU, a.remRRB, &a.use); err != nil {
 		return fmt.Errorf("engine: arena state invalid: %w", err)
 	}
 	return nil

@@ -63,9 +63,6 @@ type State struct {
 	assignment Assignment
 	// rrbsUsed[u] records the RRBs granted to UE u (for release).
 	rrbsUsed []int
-	// usedRRBs is the sum of rrbsUsed: the RRBs granted across all BSs,
-	// kept current by Assign and Unassign so occupancy reads are O(1).
-	usedRRBs int
 	// use is CheckInvariants' recount scratch, reused so steady-state
 	// verification is allocation-free.
 	use Usage
@@ -87,7 +84,6 @@ func (s *State) Reset(net *Network) {
 	s.net = net
 	s.remCRU = append(s.remCRU[:0], net.csr.CRUCap...)
 	s.remRRB = append(s.remRRB[:0], net.csr.MaxRRB...)
-	s.usedRRBs = 0
 	if len(s.rrbsUsed) != len(net.UEs) {
 		s.assignment = NewAssignment(len(net.UEs))
 		s.rrbsUsed = make([]int, len(net.UEs))
@@ -126,12 +122,6 @@ func (s *State) RemainingRRBs(b BSID) int {
 // in one call — the two Eq. 17 inputs that change during matching.
 func (s *State) Residual(b BSID, j ServiceID) (remCRU, remRRBs int) {
 	return s.RemainingCRU(b, j), s.RemainingRRBs(b)
-}
-
-// UsedRRBs returns the radio blocks currently granted across all BSs:
-// the sum over b of MaxRRBs - RemainingRRBs(b), maintained in O(1).
-func (s *State) UsedRRBs() int {
-	return s.usedRRBs
 }
 
 // ServingBS returns the BS currently serving UE u, or CloudBS.
@@ -189,7 +179,6 @@ func (s *State) Assign(u UEID, b BSID) error {
 	s.remRRB[b] -= int32(l.RRBs)
 	s.assignment.ServingBS[u] = b
 	s.rrbsUsed[u] = l.RRBs
-	s.usedRRBs += l.RRBs
 	return nil
 }
 
@@ -204,7 +193,6 @@ func (s *State) Unassign(u UEID) {
 	ue := &s.net.UEs[u]
 	s.remCRU[s.cru(b, ue.Service)] += int32(ue.CRUDemand)
 	s.remRRB[b] += int32(s.rrbsUsed[u])
-	s.usedRRBs -= s.rrbsUsed[u]
 	s.rrbsUsed[u] = 0
 	s.assignment.ServingBS[u] = CloudBS
 }
@@ -229,25 +217,17 @@ func (s *State) SnapshotInto(dst Assignment) Assignment {
 
 // CheckInvariants verifies the TPM constraints (Eq. 12-15) against the
 // ledger and returns the first violation. It recomputes resource usage from
-// scratch rather than trusting the incremental counters, so it also detects
+// scratch rather than trusting the residual rows, so it also detects
 // ledger corruption.
 func (s *State) CheckInvariants() error {
-	used, err := Recount(&s.net.csr, s.assignment.ServingBS, s.remCRU, s.remRRB, &s.use)
-	if err != nil {
-		return err
-	}
-	if int64(s.usedRRBs) != used {
-		return fmt.Errorf("mec: invariant: ledger says %d RRBs used in total, recount says %d", s.usedRRBs, used)
-	}
-	return nil
+	return Recount(&s.net.csr, s.assignment.ServingBS, s.remCRU, s.remRRB, &s.use)
 }
 
 // ValidateAssignment checks a completed assignment against net's TPM
 // constraints (Eq. 12-14) without needing the ledger that produced it:
 // one Recount pass, no replay through a State.
 func ValidateAssignment(net *Network, a Assignment) error {
-	_, err := Recount(&net.csr, a.ServingBS, nil, nil, &Usage{})
-	return err
+	return Recount(&net.csr, a.ServingBS, nil, nil, &Usage{})
 }
 
 // Usage is Recount's scratch: the CRUs granted per (BS, service),
@@ -266,12 +246,11 @@ type Usage struct {
 // and its RRBs (Eq. 14) against capacity. When remCRU and remRRB are
 // non-nil — a ledger's residual rows, shaped like c's capacity rows —
 // every residual must also equal capacity minus usage. It returns the
-// RRBs granted in total and the first violation. use is caller-owned
-// scratch, reused across calls, so a steady-state check allocates
-// nothing.
-func Recount[B ~int | ~int32](c *CSR, serving []B, remCRU, remRRB []int32, use *Usage) (int64, error) {
+// first violation. use is caller-owned scratch, reused across calls, so
+// a steady-state check allocates nothing.
+func Recount[B ~int | ~int32](c *CSR, serving []B, remCRU, remRRB []int32, use *Usage) error {
 	if len(serving) != c.UEs() {
-		return 0, fmt.Errorf("mec: assignment covers %d UEs, scenario has %d", len(serving), c.UEs())
+		return fmt.Errorf("mec: assignment covers %d UEs, scenario has %d", len(serving), c.UEs())
 	}
 	use.cru = slices.Grow(use.cru[:0], len(c.CRUCap))[:len(c.CRUCap)]
 	use.rrb = slices.Grow(use.rrb[:0], c.BSs())[:c.BSs()]
@@ -283,35 +262,33 @@ func Recount[B ~int | ~int32](c *CSR, serving []B, remCRU, remRRB []int32, use *
 		}
 		k := c.FindCand(UEID(u), BSID(b))
 		if k < 0 {
-			return 0, fmt.Errorf("%w: UE %d on BS %d (Eq. 13)", ErrNotCandidate, u, b)
+			return fmt.Errorf("%w: UE %d on BS %d (Eq. 13)", ErrNotCandidate, u, b)
 		}
 		i := int(b)*c.Services + int(c.Service[u])
 		use.cru[i] += int64(c.CRU[u])
 		use.rrb[b] += int64(c.RRBs[k])
 		if use.cru[i] > int64(c.CRUCap[i]) {
-			return 0, fmt.Errorf("%w: BS %d service %d grants %d of %d CRUs with UE %d (Eq. 12)",
+			return fmt.Errorf("%w: BS %d service %d grants %d of %d CRUs with UE %d (Eq. 12)",
 				ErrNoCRU, b, c.Service[u], use.cru[i], c.CRUCap[i], u)
 		}
 		if use.rrb[b] > int64(c.MaxRRB[b]) {
-			return 0, fmt.Errorf("%w: BS %d grants %d of %d RRBs with UE %d (Eq. 14)",
+			return fmt.Errorf("%w: BS %d grants %d of %d RRBs with UE %d (Eq. 14)",
 				ErrNoRRB, b, use.rrb[b], c.MaxRRB[b], u)
 		}
 	}
-	var total int64
+	if remRRB == nil {
+		return nil
+	}
 	for b, used := range use.rrb {
-		total += used
-		if remRRB == nil {
-			continue
-		}
 		for i := b * c.Services; i < (b+1)*c.Services; i++ {
 			if want := int64(c.CRUCap[i]) - use.cru[i]; int64(remCRU[i]) != want {
-				return 0, fmt.Errorf("mec: ledger drift: BS %d service %d has %d CRUs left, recount says %d",
+				return fmt.Errorf("mec: ledger drift: BS %d service %d has %d CRUs left, recount says %d",
 					b, i-b*c.Services, remCRU[i], want)
 			}
 		}
 		if want := int64(c.MaxRRB[b]) - used; int64(remRRB[b]) != want {
-			return 0, fmt.Errorf("mec: ledger drift: BS %d has %d RRBs left, recount says %d", b, remRRB[b], want)
+			return fmt.Errorf("mec: ledger drift: BS %d has %d RRBs left, recount says %d", b, remRRB[b], want)
 		}
 	}
-	return total, nil
+	return nil
 }

@@ -6,9 +6,10 @@ import (
 	"dmra/internal/rng"
 )
 
-// recountUsedRRBs is the per-BS recount the running UsedRRBs total
-// replaces.
-func recountUsedRRBs(s *State) int {
+// grantedRRBs is the RRBs the ledger's residual rows say are granted:
+// the sum over b of MaxRRBs - RemainingRRBs(b), the total an online
+// session's teardown compares with its placement table.
+func grantedRRBs(s *State) int {
 	used := 0
 	for b := range s.net.BSs {
 		used += s.net.BSs[b].MaxRRBs - s.RemainingRRBs(BSID(b))
@@ -16,9 +17,21 @@ func recountUsedRRBs(s *State) int {
 	return used
 }
 
+// heldRRBs sums the link RRBs of every served UE: the used-RRB total
+// recounted from the assignment alone.
+func heldRRBs(s *State) int {
+	used := 0
+	for u, b := range s.assignment.ServingBS {
+		if l, ok := s.net.Link(UEID(u), b); ok {
+			used += l.RRBs
+		}
+	}
+	return used
+}
+
 // TestUsedRRBsRandomScripts drives random Assign/Unassign scripts and
-// checks after every step that the running total equals a per-BS
-// recount and that CheckInvariants, which recounts it independently,
+// checks after every step that the RRBs the residual rows say are
+// granted equal the served UEs' link RRBs, and that CheckInvariants
 // accepts the ledger. A Reset must zero the total.
 func TestUsedRRBsRandomScripts(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
@@ -30,11 +43,11 @@ func TestUsedRRBsRandomScripts(t *testing.T) {
 			if s.Assigned(u) && src.Intn(3) == 0 {
 				s.Unassign(u)
 			} else if cands := candidates(net, u); len(cands) > 0 {
-				// Failed grants must leave the total untouched too.
+				// Failed grants must leave the rows untouched too.
 				_ = s.Assign(u, cands[src.Intn(len(cands))].BS)
 			}
-			if got, want := s.UsedRRBs(), recountUsedRRBs(s); got != want {
-				t.Fatalf("seed %d step %d: UsedRRBs = %d, recount %d", seed, step, got, want)
+			if got, want := grantedRRBs(s), heldRRBs(s); got != want {
+				t.Fatalf("seed %d step %d: residual rows grant %d RRBs, served links hold %d", seed, step, got, want)
 			}
 			if step%100 == 0 {
 				if err := s.CheckInvariants(); err != nil {
@@ -42,27 +55,31 @@ func TestUsedRRBsRandomScripts(t *testing.T) {
 				}
 			}
 		}
-		if s.UsedRRBs() == 0 {
+		if grantedRRBs(s) == 0 {
 			t.Fatalf("seed %d: script granted nothing; the test exercises no debits", seed)
 		}
 		s.Reset(net)
-		if s.UsedRRBs() != 0 {
-			t.Fatalf("seed %d: UsedRRBs = %d after Reset", seed, s.UsedRRBs())
+		if got := grantedRRBs(s); got != 0 {
+			t.Fatalf("seed %d: %d RRBs granted after Reset", seed, got)
 		}
 	}
 }
 
-// TestCheckInvariantsCatchesDriftedRRBTotal corrupts only the running
-// total and requires the recount to notice.
+// TestCheckInvariantsCatchesDriftedRRBTotal corrupts only the RRB
+// residual of the BS a grant debited, so the granted total drifts by
+// one, and requires the recount to notice.
 func TestCheckInvariantsCatchesDriftedRRBTotal(t *testing.T) {
 	net := randomScenario(t, 3, 100, 6, false)
 	s := NewState(net)
 	for u := range net.UEs {
 		if c := candidates(net, UEID(u)); len(c) > 0 && s.Assign(UEID(u), c[0].BS) == nil {
+			s.remRRB[c[0].BS]++
 			break
 		}
 	}
-	s.usedRRBs++
+	if grantedRRBs(s) == heldRRBs(s) {
+		t.Fatal("no grant made; the test corrupts nothing")
+	}
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a drifted used-RRB total")
 	}

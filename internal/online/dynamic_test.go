@@ -1,6 +1,7 @@
 package online
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -191,11 +192,12 @@ func twoUEOneBS(t *testing.T) *mec.Network {
 	return net
 }
 
-// TestFailedAdmissionBurnsNoRNG is the regression test for the hold-draw
-// ordering bug: a UE that loses the admission race must not consume a
-// lifetime draw, so the cohort's RNG stream is independent of internal
-// race outcomes.
-func TestFailedAdmissionBurnsNoRNG(t *testing.T) {
+// TestRefusedGrantFailsEpochBurnsNoRNG pins the from-scratch route's
+// grant contract: the SubView hands the allocator the ledger's own
+// residuals, so a grant the ledger refuses is an allocator fault and
+// fails the epoch with the ledger's error, before the UE consumes a
+// lifetime draw, so the cohort's RNG stream never depends on it.
+func TestRefusedGrantFailsEpochBurnsNoRNG(t *testing.T) {
 	net := twoUEOneBS(t)
 	state := mec.NewState(net)
 	// Drain BS 0 with UE 0 so UE 1's forced edge assignment must fail.
@@ -203,7 +205,7 @@ func TestFailedAdmissionBurnsNoRNG(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mec.NewAssignment(2)
-	a.ServingBS[1] = 0 // full BS: Assign must fail
+	a.ServingBS[1] = 0 // BS 0 has no CRUs left: Assign must fail
 
 	newSession := func() *session {
 		co := &cohortRun{
@@ -226,12 +228,14 @@ func TestFailedAdmissionBurnsNoRNG(t *testing.T) {
 	}
 
 	s := newSession()
-	s.match()
-	if len(s.waiting) != 1 || s.waiting[0] != 1 {
-		t.Fatalf("waiting = %v, want UE 1 still waiting after failed admission", s.waiting)
+	if err := s.match(); !errors.Is(err, mec.ErrNoCRU) {
+		t.Fatalf("match = %v, want the ledger's %v", err, mec.ErrNoCRU)
+	}
+	if _, ok := s.active[1]; ok {
+		t.Errorf("refused grant placed UE 1")
 	}
 	if got, want := s.cohorts[0].src.Uint64(), rng.New(99).Uint64(); got != want {
-		t.Errorf("failed admission burned RNG draws: next=%d, untouched stream gives %d", got, want)
+		t.Errorf("refused grant burned RNG draws: next=%d, untouched stream gives %d", got, want)
 	}
 
 	// Control: a successful (cloud) placement consumes exactly the one
@@ -239,7 +243,9 @@ func TestFailedAdmissionBurnsNoRNG(t *testing.T) {
 	s2 := newSession()
 	cloud := mec.NewAssignment(2) // everything on the cloud
 	s2.allocator = fixedAllocator{a: cloud}
-	s2.match()
+	if err := s2.match(); err != nil {
+		t.Fatal(err)
+	}
 	if len(s2.waiting) != 0 {
 		t.Fatalf("cloud placement left %v waiting", s2.waiting)
 	}

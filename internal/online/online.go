@@ -259,7 +259,6 @@ func Run(cfg Config) (Report, error) {
 	s := &session{
 		cfg:      cfg,
 		net:      net,
-		state:    mec.NewState(net),
 		active:   make(map[mec.UEID]placement, len(net.UEs)),
 		cohortOf: make([]int, len(net.UEs)),
 	}
@@ -276,6 +275,7 @@ func Run(cfg Config) (Report, error) {
 		if s.allocator, err = allocatorFor(cfg); err != nil {
 			return Report{}, err
 		}
+		s.state = mec.NewState(net)
 		s.subview = net.NewSubView()
 	}
 	root := rng.New(cfg.Seed)
@@ -396,9 +396,11 @@ func planWorkload(cfg Config) ([]cohortPlan, []workload.DemandRange, error) {
 // placement records where an active UE's task runs.
 type placement struct {
 	bs mec.BSID // CloudBS for cloud-served tasks
-	// margin is the per-second profit the placement adds to the session's
-	// profit rate, stored at grant time so the departure subtracts the
-	// very same float without repeating the link lookup.
+	// rrbs and margin are the link's RRBs and the per-second profit the
+	// placement adds to the session's used-RRB total and profit rate,
+	// stored at grant time so the departure subtracts the very same
+	// values without repeating the link lookup. Both are zero on CloudBS.
+	rrbs   int
 	margin float64
 }
 
@@ -477,21 +479,23 @@ func newCohortCounters(rec *obs.Recorder, cohort string) cohortCounters {
 }
 
 type session struct {
-	cfg   Config
-	net   *mec.Network
-	state *mec.State
+	cfg Config
+	net *mec.Network
+	// state is the from-scratch route's ledger: subview hands its
+	// residuals to the allocator, and match debits every grant from it.
 	// subview is the session-persistent restriction of net handed to the
 	// allocator each epoch: one Refresh per epoch, zero NewNetwork calls
 	// after setup (a property the tests assert via mec.NetworkBuilds).
-	// It and allocator are nil when inc drives the epochs.
+	// All three are nil when inc drives the epochs.
+	state     *mec.State
 	subview   *mec.SubView
 	allocator alloc.Allocator
 	engine    sim.Engine
 	// inc is the persistent delta-repair engine (nil when the session
-	// re-matches from scratch; see incrementalEpochs). Its ledger mirrors
-	// state exactly: every Assign/Unassign the session performs is
-	// reported to it as churn, and each epoch's Settle repairs the
-	// matching instead of matchWaiting's full re-run.
+	// re-matches from scratch; see incrementalEpochs). Its ledger is the
+	// session's only one: arrivals and departures are reported to it as
+	// churn, and each epoch's Settle repairs the matching instead of
+	// matchWaiting's full re-run.
 	inc *engine.Incremental
 	// hooks stream inc's settles to Obs (nil when unobserved).
 	hooks *engine.SoAHooks
@@ -510,11 +514,14 @@ type session struct {
 	cohortOf []int
 	// waiting holds arrivals not yet matched (between epochs).
 	waiting []mec.UEID
-	active  map[mec.UEID]placement
+	// active is the session's occupancy book: one placement per admitted
+	// UE, and usedRRBs the RRBs its edge placements hold.
+	active   map[mec.UEID]placement
+	usedRRBs int
 
 	rep Report
 	// err is the first epoch-path failure (an incremental arrival or
-	// settle, a ledger desync, an epoch allocation); fail records it and
+	// settle, an epoch allocation or grant); fail records it and
 	// stops the simulation, and run() returns it.
 	err error
 	// timelineErr remembers the first sampler write failure; sampling
@@ -573,18 +580,35 @@ func (s *session) run() (Report, error) {
 			}
 		}
 	}
-	if err := s.state.CheckInvariants(); err != nil {
+	if err := s.checkLedger(); err != nil {
 		return Report{}, fmt.Errorf("online: ledger corrupted: %w", err)
-	}
-	if s.inc != nil {
-		if err := s.inc.CheckInvariants(); err != nil {
-			return Report{}, fmt.Errorf("online: incremental ledger corrupted: %w", err)
-		}
 	}
 	if s.timelineErr != nil {
 		return Report{}, fmt.Errorf("online: timeline: %w", s.timelineErr)
 	}
 	return s.rep, nil
+}
+
+// checkLedger is the session's teardown check: the route ledger's own
+// recount against its residuals, and the RRBs it has granted against
+// the placement table's running total.
+func (s *session) checkLedger() error {
+	check := s.state.CheckInvariants
+	remRRB := func(b int) int { return s.state.RemainingRRBs(mec.BSID(b)) }
+	if s.inc != nil {
+		check, remRRB = s.inc.CheckInvariants, s.inc.RemRRB
+	}
+	if err := check(); err != nil {
+		return err
+	}
+	granted := s.totalRRBs
+	for b := range s.net.BSs {
+		granted -= remRRB(b)
+	}
+	if granted != s.usedRRBs {
+		return fmt.Errorf("ledger grants %d RRBs, placements hold %d", granted, s.usedRRBs)
+	}
+	return nil
 }
 
 // fail records the session's first epoch-path error and stops the
@@ -664,7 +688,7 @@ func (s *session) occupancy() float64 {
 	if s.totalRRBs == 0 {
 		return 0
 	}
-	return float64(s.state.UsedRRBs()) / float64(s.totalRRBs)
+	return float64(s.usedRRBs) / float64(s.totalRRBs)
 }
 
 // integrateTo advances the time integrals to time t.
@@ -675,7 +699,7 @@ func (s *session) integrateTo(t float64) {
 		return
 	}
 	s.areaActive += dt * float64(len(s.active)+len(s.waiting))
-	s.areaRRBUsed += dt * float64(s.state.UsedRRBs())
+	s.areaRRBUsed += dt * float64(s.usedRRBs)
 	s.areaProfit += dt * s.profitRate
 	s.lastT = t
 }
@@ -735,11 +759,10 @@ func (s *session) epoch() {
 }
 
 // match runs the allocator restricted to the waiting UEs against the
-// current residual capacities, then commits its grants. A session
-// lifetime is drawn only after placement succeeds (edge admission or
-// cloud fallback): a UE that loses the admission race consumes no
-// randomness, so every cohort's draw stream is independent of internal
-// race outcomes.
+// current residual capacities, then commits its grants; every waiting
+// UE is placed (edge or cloud), so the waiting list drains. A session
+// lifetime is drawn only after placement succeeds: a grant the ledger
+// refuses fails the epoch before the UE consumes any randomness.
 func (s *session) match() error {
 	s.rep.ReassignChecks += len(s.waiting)
 	if s.inc != nil {
@@ -750,22 +773,19 @@ func (s *session) match() error {
 	if err != nil {
 		return err
 	}
-	// Compact the survivors in place: the read cursor stays ahead of the
-	// append cursor, so reusing the waiting backing array is safe and the
-	// per-epoch stillWaiting allocation disappears.
-	kept := s.waiting[:0]
+	// The SubView's capacity rows are state's residuals and nothing else
+	// grants between its Refresh and here, so every grant of a feasible
+	// allocator fits: a refused one is an allocator fault.
 	for _, u := range s.waiting {
 		b := assignment.ServingBS[u]
 		if b != mec.CloudBS {
 			if err := s.state.Assign(u, b); err != nil {
-				// Lost a race against another epoch grant: keep waiting.
-				kept = append(kept, u)
-				continue
+				return fmt.Errorf("online: epoch grant: %w", err)
 			}
 		}
 		s.place(u, b)
 	}
-	s.waiting = kept
+	s.waiting = s.waiting[:0]
 	return nil
 }
 
@@ -773,10 +793,10 @@ func (s *session) match() error {
 // repairs the standing matching over the accumulated churn, then the
 // waiting UEs are placed from the engine's serving array — in waiting
 // order, with lifetimes drawn only after placement, so every cohort's
-// RNG stream advances exactly as in the default mode. The engine's
-// ledger is authoritative and mirrors mec.State debit-for-debit, so a
-// failed Assign here is a desync bug, not an admission race; the
-// frontier always drains (admitted or cloud), so no UE stays waiting.
+// RNG stream advances exactly as in the from-scratch mode. The engine
+// has already debited every grant from its ledger, the session's only
+// one; the frontier always drains (admitted or cloud), so no UE stays
+// waiting.
 func (s *session) matchIncremental() error {
 	ds, err := s.inc.SettleWith(s.hooks)
 	if err != nil {
@@ -794,9 +814,6 @@ func (s *session) matchIncremental() error {
 		b := mec.CloudBS
 		if bi := serving[u]; bi >= 0 {
 			b = mec.BSID(bi)
-			if err := s.state.Assign(u, b); err != nil {
-				return fmt.Errorf("online: incremental ledger desync: %w", err)
-			}
 		}
 		s.place(u, b)
 	}
@@ -804,25 +821,29 @@ func (s *session) matchIncremental() error {
 	return nil
 }
 
-// place admits waiting UE u on BS b, whose grant the caller has already
-// debited from state, adding the placement's margin to the profit rate;
-// on CloudBS the task runs remotely at zero MEC profit. Either way its
-// lifetime is drawn now and its departure scheduled.
+// place admits waiting UE u on BS b, whose grant the route ledger has
+// already debited, adding the link's RRBs to the used-RRB total and its
+// margin to the profit rate; on CloudBS the task runs remotely at zero
+// MEC profit. Either way its lifetime is drawn now and its departure
+// scheduled.
 func (s *session) place(u mec.UEID, b mec.BSID) {
 	co := s.cohorts[s.cohortOf[u]]
+	p := placement{bs: b}
 	if b == mec.CloudBS {
-		s.active[u] = placement{bs: mec.CloudBS}
 		s.rep.CloudServed++
 		co.cloudServed++
 		co.counters.cloudServed.Inc()
 	} else {
-		m := s.marginOf(u, b)
-		s.active[u] = placement{bs: b, margin: m}
+		// The ledger grants only over candidate links, so the link exists.
+		l, _ := s.net.Link(u, b)
+		p.rrbs, p.margin = l.RRBs, alloc.Margin(s.net, l)
 		s.rep.EdgeServed++
 		co.edgeServed++
 		co.counters.edgeServed.Inc()
-		s.profitRate += m
+		s.usedRRBs += p.rrbs
+		s.profitRate += p.margin
 	}
+	s.active[u] = p
 	s.scheduleDeparture(u, co.hold.Sample(co.src))
 }
 
@@ -842,15 +863,6 @@ func (s *session) matchWaiting() (mec.Assignment, error) {
 	return res.Assignment, nil
 }
 
-// marginOf returns the per-second profit of serving UE u on BS b.
-func (s *session) marginOf(u mec.UEID, b mec.BSID) float64 {
-	l, ok := s.net.Link(u, b)
-	if !ok {
-		return 0
-	}
-	return alloc.Margin(s.net, l)
-}
-
 // scheduleDeparture releases the UE's resources after its holding time.
 // Departures scheduled past the horizon never fire (the drive loop
 // stops at DurationS); one at exactly the horizon counts.
@@ -864,9 +876,11 @@ func (s *session) scheduleDeparture(u mec.UEID, hold float64) {
 		delete(s.active, u)
 		if p.bs != mec.CloudBS {
 			s.profitRate -= p.margin
-			s.state.Unassign(u)
+			s.usedRRBs -= p.rrbs
 			if s.inc != nil {
 				s.inc.Depart(u)
+			} else {
+				s.state.Unassign(u)
 			}
 		}
 		co := s.cohorts[s.cohortOf[u]]
@@ -885,9 +899,6 @@ var testHookAllocator alloc.Allocator
 func allocatorFor(cfg Config) (alloc.Allocator, error) {
 	if testHookAllocator != nil {
 		return testHookAllocator, nil
-	}
-	if cfg.Algorithm == "dmra" {
-		return alloc.NewDMRA(cfg.DMRA).WithObserver(cfg.Obs), nil
 	}
 	return alloc.ByName(cfg.Algorithm)
 }

@@ -171,8 +171,8 @@ func TestSessionEpochRoutesAgree(t *testing.T) {
 // RRBs over every BS at each sample: the mean occupancy integral, and
 // FNV-1a hashes of the series and timeline occupancy float bits. The
 // running total must be the same integer as the recount, so every float
-// is bit-identical. Run's end-of-session CheckInvariants recounts the
-// total as well, and the mec tests check it after random scripts.
+// is bit-identical. Run's teardown check also requires the total to
+// equal the RRBs the route ledger has granted.
 func TestOccupancyCounterMatchesRecount(t *testing.T) {
 	cfg := benchShapeConfig(3)
 	cfg.DurationS = 60

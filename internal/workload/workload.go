@@ -193,9 +193,10 @@ func (c Config) Scale(s int) Config {
 // RandomShape derives a random but valid scenario shape from a seed,
 // exercising corners the figure scenarios never touch: tiny SP counts,
 // sparse services, Zipf skew, uniform and hotspot placement, narrow
-// coverage, both pricing laws, and shadowing. The differential parity
-// harness, the engine tests and the store's build test all draw their
-// scenarios from it; build the shape with the same seed.
+// coverage, both pricing laws, shadowing, and CRU capacities tight
+// enough to bind. The differential parity harness, the engine tests and
+// the store's build test all draw their scenarios from it; build the
+// shape with the same seed.
 func RandomShape(seed uint64) Config {
 	src := rng.New(seed).SplitLabeled("fuzz-shape")
 	cfg := Default()
@@ -223,6 +224,12 @@ func RandomShape(seed uint64) Config {
 	}
 	if src.Float64() < 0.3 {
 		cfg.Radio.ShadowingStdDB = src.FloatBetween(2, 10)
+	}
+	// Half the shapes get tight CRU capacities so Eq. 12 binds as well
+	// as Eq. 14; drawn last, so every earlier parameter keeps its value.
+	if src.Float64() < 0.5 {
+		cfg.CRUCapMin = src.IntBetween(5, 20)
+		cfg.CRUCapMax = cfg.CRUCapMin + src.IntBetween(0, 20)
 	}
 	// Keep Eq. 16 satisfiable under the worst-case candidate price.
 	cfg.SPCRUPrice = 12

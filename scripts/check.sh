@@ -147,20 +147,24 @@ bench_smoke() {
 
 workload_specs() {
 	# Every checked-in example workload spec must load (strict parse +
-	# validation) and drive a short online session end to end. The smoke
+	# validation) and drive a short online session end to end on both
+	# epoch routes: DMRA's delta repair against the engine's ledger, and
+	# DCSP's from-scratch re-match, whose mec.State is the only one a
+	# session builds and fails the epoch on a refused grant. The smoke
 	# runs race-enabled: cohort bookkeeping and the per-epoch matcher share
 	# the session, so a data race here is a correctness bug, not noise.
 	for spec in examples/specs/*.json; do
+		pool=""
 		case "$spec" in
 		*trace-replay.json)
 			# Trace specs have no intrinsic offered load: pool is explicit.
-			go run -race ./cmd/dmra-online -spec "$spec" -duration 30 -pool 200 > /dev/null
-			;;
-		*)
-			go run -race ./cmd/dmra-online -spec "$spec" -duration 30 > /dev/null
+			pool="-pool 200"
 			;;
 		esac
-		echo "workload specs: $spec drove a 30 s session clean"
+		for algo in dmra dcsp; do
+			go run -race ./cmd/dmra-online -spec "$spec" -duration 30 -algo "$algo" $pool > /dev/null
+			echo "workload specs: $spec drove a 30 s $algo session clean"
+		done
 	done
 }
 
