@@ -70,6 +70,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d: want at least 1", *seeds)
+	}
 	obsRT, err := obsFlags.Start()
 	if err != nil {
 		return err

@@ -89,6 +89,14 @@ func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-nope"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	// A seed count below 1 must fail before any figure runs, not fall
+	// back to the 20-seed default.
+	for _, seeds := range []string{"0", "-1"} {
+		err := run([]string{"-fig", "2", "-seeds", seeds})
+		if err == nil || !strings.Contains(err.Error(), "-seeds "+seeds) {
+			t.Errorf("-seeds %s: err = %v, want one naming the value", seeds, err)
+		}
+	}
 }
 
 func TestRunAblationsFlag(t *testing.T) {

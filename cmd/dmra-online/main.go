@@ -35,7 +35,7 @@ import (
 
 	"dmra"
 	"dmra/internal/cliobs"
-	"dmra/internal/metrics"
+	"dmra/internal/exp"
 	"dmra/internal/viz"
 )
 
@@ -68,6 +68,9 @@ func run(args []string) error {
 	cliobs.AppendUsage(fs, "dmra sessions stream each epoch's Alg. 1 events over its repair frontier")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *replicate < 1 {
+		return fmt.Errorf("-replicate %d: want at least 1", *replicate)
 	}
 	obsRT, err := obsFlags.Start()
 	if err != nil {
@@ -262,26 +265,19 @@ func offeredLoad(cfg dmra.OnlineConfig) (float64, error) {
 }
 
 // runReplicated aggregates n independent sessions (seeds cfg.Seed ..
-// cfg.Seed+n-1) run across procs workers. Each replication writes only
-// its own slot, so the printed summary is independent of scheduling.
+// cfg.Seed+n-1) run across procs workers as one exp.Replicate row, so
+// the printed summary is independent of scheduling.
 func runReplicated(cfg dmra.OnlineConfig, n, procs int, rec *dmra.ObsRecorder) error {
-	edgeRatios := make([]float64, n)
-	profitTimes := make([]float64, n)
-	occupancies := make([]float64, n)
-	concurrents := make([]float64, n)
-	err := dmra.ForEachParallelObserved(procs, n, rec, func(i int) error {
+	names := []string{"edge ratio (%)", "profit-time", "RRB occupancy (%)", "mean concurrent UEs"}
+	rows, err := exp.Replicate(procs, 1, n, len(names), rec, func(_, i int) ([]float64, error) {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)
 		c.RecordSeries = false
 		rep, err := dmra.RunOnline(c)
 		if err != nil {
-			return fmt.Errorf("session seed %d: %w", c.Seed, err)
+			return nil, fmt.Errorf("session seed %d: %w", c.Seed, err)
 		}
-		edgeRatios[i] = 100 * rep.EdgeRatio()
-		profitTimes[i] = rep.ProfitTime
-		occupancies[i] = 100 * rep.MeanOccupancyRRB
-		concurrents[i] = rep.MeanConcurrent
-		return nil
+		return []float64{100 * rep.EdgeRatio(), rep.ProfitTime, 100 * rep.MeanOccupancyRRB, rep.MeanConcurrent}, nil
 	})
 	if err != nil {
 		return err
@@ -293,17 +289,10 @@ func runReplicated(cfg dmra.OnlineConfig, n, procs int, rec *dmra.ObsRecorder) e
 		fmt.Printf("dynamic sessions: %d replications, %.1f UE/s, %.0f s mean hold, %.0f s horizon, %s every %.1f s (seeds %d-%d)\n\n",
 			n, cfg.ArrivalRate, cfg.MeanHoldS, cfg.DurationS, cfg.Algorithm, cfg.EpochS, cfg.Seed, cfg.Seed+uint64(n)-1)
 	}
-	for _, row := range []struct {
-		name string
-		s    metrics.Summary
-	}{
-		{"edge ratio (%)", metrics.Summarize(edgeRatios)},
-		{"profit-time", metrics.Summarize(profitTimes)},
-		{"RRB occupancy (%)", metrics.Summarize(occupancies)},
-		{"mean concurrent UEs", metrics.Summarize(concurrents)},
-	} {
+	for i, name := range names {
+		s := rows[0][i]
 		fmt.Printf("%-20s %12.2f ±%-8.2f (min %.2f, max %.2f)\n",
-			row.name, row.s.Mean, row.s.CI95(), row.s.Min, row.s.Max)
+			name, s.Mean, s.CI95(), s.Min, s.Max)
 	}
 	return nil
 }

@@ -68,6 +68,8 @@ func TestRunErrors(t *testing.T) {
 		{"-rate", "0"},
 		{"-algo", "oracle", "-duration", "10"},
 		{"-badflag"},
+		{"-replicate", "0", "-duration", "10"},
+		{"-replicate", "-3", "-duration", "10"},
 	}
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {

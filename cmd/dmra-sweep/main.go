@@ -8,9 +8,11 @@
 //	dmra-sweep -param coverage -values 250,350,450 -metric served
 //
 // Supported parameters: ues, rho, iota, coverage, hotspot-fraction,
-// services. Supported metrics: profit, forwarded, served.
+// services. Supported metrics: profit, forwarded, served, latency. This
+// mode runs one exp.Figure over the default scenario, so its axes and
+// metrics are exactly exp.XAxis and exp.Metric.
 //
-// A third mode sweeps the *online* session's offered load:
+// A second mode sweeps the *online* session's offered load:
 //
 //	dmra-sweep -param arrival-rate -values 2,5,10 -hold 60 -duration 300
 //	dmra-sweep -param arrival-rate -values 2,5,10 -spec bursty.json
@@ -20,13 +22,14 @@
 // mix and burst shapes preserved). Online metrics: profit (profit-time),
 // served, edge-ratio, concurrent, occupancy.
 //
-// The whole (point, seed) replication grid is fanned across -procs
-// workers as one task pool — a sweep with many small points keeps every
-// worker busy instead of draining point by point — and each replication
-// writes only its own pre-indexed slot, so the table is byte-identical
-// to a sequential run. With -obs-addr/-trace the grid and every DMRA
-// replication inside it are observable live; arrival-rate sessions
-// stream each epoch's Alg. 1 events over its repair frontier.
+// Both modes fan the whole (point, seed) replication grid across -procs
+// workers as one exp.Replicate task pool — a sweep with many small
+// points keeps every worker busy instead of draining point by point —
+// and each replication writes only its own pre-indexed slot, so the
+// table is byte-identical to a sequential run. With -obs-addr/-trace
+// the grid and every DMRA replication inside it are observable live;
+// arrival-rate sessions stream each epoch's Alg. 1 events over its
+// repair frontier.
 package main
 
 import (
@@ -74,6 +77,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d: want at least 1", *seeds)
+	}
 	obsRT, err := obsFlags.Start()
 	if err != nil {
 		return err
@@ -104,77 +110,22 @@ func run(args []string) error {
 		return obsRT.Close()
 	}
 
-	// Resolve every sweep point up front: an unknown parameter must fail
-	// fast, and the grid workers need the per-point scenarios ready.
-	type point struct {
-		scenario dmra.Scenario
-		rho      float64
+	scenario := dmra.DefaultScenario()
+	f := exp.Figure{
+		Title:      fmt.Sprintf("%s vs %s (%d seeds)", *metric, *param, *seeds),
+		Iota:       scenario.Pricing.CrossSPFactor,
+		Placement:  scenario.Placement,
+		X:          exp.XAxis(*param),
+		XValues:    xs,
+		UEs:        *ues,
+		Algorithms: algorithms,
+		Metric:     exp.Metric(*metric),
 	}
-	points := make([]point, len(xs))
-	for xi, x := range xs {
-		scenario, rho, err := pointSetup(*param, x, *ues)
-		if err != nil {
-			return err
-		}
-		points[xi] = point{scenario: scenario, rho: rho}
-	}
-
-	// samples[xi][ai][seed]: each replication of the flattened
-	// (point, seed) grid writes only its own slot.
-	samples := make([][][]float64, len(xs))
-	for xi := range samples {
-		samples[xi] = make([][]float64, len(algorithms))
-		for ai := range samples[xi] {
-			samples[xi][ai] = make([]float64, *seeds)
-		}
-	}
-	err = exp.ForEachObserved(*procs, len(xs)**seeds, obsRT.Rec, func(i int) error {
-		xi, s := i / *seeds, i%*seeds
-		p := points[xi]
-		net, err := dmra.BuildNetwork(p.scenario, uint64(s)+1)
-		if err != nil {
-			return err
-		}
-		for ai, algo := range algorithms {
-			var res dmra.Result
-			if algo == "dmra" {
-				cfg := dmra.DefaultDMRAConfig()
-				cfg.Rho = p.rho
-				res, err = dmra.AllocateDMRAObserved(net, cfg, obsRT.Rec)
-			} else {
-				res, err = dmra.Allocate(net, algo)
-			}
-			if err != nil {
-				return fmt.Errorf("%s at %s=%g: %w", algo, *param, xs[xi], err)
-			}
-			v, err := measure(*metric, net, res)
-			if err != nil {
-				return err
-			}
-			samples[xi][ai][s] = v
-		}
-		return nil
-	})
+	tab, err := f.Run(exp.Options{Seeds: *seeds, Parallelism: *procs, Obs: obsRT.Rec})
 	if err != nil {
 		return err
 	}
-
-	tab := &metrics.Table{
-		Title:  fmt.Sprintf("%s vs %s (%d seeds)", *metric, *param, *seeds),
-		XLabel: *param,
-		YLabel: *metric,
-		Series: algorithms,
-	}
-	for xi, x := range xs {
-		cells := make([]metrics.Summary, len(algorithms))
-		for ai := range cells {
-			cells[ai] = metrics.Summarize(samples[xi][ai])
-		}
-		if err := tab.AddRow(x, cells); err != nil {
-			return err
-		}
-	}
-	tab.Sort()
+	tab.Series = algorithms // raw names, not the paper's series labels
 	if *csv {
 		fmt.Print(tab.CSV())
 	} else {
@@ -255,15 +206,8 @@ func (o onlineSweep) run(rec *dmra.ObsRecorder) error {
 		points[xi] = cfg
 	}
 
-	samples := make([][][]float64, len(o.rates))
-	for xi := range samples {
-		samples[xi] = make([][]float64, len(o.algorithms))
-		for ai := range samples[xi] {
-			samples[xi][ai] = make([]float64, o.seeds)
-		}
-	}
-	err := exp.ForEachObserved(o.procs, len(o.rates)*o.seeds, rec, func(i int) error {
-		xi, s := i/o.seeds, i%o.seeds
+	rows, err := exp.Replicate(o.procs, len(o.rates), o.seeds, len(o.algorithms), rec, func(xi, s int) ([]float64, error) {
+		values := make([]float64, len(o.algorithms))
 		for ai, algo := range o.algorithms {
 			cfg := points[xi]
 			cfg.Algorithm = algo
@@ -276,15 +220,13 @@ func (o onlineSweep) run(rec *dmra.ObsRecorder) error {
 			cfg.Obs = rec
 			rep, err := dmra.RunOnline(cfg)
 			if err != nil {
-				return fmt.Errorf("%s at arrival-rate=%g seed %d: %w", algo, o.rates[xi], cfg.Seed, err)
+				return nil, fmt.Errorf("%s at arrival-rate=%g seed %d: %w", algo, o.rates[xi], cfg.Seed, err)
 			}
-			v, err := measureOnline(o.metric, rep)
-			if err != nil {
-				return err
+			if values[ai], err = measureOnline(o.metric, rep); err != nil {
+				return nil, err
 			}
-			samples[xi][ai][s] = v
 		}
-		return nil
+		return values, nil
 	})
 	if err != nil {
 		return err
@@ -297,11 +239,7 @@ func (o onlineSweep) run(rec *dmra.ObsRecorder) error {
 		Series: o.algorithms,
 	}
 	for xi, x := range o.rates {
-		cells := make([]metrics.Summary, len(o.algorithms))
-		for ai := range cells {
-			cells[ai] = metrics.Summarize(samples[xi][ai])
-		}
-		if err := tab.AddRow(x, cells); err != nil {
+		if err := tab.AddRow(x, rows[xi]); err != nil {
 			return err
 		}
 	}
@@ -329,53 +267,6 @@ func measureOnline(metric string, rep dmra.OnlineReport) (float64, error) {
 		return 100 * rep.MeanOccupancyRRB, nil
 	default:
 		return 0, fmt.Errorf("unknown online metric %q (want profit|served|edge-ratio|concurrent|occupancy)", metric)
-	}
-}
-
-// pointSetup resolves one sweep point into its scenario and DMRA rho.
-func pointSetup(param string, x float64, ues int) (dmra.Scenario, float64, error) {
-	scenario := dmra.DefaultScenario()
-	scenario.UEs = ues
-	rho := dmra.DefaultDMRAConfig().Rho
-
-	switch param {
-	case "ues":
-		scenario.UEs = int(x)
-	case "rho":
-		rho = x
-	case "iota":
-		scenario.Pricing.CrossSPFactor = x
-	case "coverage":
-		scenario.Radio.CoverageRadiusM = x
-	case "hotspot-fraction":
-		scenario.HotspotFraction = x
-	case "services":
-		scenario.Services = int(x)
-		if scenario.ServicesPerBS > scenario.Services {
-			scenario.ServicesPerBS = scenario.Services
-		}
-	default:
-		return dmra.Scenario{}, 0, fmt.Errorf("unknown parameter %q", param)
-	}
-	return scenario, rho, nil
-}
-
-func measure(metric string, net *dmra.Network, res dmra.Result) (float64, error) {
-	switch metric {
-	case "profit":
-		return res.Profit.TotalProfit(), nil
-	case "forwarded":
-		return res.Profit.ForwardedTrafficBps / 1e6, nil
-	case "served":
-		return float64(res.Profit.ServedUEs()), nil
-	case "latency":
-		rep, err := dmra.EvaluateLatency(net, res.Assignment, dmra.DefaultQoSConfig())
-		if err != nil {
-			return 0, err
-		}
-		return rep.MeanS * 1e3, nil // milliseconds
-	default:
-		return 0, fmt.Errorf("unknown metric %q", metric)
 	}
 }
 

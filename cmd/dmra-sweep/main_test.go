@@ -86,16 +86,23 @@ func TestSweepCSVMode(t *testing.T) {
 }
 
 func TestSweepErrors(t *testing.T) {
-	cases := [][]string{
-		{"-param", "frequency", "-values", "1"},
-		{"-values", "abc"},
-		{"-values", "100", "-algos", "oracle"},
-		{"-values", "100", "-metric", "jitter"},
-		{"-zzz"},
+	// Each rejected run must name the value it rejects.
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-param", "frequency", "-values", "1"}, `"frequency"`},
+		{[]string{"-values", "abc"}, `"abc"`},
+		{[]string{"-values", "100", "-algos", "oracle"}, `"oracle"`},
+		{[]string{"-values", "100", "-metric", "jitter"}, `"jitter"`},
+		{[]string{"-zzz"}, "-zzz"},
+		{[]string{"-values", "100", "-seeds", "0"}, "-seeds 0"},
+		{[]string{"-values", "100", "-seeds", "-1"}, "-seeds -1"},
 	}
-	for _, args := range cases {
-		if _, err := capture(t, func() error { return run(args) }); err == nil {
-			t.Errorf("args %v accepted", args)
+	for _, c := range cases {
+		_, err := capture(t, func() error { return run(c.args) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: err = %v, want one containing %s", c.args, err, c.want)
 		}
 	}
 }
@@ -176,6 +183,8 @@ func TestArrivalRateSweepErrors(t *testing.T) {
 		{"-param", "arrival-rate", "-values", "1e9", "-algos", "greedy", "-hold", "1e9"},
 		// Missing spec file.
 		{"-param", "arrival-rate", "-values", "1", "-algos", "greedy", "-spec", "no-such-spec.json"},
+		// Seed count below 1.
+		{"-param", "arrival-rate", "-values", "1", "-algos", "greedy", "-seeds", "-1"},
 	}
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {

@@ -376,14 +376,6 @@ func ForEachParallel(parallelism, n int, fn func(i int) error) error {
 	return exp.ForEach(parallelism, n, fn)
 }
 
-// ForEachParallelObserved is ForEachParallel with grid telemetry: when
-// rec is non-nil every task's wall time lands in the exp_task_seconds
-// histogram and its worker's exp_worker_busy_seconds gauge. Results and
-// errors are identical to ForEachParallel.
-func ForEachParallelObserved(parallelism, n int, rec *ObsRecorder, fn func(i int) error) error {
-	return exp.ForEachObserved(parallelism, n, rec, fn)
-}
-
 // --- observability ---
 
 // ObsRegistry is a dependency-free metrics registry (atomic counters,

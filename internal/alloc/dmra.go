@@ -206,7 +206,7 @@ func ArenaHooks(rec *obs.Recorder) *engine.SoAHooks {
 				rec.Residual(b, crus, a.RemRRB(b))
 			}
 			rec.Unmatched(a.UEs() - a.AssignedCount())
-			rec.PrefCacheRound(int64(a.Swept()))
+			rec.SweptCandidates(int64(a.Swept()))
 		},
 	}
 }

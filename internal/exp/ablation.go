@@ -94,9 +94,8 @@ func ablationVariants() []ablationVariant {
 
 // RunAblations measures every DMRA design-rule variant plus the reference
 // algorithms on the default 900-UE scenario (overridable via opts). The
-// (variant, seed) grid is fanned across Options.Parallelism workers with
-// pre-indexed result slots, so the table is byte-identical to a
-// sequential run.
+// (variant, seed) grid runs through Replicate, so the table is
+// byte-identical to a sequential run.
 func RunAblations(opts Options) (*AblationTable, error) {
 	o := opts.resolve()
 	cfg := workload.Default()
@@ -112,36 +111,26 @@ func RunAblations(opts Options) (*AblationTable, error) {
 		allocators[vi] = v.build(o.rho)
 	}
 
-	profits := make([][]float64, len(variants))
-	serveds := make([][]float64, len(variants))
-	ownShares := make([][]float64, len(variants))
-	for vi := range variants {
-		profits[vi] = make([]float64, o.seeds)
-		serveds[vi] = make([]float64, o.seeds)
-		ownShares[vi] = make([]float64, o.seeds)
-	}
-	err := ForEachObserved(o.parallelism, len(variants)*o.seeds, o.obs, func(i int) error {
-		vi, seed := i/o.seeds, i%o.seeds
+	rows, err := Replicate(o.parallelism, len(variants), o.seeds, 3, o.obs, func(vi, seed int) ([]float64, error) {
 		net, err := cfg.Build(o.baseSeed + uint64(seed))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := allocators[vi].Allocate(net)
 		if err != nil {
-			return fmt.Errorf("exp: ablation %q: %w", variants[vi].name, err)
+			return nil, fmt.Errorf("exp: ablation %q: %w", variants[vi].name, err)
 		}
 		r := mec.Profit(net, res.Assignment)
-		profits[vi][seed] = r.TotalProfit()
 		served := r.ServedUEs()
-		serveds[vi][seed] = float64(served)
 		own := 0
 		for _, p := range r.PerSP {
 			own += p.OwnBSUEs
 		}
+		ownShare := 0.0
 		if served > 0 {
-			ownShares[vi][seed] = float64(own) / float64(served)
+			ownShare = float64(own) / float64(served)
 		}
-		return nil
+		return []float64{r.TotalProfit(), float64(served), ownShare}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -153,10 +142,7 @@ func RunAblations(opts Options) (*AblationTable, error) {
 	}
 	for vi, v := range variants {
 		tab.Rows = append(tab.Rows, AblationRow{
-			Name:     v.name,
-			Profit:   metrics.Summarize(profits[vi]),
-			Served:   metrics.Summarize(serveds[vi]),
-			OwnShare: metrics.Summarize(ownShares[vi]),
+			Name: v.name, Profit: rows[vi][0], Served: rows[vi][1], OwnShare: rows[vi][2],
 		})
 	}
 	return tab, nil

@@ -11,6 +11,7 @@ import (
 	"dmra/internal/mec"
 	"dmra/internal/metrics"
 	"dmra/internal/obs"
+	"dmra/internal/qos"
 	"dmra/internal/workload"
 )
 
@@ -28,6 +29,9 @@ const (
 	// MetricServed counts edge-served UEs (not a paper figure; used by
 	// ablations).
 	MetricServed Metric = "served"
+	// MetricLatencyMs is the mean task latency in milliseconds under
+	// qos.DefaultConfig (not a paper figure).
+	MetricLatencyMs Metric = "latency"
 )
 
 // XAxis selects a figure's swept parameter.
@@ -39,6 +43,15 @@ const (
 	XUEs XAxis = "ues"
 	// XRho sweeps Eq. 17's rho weight (Figs. 6-7).
 	XRho XAxis = "rho"
+	// The remaining axes are not paper figures; dmra-sweep explores them.
+	// XIota sweeps the cross-SP price factor.
+	XIota XAxis = "iota"
+	// XCoverage sweeps the BS coverage radius in metres.
+	XCoverage XAxis = "coverage"
+	// XHotspotFraction sweeps the share of UEs placed in hotspots.
+	XHotspotFraction XAxis = "hotspot-fraction"
+	// XServices sweeps |S|, clamping ServicesPerBS to it.
+	XServices XAxis = "services"
 )
 
 // Figure describes one reproducible figure of §VI.
@@ -54,7 +67,7 @@ type Figure struct {
 	// X and XValues define the sweep.
 	X       XAxis
 	XValues []float64
-	// UEs fixes the population for rho sweeps.
+	// UEs fixes the population for every axis but XUEs.
 	UEs int
 	// Algorithms are the series; rho sweeps plot DMRA only.
 	Algorithms []string
@@ -180,10 +193,10 @@ func (o Options) resolve() resolved {
 }
 
 // Run executes the figure and returns its data table. The replication
-// grid (every seed of every x value) is fanned across Options.Parallelism
-// worker goroutines; each replication builds its own mec.Network and
-// mec.State, and results land in pre-indexed slots, so the table is
-// byte-identical to a sequential run regardless of scheduling.
+// grid (every seed of every x value) runs through Replicate across
+// Options.Parallelism worker goroutines; each replication builds its own
+// mec.Network, so the table is byte-identical to a sequential run
+// regardless of scheduling.
 func (f Figure) Run(opts Options) (*metrics.Table, error) {
 	o := opts.resolve()
 	base := workload.Default()
@@ -192,28 +205,26 @@ func (f Figure) Run(opts Options) (*metrics.Table, error) {
 	}
 	base.Pricing.CrossSPFactor = f.Iota
 	base.Placement = f.Placement
+	base.UEs = f.UEs
+	metric, err := metricFor(f.Metric)
+	if err != nil {
+		return nil, err
+	}
 
-	// Validate every algorithm name and instantiate each x value's
-	// allocators once, before any replication runs: an unknown name must
-	// fail fast, not after Seeds x |XValues| allocations of work.
+	// Validate the axis and every algorithm name and instantiate each x
+	// value's allocators once, before any replication runs: a bad name
+	// must fail fast, not after Seeds x |XValues| allocations of work.
 	type point struct {
 		cfg        workload.Config
 		allocators []alloc.Allocator
 	}
 	points := make([]point, len(f.XValues))
 	for xi, x := range f.XValues {
-		cfg := base
-		var dmraCfg alloc.DMRAConfig
-		switch f.X {
-		case XUEs:
-			cfg.UEs = int(x)
-			dmraCfg = alloc.DMRAConfig{Rho: o.rho, SPPriority: true, FuTieBreak: true}
-		case XRho:
-			cfg.UEs = f.UEs
-			dmraCfg = alloc.DMRAConfig{Rho: x, SPPriority: true, FuTieBreak: true}
-		default:
-			return nil, fmt.Errorf("exp: unknown x-axis %q", f.X)
+		cfg, rho, err := f.X.apply(base, o.rho, x)
+		if err != nil {
+			return nil, err
 		}
+		dmraCfg := alloc.DMRAConfig{Rho: rho, SPPriority: true, FuTieBreak: true}
 		allocators := make([]alloc.Allocator, len(f.Algorithms))
 		for ai, name := range f.Algorithms {
 			a, err := allocatorFor(name, dmraCfg, o.obs)
@@ -225,36 +236,26 @@ func (f Figure) Run(opts Options) (*metrics.Table, error) {
 		points[xi] = point{cfg: cfg, allocators: allocators}
 	}
 
-	// samples[xi][ai][seed], filled by the grid workers. Allocators are
-	// shared across workers: every built-in is stateless per Allocate
-	// call, operating only on its per-call mec.State.
-	samples := make([][][]float64, len(points))
-	for xi := range samples {
-		samples[xi] = make([][]float64, len(f.Algorithms))
-		for ai := range samples[xi] {
-			samples[xi][ai] = make([]float64, o.seeds)
-		}
-	}
-	err := ForEachObserved(o.parallelism, len(points)*o.seeds, o.obs, func(i int) error {
-		xi, seed := i/o.seeds, i%o.seeds
+	// Allocators are shared across workers: every built-in is stateless
+	// per Allocate call.
+	rows, err := Replicate(o.parallelism, len(points), o.seeds, len(f.Algorithms), o.obs, func(xi, seed int) ([]float64, error) {
 		p := points[xi]
 		x := f.XValues[xi]
 		net, err := p.cfg.Build(o.baseSeed + uint64(seed))
 		if err != nil {
-			return fmt.Errorf("exp: figure %d x=%g: %w", f.ID, x, err)
+			return nil, fmt.Errorf("exp: figure %d x=%g: %w", f.ID, x, err)
 		}
+		values := make([]float64, len(p.allocators))
 		for ai, allocator := range p.allocators {
 			res, err := allocator.Allocate(net)
 			if err != nil {
-				return fmt.Errorf("exp: figure %d x=%g %s: %w", f.ID, x, f.Algorithms[ai], err)
+				return nil, fmt.Errorf("exp: figure %d x=%g %s: %w", f.ID, x, f.Algorithms[ai], err)
 			}
-			v, err := measure(f.Metric, net, res.Assignment)
-			if err != nil {
-				return err
+			if values[ai], err = metric(net, res.Assignment); err != nil {
+				return nil, err
 			}
-			samples[xi][ai][seed] = v
 		}
-		return nil
+		return values, nil
 	})
 	if err != nil {
 		return nil, err
@@ -270,11 +271,7 @@ func (f Figure) Run(opts Options) (*metrics.Table, error) {
 		YLabel: string(f.Metric),
 		Series: seriesNames,
 	}
-	for xi := range points {
-		cells := make([]metrics.Summary, len(f.Algorithms))
-		for ai := range cells {
-			cells[ai] = metrics.Summarize(samples[xi][ai])
-		}
+	for xi, cells := range rows {
 		if err := tab.AddRow(f.XValues[xi], cells); err != nil {
 			return nil, err
 		}
@@ -283,18 +280,51 @@ func (f Figure) Run(opts Options) (*metrics.Table, error) {
 	return tab, nil
 }
 
-// measure extracts the figure metric from an assignment.
-func measure(m Metric, net *mec.Network, a mec.Assignment) (float64, error) {
-	r := mec.Profit(net, a)
+// apply sets the swept parameter to x in a scenario and a DMRA rho.
+func (ax XAxis) apply(cfg workload.Config, rho, x float64) (workload.Config, float64, error) {
+	switch ax {
+	case XUEs:
+		cfg.UEs = int(x)
+	case XRho:
+		rho = x
+	case XIota:
+		cfg.Pricing.CrossSPFactor = x
+	case XCoverage:
+		cfg.Radio.CoverageRadiusM = x
+	case XHotspotFraction:
+		cfg.HotspotFraction = x
+	case XServices:
+		cfg.Services = int(x)
+		cfg.ServicesPerBS = min(cfg.ServicesPerBS, cfg.Services)
+	default:
+		return cfg, 0, fmt.Errorf("exp: unknown x-axis %q", ax)
+	}
+	return cfg, rho, nil
+}
+
+// metricFor returns the function that extracts metric m from an
+// assignment.
+func metricFor(m Metric) (func(*mec.Network, mec.Assignment) (float64, error), error) {
 	switch m {
 	case MetricProfit:
-		return r.TotalProfit(), nil
+		return func(net *mec.Network, a mec.Assignment) (float64, error) {
+			return mec.Profit(net, a).TotalProfit(), nil
+		}, nil
 	case MetricForwardedMbps:
-		return r.ForwardedTrafficBps / 1e6, nil
+		return func(net *mec.Network, a mec.Assignment) (float64, error) {
+			return mec.Profit(net, a).ForwardedTrafficBps / 1e6, nil
+		}, nil
 	case MetricServed:
-		return float64(r.ServedUEs()), nil
+		return func(net *mec.Network, a mec.Assignment) (float64, error) {
+			return float64(mec.Profit(net, a).ServedUEs()), nil
+		}, nil
+	case MetricLatencyMs:
+		return func(net *mec.Network, a mec.Assignment) (float64, error) {
+			rep, err := qos.Evaluate(net, a, qos.DefaultConfig())
+			return rep.MeanS * 1e3, err
+		}, nil
 	default:
-		return 0, fmt.Errorf("exp: unknown metric %q", m)
+		return nil, fmt.Errorf("exp: unknown metric %q", m)
 	}
 }
 

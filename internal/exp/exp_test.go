@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dmra/internal/mec"
 	"dmra/internal/workload"
 )
 
@@ -194,14 +193,12 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestMeasureUnknownMetric(t *testing.T) {
-	cfg := workload.Default()
-	cfg.UEs = 1
-	net, err := cfg.Build(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := measure("latency", net, mec.NewAssignment(1)); err == nil {
+	if _, err := metricFor("jitter"); err == nil {
 		t.Error("unknown metric accepted")
+	}
+	f := Figure{X: XUEs, XValues: []float64{100}, Algorithms: []string{"dmra"}, Metric: "jitter"}
+	if _, err := f.Run(Options{Seeds: 1}); err == nil || !strings.Contains(err.Error(), `"jitter"`) {
+		t.Errorf("Run with an unknown metric: err = %v, want one naming it", err)
 	}
 }
 

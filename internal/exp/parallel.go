@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dmra/internal/metrics"
 	"dmra/internal/obs"
 )
 
@@ -83,4 +85,45 @@ func ForEachObserved(parallelism, n int, rec *obs.Recorder, fn func(i int) error
 		}
 	}
 	return nil
+}
+
+// Replicate is the replication grid behind every experiment table: it
+// runs fn once for each (row, seed) cell across parallelism workers (see
+// ForEachObserved) and returns, per row, the metrics.Summarize of each of
+// fn's cols values over the seeds, in seed order. Every cell keeps its
+// own pre-indexed slot, so the summaries are bit-identical at any
+// parallelism, and the error returned is the lowest-index cell's. A cell
+// whose result does not hold exactly cols values is an error.
+func Replicate(parallelism, rows, seeds, cols int, rec *obs.Recorder, fn func(row, seed int) ([]float64, error)) ([][]metrics.Summary, error) {
+	if seeds < 1 {
+		return nil, fmt.Errorf("exp: %d seeds, want at least 1", seeds)
+	}
+	cells := make([][]float64, rows*seeds)
+	err := ForEachObserved(parallelism, len(cells), rec, func(i int) error {
+		row, seed := i/seeds, i%seeds
+		v, err := fn(row, seed)
+		if err != nil {
+			return err
+		}
+		if len(v) != cols {
+			return fmt.Errorf("exp: row %d seed %d gave %d values, want %d", row, seed, len(v), cols)
+		}
+		cells[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]metrics.Summary, rows)
+	column := make([]float64, seeds)
+	for row := range out {
+		out[row] = make([]metrics.Summary, cols)
+		for c := range out[row] {
+			for seed := range column {
+				column[seed] = cells[row*seeds+seed][c]
+			}
+			out[row][c] = metrics.Summarize(column)
+		}
+	}
+	return out, nil
 }

@@ -3,10 +3,13 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"dmra/internal/metrics"
 	"dmra/internal/workload"
 )
 
@@ -132,4 +135,70 @@ func TestAblationsParallelIsByteIdentical(t *testing.T) {
 		}
 		return tab.Text() + tab.CSV(), nil
 	})
+}
+
+// cellValue is a deterministic, non-trivial sample for Replicate tests.
+func cellValue(row, seed, col int) float64 {
+	return float64(row*100+col) + 1/float64(seed+3)
+}
+
+func TestReplicateSummaries(t *testing.T) {
+	const rows, seeds, cols = 3, 5, 2
+	fn := func(row, seed int) ([]float64, error) {
+		return []float64{cellValue(row, seed, 0), cellValue(row, seed, 1)}, nil
+	}
+	want := make([][]metrics.Summary, rows)
+	for r := range want {
+		for c := 0; c < cols; c++ {
+			var column []float64
+			for s := 0; s < seeds; s++ {
+				column = append(column, cellValue(r, s, c))
+			}
+			want[r] = append(want[r], metrics.Summarize(column))
+		}
+	}
+	for _, p := range []int{1, 3} {
+		got, err := Replicate(p, rows, seeds, cols, nil, fn)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", p, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: summaries\n%v\nwant\n%v", p, got, want)
+		}
+	}
+}
+
+func TestReplicateReturnsLowestIndexError(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		for trial := 0; trial < 5; trial++ {
+			_, err := Replicate(p, 6, 4, 1, nil, func(row, seed int) ([]float64, error) {
+				if row >= 2 && seed%2 == 1 {
+					return nil, fmt.Errorf("cell %d/%d failed", row, seed)
+				}
+				return []float64{1}, nil
+			})
+			if err == nil || err.Error() != "cell 2/1 failed" {
+				t.Fatalf("parallelism %d: err = %v, want cell 2/1 failed", p, err)
+			}
+		}
+	}
+}
+
+func TestReplicateRejectsBadShapes(t *testing.T) {
+	_, err := Replicate(2, 2, 3, 2, nil, func(row, seed int) ([]float64, error) {
+		if row == 1 && seed == 2 {
+			return []float64{1, 2, 3}, nil
+		}
+		return []float64{1, 2}, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "gave 3 values, want 2") {
+		t.Errorf("wrong-length cell: err = %v", err)
+	}
+	for _, seeds := range []int{0, -1} {
+		if _, err := Replicate(1, 1, seeds, 1, nil, func(int, int) ([]float64, error) {
+			return []float64{1}, nil
+		}); err == nil {
+			t.Errorf("%d seeds accepted", seeds)
+		}
+	}
 }

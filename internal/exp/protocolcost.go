@@ -12,9 +12,8 @@ import (
 // messages per UE, and simulated completion time — across UE populations.
 // This quantifies the overhead of executing Alg. 1 as real message
 // exchange (DESIGN.md ablation A4); the matching itself is identical to
-// the synchronous solver's. The (population, seed) grid is fanned across
-// Options.Parallelism workers with pre-indexed result slots, so the table
-// is byte-identical to a sequential run.
+// the synchronous solver's. The (population, seed) grid runs through
+// Replicate, so the table is byte-identical to a sequential run.
 func RunProtocolCosts(opts Options, ueCounts []int) (*metrics.Table, error) {
 	o := opts.resolve()
 	base := workload.Default()
@@ -25,37 +24,26 @@ func RunProtocolCosts(opts Options, ueCounts []int) (*metrics.Table, error) {
 		ueCounts = []int{200, 400, 600, 800, 1000}
 	}
 
-	// rounds[ni][seed] etc.; each replication owns one slot.
-	rounds := make([][]float64, len(ueCounts))
-	perUE := make([][]float64, len(ueCounts))
-	simMS := make([][]float64, len(ueCounts))
-	for ni := range ueCounts {
-		rounds[ni] = make([]float64, o.seeds)
-		perUE[ni] = make([]float64, o.seeds)
-		simMS[ni] = make([]float64, o.seeds)
-	}
-	err := ForEachObserved(o.parallelism, len(ueCounts)*o.seeds, o.obs, func(i int) error {
-		ni, seed := i/o.seeds, i%o.seeds
+	rows, err := Replicate(o.parallelism, len(ueCounts), o.seeds, 3, o.obs, func(ni, seed int) ([]float64, error) {
 		n := ueCounts[ni]
 		cfg := base
 		cfg.UEs = n
 		net, err := cfg.Build(o.baseSeed + uint64(seed))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pc := protocol.DefaultConfig()
 		pc.DMRA.Rho = o.rho
 		pc.Obs = o.obs
 		res, err := protocol.Run(net, pc)
 		if err != nil {
-			return fmt.Errorf("exp: protocol costs at %d UEs: %w", n, err)
+			return nil, fmt.Errorf("exp: protocol costs at %d UEs: %w", n, err)
 		}
-		rounds[ni][seed] = float64(res.Rounds)
+		perUE := 0.0
 		if n > 0 {
-			perUE[ni][seed] = float64(res.Messages) / float64(n)
+			perUE = float64(res.Messages) / float64(n)
 		}
-		simMS[ni][seed] = res.SimTimeS * 1e3
-		return nil
+		return []float64{float64(res.Rounds), perUE, res.SimTimeS * 1e3}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -68,12 +56,7 @@ func RunProtocolCosts(opts Options, ueCounts []int) (*metrics.Table, error) {
 		Series: []string{"rounds", "msgs/UE", "sim ms"},
 	}
 	for ni, n := range ueCounts {
-		cells := []metrics.Summary{
-			metrics.Summarize(rounds[ni]),
-			metrics.Summarize(perUE[ni]),
-			metrics.Summarize(simMS[ni]),
-		}
-		if err := tab.AddRow(float64(n), cells); err != nil {
+		if err := tab.AddRow(float64(n), rows[ni]); err != nil {
 			return nil, err
 		}
 	}

@@ -244,10 +244,10 @@ func (r *Recorder) Unmatched(n int) {
 	r.unmatched.Set(float64(n))
 }
 
-// PrefCacheRound adds one matching round's swept candidates — the live
+// SweptCandidates adds one matching round's swept candidates — the live
 // candidates the proposers swept, one Eq. 17 evaluation at most each —
 // to dmra_pref_evaluations_total. No-op on a nil recorder.
-func (r *Recorder) PrefCacheRound(swept int64) {
+func (r *Recorder) SweptCandidates(swept int64) {
 	if r == nil {
 		return
 	}

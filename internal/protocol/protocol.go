@@ -361,7 +361,7 @@ func (r *runner) selectPhase(round int) {
 			admitted += len(bs.admitted)
 		}
 		r.cfg.Obs.Unmatched(len(r.serving) - admitted)
-		r.cfg.Obs.PrefCacheRound(int64(r.swept - r.lastSwept))
+		r.cfg.Obs.SweptCandidates(int64(r.swept - r.lastSwept))
 		r.lastSwept = r.swept
 	}
 }

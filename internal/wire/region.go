@@ -777,7 +777,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			for _, n := range swept {
 				total += n
 			}
-			rec.PrefCacheRound(int64(total - lastSwept))
+			rec.SweptCandidates(int64(total - lastSwept))
 			lastSwept = total
 			rec.RoundLatency(time.Since(roundStart).Seconds())
 		}

@@ -188,18 +188,33 @@ bench_module() {
 }
 
 obs_determinism() {
-	# Run one figure twice — plain, and with the full observability stack
-	# (ephemeral debug server + JSONL trace + instrumented grid) — and
-	# require byte-identical tables. Any telemetry leak into the results
-	# fails the gate.
+	# Run each replication grid twice — plain, and with the full
+	# observability stack (ephemeral debug server + JSONL trace +
+	# instrumented grid) — and require byte-identical tables. Any
+	# telemetry leak into the results fails the gate. The grids covered:
+	# one paper figure (dmra-figures), one non-paper axis (dmra-sweep's
+	# exp.Figure path, sequential against GOMAXPROCS workers) and one
+	# arrival-rate sweep; all of them fill their tables through
+	# exp.Replicate.
 	tmp=$(mktemp -d)
 	trap 'rm -rf "$tmp"' EXIT
-	go run ./cmd/dmra-figures -fig 2 -seeds 2 -out "$tmp/plain" > /dev/null
-	go run ./cmd/dmra-figures -fig 2 -seeds 2 -out "$tmp/obs" \
+	go build -o "$tmp/bin/" ./cmd/dmra-figures ./cmd/dmra-sweep
+	"$tmp/bin/dmra-figures" -fig 2 -seeds 2 -out "$tmp/plain" > /dev/null
+	"$tmp/bin/dmra-figures" -fig 2 -seeds 2 -out "$tmp/obs" \
 		-obs-addr 127.0.0.1:0 -trace "$tmp/trace.jsonl" > /dev/null
 	diff "$tmp/plain/fig2.csv" "$tmp/obs/fig2.csv"
 	test -s "$tmp/trace.jsonl" || { echo "obs run produced no trace events" >&2; exit 1; }
-	echo "obs determinism: fig2 tables byte-identical with and without telemetry"
+	for sweep in "-param coverage -values 300,400 -seeds 2" \
+		"-param arrival-rate -values 1,2 -hold 20 -duration 60 -seeds 2"; do
+		# shellcheck disable=SC2086 # $sweep is a word list on purpose
+		"$tmp/bin/dmra-sweep" $sweep > "$tmp/sweep-plain.txt"
+		# shellcheck disable=SC2086
+		"$tmp/bin/dmra-sweep" $sweep -procs 1 -obs-addr 127.0.0.1:0 -trace "$tmp/sweep.jsonl" \
+			| grep -v '^obs: ' > "$tmp/sweep-obs.txt"
+		diff "$tmp/sweep-plain.txt" "$tmp/sweep-obs.txt"
+		test -s "$tmp/sweep.jsonl" || { echo "dmra-sweep $sweep produced no trace events" >&2; exit 1; }
+	done
+	echo "obs determinism: fig2, coverage and arrival-rate tables byte-identical with and without telemetry"
 }
 
 case "${1:-}" in
