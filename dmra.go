@@ -376,6 +376,19 @@ func ForEachParallel(parallelism, n int, fn func(i int) error) error {
 	return exp.ForEach(parallelism, n, fn)
 }
 
+// Summary is one replicated quantity over its seeds: count, mean, sample
+// standard deviation, minimum and maximum.
+type Summary = metrics.Summary
+
+// Replicate is the replication grid behind every experiment table: it
+// runs fn once for each (row, seed) cell across parallelism workers
+// (0 = GOMAXPROCS) and returns, per row, the Summary of each of fn's cols
+// values over the seeds, in seed order. The summaries are bit-identical
+// at any parallelism, and the error returned is the lowest-index cell's.
+func Replicate(parallelism, rows, seeds, cols int, fn func(row, seed int) ([]float64, error)) ([][]Summary, error) {
+	return exp.Replicate(parallelism, rows, seeds, cols, nil, fn)
+}
+
 // --- observability ---
 
 // ObsRegistry is a dependency-free metrics registry (atomic counters,

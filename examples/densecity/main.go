@@ -29,59 +29,34 @@ func main() {
 	const seeds = 10
 	algorithms := []string{"dmra", "dcsp", "nonco", "greedy", "random"}
 
-	type agg struct {
-		profit, served, own, fwd float64
-	}
-	// One slot per (seed, algorithm) cell; the seeds fan across the
-	// experiment worker pool and each replication writes only its own
-	// slots, so the aggregation below is order-independent of scheduling.
-	cells := make([][]agg, seeds)
-	for s := range cells {
-		cells[s] = make([]agg, len(algorithms))
-	}
-	if err := dmra.ForEachParallel(0, seeds, func(s int) error {
-		net, err := dmra.BuildNetwork(scenario, uint64(s)+1)
+	// One row per algorithm. Columns: profit, served UEs, own-BS UEs,
+	// forwarded Mbps; each is a mean over the seeds.
+	rows, err := dmra.Replicate(0, len(algorithms), seeds, 4, func(row, seed int) ([]float64, error) {
+		net, err := dmra.BuildNetwork(scenario, uint64(seed)+1)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for ai, algo := range algorithms {
-			res, err := dmra.Allocate(net, algo)
-			if err != nil {
-				return err
-			}
-			t := &cells[s][ai]
-			t.profit = res.Profit.TotalProfit()
-			t.served = float64(res.Profit.ServedUEs())
-			t.fwd = res.Profit.ForwardedTrafficBps / 1e6
-			for _, p := range res.Profit.PerSP {
-				t.own += float64(p.OwnBSUEs)
-			}
+		res, err := dmra.Allocate(net, algorithms[row])
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}); err != nil {
+		own := 0.0
+		for _, p := range res.Profit.PerSP {
+			own += float64(p.OwnBSUEs)
+		}
+		return []float64{res.Profit.TotalProfit(), float64(res.Profit.ServedUEs()), own, res.Profit.ForwardedTrafficBps / 1e6}, nil
+	})
+	if err != nil {
 		log.Fatal(err)
-	}
-	totals := make(map[string]*agg, len(algorithms))
-	for ai, algo := range algorithms {
-		t := &agg{}
-		for s := 0; s < seeds; s++ {
-			c := cells[s][ai]
-			t.profit += c.profit
-			t.served += c.served
-			t.own += c.own
-			t.fwd += c.fwd
-		}
-		totals[algo] = t
 	}
 
 	fmt.Printf("rush-hour city centre: %d UEs, 3 hotspots, Zipf services, %d seeds\n\n",
 		scenario.UEs, seeds)
 	w := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "algorithm\tprofit\tserved\town-BS share\tforwarded Mbps\t")
-	for _, algo := range algorithms {
-		t := totals[algo]
-		fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.0f%%\t%.0f\t\n",
-			algo, t.profit/seeds, t.served/seeds, 100*t.own/t.served, t.fwd/seeds)
+	for i, algo := range algorithms {
+		profit, served, own, fwd := rows[i][0].Mean, rows[i][1].Mean, rows[i][2].Mean, rows[i][3].Mean
+		fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.0f%%\t%.0f\t\n", algo, profit, served, 100*own/served, fwd)
 	}
 	w.Flush()
 

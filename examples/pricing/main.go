@@ -28,54 +28,37 @@ func iotaStudy() {
 	w := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "iota\tDMRA profit\town-BS share\tNonCo profit\tDMRA advantage\t")
 	iotas := []float64{1.1, 1.5, 2.0, 3.0}
-	// One slot per (iota, seed) replication; the flattened grid fans
-	// across the experiment worker pool and the per-seed sums below run
-	// in fixed order, so the table matches a sequential run exactly.
-	type cell struct{ dmraProfit, nonco, own, served float64 }
-	cells := make([][]cell, len(iotas))
-	for ii := range cells {
-		cells[ii] = make([]cell, seeds)
-	}
-	if err := dmra.ForEachParallel(0, len(iotas)*seeds, func(i int) error {
-		ii, s := i/seeds, i%seeds
+	// Columns: DMRA profit, NonCo profit, DMRA's own-BS UEs, DMRA's served
+	// UEs. Each is a mean over the seeds.
+	rows, err := dmra.Replicate(0, len(iotas), seeds, 4, func(row, seed int) ([]float64, error) {
 		scenario := dmra.DefaultScenario()
 		scenario.UEs = 1000
-		scenario.Pricing.CrossSPFactor = iotas[ii]
-		net, err := dmra.BuildNetwork(scenario, uint64(s)+1)
+		scenario.Pricing.CrossSPFactor = iotas[row]
+		net, err := dmra.BuildNetwork(scenario, uint64(seed)+1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := dmra.Allocate(net, "dmra")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		c := &cells[ii][s]
-		c.dmraProfit = res.Profit.TotalProfit()
-		c.served = float64(res.Profit.ServedUEs())
+		own := 0.0
 		for _, p := range res.Profit.PerSP {
-			c.own += float64(p.OwnBSUEs)
+			own += float64(p.OwnBSUEs)
 		}
 		resN, err := dmra.Allocate(net, "nonco")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		c.nonco = resN.Profit.TotalProfit()
-		return nil
-	}); err != nil {
+		return []float64{res.Profit.TotalProfit(), resN.Profit.TotalProfit(), own, float64(res.Profit.ServedUEs())}, nil
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	for ii, iota := range iotas {
-		var dmraProfit, nonco, own, served float64
-		for s := 0; s < seeds; s++ {
-			c := cells[ii][s]
-			dmraProfit += c.dmraProfit
-			nonco += c.nonco
-			own += c.own
-			served += c.served
-		}
+	for i, iota := range iotas {
+		dmraProfit, nonco, own, served := rows[i][0].Mean, rows[i][1].Mean, rows[i][2].Mean, rows[i][3].Mean
 		fmt.Fprintf(w, "%.1f\t%.0f\t%.0f%%\t%.0f\t%+.0f%%\t\n",
-			iota, dmraProfit/seeds, 100*own/served, nonco/seeds,
-			100*(dmraProfit-nonco)/nonco)
+			iota, dmraProfit, 100*own/served, nonco, 100*(dmraProfit-nonco)/nonco)
 	}
 	w.Flush()
 	fmt.Println()
@@ -90,41 +73,25 @@ func rhoStudy() {
 	scenario := dmra.DefaultScenario()
 	scenario.UEs = 1000
 	rhos := []float64{0, 250, 500, 1000, 2000}
-	type cell struct{ profit, served, fwd float64 }
-	cells := make([][]cell, len(rhos))
-	for ri := range cells {
-		cells[ri] = make([]cell, seeds)
-	}
-	if err := dmra.ForEachParallel(0, len(rhos)*seeds, func(i int) error {
-		ri, s := i/seeds, i%seeds
-		net, err := dmra.BuildNetwork(scenario, uint64(s)+1)
+	// Columns: profit, served UEs, forwarded Mbps.
+	rows, err := dmra.Replicate(0, len(rhos), seeds, 3, func(row, seed int) ([]float64, error) {
+		net, err := dmra.BuildNetwork(scenario, uint64(seed)+1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cfg := dmra.DefaultDMRAConfig()
-		cfg.Rho = rhos[ri]
+		cfg.Rho = rhos[row]
 		res, err := dmra.AllocateDMRA(net, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells[ri][s] = cell{
-			profit: res.Profit.TotalProfit(),
-			served: float64(res.Profit.ServedUEs()),
-			fwd:    res.Profit.ForwardedTrafficBps / 1e6,
-		}
-		return nil
-	}); err != nil {
+		return []float64{res.Profit.TotalProfit(), float64(res.Profit.ServedUEs()), res.Profit.ForwardedTrafficBps / 1e6}, nil
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	for ri, rho := range rhos {
-		var profit, served, fwd float64
-		for s := 0; s < seeds; s++ {
-			c := cells[ri][s]
-			profit += c.profit
-			served += c.served
-			fwd += c.fwd
-		}
-		fmt.Fprintf(w, "%.0f\t%.0f\t%.0f\t%.0f\t\n", rho, profit/seeds, served/seeds, fwd/seeds)
+	for i, rho := range rhos {
+		fmt.Fprintf(w, "%.0f\t%.0f\t%.0f\t%.0f\t\n", rho, rows[i][0].Mean, rows[i][1].Mean, rows[i][2].Mean)
 	}
 	w.Flush()
 	fmt.Println("\nrho up => UEs chase spare capacity: more served, less forwarded;")

@@ -1,11 +1,7 @@
 package alloc
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"dmra/internal/engine"
 	"dmra/internal/mec"
@@ -133,71 +129,4 @@ func BenchmarkChurn(b *testing.B) {
 			})
 		})
 	}
-}
-
-// TestWriteChurnBenchBaseline appends one per-case JSON line — the
-// incremental and from-scratch ns/op, their ratio, and the incremental
-// arm's events/sec and allocs/op — to the file named by BENCH_BASELINE
-// (skipped when unset). Run via `make bench`; scripts/benchdiff.sh
-// compares the last two records case by case.
-func TestWriteChurnBenchBaseline(t *testing.T) {
-	path := os.Getenv("BENCH_BASELINE")
-	if path == "" {
-		t.Skip("BENCH_BASELINE not set")
-	}
-	cases := map[string]any{}
-	for _, tc := range churnCases() {
-		net := benchNet(t, workload.DenseCity().Scale(tc.scale))
-		k := int(float64(len(net.UEs)) * tc.frac)
-		events := 0
-		inc := testing.Benchmark(func(b *testing.B) {
-			cs := newChurnSession(b, net)
-			events = 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				events += cs.epoch(b, k)
-			}
-		})
-		scratch := testing.Benchmark(func(b *testing.B) {
-			cfg := engine.Config(DefaultDMRAConfig())
-			var a engine.Arena
-			if _, err := a.Run(net, cfg, 0, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Run(net, cfg, 0, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		perOp := float64(events) / float64(inc.N)
-		cases[tc.name] = map[string]any{
-			"ns_op":          inc.NsPerOp(),
-			"scratch_ns_op":  scratch.NsPerOp(),
-			"speedup":        float64(scratch.NsPerOp()) / float64(inc.NsPerOp()),
-			"events_per_sec": perOp / (float64(inc.NsPerOp()) / 1e9),
-			"allocs_op":      inc.AllocsPerOp(),
-		}
-	}
-	baseline := map[string]any{
-		"time":       time.Now().UTC().Format(time.RFC3339),
-		"benchmark":  "BenchmarkChurn",
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"cases":      cases,
-	}
-	data, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended BenchmarkChurn baseline to %s", path)
 }

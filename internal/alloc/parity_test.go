@@ -321,8 +321,15 @@ type solverRun struct {
 	snaps  []*engine.Snapshot
 }
 
+// solver is what solve drives: an *alloc.DMRA, or the naive reference
+// over one.
+type solver interface {
+	WithObserver(*obs.Recorder) *alloc.DMRA
+	Allocate(*mec.Network) (alloc.Result, error)
+}
+
 // solve runs d over net, observed or plain, and validates its assignment.
-func solve(t *testing.T, d *alloc.DMRA, net *mec.Network, observed bool) solverRun {
+func solve(t *testing.T, d solver, net *mec.Network, observed bool) solverRun {
 	t.Helper()
 	var run solverRun
 	var sink *obs.Sink

@@ -1,102 +1,43 @@
 package replay
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"dmra/internal/alloc"
 	"dmra/internal/obs"
 	"dmra/internal/workload"
 )
 
-// buildBenchRun constructs the pinned BenchmarkReplay input: the dense
+// BenchmarkReplay times full-trace state reconstruction of the dense
 // convergence trace of one observed solver run over a contended 800-UE
-// scenario, plus a closure replaying it once. The same trace feeds the
-// BENCH_BASELINE record, so cross-PR comparisons via
-// scripts/benchdiff.sh time identical work.
-func buildBenchRun(tb testing.TB) (events []obs.Event, replayOnce func() int64) {
-	tb.Helper()
+// scenario, and reports the events/sec replay throughput — the figure
+// that bounds how fast dmra-debug can seek through a long run.
+func BenchmarkReplay(b *testing.B) {
 	cfg := workload.Default()
 	cfg.UEs = 800
 	net, err := cfg.Build(1)
 	if err != nil {
-		tb.Fatal(err)
+		b.Fatal(err)
 	}
 	sink := obs.NewSink(nil, 1<<20)
 	d := alloc.NewDMRA(alloc.DefaultDMRAConfig()).WithObserver(obs.NewRecorder(nil, sink))
 	if _, err := d.Allocate(net); err != nil {
-		tb.Fatal(err)
+		b.Fatal(err)
 	}
-	events = sink.Events()
+	events := sink.Events()
 	if int64(len(events)) != sink.Total() {
-		tb.Fatalf("ring dropped events: %d of %d", len(events), sink.Total())
+		b.Fatalf("ring dropped events: %d of %d", len(events), sink.Total())
 	}
-	replayOnce = func() int64 {
-		m := New(net)
-		for _, e := range events {
-			if err := m.Apply(e); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		return m.Events()
-	}
-	return events, replayOnce
-}
-
-// BenchmarkReplay times full-trace state reconstruction and reports the
-// events/sec replay throughput — the figure that bounds how fast
-// dmra-debug can seek through a long run.
-func BenchmarkReplay(b *testing.B) {
-	_, replayOnce := buildBenchRun(b)
 	var applied int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		applied += replayOnce()
+		m := New(net)
+		for _, e := range events {
+			if err := m.Apply(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		applied += m.Events()
 	}
 	b.ReportMetric(float64(applied)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// TestWriteReplayBenchBaseline appends one JSON line (ns/op, events/op,
-// events/sec) to the file named by BENCH_BASELINE (skipped when unset).
-// Run via `make bench`; scripts/benchdiff.sh compares the last two
-// records and fails on regression.
-func TestWriteReplayBenchBaseline(t *testing.T) {
-	path := os.Getenv("BENCH_BASELINE")
-	if path == "" {
-		t.Skip("BENCH_BASELINE not set")
-	}
-	events, replayOnce := buildBenchRun(t)
-	var applied int64
-	r := testing.Benchmark(func(b *testing.B) {
-		applied = 0
-		for i := 0; i < b.N; i++ {
-			applied += replayOnce()
-		}
-	})
-	perOp := float64(applied) / float64(r.N)
-	baseline := map[string]any{
-		"time":           time.Now().UTC().Format(time.RFC3339),
-		"benchmark":      "BenchmarkReplay",
-		"gomaxprocs":     runtime.GOMAXPROCS(0),
-		"ns_op":          r.NsPerOp(),
-		"trace_events":   len(events),
-		"events_per_op":  perOp,
-		"events_per_sec": perOp / (float64(r.NsPerOp()) / 1e9),
-	}
-	data, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended BenchmarkReplay baseline to %s", path)
 }

@@ -1,12 +1,6 @@
 package workload
 
-import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"testing"
-	"time"
-)
+import "testing"
 
 // buildScales holds the |BS| sweep for BenchmarkNewNetwork. The area grows
 // with the BS count so coverage density stays constant: an all-pairs link
@@ -57,45 +51,4 @@ func BenchmarkNewNetwork(b *testing.B) {
 			}
 		}
 	})
-}
-
-// TestWriteNetworkBenchBaseline appends the BenchmarkNewNetwork sweep as
-// one JSON line to the file named by BENCH_BASELINE (skipped when unset).
-// Run via `make bench`.
-func TestWriteNetworkBenchBaseline(t *testing.T) {
-	path := os.Getenv("BENCH_BASELINE")
-	if path == "" {
-		t.Skip("BENCH_BASELINE not set")
-	}
-	cases := map[string]any{}
-	for _, sc := range buildScales() {
-		cfg := sc.cfg
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cfg.Build(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		cases[sc.name] = map[string]any{"ns_op": r.NsPerOp()}
-	}
-	baseline := map[string]any{
-		"time":       time.Now().UTC().Format(time.RFC3339),
-		"benchmark":  "BenchmarkNewNetwork",
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"cases":      cases,
-	}
-	data, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended BenchmarkNewNetwork baseline to %s", path)
 }

@@ -3,16 +3,18 @@
 # suite, which exercises the parallel experiment engine at several worker
 # counts, the race-enabled parity sweeps, fixed-budget fuzz runs of the
 # wire frame and checkpoint decoders, of the feasibility validator and
-# of the differential parity harness, a one-iteration smoke run of the hot-path benchmarks, vet and
-# tests of the bench/ module, and the telemetry-determinism gate, which proves that attaching the
-# observability layer does not change a single byte of experiment output.
+# of the differential parity harness, a one-iteration smoke run of the
+# hot-path benchmarks with the non-race allocation-count tests, vet and
+# tests of the bench/ module, and the telemetry-determinism gate, which
+# proves that attaching the observability layer does not change a single
+# byte of experiment output.
 # Equivalent to `make check`.
 #
 # Usage:
 #   scripts/check.sh                   gofmt + vet + race suite + every step below
 #   scripts/check.sh gofmt             only the gofmt gate
 #   scripts/check.sh obs-determinism   only the telemetry gate
-#   scripts/check.sh bench-smoke       only the one-iteration benchmark smoke run
+#   scripts/check.sh bench-smoke       only the one-iteration benchmark smoke run + the allocation-count tests
 #   scripts/check.sh engine-guard      only the single-round-engine grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
 #   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
@@ -142,7 +144,12 @@ bench_smoke() {
 	go test -short -run '^$' -bench 'BenchmarkAllocate$|BenchmarkNewNetwork$' \
 		-benchtime 1x ./internal/alloc/ ./internal/workload/
 	go test -run '^$' -bench 'BenchmarkCluster$' -benchtime 1x ./internal/wire/
-	echo "bench smoke: BenchmarkAllocate, BenchmarkNewNetwork, and BenchmarkCluster ran clean"
+	# The allocation counts README promises (a steady-state match and an
+	# Arena reset allocate nothing, a churn epoch at most once) skip
+	# under the race-enabled suite, whose detector makes sync.Pool drop
+	# items, so they run here without it.
+	go test -count=1 -run 'AllocationFree|TestChurnEpochAllocations' ./internal/alloc/ ./internal/engine/
+	echo "bench smoke: BenchmarkAllocate, BenchmarkNewNetwork, and BenchmarkCluster ran clean; allocation counts hold"
 }
 
 workload_specs() {
