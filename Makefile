@@ -17,7 +17,8 @@ vet:
 # check is the full verification gate: scripts/check.sh with no
 # arguments — gofmt, vet, the race-enabled suite, the parity sweeps (the
 # wire suite at two region counts among them), the wire frame and
-# checkpoint fuzzers, the parity-harness fuzzer, the benchmark smoke run
+# checkpoint fuzzers, the feasibility-validator and link-kernel fuzzers,
+# the parity-harness fuzzer, the benchmark smoke run
 # with the non-race allocation-count tests, the bench/ module's vet and
 # tests, the spec smoke runs, the telemetry-determinism gate and the grep
 # guards.
@@ -40,9 +41,9 @@ bench:
 	echo "bench: appended $$(grep -c '"workload"' "$$tmp") records to BENCH_exp.json"
 
 # bench-1m is the million-UE rung: the densecity-1M match and the 24k-BS
-# scenario build, both skipped under -short everywhere else. Expect ~2 s
-# per match and ~3 s per build on one core; the target stays under two
-# minutes.
+# scenario build, both skipped under -short everywhere else; the build
+# runs at GOMAXPROCS 1 and 2. Expect ~2 s per match and ~3 s per build on
+# one core; the target stays under two minutes.
 bench-1m:
 	$(GO) test ./internal/alloc/ -bench 'BenchmarkAllocate$$/densecity-1M' -benchmem -benchtime 2x -run '^$$' -timeout 60m
-	$(GO) test ./internal/workload/ -bench 'BenchmarkNewNetwork$$/24kbs-1Mue' -benchmem -benchtime 2x -run '^$$' -timeout 60m
+	$(GO) test ./internal/workload/ -bench 'BenchmarkNewNetwork$$/24kbs-1Mue' -cpu 1,2 -benchmem -benchtime 2x -run '^$$' -timeout 60m

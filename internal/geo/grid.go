@@ -3,7 +3,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // GridIndex is a uniform spatial hash over a fixed point set: points are
@@ -26,25 +25,33 @@ type GridIndex struct {
 // NewGridIndex buckets points into square cells of the given size. The
 // cell size is a tuning knob, not a correctness bound — queries of any
 // radius are answered exactly — but it should be on the order of the
-// typical query radius so a query touches O(1) cells. It panics on a
-// non-positive cell size, which always indicates a construction bug.
-func NewGridIndex(points []Point, cellSize float64) *GridIndex {
-	if cellSize <= 0 || math.IsNaN(cellSize) {
-		panic(fmt.Sprintf("geo: non-positive grid cell size %g", cellSize))
+// typical query radius so a query touches O(1) cells. It returns an error
+// for a cell size that is not a positive finite number, a point with a
+// NaN or infinite coordinate, and a point set whose extent overflows
+// float64: no cell table can bucket those.
+func NewGridIndex(points []Point, cellSize float64) (*GridIndex, error) {
+	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
+		return nil, fmt.Errorf("geo: grid cell size %g, want positive and finite", cellSize)
 	}
 	g := &GridIndex{cellSize: cellSize}
 	if len(points) == 0 {
 		g.cols, g.rows = 1, 1
 		g.cells = make([][]int32, 1)
-		return g
+		return g, nil
 	}
 	g.minX, g.minY = math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range points {
+	for i, p := range points {
+		if !finite(p.X) || !finite(p.Y) {
+			return nil, fmt.Errorf("geo: point %d at (%g, %g), want finite coordinates", i, p.X, p.Y)
+		}
 		g.minX = math.Min(g.minX, p.X)
 		g.minY = math.Min(g.minY, p.Y)
 		maxX = math.Max(maxX, p.X)
 		maxY = math.Max(maxY, p.Y)
+	}
+	if !finite(maxX-g.minX) || !finite(maxY-g.minY) {
+		return nil, fmt.Errorf("geo: point extent %gx%g overflows", maxX-g.minX, maxY-g.minY)
 	}
 	// Bound the cell table by the point count: a sparse set scattered over
 	// a huge extent would otherwise allocate millions of empty buckets.
@@ -53,7 +60,8 @@ func NewGridIndex(points []Point, cellSize float64) *GridIndex {
 	// ratio makes the int conversion (and the cols*rows product) overflow,
 	// which used to break the loop with a huge or negative cell table.
 	// Floats cannot overflow here — an oversized (even infinite) product
-	// just fails the bound and coarsens again.
+	// just fails the bound and coarsens again — and with a finite extent
+	// the doubling reaches one cell before the cell size can overflow.
 	maxCells := 4*len(points) + 64
 	for {
 		cols := math.Floor((maxX-g.minX)/g.cellSize) + 1
@@ -71,8 +79,10 @@ func NewGridIndex(points []Point, cellSize float64) *GridIndex {
 		r := g.cellRow(p.Y)
 		g.cells[r*g.cols+c] = append(g.cells[r*g.cols+c], int32(i))
 	}
-	return g
+	return g, nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // cellCol maps an x coordinate to a column, clamped to the grid. Indexed
 // points always map without clamping; clamping only matters for query
@@ -100,11 +110,11 @@ func (g *GridIndex) cellRow(y float64) int {
 }
 
 // Near appends to dst the indices of every point whose cell overlaps the
-// disk of the given radius around p, in ascending index order, and returns
-// the extended slice. The result is a superset of the points within
-// radius — callers filter by exact distance — and is byte-identical to a
-// full scan filtered the same way, which is what keeps grid-built
-// scenarios equal to brute-force-built ones.
+// disk of the given radius around p, and returns the extended slice. The
+// result is a superset of the points within radius, each index once, in
+// cell order rather than index order: callers filter by exact distance
+// and sort what survives, which is cheaper than sorting every point the
+// cells hold.
 func (g *GridIndex) Near(p Point, radius float64, dst []int32) []int32 {
 	if radius < 0 {
 		return dst
@@ -119,15 +129,11 @@ func (g *GridIndex) Near(p Point, radius float64, dst []int32) []int32 {
 	if c0 > c1 || r0 > r1 {
 		return dst
 	}
-	start := len(dst)
 	for r := r0; r <= r1; r++ {
 		row := g.cells[r*g.cols : (r+1)*g.cols]
 		for c := c0; c <= c1; c++ {
 			dst = append(dst, row[c]...)
 		}
 	}
-	// Buckets are individually ascending but interleave across rows;
-	// restore the global index order the naive scan would produce.
-	slices.Sort(dst[start:])
 	return dst
 }

@@ -1,8 +1,10 @@
 package geo
 
 import (
+	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"dmra/internal/rng"
 )
@@ -19,15 +21,16 @@ func bruteNear(pts []Point, p Point, radius float64) []int32 {
 }
 
 // TestGridIndexNearCoversBruteForce checks the index contract on random
-// point sets: Near returns a sorted superset of the in-radius points, so a
-// caller that filters by exact distance reproduces the brute-force scan.
+// point sets: Near returns a duplicate-free superset of the in-radius
+// points, so a caller that filters by exact distance and sorts the
+// survivors reproduces the brute-force scan.
 func TestGridIndexNearCoversBruteForce(t *testing.T) {
 	src := rng.New(7).SplitLabeled("grid-test")
 	area := NewArea(1200, 900)
 	for _, n := range []int{0, 1, 5, 40, 300} {
 		pts := area.RandomPoints(src, n)
 		for _, cell := range []float64{50, 200, 450, 5000} {
-			g := NewGridIndex(pts, cell)
+			g := mustGrid(t, pts, cell)
 			queries := append(area.RandomPoints(src, 20),
 				Point{X: -500, Y: -500}, // far outside the bounding box
 				Point{X: 3000, Y: 200},  // outside on one axis
@@ -36,9 +39,6 @@ func TestGridIndexNearCoversBruteForce(t *testing.T) {
 			for _, q := range queries {
 				for _, radius := range []float64{0, 30, 150, 450, 2500} {
 					got := g.Near(q, radius, nil)
-					if !slices.IsSorted(got) {
-						t.Fatalf("n=%d cell=%g: Near output not sorted: %v", n, cell, got)
-					}
 					seen := make(map[int32]bool, len(got))
 					for _, i := range got {
 						if seen[i] {
@@ -62,7 +62,7 @@ func TestGridIndexNearCoversBruteForce(t *testing.T) {
 // (the scratch-reuse contract link building relies on).
 func TestGridIndexNearAppends(t *testing.T) {
 	pts := []Point{{X: 1, Y: 1}, {X: 2, Y: 2}}
-	g := NewGridIndex(pts, 10)
+	g := mustGrid(t, pts, 10)
 	dst := make([]int32, 0, 8)
 	dst = append(dst, 99)
 	dst = g.Near(Point{X: 1, Y: 1}, 5, dst)
@@ -78,7 +78,7 @@ func TestGridIndexNearAppends(t *testing.T) {
 // continent apart must not allocate a huge grid.
 func TestGridIndexSparseHugeExtent(t *testing.T) {
 	pts := []Point{{X: 0, Y: 0}, {X: 1e7, Y: 1e7}}
-	g := NewGridIndex(pts, 1)
+	g := mustGrid(t, pts, 1)
 	if got := len(g.cells); got > 4*len(pts)+64 {
 		t.Fatalf("grid allocated %d cells for 2 points", got)
 	}
@@ -96,7 +96,7 @@ func TestGridIndexSparseHugeExtent(t *testing.T) {
 // and queries must stay exact.
 func TestGridIndexExtremeRatioNoOverflow(t *testing.T) {
 	pts := []Point{{X: 0, Y: 0}, {X: 1e9, Y: 1e9}}
-	g := NewGridIndex(pts, 1e-9) // raw table would be ~1e18 x 1e18 cells
+	g := mustGrid(t, pts, 1e-9) // raw table would be ~1e18 x 1e18 cells
 	if got, bound := len(g.cells), 4*len(pts)+64; got > bound {
 		t.Fatalf("grid allocated %d cells, bound %d", got, bound)
 	}
@@ -126,7 +126,7 @@ func TestGridIndexOccupancyBounds(t *testing.T) {
 				pts = append(pts, Point{X: float64(c) * spacing, Y: float64(r) * spacing})
 			}
 		}
-		g := NewGridIndex(pts, coverage)
+		g := mustGrid(t, pts, coverage)
 		if len(g.cells) > 4*len(pts)+64 {
 			t.Fatalf("edge %d: %d cells for %d points", edge, len(g.cells), len(pts))
 		}
@@ -146,4 +146,57 @@ func TestGridIndexOccupancyBounds(t *testing.T) {
 			t.Fatalf("edge %d: coverage query visited %d points, want <= 36", edge, len(got))
 		}
 	}
+}
+
+// TestNewGridIndexRejectsNonFinite is the regression for non-finite
+// input: a NaN extent never met the cell-table bound, so the coarsening
+// loop spun forever, and a NaN cell size panicked. Each case must return
+// an error, and promptly.
+func TestNewGridIndexRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		pts  []Point
+		cell float64
+	}{
+		{"nan-x", []Point{{X: 0, Y: 0}, {X: nan, Y: 5}}, 450},
+		{"inf-y", []Point{{X: 0, Y: -inf}, {X: 3, Y: 5}}, 450},
+		{"extent-overflow", []Point{{X: -math.MaxFloat64, Y: 0}, {X: math.MaxFloat64, Y: 0}}, 450},
+		{"nan-cell", []Point{{X: 0, Y: 0}}, nan},
+		{"inf-cell", []Point{{X: 0, Y: 0}}, inf},
+		{"zero-cell", []Point{{X: 0, Y: 0}}, 0},
+		{"negative-cell", nil, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := NewGridIndex(tc.pts, tc.cell)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("NewGridIndex accepted the input")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("NewGridIndex did not return within 5 s")
+			}
+		})
+	}
+	if _, err := Partition([]Point{{X: nan, Y: 0}, {X: 1, Y: 1}}, 2); err == nil {
+		t.Fatal("Partition accepted a NaN point")
+	}
+	if _, err := Partition([]Point{{X: 0, Y: 0}}, 0); err == nil {
+		t.Fatal("Partition accepted k = 0")
+	}
+}
+
+func mustGrid(t *testing.T, pts []Point, cell float64) *GridIndex {
+	t.Helper()
+	g, err := NewGridIndex(pts, cell)
+	if err != nil {
+		t.Fatalf("NewGridIndex(%d points, %g): %v", len(pts), cell, err)
+	}
+	return g
 }

@@ -19,16 +19,16 @@ import (
 // vertically where a cut lands mid-row), each spatially connected through
 // the cell walk.
 //
-// Every region is non-empty when k <= len(points). It panics on k < 1,
-// which always indicates a construction bug; callers clamp k to the point
-// count first.
-func Partition(points []Point, k int) []int {
+// Every region is non-empty when k <= len(points). It returns an error
+// for k < 1 and for the point sets NewGridIndex rejects (non-finite
+// coordinates, an overflowing extent).
+func Partition(points []Point, k int) ([]int, error) {
 	if k < 1 {
-		panic(fmt.Sprintf("geo: partition into %d regions", k))
+		return nil, fmt.Errorf("geo: partition into %d regions", k)
 	}
 	region := make([]int, len(points))
 	if k == 1 || len(points) == 0 {
-		return region
+		return region, nil
 	}
 	if k > len(points) {
 		k = len(points)
@@ -50,7 +50,10 @@ func Partition(points []Point, k int) []int {
 	if cell <= 0 || math.IsNaN(cell) {
 		cell = 1 // all points coincide: one cell, the count cut still balances
 	}
-	g := NewGridIndex(points, cell)
+	g, err := NewGridIndex(points, cell)
+	if err != nil {
+		return nil, err
+	}
 
 	// Walk cells row-major and cut the flattened point sequence at the
 	// exact k-quantiles of the count, so region sizes differ by at most
@@ -63,5 +66,5 @@ func Partition(points []Point, k int) []int {
 			seen++
 		}
 	}
-	return region
+	return region, nil
 }

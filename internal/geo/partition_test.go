@@ -12,7 +12,7 @@ func TestPartitionBalancedAndComplete(t *testing.T) {
 	for _, n := range []int{1, 2, 9, 25, 240} {
 		pts := area.RandomPoints(src, n)
 		for _, k := range []int{1, 2, 3, 4, 7} {
-			got := Partition(pts, k)
+			got := mustPartition(t, pts, k)
 			if len(got) != n {
 				t.Fatalf("n=%d k=%d: %d assignments", n, k, len(got))
 			}
@@ -49,8 +49,8 @@ func TestPartitionBalancedAndComplete(t *testing.T) {
 func TestPartitionDeterministic(t *testing.T) {
 	src := rng.New(5).SplitLabeled("partition-det")
 	pts := NewArea(900, 600).RandomPoints(src, 120)
-	a := Partition(pts, 4)
-	b := Partition(pts, 4)
+	a := mustPartition(t, pts, 4)
+	b := mustPartition(t, pts, 4)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("point %d: region %d then %d across identical calls", i, a[i], b[i])
@@ -66,7 +66,7 @@ func TestPartitionCoincidentPoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = Point{X: 3, Y: 4}
 	}
-	got := Partition(pts, 3)
+	got := mustPartition(t, pts, 3)
 	counts := make([]int, 3)
 	for _, r := range got {
 		counts[r]++
@@ -89,7 +89,7 @@ func TestPartitionIsGeographic(t *testing.T) {
 			pts = append(pts, Point{X: float64(c) * 100, Y: float64(r) * 100})
 		}
 	}
-	got := Partition(pts, 2)
+	got := mustPartition(t, pts, 2)
 	var sum [2]float64
 	var cnt [2]int
 	for i, reg := range got {
@@ -100,4 +100,13 @@ func TestPartitionIsGeographic(t *testing.T) {
 	if diff := mean1 - mean0; diff < 100 && -diff < 100 {
 		t.Fatalf("region mean Y %.0f vs %.0f: partition does not separate space", mean0, mean1)
 	}
+}
+
+func mustPartition(t *testing.T, pts []Point, k int) []int {
+	t.Helper()
+	region, err := Partition(pts, k)
+	if err != nil {
+		t.Fatalf("Partition(%d points, %d): %v", len(pts), k, err)
+	}
+	return region
 }

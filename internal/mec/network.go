@@ -94,11 +94,11 @@ func (n *Network) validate() error {
 		if sp.ID != SPID(i) {
 			return fmt.Errorf("mec: SP at index %d has ID %d", i, sp.ID)
 		}
-		if sp.CRUPrice <= 0 {
-			return fmt.Errorf("mec: SP %d has non-positive CRU price %g", i, sp.CRUPrice)
+		if sp.CRUPrice <= 0 || !finite(sp.CRUPrice) {
+			return fmt.Errorf("mec: SP %d has CRU price %g, want positive and finite", i, sp.CRUPrice)
 		}
-		if sp.OtherCostPerCRU < 0 {
-			return fmt.Errorf("mec: SP %d has negative other-cost %g", i, sp.OtherCostPerCRU)
+		if sp.OtherCostPerCRU < 0 || !finite(sp.OtherCostPerCRU) {
+			return fmt.Errorf("mec: SP %d has other-cost %g, want non-negative and finite", i, sp.OtherCostPerCRU)
 		}
 	}
 	for i := range n.BSs {
@@ -108,6 +108,9 @@ func (n *Network) validate() error {
 		}
 		if int(bs.SP) < 0 || int(bs.SP) >= len(n.SPs) {
 			return fmt.Errorf("mec: BS %d references unknown SP %d", i, bs.SP)
+		}
+		if !finite(bs.Pos.X) || !finite(bs.Pos.Y) {
+			return fmt.Errorf("mec: BS %d at non-finite position (%g, %g)", i, bs.Pos.X, bs.Pos.Y)
 		}
 		if len(bs.CRUCapacity) != n.Services {
 			return fmt.Errorf("mec: BS %d has %d capacity entries, want %d", i, len(bs.CRUCapacity), n.Services)
@@ -138,8 +141,11 @@ func (n *Network) validate() error {
 		if ue.CRUDemand <= 0 || ue.CRUDemand > math.MaxInt32 {
 			return fmt.Errorf("mec: UE %d has CRU demand %d outside [1, %d]", i, ue.CRUDemand, math.MaxInt32)
 		}
-		if ue.RateBps <= 0 {
-			return fmt.Errorf("mec: UE %d has non-positive rate %g", i, ue.RateBps)
+		if ue.RateBps <= 0 || !finite(ue.RateBps) {
+			return fmt.Errorf("mec: UE %d has rate %g, want positive and finite", i, ue.RateBps)
+		}
+		if !finite(ue.Pos.X) || !finite(ue.Pos.Y) {
+			return fmt.Errorf("mec: UE %d at non-finite position (%g, %g)", i, ue.Pos.X, ue.Pos.Y)
 		}
 	}
 	return nil
@@ -187,7 +193,11 @@ func (n *Network) buildLinks() error {
 	for b := range n.BSs {
 		pts[b] = n.BSs[b].Pos
 	}
-	grid := geo.NewGridIndex(pts, n.Radio.CoverageRadiusM)
+	grid, err := geo.NewGridIndex(pts, n.Radio.CoverageRadiusM)
+	if err != nil {
+		return fmt.Errorf("mec: index BSs: %w", err)
+	}
+	kern := n.Radio.LinkKernel()
 
 	// chunks[i] covers UEs [i*buildChunk, (i+1)*buildChunk): the worker
 	// whose columns hold its candidates, their span there, its first
@@ -210,17 +220,18 @@ func (n *Network) buildLinks() error {
 	for w := range cols {
 		cols[w] = makeColumns(0, 8*share)
 	}
+	scratch := make([]buildScratch, workers)
 	parallel(workers, len(chunks), func(w, i int) {
-		// Append to a local copy: the workers' column headers share
-		// cache lines, so writing them per candidate would ping-pong them.
-		ws := cols[w]
+		// Append to local copies: the workers' column and scratch headers
+		// share cache lines, so writing them per candidate would
+		// ping-pong them.
+		ws, sc := cols[w], scratch[w]
 		ch := chunk{w: w, lo: len(ws.BS)}
-		var near []int32
 		for u := i * buildChunk; u < min(nUE, (i+1)*buildChunk) && ch.err == nil; u++ {
-			near, ch.err = n.buildUE(u, grid, near, &ws)
+			ch.err = n.buildUE(u, grid, kern, &sc, &ws)
 		}
 		ch.hi = len(ws.BS)
-		cols[w], chunks[i] = ws, ch
+		cols[w], scratch[w], chunks[i] = ws, sc, ch
 	})
 
 	total := 0
@@ -277,29 +288,57 @@ const parallelBuildThreshold = 1 << 14
 // buildChunk is the number of UEs a build worker claims at a time.
 const buildChunk = 1024
 
+// buildScratch is a build worker's per-UE scratch: the BSs the grid
+// query gathers, and the hosting, covering ones among them with their
+// distances.
+type buildScratch struct {
+	near  []int32
+	cover []coveringBS
+}
+
+type coveringBS struct {
+	b int32
+	d float64
+}
+
 // buildUE appends UE u's candidates to cols in ascending BS order — the
 // order FindCand's binary search and the allocators' tie-breaking both
-// rely on — and records their count as f_u. near is the grid-query
-// scratch buffer; the (possibly grown) scratch is returned.
-func (n *Network) buildUE(u int, grid *geo.GridIndex, near []int32, cols *columns) ([]int32, error) {
+// rely on — and records their count as f_u. The grid's cell window
+// gathers about three times as many BSs as host u's service within
+// coverage, so only those survivors are sorted and priced: the radio
+// kernel then runs in ascending BS order, and the Eq. 16 error names the
+// first violating BS the brute-force scan would meet.
+func (n *Network) buildUE(u int, grid *geo.GridIndex, kern radio.LinkKernel, sc *buildScratch, cols *columns) error {
 	ue := &n.UEs[u]
 	sp := &n.SPs[ue.SP]
 	c := &n.csr
-	near = grid.Near(ue.Pos, n.Radio.CoverageRadiusM, near[:0])
-	count := int32(0)
-	for _, b32 := range near {
-		b := int(b32)
+	radius := n.Radio.CoverageRadiusM
+	sc.near = grid.Near(ue.Pos, radius, sc.near[:0])
+	cover := sc.cover[:0]
+	for _, b := range sc.near {
 		// BS.Hosts, read from the store's dense capacity rows instead of
 		// chasing a pointer into each BS's capacity slice.
-		if c.CRUCap[b*c.Services+int(ue.Service)] == 0 {
+		if c.CRUCap[int(b)*c.Services+int(ue.Service)] == 0 {
 			continue
 		}
-		bs := &n.BSs[b]
-		d := ue.Pos.DistanceTo(bs.Pos)
-		if !n.Radio.Covers(d) {
-			continue
+		// radio.Config.Covers on the hoisted radius: the method's value
+		// receiver would copy the whole config per gathered BS.
+		if d := ue.Pos.DistanceTo(n.BSs[b].Pos); d <= radius {
+			cover = append(cover, coveringBS{b, d})
 		}
-		sinr, rrbs, err := n.Radio.LinkBudgetWith(d, ue.RateBps, n.Radio.ShadowDB(u, b))
+	}
+	sc.cover = cover
+	// Insertion sort: a handful of entries, already ascending within
+	// each cell row.
+	for i := 1; i < len(cover); i++ {
+		for j := i; j > 0 && cover[j].b < cover[j-1].b; j-- {
+			cover[j], cover[j-1] = cover[j-1], cover[j]
+		}
+	}
+	count := int32(0)
+	for _, cb := range cover {
+		b, d := int(cb.b), cb.d
+		sinr, rrbs, err := kern.Budget(d, ue.RateBps, n.Radio.ShadowDB(u, b))
 		if err != nil {
 			// Covered but rate-unreachable: treat as out of range.
 			continue
@@ -308,13 +347,14 @@ func (n *Network) buildUE(u int, grid *geo.GridIndex, near []int32, cols *column
 			// The UE alone would exceed the BS's whole radio budget.
 			continue
 		}
+		bs := &n.BSs[b]
 		price := n.PricePerCRU(ue.SP == bs.SP, d)
 		if sp.CRUPrice <= price+sp.OtherCostPerCRU {
-			return near, fmt.Errorf(
+			return fmt.Errorf(
 				"mec: Eq. 16 violated: SP %d price %g <= p_{%d,%d} %g + other cost %g",
 				ue.SP, sp.CRUPrice, b, u, price, sp.OtherCostPerCRU)
 		}
-		cols.BS = append(cols.BS, b32)
+		cols.BS = append(cols.BS, cb.b)
 		cols.RRBs = append(cols.RRBs, int32(rrbs))
 		cols.Price = append(cols.Price, price)
 		cols.SameSP = append(cols.SameSP, ue.SP == bs.SP)
@@ -323,7 +363,7 @@ func (n *Network) buildUE(u int, grid *geo.GridIndex, near []int32, cols *column
 		count++
 	}
 	c.Fu[u] = count
-	return near, nil
+	return nil
 }
 
 // PricePerCRU evaluates Eq. 9-10 for a (sameSP, distance) pair.

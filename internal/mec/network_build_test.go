@@ -1,7 +1,10 @@
 package mec
 
 import (
+	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"dmra/internal/geo"
 	"dmra/internal/radio"
@@ -126,5 +129,49 @@ func TestStateResetReuse(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants after Reset: %v", err)
+	}
+}
+
+// TestNewNetworkRejectsNonFinite feeds NewNetwork non-finite positions,
+// rates and SP prices directly, past any workload validation: each must
+// return an error within a deadline instead of reaching the grid build
+// or pricing NaN links.
+func TestNewNetworkRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(sps []SP, bss []BS, ues []UE){
+		"bs-position-nan": func(_ []SP, bss []BS, _ []UE) { bss[1].Pos.X = nan },
+		"bs-position-inf": func(_ []SP, bss []BS, _ []UE) { bss[0].Pos.Y = -inf },
+		"ue-position-nan": func(_ []SP, _ []BS, ues []UE) { ues[2].Pos.Y = nan },
+		"ue-rate-nan":     func(_ []SP, _ []BS, ues []UE) { ues[0].RateBps = nan },
+		"ue-rate-inf":     func(_ []SP, _ []BS, ues []UE) { ues[3].RateBps = inf },
+		"sp-price-nan":    func(sps []SP, _ []BS, _ []UE) { sps[0].CRUPrice = nan },
+		"sp-cost-inf":     func(sps []SP, _ []BS, _ []UE) { sps[1].OtherCostPerCRU = inf },
+		// Finite coordinates whose extent overflows float64 pass
+		// validation and must be refused by the grid build.
+		"extent-overflow": func(_ []SP, bss []BS, _ []UE) {
+			bss[0].Pos.X, bss[1].Pos.X = -math.MaxFloat64, math.MaxFloat64
+		},
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			net := randomScenario(t, 3, 6, 4, false)
+			sps := slices.Clone(net.SPs)
+			bss := slices.Clone(net.BSs)
+			ues := slices.Clone(net.UEs)
+			mutate(sps, bss, ues)
+			done := make(chan error, 1)
+			go func() {
+				_, err := NewNetwork(sps, bss, ues, net.Services, net.Radio, net.Pricing)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("NewNetwork accepted the non-finite value")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("NewNetwork did not return within 5 s")
+			}
+		})
 	}
 }

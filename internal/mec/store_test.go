@@ -2,17 +2,40 @@ package mec_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"dmra/internal/mec"
+	"dmra/internal/radio"
 	"dmra/internal/workload"
 )
 
+// literalLink prices one link with the radio chain written out in the
+// standard library's math.Pow and math.Log2 — Eq. 18 path loss, linear
+// SINR, Eq. 2 rate, Eq. 3 RRB count — rather than through the radio
+// package's kernel, so a kernel that drifts from the literal chain by
+// one bit fails the comparison. ok is false for a rate-unreachable link.
+func literalLink(rc radio.Config, d, rateBps, shadowDB float64) (sinr float64, rrbs int, ok bool) {
+	dc := max(d, rc.MinDistanceM)
+	noise := rc.NoiseDBm
+	if rc.NoisePerHz {
+		noise = rc.NoiseDBm + 10*math.Log10(rc.RRBBandwidthHz)
+	}
+	pl := 140.7 + 36.7*math.Log10(dc/1000)
+	sinr = math.Pow(10, (rc.TxPowerDBm-pl-shadowDB-noise-rc.InterferenceMarginDB)/10)
+	e := rc.RRBBandwidthHz * math.Log2(1+sinr)
+	if e <= 0 {
+		return sinr, 0, false
+	}
+	return sinr, int(math.Ceil(rateBps / e)), true
+}
+
 // bruteLinks recomputes UE u's candidate list with the all-pairs scan the
-// grid-indexed build replaced. The store must match it exactly.
+// grid-indexed build replaced, pricing each link through literalLink.
+// The store must match it exactly.
 func bruteLinks(n *mec.Network, u int) []mec.Link {
 	ue := &n.UEs[u]
 	var out []mec.Link
@@ -25,9 +48,8 @@ func bruteLinks(n *mec.Network, u int) []mec.Link {
 		if !n.Radio.Covers(d) {
 			continue
 		}
-		shadow := n.Radio.ShadowDB(u, b)
-		rrbs, err := n.Radio.RRBsNeededWith(d, ue.RateBps, shadow)
-		if err != nil || rrbs > bs.MaxRRBs {
+		sinr, rrbs, ok := literalLink(n.Radio, d, ue.RateBps, n.Radio.ShadowDB(u, b))
+		if !ok || rrbs > bs.MaxRRBs {
 			continue
 		}
 		out = append(out, mec.Link{
@@ -37,7 +59,7 @@ func bruteLinks(n *mec.Network, u int) []mec.Link {
 			RRBs:        rrbs,
 			PricePerCRU: n.PricePerCRU(ue.SP == bs.SP, d),
 			SameSP:      ue.SP == bs.SP,
-			SINR:        n.Radio.SINRWith(d, shadow),
+			SINR:        sinr,
 		})
 	}
 	return out

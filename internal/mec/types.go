@@ -13,6 +13,7 @@ package mec
 
 import (
 	"fmt"
+	"math"
 
 	"dmra/internal/geo"
 )
@@ -123,6 +124,9 @@ type Pricing struct {
 // Validate reports the first invalid pricing field.
 func (p Pricing) Validate() error {
 	switch {
+	case !finite(p.BasePrice) || !finite(p.CrossSPFactor) || !finite(p.DistanceSigma):
+		return fmt.Errorf("mec: pricing (b %g, iota %g, sigma %g) must be finite",
+			p.BasePrice, p.CrossSPFactor, p.DistanceSigma)
 	case p.BasePrice <= 0:
 		return fmt.Errorf("mec: base price must be positive, got %g", p.BasePrice)
 	case p.CrossSPFactor <= 1:
@@ -134,3 +138,6 @@ func (p Pricing) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

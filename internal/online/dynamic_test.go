@@ -220,7 +220,7 @@ func TestRefusedGrantFailsEpochBurnsNoRNG(t *testing.T) {
 			state:     state,
 			subview:   net.NewSubView(),
 			allocator: fixedAllocator{a: a},
-			active:    make(map[mec.UEID]placement),
+			book:      make([]placement, 2),
 			cohorts:   []*cohortRun{co},
 			cohortOf:  []int{0, 0},
 			waiting:   []mec.UEID{1},
@@ -231,7 +231,7 @@ func TestRefusedGrantFailsEpochBurnsNoRNG(t *testing.T) {
 	if err := s.match(); !errors.Is(err, mec.ErrNoCRU) {
 		t.Fatalf("match = %v, want the ledger's %v", err, mec.ErrNoCRU)
 	}
-	if _, ok := s.active[1]; ok {
+	if s.book[1].live {
 		t.Errorf("refused grant placed UE 1")
 	}
 	if got, want := s.cohorts[0].src.Uint64(), rng.New(99).Uint64(); got != want {

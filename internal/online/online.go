@@ -259,7 +259,7 @@ func Run(cfg Config) (Report, error) {
 	s := &session{
 		cfg:      cfg,
 		net:      net,
-		active:   make(map[mec.UEID]placement, len(net.UEs)),
+		book:     make([]placement, len(net.UEs)),
 		cohortOf: make([]int, len(net.UEs)),
 	}
 	if incrementalEpochs(cfg) {
@@ -295,6 +295,7 @@ func Run(cfg Config) (Report, error) {
 			s.cohortOf[p.start+j] = i
 		}
 		co.counters = newCohortCounters(cfg.Obs, p.name)
+		co.arrive = func() { s.arrival(co) }
 		s.cohorts[i] = co
 	}
 	return s.run()
@@ -393,9 +394,11 @@ func planWorkload(cfg Config) ([]cohortPlan, []workload.DemandRange, error) {
 	return plans, ranges, nil
 }
 
-// placement records where an active UE's task runs.
+// placement records where an active UE's task runs: one slot of the
+// session's book per UE profile, live while the UE is admitted.
 type placement struct {
-	bs mec.BSID // CloudBS for cloud-served tasks
+	live bool
+	bs   mec.BSID // CloudBS for cloud-served tasks
 	// rrbs and margin are the link's RRBs and the per-second profit the
 	// placement adds to the session's used-RRB total and profit rate,
 	// stored at grant time so the departure subtracts the very same
@@ -422,6 +425,9 @@ type cohortRun struct {
 	arrivals, departures, saturated int
 	edgeServed, cloudServed         int
 	counters                        cohortCounters
+	// arrive is the cohort's arrival event, bound once at setup so each
+	// scheduled arrival reuses it.
+	arrive func()
 }
 
 // nextDemand consumes the cohort's next trace demand hint (0 when the
@@ -514,9 +520,11 @@ type session struct {
 	cohortOf []int
 	// waiting holds arrivals not yet matched (between epochs).
 	waiting []mec.UEID
-	// active is the session's occupancy book: one placement per admitted
-	// UE, and usedRRBs the RRBs its edge placements hold.
-	active   map[mec.UEID]placement
+	// book is the session's occupancy book, indexed by UE ID: a live
+	// placement per admitted UE. nActive counts the live slots and
+	// usedRRBs the RRBs their edge placements hold.
+	book     []placement
+	nActive  int
 	usedRRBs int
 
 	rep Report
@@ -643,7 +651,7 @@ func (s *session) writeTimelineSample() {
 	}
 	sample := obs.TimelineSample{
 		TimeS:        s.engine.Now(),
-		Active:       len(s.active) + len(s.waiting),
+		Active:       s.nActive + len(s.waiting),
 		Waiting:      len(s.waiting),
 		Arrivals:     s.rep.Arrivals,
 		Departures:   s.rep.Departures,
@@ -680,7 +688,7 @@ func (s *session) scheduleNextArrival(co *cohortRun) {
 	if math.IsInf(t, 1) {
 		return
 	}
-	s.engine.ScheduleAt(t, func() { s.arrival(co) })
+	s.engine.ScheduleAt(t, co.arrive)
 }
 
 // occupancy returns the instantaneous fraction of RRBs in use.
@@ -698,7 +706,7 @@ func (s *session) integrateTo(t float64) {
 	if dt <= 0 {
 		return
 	}
-	s.areaActive += dt * float64(len(s.active)+len(s.waiting))
+	s.areaActive += dt * float64(s.nActive+len(s.waiting))
 	s.areaRRBUsed += dt * float64(s.usedRRBs)
 	s.areaProfit += dt * s.profitRate
 	s.lastT = t
@@ -748,7 +756,7 @@ func (s *session) epoch() {
 	if s.cfg.RecordSeries {
 		s.rep.Series = append(s.rep.Series, EpochSample{
 			TimeS:        s.engine.Now(),
-			Active:       len(s.active) + len(s.waiting),
+			Active:       s.nActive + len(s.waiting),
 			ProfitRate:   s.profitRate,
 			OccupancyRRB: s.occupancy(),
 		})
@@ -828,7 +836,7 @@ func (s *session) matchIncremental() error {
 // scheduled.
 func (s *session) place(u mec.UEID, b mec.BSID) {
 	co := s.cohorts[s.cohortOf[u]]
-	p := placement{bs: b}
+	p := placement{live: true, bs: b}
 	if b == mec.CloudBS {
 		s.rep.CloudServed++
 		co.cloudServed++
@@ -843,7 +851,8 @@ func (s *session) place(u mec.UEID, b mec.BSID) {
 		s.usedRRBs += p.rrbs
 		s.profitRate += p.margin
 	}
-	s.active[u] = p
+	s.book[u] = p
+	s.nActive++
 	s.scheduleDeparture(u, co.hold.Sample(co.src))
 }
 
@@ -869,11 +878,12 @@ func (s *session) matchWaiting() (mec.Assignment, error) {
 func (s *session) scheduleDeparture(u mec.UEID, hold float64) {
 	s.engine.Schedule(hold, func() {
 		s.integrateTo(s.engine.Now())
-		p, ok := s.active[u]
-		if !ok {
+		p := s.book[u]
+		if !p.live {
 			return
 		}
-		delete(s.active, u)
+		s.book[u] = placement{}
+		s.nActive--
 		if p.bs != mec.CloudBS {
 			s.profitRate -= p.margin
 			s.usedRRBs -= p.rrbs

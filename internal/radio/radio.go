@@ -71,8 +71,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports the first invalid field of c.
+// Validate reports the first invalid field of c. Every float field must
+// be finite: a NaN passes each ordered comparison below unnoticed and
+// poisons every link priced from it.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"transmit power", c.TxPowerDBm},
+		{"noise level", c.NoiseDBm},
+		{"RRB bandwidth", c.RRBBandwidthHz},
+		{"uplink bandwidth", c.UplinkBandwidthHz},
+		{"interference margin", c.InterferenceMarginDB},
+		{"coverage radius", c.CoverageRadiusM},
+		{"min distance", c.MinDistanceM},
+		{"shadowing std", c.ShadowingStdDB},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("radio: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case c.RRBBandwidthHz <= 0:
 		return fmt.Errorf("radio: RRB bandwidth must be positive, got %g", c.RRBBandwidthHz)
@@ -99,8 +118,12 @@ func (c Config) MaxRRBs() int {
 // PathLossDB evaluates the paper's distance-dependent path-loss model
 // (Eq. 18): 140.7 + 36.7*log10(d_km), with d clamped to MinDistanceM.
 func (c Config) PathLossDB(distanceM float64) float64 {
-	if distanceM < c.MinDistanceM {
-		distanceM = c.MinDistanceM
+	return pathLossDB(distanceM, c.MinDistanceM)
+}
+
+func pathLossDB(distanceM, minDistanceM float64) float64 {
+	if distanceM < minDistanceM {
+		distanceM = minDistanceM
 	}
 	return 140.7 + 36.7*math.Log10(distanceM/1000)
 }
@@ -113,6 +136,59 @@ func (c Config) NoiseFloorDBm() float64 {
 	return c.NoiseDBm
 }
 
+// LinkKernel is a Config's per-link radio chain — path loss (Eq. 18),
+// linear SINR, per-RRB rate (Eq. 2) and RRB count (Eq. 3) — with the
+// config's constant terms (noise floor, interference margin, RRB
+// bandwidth) evaluated once. Scenario construction prices every
+// candidate link through one kernel; the Config methods below build one
+// per call. Its results are bit-identical to the literal
+// math.Pow(10, ·)/math.Log2 chain: pow10 and log2 repeat the standard
+// library's own steps for base 10 and fall back to it on special values.
+type LinkKernel struct {
+	txDBm, noiseFloorDBm, marginDB, minDistanceM, rrbBandwidthHz float64
+}
+
+// LinkKernel returns c's link kernel.
+func (c Config) LinkKernel() LinkKernel {
+	return LinkKernel{
+		txDBm:          c.TxPowerDBm,
+		noiseFloorDBm:  c.NoiseFloorDBm(),
+		marginDB:       c.InterferenceMarginDB,
+		minDistanceM:   c.MinDistanceM,
+		rrbBandwidthHz: c.RRBBandwidthHz,
+	}
+}
+
+// sinr returns the linear SINR at the given distance with an additional
+// loss term in dB (e.g. a per-link shadowing draw from Config.ShadowDB).
+func (k LinkKernel) sinr(distanceM, extraLossDB float64) float64 {
+	rxDBm := k.txDBm - pathLossDB(distanceM, k.minDistanceM) - extraLossDB
+	sinrDB := rxDBm - k.noiseFloorDBm - k.marginDB
+	return pow10(sinrDB / 10)
+}
+
+// ratePerRRB returns e_{u,i} (Eq. 2) for a link of linear SINR sinr:
+// W_sub * log2(1 + sinr).
+func (k LinkKernel) ratePerRRB(sinr float64) float64 {
+	return k.rrbBandwidthHz * log2(1+sinr)
+}
+
+// Budget evaluates the whole chain for one link: its linear SINR and the
+// Eq. 3 RRB count ceil(w_u/e_{u,i}) for requiredRateBps. A non-positive
+// required rate needs zero RRBs; a non-positive per-RRB rate returns
+// ErrRateUnreachable.
+func (k LinkKernel) Budget(distanceM, requiredRateBps, extraLossDB float64) (sinr float64, rrbs int, err error) {
+	sinr = k.sinr(distanceM, extraLossDB)
+	if requiredRateBps <= 0 {
+		return sinr, 0, nil
+	}
+	e := k.ratePerRRB(sinr)
+	if e <= 0 {
+		return sinr, 0, ErrRateUnreachable
+	}
+	return sinr, int(math.Ceil(requiredRateBps / e)), nil
+}
+
 // SINR returns the linear signal-to-interference-plus-noise ratio lambda_{u,i}
 // for a UE at the given distance from the BS, without shadowing.
 func (c Config) SINR(distanceM float64) float64 {
@@ -122,9 +198,7 @@ func (c Config) SINR(distanceM float64) float64 {
 // SINRWith returns the linear SINR with an additional loss term in dB
 // (e.g. a per-link shadowing draw from ShadowDB).
 func (c Config) SINRWith(distanceM, extraLossDB float64) float64 {
-	rxDBm := c.TxPowerDBm - c.PathLossDB(distanceM) - extraLossDB
-	sinrDB := rxDBm - c.NoiseFloorDBm() - c.InterferenceMarginDB
-	return math.Pow(10, sinrDB/10)
+	return c.LinkKernel().sinr(distanceM, extraLossDB)
 }
 
 // ShadowDB returns the link's deterministic log-normal shadowing loss in
@@ -153,7 +227,8 @@ func (c Config) RatePerRRB(distanceM float64) float64 {
 
 // RatePerRRBWith is RatePerRRB with an additional dB loss (shadowing).
 func (c Config) RatePerRRBWith(distanceM, extraLossDB float64) float64 {
-	return c.RRBBandwidthHz * math.Log2(1+c.SINRWith(distanceM, extraLossDB))
+	k := c.LinkKernel()
+	return k.ratePerRRB(k.sinr(distanceM, extraLossDB))
 }
 
 // ErrRateUnreachable is returned by RRBsNeeded when the per-RRB rate at the
@@ -169,34 +244,8 @@ func (c Config) RRBsNeeded(distanceM, requiredRateBps float64) (int, error) {
 
 // RRBsNeededWith is RRBsNeeded with an additional dB loss (shadowing).
 func (c Config) RRBsNeededWith(distanceM, requiredRateBps, extraLossDB float64) (int, error) {
-	if requiredRateBps <= 0 {
-		return 0, nil
-	}
-	e := c.RatePerRRBWith(distanceM, extraLossDB)
-	if e <= 0 {
-		return 0, ErrRateUnreachable
-	}
-	n := int(math.Ceil(requiredRateBps / e))
-	return n, nil
-}
-
-// LinkBudgetWith evaluates the whole per-link radio chain — linear
-// SINR, per-RRB rate (Eq. 2), and the Eq. 3 RRB count — computing the
-// path-loss power math once. Scenario construction calls this for every
-// candidate link; at a million UEs the separate SINRWith +
-// RRBsNeededWith calls evaluated the same exponentials twice and were
-// the build's second-largest cost after allocation. The results are
-// bit-identical to the separate calls.
-func (c Config) LinkBudgetWith(distanceM, requiredRateBps, extraLossDB float64) (sinr float64, rrbs int, err error) {
-	sinr = c.SINRWith(distanceM, extraLossDB)
-	if requiredRateBps <= 0 {
-		return sinr, 0, nil
-	}
-	e := c.RRBBandwidthHz * math.Log2(1+sinr)
-	if e <= 0 {
-		return sinr, 0, ErrRateUnreachable
-	}
-	return sinr, int(math.Ceil(requiredRateBps / e)), nil
+	_, n, err := c.LinkKernel().Budget(distanceM, requiredRateBps, extraLossDB)
+	return n, err
 }
 
 // Covers reports whether a BS at the given distance is reachable: within
@@ -208,7 +257,7 @@ func (c Config) Covers(distanceM float64) bool {
 
 // DBmToMilliwatts converts a power level from dBm to mW.
 func DBmToMilliwatts(dbm float64) float64 {
-	return math.Pow(10, dbm/10)
+	return pow10(dbm / 10)
 }
 
 // MilliwattsToDBm converts a power level from mW to dBm. It returns -Inf

@@ -291,7 +291,10 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	for b := range net_.BSs {
 		bsPts[b] = net_.BSs[b].Pos
 	}
-	regionOf := geo.Partition(bsPts, regions)
+	regionOf, err := geo.Partition(bsPts, regions)
+	if err != nil {
+		return res, err
+	}
 	res.BSRegions = regionOf
 	homeOf := make([]int, len(net_.UEs))
 	regionUEs := make([][]int, regions)

@@ -244,8 +244,23 @@ func defaultRadio() radio.Config {
 	return rc
 }
 
-// Validate reports the first invalid configuration field.
+// Validate reports the first invalid configuration field. Every float
+// field must be finite: a NaN passes the ordered comparisons below
+// unnoticed, and a NaN area extent once spun the BS grid build forever.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"area width", c.AreaWidthM}, {"area height", c.AreaHeightM}, {"inter-site distance", c.InterSiteM},
+		{"min rate", c.RateMinBps}, {"max rate", c.RateMaxBps}, {"Zipf exponent", c.ZipfS},
+		{"hotspot sigma", c.HotspotSigmaM}, {"hotspot fraction", c.HotspotFraction},
+		{"SP CRU price", c.SPCRUPrice}, {"SP other cost", c.SPOtherCost},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s %g, want finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.SPs <= 0:
 		return fmt.Errorf("workload: SPs = %d, want > 0", c.SPs)
@@ -421,6 +436,10 @@ func (c Config) ownerOf(i int) mec.SPID {
 	return mec.SPID(i % c.SPs)
 }
 
+// buildUEs fills the UE profiles in two passes: positions from the
+// ue-placement stream, then demands from the ue-demand stream. The
+// streams are independent, so each is consumed in UE order exactly as
+// one interleaved loop would consume it.
 func (c Config) buildUEs(root *rng.Source, area geo.Rect, ranges []DemandRange) []mec.UE {
 	posSrc := root.SplitLabeled("ue-placement")
 	demSrc := root.SplitLabeled("ue-demand")
@@ -429,6 +448,9 @@ func (c Config) buildUEs(root *rng.Source, area geo.Rect, ranges []DemandRange) 
 		centres = area.RandomPoints(posSrc, c.HotspotCount)
 	}
 	ues := make([]mec.UE, c.UEs)
+	for u := range ues {
+		ues[u].Pos = c.uePosition(posSrc, area, centres)
+	}
 	zipf := newZipf(c.Services, c.ZipfS)
 	ri := 0 // next candidate override range (sorted, disjoint)
 	for u := range ues {
@@ -452,14 +474,12 @@ func (c Config) buildUEs(root *rng.Source, area geo.Rect, ranges []DemandRange) 
 		default:
 			svc = demSrc.Intn(c.Services)
 		}
-		ues[u] = mec.UE{
-			ID:        mec.UEID(u),
-			SP:        mec.SPID(demSrc.Intn(c.SPs)),
-			Pos:       c.uePosition(posSrc, area, centres),
-			Service:   mec.ServiceID(svc),
-			CRUDemand: demSrc.IntBetween(cruMin, cruMax),
-			RateBps:   demSrc.FloatBetween(rateMin, rateMax),
-		}
+		ue := &ues[u]
+		ue.ID = mec.UEID(u)
+		ue.SP = mec.SPID(demSrc.Intn(c.SPs))
+		ue.Service = mec.ServiceID(svc)
+		ue.CRUDemand = demSrc.IntBetween(cruMin, cruMax)
+		ue.RateBps = demSrc.FloatBetween(rateMin, rateMax)
 	}
 	return ues
 }

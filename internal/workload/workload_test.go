@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dmra/internal/geo"
 	"dmra/internal/mec"
@@ -573,5 +574,48 @@ func TestBuildWithDemandRejections(t *testing.T) {
 		if _, err := cfg.BuildWithDemand(1, ranges); err == nil {
 			t.Errorf("%s ranges accepted", name)
 		}
+	}
+}
+
+// TestBuildRejectsNonFinite is the regression for non-finite scenario
+// values. A NaN area width hung Build in the BS grid's coarsening loop,
+// a NaN coverage radius panicked in geo, and a NaN shadowing std or min
+// distance built every link with a NaN SINR and zero RRBs, no error.
+// Each must now fail validation, and promptly.
+func TestBuildRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(*Config){
+		"area-width-nan":       func(c *Config) { c.AreaWidthM = nan },
+		"area-height-inf":      func(c *Config) { c.AreaHeightM = inf },
+		"inter-site-nan":       func(c *Config) { c.InterSiteM = nan },
+		"coverage-nan":         func(c *Config) { c.Radio.CoverageRadiusM = nan },
+		"shadowing-nan":        func(c *Config) { c.Radio.ShadowingStdDB = nan },
+		"min-distance-nan":     func(c *Config) { c.Radio.MinDistanceM = nan },
+		"tx-power-inf":         func(c *Config) { c.Radio.TxPowerDBm = inf },
+		"rate-max-inf":         func(c *Config) { c.RateMaxBps = inf },
+		"hotspot-sigma-nan":    func(c *Config) { c.HotspotSigmaM = nan },
+		"hotspot-fraction-nan": func(c *Config) { c.HotspotFraction = nan },
+		"sp-price-nan":         func(c *Config) { c.SPCRUPrice = nan },
+		"base-price-nan":       func(c *Config) { c.Pricing.BasePrice = nan },
+		"sigma-inf":            func(c *Config) { c.Pricing.DistanceSigma = inf },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			c := Default()
+			mutate(&c)
+			done := make(chan error, 1)
+			go func() {
+				_, err := c.Build(1)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("Build accepted the non-finite value")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Build did not return within 5 s")
+			}
+		})
 	}
 }

@@ -2,12 +2,12 @@
 # Full verification gate: gofmt and vet plus the race-enabled test
 # suite, which exercises the parallel experiment engine at several worker
 # counts, the race-enabled parity sweeps, fixed-budget fuzz runs of the
-# wire frame and checkpoint decoders, of the feasibility validator and
-# of the differential parity harness, a one-iteration smoke run of the
-# hot-path benchmarks with the non-race allocation-count tests, vet and
-# tests of the bench/ module, and the telemetry-determinism gate, which
-# proves that attaching the observability layer does not change a single
-# byte of experiment output.
+# wire frame and checkpoint decoders, of the feasibility validator, of
+# the radio link kernel and of the differential parity harness, a
+# one-iteration smoke run of the hot-path benchmarks with the non-race
+# allocation-count tests, vet and tests of the bench/ module, and the
+# telemetry-determinism gate, which proves that attaching the
+# observability layer does not change a single byte of experiment output.
 # Equivalent to `make check`.
 #
 # Usage:
@@ -19,6 +19,7 @@
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
 #   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
 #   scripts/check.sh mec-fuzz          only the 10 s FuzzValidateAssignment run of the feasibility validator against the ledger replay
+#   scripts/check.sh radio-fuzz        only the 10 s FuzzPow10 and FuzzLog2 runs of the link kernel against the standard library
 #   scripts/check.sh region-parity     only the race-enabled wire suite at several region counts
 #   scripts/check.sh parity            only the race-enabled differential parity harness at several widths and region counts + a 35 s FuzzParity run
 #   scripts/check.sh workload-specs    only the example-spec validation + online spec smoke
@@ -79,6 +80,17 @@ mec_fuzz() {
 	# ID, fails the gate.
 	go test -run '^$' -fuzz FuzzValidateAssignment -fuzztime 10s ./internal/mec/
 	echo "mec fuzz: FuzzValidateAssignment ran 10 s without a failure"
+}
+
+radio_fuzz() {
+	# The link kernel's pow10 and log2 repeat math.Pow(10, y) and
+	# math.Log2(x) step for step so every candidate link stays
+	# bit-identical to the literal chain: fuzz both over arbitrary bit
+	# patterns so a rounding that drifts from the standard library fails
+	# the gate, not a golden store.
+	go test -run '^$' -fuzz '^FuzzPow10$' -fuzztime 10s ./internal/radio/
+	go test -run '^$' -fuzz '^FuzzLog2$' -fuzztime 10s ./internal/radio/
+	echo "radio fuzz: FuzzPow10 and FuzzLog2 ran 10 s each without a failure"
 }
 
 gofmt_check() {
@@ -249,6 +261,10 @@ mec-fuzz)
 	mec_fuzz
 	exit 0
 	;;
+radio-fuzz)
+	radio_fuzz
+	exit 0
+	;;
 gofmt)
 	gofmt_check
 	exit 0
@@ -284,6 +300,7 @@ go test -race ./internal/engine/
 go test -race ./...
 wire_fuzz
 mec_fuzz
+radio_fuzz
 region_parity
 parity
 replay_parity
