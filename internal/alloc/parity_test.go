@@ -154,7 +154,7 @@ func TestParity(t *testing.T) {
 	// Unless DMRA_TEST_REGIONS pins one region, some row must split the
 	// map so that proposals cross it.
 	if ran > 0 && handoffs == 0 && testRegions(2)[0] > 1 {
-		t.Error("no proposal crossed a region boundary; the handoff merge went untested")
+		t.Error("no proposal crossed a region boundary; the sub-batch merge went untested")
 	}
 }
 
@@ -424,7 +424,8 @@ func compareSnaps(t *testing.T, label string, got, want []*engine.Snapshot) {
 // checkMessages runs the message rows: the loss-free protocol against the
 // solver's result, the lossy protocol, and unless c.skipCluster the
 // region cluster at one region and at each of c.regions against the
-// protocol and the one-region run. It returns the cluster's cross-region
+// protocol and the one-region run, then unobserved at two regions against
+// the observed runs. It returns the observed cluster's cross-region
 // handoffs.
 func checkMessages(t *testing.T, c parityCase, solver alloc.Result) int {
 	t.Helper()
@@ -487,6 +488,26 @@ func checkMessages(t *testing.T, c parityCase, solver alloc.Result) int {
 			t.Fatalf("%s: rounds/frames %d/%d, per-BS traffic %+v; one region %d/%d, %+v",
 				label, res.Rounds, res.Frames, res.PerBS, base.Rounds, base.Frames, base.PerBS)
 		}
+	}
+
+	// The unobserved cluster at two regions, the shape the benchmark
+	// times: it runs the same rounds with no event pass, so it must equal
+	// the observed runs in assignment, rounds, frames and per-BS bytes,
+	// and route exactly the proposals the observed stream shows crossing
+	// its partition.
+	paceServers(len(c.net.BSs))
+	plain, err := wire.RunRegionCluster(c.net, wire.RegionConfig{DMRA: c.cfg, Regions: 2})
+	if err != nil {
+		t.Fatalf("unobserved cluster at 2 regions: %v", err)
+	}
+	compareServing(t, "unobserved cluster at 2 regions", plain.Assignment.ServingBS, base.Assignment.ServingBS)
+	if plain.Rounds != base.Rounds || plain.Frames != base.Frames || !slices.Equal(plain.PerBS, base.PerBS) {
+		t.Fatalf("unobserved cluster at 2 regions: rounds/frames %d/%d, per-BS traffic %+v; observed %d/%d, %+v",
+			plain.Rounds, plain.Frames, plain.PerBS, base.Rounds, base.Frames, base.PerBS)
+	}
+	if want := crossings(c.net, events, plain.BSRegions); plain.HandoffProposals != want {
+		t.Fatalf("unobserved cluster at 2 regions: %d handoffs, want the %d proposals that cross a region boundary",
+			plain.HandoffProposals, want)
 	}
 	return handoffs
 }

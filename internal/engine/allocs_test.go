@@ -3,6 +3,8 @@ package engine
 import (
 	"testing"
 
+	"dmra/internal/mec"
+	"dmra/internal/rng"
 	"dmra/internal/workload"
 )
 
@@ -23,5 +25,37 @@ func TestArenaResetAllocationFree(t *testing.T) {
 	csr := net.Dense()
 	if allocs := testing.AllocsPerRun(10, func() { a.reset(csr, cfg) }); allocs != 0 {
 		t.Errorf("Arena.reset allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestSelectRoundAllocationFree pins a BS server's steady state: once a
+// SelectScratch has seen an inbox, a select round over an inbox of that
+// size — hundreds of requests over several services, as one BS receives
+// on a dense city — allocates nothing.
+func TestSelectRoundAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	src := rng.New(3).SplitLabeled("select-allocs")
+	reqs := randomRequests(src, 600)
+	for i := range reqs {
+		reqs[i].Service = mec.ServiceID(src.Intn(8))
+	}
+	cru := make([]int, 8)
+	for j := range cru {
+		cru[j] = 40
+	}
+	cfg := DefaultConfig()
+	led := NewBSLedger(cru, 30)
+	var sc SelectScratch
+	round := func() {
+		led.Reset(cru, 30)
+		if _, err := cfg.SelectRound(led, reqs, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("SelectRound allocates %.1f times per round on a warm scratch, want 0", allocs)
 	}
 }

@@ -18,5 +18,5 @@ func (inc *Incremental) RegionStampForTest(u mec.UEID) uint32 { return inc.a.sta
 // remaining CRUs of u's service and remaining RRBs last broadcast to u.
 func (p *Proposer) ViewForTest(u mec.UEID, k int) (remCRU, remRRBs int) {
 	sv := p.views[int(p.csr.Off[u])+k]
-	return sv.cru, sv.rrb
+	return int(sv.cru), int(sv.rrb)
 }

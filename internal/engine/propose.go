@@ -7,9 +7,10 @@ import (
 )
 
 // slotView is a UE's broadcast-derived knowledge of one candidate BS: the
-// BS's remaining CRUs for the UE's own service and its remaining RRBs.
+// BS's remaining CRUs for the UE's own service and its remaining RRBs,
+// int32 like the store's capacity columns they never exceed.
 type slotView struct {
-	cru, rrb int
+	cru, rrb int32
 }
 
 // coverRef locates one covered UE's view of a BS: its slot in the flat
@@ -92,7 +93,7 @@ func NewProposer(net *mec.Network, cfg Config) *Proposer {
 		for g := lo; g < hi; g++ {
 			b := csr.BS[g]
 			p.idx[g] = g - lo
-			p.views[g] = slotView{cru: int(csr.CRUCap[int(b)*csr.Services+int(svc)]), rrb: int(csr.MaxRRB[b])}
+			p.views[g] = slotView{cru: csr.CRUCap[int(b)*csr.Services+int(svc)], rrb: csr.MaxRRB[b]}
 			p.covered[b] = append(p.covered[b], mec.UEID(u))
 			p.refs[b] = append(p.refs[b], coverRef{slot: g, svc: svc})
 		}
@@ -110,19 +111,19 @@ func (p *Proposer) Propose(u mec.UEID, swept *uint64) (req Request, bs mec.BSID,
 	csr := p.csr
 	base := csr.Off[u]
 	live := p.idx[base : base+n]
-	need := int(csr.CRU[u])
+	need := csr.CRU[u]
 	best := int32(-1)
 	var bestV float64
 	for i := int32(0); i < n; {
 		k := live[i]
 		g := base + k
 		sv := p.views[g]
-		if sv.cru < need || sv.rrb < int(csr.RRBs[g]) {
+		if sv.cru < need || sv.rrb < csr.RRBs[g] {
 			n--
 			live[i] = live[n]
 			continue
 		}
-		if v := p.cfg.preference(csr.Price[g], sv.cru+sv.rrb); best < 0 || prefLess(v, k, bestV, best) {
+		if v := p.cfg.preference(csr.Price[g], int(sv.cru)+int(sv.rrb)); best < 0 || prefLess(v, k, bestV, best) {
 			best, bestV = k, v
 		}
 		i++
@@ -135,7 +136,7 @@ func (p *Proposer) Propose(u mec.UEID, swept *uint64) (req Request, bs mec.BSID,
 	return Request{
 		UE:          u,
 		Service:     mec.ServiceID(csr.Service[u]),
-		CRUs:        need,
+		CRUs:        int(need),
 		RRBs:        int(csr.RRBs[g]),
 		SameSP:      csr.SameSP[g],
 		Fu:          int(csr.Fu[u]),
@@ -167,10 +168,11 @@ func (p *Proposer) DropBS(u mec.UEID, b mec.BSID) {
 func (p *Proposer) Covered(b mec.BSID) []mec.UEID { return p.covered[b] }
 
 // ApplyBroadcast updates the receivers' views of BS b to the broadcast
-// resources. Receivers is the subset of Covered(b) whose reception
-// succeeded, best passed in Covered order (then each receiver costs one
-// comparison; others cost a binary search); UEs outside Covered(b) are
-// ignored.
+// resources, which must not exceed b's capacities in the store (a BS's
+// residuals never grow past them). Receivers is the subset of Covered(b)
+// whose reception succeeded, best passed in Covered order (then each
+// receiver costs one comparison; others cost a binary search); UEs
+// outside Covered(b) are ignored.
 func (p *Proposer) ApplyBroadcast(b mec.BSID, remCRU []int, remRRBs int, receivers []mec.UEID) {
 	cov, refs := p.covered[b], p.refs[b]
 	i := 0
@@ -183,7 +185,7 @@ func (p *Proposer) ApplyBroadcast(b mec.BSID, remCRU []int, remRRBs int, receive
 			i = j
 		}
 		r := refs[i]
-		p.views[r.slot] = slotView{cru: remCRU[r.svc], rrb: remRRBs}
+		p.views[r.slot] = slotView{cru: int32(remCRU[r.svc]), rrb: int32(remRRBs)}
 		i++
 	}
 }

@@ -55,10 +55,11 @@ type Ledger interface {
 // SelectScratch is the reusable select-phase buffer set. Drivers keep one
 // per BS (or one pooled per run) so steady-state rounds allocate nothing.
 type SelectScratch struct {
-	byService [][]Request
-	touched   []mec.ServiceID
-	selected  []Request
-	verdicts  []Verdict
+	// best[j] indexes the inbox's running pick for service j, or is -1.
+	best     []int32
+	touched  []mec.ServiceID
+	selected []Request
+	verdicts []Verdict
 }
 
 // SelectRound runs one BS's full select phase (Alg. 1 lines 11-26) over
@@ -104,28 +105,26 @@ func (c Config) SelectRound(led Ledger, reqs []Request, sc *SelectScratch) ([]Ve
 }
 
 // selectPerService picks, for every service with requesters, the single
-// request the BS prefers (Alg. 1 lines 13-21): bucket by service, then
-// take each bucket's minimum under prefers. prefers is a strict total
+// request the BS prefers (Alg. 1 lines 13-21): one pass over the inbox
+// keeps each service's running minimum under prefers, by index, so no
+// request is copied until the winners are. prefers is a strict total
 // order (it ends on the unique UE ID), so the one-pass minimum equals the
 // same-SP / f_u / footprint / UE-ID filter chain exactly. Services come
 // out in ascending order.
 func (c Config) selectPerService(reqs []Request, sc *SelectScratch) []Request {
-	maxSvc := 0
-	for _, r := range reqs {
-		if int(r.Service) > maxSvc {
-			maxSvc = int(r.Service)
-		}
-	}
-	if cap(sc.byService) <= maxSvc {
-		sc.byService = make([][]Request, maxSvc+1)
-	}
-	sc.byService = sc.byService[:maxSvc+1]
 	sc.touched = sc.touched[:0]
-	for _, r := range reqs {
-		if len(sc.byService[r.Service]) == 0 {
-			sc.touched = append(sc.touched, r.Service)
+	for i := range reqs {
+		j := int(reqs[i].Service)
+		for len(sc.best) <= j {
+			sc.best = append(sc.best, -1)
 		}
-		sc.byService[r.Service] = append(sc.byService[r.Service], r)
+		switch k := sc.best[j]; {
+		case k < 0:
+			sc.best[j] = int32(i)
+			sc.touched = append(sc.touched, mec.ServiceID(j))
+		case c.prefers(reqs[i], reqs[k]):
+			sc.best[j] = int32(i)
+		}
 	}
 	// The touched list is tiny, so an insertion sort avoids sort.Slice's
 	// closure allocation.
@@ -136,15 +135,8 @@ func (c Config) selectPerService(reqs []Request, sc *SelectScratch) []Request {
 	}
 	sc.selected = sc.selected[:0]
 	for _, j := range sc.touched {
-		group := sc.byService[j]
-		best := group[0]
-		for _, cand := range group[1:] {
-			if c.prefers(cand, best) {
-				best = cand
-			}
-		}
-		sc.selected = append(sc.selected, best)
-		sc.byService[j] = group[:0]
+		sc.selected = append(sc.selected, reqs[sc.best[j]])
+		sc.best[j] = -1
 	}
 	return sc.selected
 }

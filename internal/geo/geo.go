@@ -35,13 +35,18 @@ type Rect struct {
 	Max Point `json:"max"`
 }
 
-// NewArea returns the rectangle [0,width] x [0,height]. It panics on
-// non-positive dimensions, which always indicate a scenario-construction bug.
-func NewArea(width, height float64) Rect {
-	if width <= 0 || height <= 0 {
-		panic(fmt.Sprintf("geo: non-positive area %gx%g", width, height))
+// NewArea returns the rectangle [0,width] x [0,height], or an error when a
+// dimension is not positive and finite.
+func NewArea(width, height float64) (Rect, error) {
+	if !positiveFinite(width) || !positiveFinite(height) {
+		return Rect{}, fmt.Errorf("geo: area %gx%g, want positive finite dimensions", width, height)
 	}
-	return Rect{Max: Point{X: width, Y: height}}
+	return Rect{Max: Point{X: width, Y: height}}, nil
+}
+
+// positiveFinite reports whether x is a positive, finite number.
+func positiveFinite(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
 }
 
 // Width returns the horizontal extent of r.
@@ -89,13 +94,14 @@ func (r Rect) RandomPoints(src *rng.Source, n int) []Point {
 // emitted row-major; if the lattice implied by n (the smallest square
 // lattice with at least n sites) does not fit inside the area, the lattice
 // is still centred and outer points may fall outside — callers that require
-// containment should size the area accordingly.
-func GridPlacement(area Rect, n int, interSite float64) []Point {
+// containment should size the area accordingly. For n > 0, an inter-site
+// distance that is not positive and finite is an error.
+func GridPlacement(area Rect, n int, interSite float64) ([]Point, error) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
-	if interSite <= 0 {
-		panic(fmt.Sprintf("geo: non-positive inter-site distance %g", interSite))
+	if !positiveFinite(interSite) {
+		return nil, fmt.Errorf("geo: inter-site distance %g, want positive and finite", interSite)
 	}
 	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	rows := (n + cols - 1) / cols
@@ -114,7 +120,7 @@ func GridPlacement(area Rect, n int, interSite float64) []Point {
 			})
 		}
 	}
-	return pts
+	return pts, nil
 }
 
 // RandomPlacement places n points uniformly at random inside area. This
@@ -128,13 +134,14 @@ func RandomPlacement(area Rect, n int, src *rng.Source) []Point {
 // the given inter-site distance, centred inside area: rows are
 // interSite*sqrt(3)/2 apart and odd rows are offset by half a site. This
 // is the canonical cellular deployment pattern; it is an extension beyond
-// the paper's two placements.
-func HexPlacement(area Rect, n int, interSite float64) []Point {
+// the paper's two placements. For n > 0, an inter-site distance that is
+// not positive and finite is an error.
+func HexPlacement(area Rect, n int, interSite float64) ([]Point, error) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
-	if interSite <= 0 {
-		panic(fmt.Sprintf("geo: non-positive inter-site distance %g", interSite))
+	if !positiveFinite(interSite) {
+		return nil, fmt.Errorf("geo: inter-site distance %g, want positive and finite", interSite)
 	}
 	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	rows := (n + cols - 1) / cols
@@ -158,7 +165,7 @@ func HexPlacement(area Rect, n int, interSite float64) []Point {
 			})
 		}
 	}
-	return pts
+	return pts, nil
 }
 
 // MinPairwiseDistance returns the smallest distance between any two of the

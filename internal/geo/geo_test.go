@@ -43,7 +43,7 @@ func TestDistanceSymmetric(t *testing.T) {
 }
 
 func TestNewArea(t *testing.T) {
-	a := NewArea(1200, 800)
+	a := mustArea(t, 1200, 800)
 	if a.Width() != 1200 || a.Height() != 800 {
 		t.Fatalf("area = %gx%g, want 1200x800", a.Width(), a.Height())
 	}
@@ -55,17 +55,28 @@ func TestNewArea(t *testing.T) {
 	}
 }
 
-func TestNewAreaPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewArea(0, 1) did not panic")
+// mustArea returns NewArea(width, height), failing t on an error.
+func mustArea(t testing.TB, width, height float64) Rect {
+	t.Helper()
+	a, err := NewArea(width, height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestNewAreaRejectsNonPositive: a dimension that is not positive and
+// finite is an error, not a panic or a NaN-sized area.
+func TestNewAreaRejectsNonPositive(t *testing.T) {
+	for _, d := range [][2]float64{{0, 1}, {1, -5}, {math.NaN(), 1}, {1, math.Inf(1)}, {math.Inf(-1), 1}} {
+		if a, err := NewArea(d[0], d[1]); err == nil {
+			t.Errorf("NewArea(%g, %g) = %+v, want an error", d[0], d[1], a)
 		}
-	}()
-	NewArea(0, 1)
+	}
 }
 
 func TestContains(t *testing.T) {
-	a := NewArea(10, 10)
+	a := mustArea(t, 10, 10)
 	tests := []struct {
 		p    Point
 		want bool
@@ -84,7 +95,7 @@ func TestContains(t *testing.T) {
 }
 
 func TestRandomPointsInside(t *testing.T) {
-	a := NewArea(1200, 1200)
+	a := mustArea(t, 1200, 1200)
 	src := rng.New(1)
 	for _, p := range a.RandomPoints(src, 1000) {
 		if !a.Contains(p) {
@@ -94,7 +105,7 @@ func TestRandomPointsInside(t *testing.T) {
 }
 
 func TestRandomPointsCoverQuadrants(t *testing.T) {
-	a := NewArea(100, 100)
+	a := mustArea(t, 100, 100)
 	src := rng.New(2)
 	var q [4]int
 	for _, p := range a.RandomPoints(src, 400) {
@@ -115,9 +126,12 @@ func TestRandomPointsCoverQuadrants(t *testing.T) {
 }
 
 func TestGridPlacementCount(t *testing.T) {
-	a := NewArea(1200, 1200)
+	a := mustArea(t, 1200, 1200)
 	for _, n := range []int{0, 1, 4, 5, 9, 25, 26} {
-		pts := GridPlacement(a, n, 300)
+		pts, err := GridPlacement(a, n, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(pts) != n {
 			t.Errorf("GridPlacement(n=%d) returned %d points", n, len(pts))
 		}
@@ -125,16 +139,22 @@ func TestGridPlacementCount(t *testing.T) {
 }
 
 func TestGridPlacementSpacing(t *testing.T) {
-	a := NewArea(1200, 1200)
-	pts := GridPlacement(a, 25, 300)
+	a := mustArea(t, 1200, 1200)
+	pts, err := GridPlacement(a, 25, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := MinPairwiseDistance(pts); math.Abs(got-300) > 1e-9 {
 		t.Fatalf("min pairwise distance = %v, want 300", got)
 	}
 }
 
 func TestGridPlacementCentred(t *testing.T) {
-	a := NewArea(1200, 1200)
-	pts := GridPlacement(a, 25, 300)
+	a := mustArea(t, 1200, 1200)
+	pts, err := GridPlacement(a, 25, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cx, cy float64
 	for _, p := range pts {
 		cx += p.X
@@ -153,17 +173,19 @@ func TestGridPlacementCentred(t *testing.T) {
 	}
 }
 
-func TestGridPlacementPanicsOnBadSpacing(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GridPlacement with zero spacing did not panic")
+// TestGridPlacementRejectsBadSpacing: an inter-site distance that is not
+// positive and finite is an error, not a panic or NaN positions.
+func TestGridPlacementRejectsBadSpacing(t *testing.T) {
+	a := mustArea(t, 10, 10)
+	for _, d := range []float64{0, -300, math.NaN(), math.Inf(1)} {
+		if pts, err := GridPlacement(a, 4, d); err == nil {
+			t.Errorf("GridPlacement with spacing %g = %v, want an error", d, pts)
 		}
-	}()
-	GridPlacement(NewArea(10, 10), 4, 0)
+	}
 }
 
 func TestRandomPlacementDeterministic(t *testing.T) {
-	a := NewArea(1200, 1200)
+	a := mustArea(t, 1200, 1200)
 	p1 := RandomPlacement(a, 25, rng.New(99))
 	p2 := RandomPlacement(a, 25, rng.New(99))
 	for i := range p1 {
@@ -195,9 +217,13 @@ func anyNaNInf(vs ...float64) bool {
 }
 
 func TestHexPlacementCount(t *testing.T) {
-	a := NewArea(1200, 1200)
+	a := mustArea(t, 1200, 1200)
 	for _, n := range []int{0, 1, 7, 25} {
-		if got := len(HexPlacement(a, n, 300)); got != n {
+		pts, err := HexPlacement(a, n, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(pts); got != n {
 			t.Errorf("HexPlacement(n=%d) returned %d points", n, got)
 		}
 	}
@@ -206,16 +232,22 @@ func TestHexPlacementCount(t *testing.T) {
 func TestHexPlacementSpacing(t *testing.T) {
 	// Every pair on a hex lattice is at least interSite apart, and nearest
 	// neighbours are exactly interSite apart.
-	a := NewArea(1200, 1200)
-	pts := HexPlacement(a, 25, 300)
+	a := mustArea(t, 1200, 1200)
+	pts, err := HexPlacement(a, 25, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d := MinPairwiseDistance(pts); math.Abs(d-300) > 1e-9 {
 		t.Fatalf("hex min spacing = %v, want 300", d)
 	}
 }
 
 func TestHexPlacementRowsOffset(t *testing.T) {
-	a := NewArea(1200, 1200)
-	pts := HexPlacement(a, 25, 300)
+	a := mustArea(t, 1200, 1200)
+	pts, err := HexPlacement(a, 25, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Rows 0 and 1 differ in X by half a site.
 	dx := math.Abs(pts[5].X - pts[0].X)
 	if math.Abs(dx-150) > 1e-9 {
@@ -227,11 +259,13 @@ func TestHexPlacementRowsOffset(t *testing.T) {
 	}
 }
 
-func TestHexPlacementPanicsOnBadSpacing(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("HexPlacement with zero spacing did not panic")
+// TestHexPlacementRejectsBadSpacing: an inter-site distance that is not
+// positive and finite is an error, not a panic or NaN positions.
+func TestHexPlacementRejectsBadSpacing(t *testing.T) {
+	a := mustArea(t, 10, 10)
+	for _, d := range []float64{0, -300, math.NaN(), math.Inf(1)} {
+		if pts, err := HexPlacement(a, 4, d); err == nil {
+			t.Errorf("HexPlacement with spacing %g = %v, want an error", d, pts)
 		}
-	}()
-	HexPlacement(NewArea(10, 10), 4, 0)
+	}
 }

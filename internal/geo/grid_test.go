@@ -26,7 +26,7 @@ func bruteNear(pts []Point, p Point, radius float64) []int32 {
 // survivors reproduces the brute-force scan.
 func TestGridIndexNearCoversBruteForce(t *testing.T) {
 	src := rng.New(7).SplitLabeled("grid-test")
-	area := NewArea(1200, 900)
+	area := mustArea(t, 1200, 900)
 	for _, n := range []int{0, 1, 5, 40, 300} {
 		pts := area.RandomPoints(src, n)
 		for _, cell := range []float64{50, 200, 450, 5000} {

@@ -8,7 +8,7 @@ import (
 
 func TestPartitionBalancedAndComplete(t *testing.T) {
 	src := rng.New(11).SplitLabeled("partition-test")
-	area := NewArea(1200, 1200)
+	area := mustArea(t, 1200, 1200)
 	for _, n := range []int{1, 2, 9, 25, 240} {
 		pts := area.RandomPoints(src, n)
 		for _, k := range []int{1, 2, 3, 4, 7} {
@@ -48,7 +48,7 @@ func TestPartitionBalancedAndComplete(t *testing.T) {
 
 func TestPartitionDeterministic(t *testing.T) {
 	src := rng.New(5).SplitLabeled("partition-det")
-	pts := NewArea(900, 600).RandomPoints(src, 120)
+	pts := mustArea(t, 900, 600).RandomPoints(src, 120)
 	a := mustPartition(t, pts, 4)
 	b := mustPartition(t, pts, 4)
 	for i := range a {

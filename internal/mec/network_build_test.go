@@ -16,7 +16,10 @@ import (
 func randomScenario(t *testing.T, seed uint64, nUE, nBS int, shadow bool) *Network {
 	t.Helper()
 	src := rng.New(seed).SplitLabeled("build-test")
-	area := geo.NewArea(1200, 900)
+	area, err := geo.NewArea(1200, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sps := testSPs(3)
 	const services = 4
 	bsPts := area.RandomPoints(src, nBS)

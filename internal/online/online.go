@@ -842,9 +842,12 @@ func (s *session) place(u mec.UEID, b mec.BSID) {
 		co.cloudServed++
 		co.counters.cloudServed.Inc()
 	} else {
-		// The ledger grants only over candidate links, so the link exists.
-		l, _ := s.net.Link(u, b)
-		p.rrbs, p.margin = l.RRBs, alloc.Margin(s.net, l)
+		// The ledger grants only over candidate links, so the link
+		// exists; only its RRB count and price are read.
+		csr := s.net.Dense()
+		k := csr.FindCand(u, b)
+		p.rrbs = int(csr.RRBs[k])
+		p.margin = alloc.Margin(s.net, mec.Link{UE: u, PricePerCRU: csr.Price[k]})
 		s.rep.EdgeServed++
 		co.edgeServed++
 		co.counters.edgeServed.Inc()

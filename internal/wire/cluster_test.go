@@ -260,3 +260,31 @@ func TestBSServerConcurrentClose(t *testing.T) {
 		conn.Close()
 	}
 }
+
+// TestClusterRejectsMalformedResponse feeds the coordinator responses it
+// must not apply — a verdict for a UE that did not propose to the BS, a
+// broadcast of the wrong shape, a residual above the BS's capacity — and
+// checks each fails the run as a typed exchange error instead of being
+// applied to another region's UEs or views.
+func TestClusterRejectsMalformedResponse(t *testing.T) {
+	net_ := buildNet(t, 60, 2)
+	cases := map[string]func(*RoundResponse){
+		"foreign-verdict": func(r *RoundResponse) {
+			if len(r.Verdicts) > 0 {
+				r.Verdicts[0].UE = mec.UEID(len(net_.UEs) - 1 - int(r.Verdicts[0].UE))
+			}
+		},
+		"short-broadcast": func(r *RoundResponse) { r.RemainingCRU = r.RemainingCRU[:0] },
+		"grown-residual":  func(r *RoundResponse) { r.RemainingRRBs = 1 << 40 },
+	}
+	for name, tamper := range cases {
+		t.Run(name, func(t *testing.T) {
+			setStartHook(t, func(s *BSServer) { s.tamper = tamper })
+			_, err := RunRegionCluster(net_, RegionConfig{DMRA: alloc.DefaultDMRAConfig(), Regions: testRegionCount(2)})
+			var bse *BSError
+			if !errors.As(err, &bse) || bse.Op != "exchange" || !errors.Is(err, errMalformed) {
+				t.Fatalf("tampered responses: got %v, want a malformed-frame *BSError on exchange", err)
+			}
+		})
+	}
+}

@@ -28,12 +28,13 @@ type RegionConfig struct {
 	// partitioned geographically (geo.Partition over BS positions, riding
 	// the same grid the link builder queries), each coordinator owns the
 	// BSs of one region plus the UEs homed there, and proposals that
-	// cross a region boundary move through the per-round handoff merge.
-	// Results are byte-identical for every value: propose runs in
-	// parallel over disjoint region UE sets but is merged in global UE
-	// order, and verdicts/broadcasts merge in global BS order behind the
-	// round barrier, so regioning changes wall-clock and ownership, never
-	// outcome. Regions <= 0 or 1 is a single coordinator.
+	// cross a region boundary are handed to the owning region. Results
+	// are byte-identical for every value: each BS's batch is merged in
+	// global UE order whichever regions proposed to it, and a BS's
+	// verdicts and broadcast touch only the UEs that proposed to it and
+	// the views of that BS, so regioning changes wall-clock and
+	// ownership, never outcome. Regions <= 0 or 1 is a single
+	// coordinator.
 	Regions int
 	// ExchangeTimeout bounds every frame written to or read from a BS
 	// connection, including the shutdown frames. A hung BS fails the run
@@ -41,7 +42,7 @@ type RegionConfig struct {
 	// forever. <= 0 selects DefaultExchangeTimeout.
 	ExchangeTimeout time.Duration
 	// Obs, if non-nil, receives the typed convergence event stream
-	// (emitted from the merge goroutine only, in deterministic UE/BS
+	// (emitted from the calling goroutine only, in deterministic UE/BS
 	// order, identical for every region count), per-round residual
 	// gauges, region/recovery counters, and the wire_round_seconds /
 	// wire_region_round_seconds{region} latency histograms. BS-attributed
@@ -49,7 +50,7 @@ type RegionConfig struct {
 	// never event identity, so traces stay diffable across region counts).
 	Obs *obs.Recorder
 	// RoundHook, if non-nil, observes the full matching state after each
-	// round's merge phase (and once more for the final round in which no
+	// round's exchange phase (and once more for the final round in which no
 	// UE proposed): per-BS residuals as reported by the BS servers'
 	// broadcasts, and per-UE serving BS. The snapshot is reused across
 	// rounds; Clone to retain.
@@ -238,30 +239,33 @@ type regionWork struct {
 	exchange bool // false: propose phase, true: exchange phase
 }
 
-// proposal is one UE's propose-phase output slot, written by the UE's home
-// region during the propose phase and read by the merge goroutine.
-type proposal struct {
-	req Request
-	bs  mec.BSID
-	ok  bool
+// regionTally is what one region goroutine reports of a phase: its
+// swept candidates, proposals and cross-region handoffs (propose) or its
+// answered exchanges' frames (exchange). Each region writes only its own.
+type regionTally struct {
+	swept                      uint64
+	requests, handoffs, frames int
 }
 
 // RunRegionCluster executes DMRA with one TCP server per base station,
 // driven by rc.Regions coordinator goroutines that each own a
 // geographically contiguous group of base stations (geo.Partition over BS
 // positions) and the UEs homed in their region. Every round, each region
-// proposes for its own pending UEs in parallel; the proposals are merged
-// in global UE order, with proposals whose target BS lives in another
-// region counted as cross-region handoffs and routed to the owning
-// region's exchange batch; each region then drives its own socket
-// exchanges, and verdicts and broadcasts merge in global BS order behind
-// the round barrier. The merge discipline makes the assignment, the
-// ordered obs event stream, frame counts, and per-BS byte totals
-// byte-identical for every region count, and the assignment identical to
-// alloc.NewDMRA(rc.DMRA).Allocate (parity- and fuzz-tested). Every
-// exchange is bounded by rc.ExchangeTimeout, and any BS-side failure —
-// hung exchange, select error, server close error — surfaces as a
-// *BSError naming the base station.
+// proposes for its own pending UEs in parallel, filing each request under
+// the target BS in a sub-batch of its own; a proposal whose target BS
+// lives in another region counts as a cross-region handoff. Each region
+// then merges its BSs' sub-batches in global UE order, writes all of its
+// BSs' requests, and reads their responses in BS order, applying each
+// BS's verdicts and broadcast as it arrives. A UE proposes to one BS per
+// round and a broadcast updates only views of its own BS, so the regions'
+// applies touch disjoint state, and the assignment, the ordered obs event
+// stream (emitted by the calling goroutine in global UE/BS order), frame
+// counts, and per-BS byte totals are byte-identical for every region
+// count, and the assignment identical to alloc.NewDMRA(rc.DMRA).Allocate
+// (parity- and fuzz-tested). Every exchange is bounded by
+// rc.ExchangeTimeout, and any BS-side failure — hung exchange, select
+// error, malformed response, server close error — surfaces as a *BSError
+// naming the base station.
 //
 // On top of the partition, the run is hardened for production: Recover
 // survives BS crashes mid-run (detect via the exchange deadlines, close
@@ -296,10 +300,9 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		return res, err
 	}
 	res.BSRegions = regionOf
-	homeOf := make([]int, len(net_.UEs))
 	regionUEs := make([][]int, regions)
+	csr := net_.Dense()
 	for u := range net_.UEs {
-		csr := net_.Dense()
 		lo, hi := csr.CandRange(mec.UEID(u))
 		home := 0
 		spans := false
@@ -311,7 +314,6 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 				}
 			}
 		}
-		homeOf[u] = home
 		regionUEs[home] = append(regionUEs[home], u)
 		if spans {
 			res.BoundaryUEs++
@@ -330,7 +332,10 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	}
 	// One proposer for the run: its per-UE state is touched only for the
 	// UE being proposed for, and each region proposes only for the UEs it
-	// homes, so the parallel propose phase is race-free.
+	// homes, so the parallel propose phase is race-free. In the exchange
+	// phase each region applies only its own BSs' verdicts (to UEs that
+	// proposed to those BSs, one BS per UE) and broadcasts (to those BSs'
+	// view slots), so the parallel apply is race-free too.
 	prop := engine.NewProposer(net_, rc.DMRA)
 
 	servers := make([]*BSServer, len(net_.BSs))
@@ -397,9 +402,9 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		}
 	}
 
-	// Each region counts its swept candidates in its own slot.
-	swept := make([]uint64, regions)
-	var lastSwept uint64
+	// unswept counts the candidates swept since the last per-round
+	// telemetry report.
+	var unswept uint64
 	// The coordinator hosts the thin UE agents: serving[u] is the BS
 	// serving UE u (CloudBS while it is pending), and prop holds every
 	// UE's live candidates and broadcast-fed views.
@@ -418,14 +423,24 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		}
 	}
 
-	proposals := make([]proposal, len(net_.UEs))
+	// target[u] is the BS UE u proposed to this round, or -1. subs[h][b]
+	// is the sub-batch of requests that UEs homed in region h sent to BS
+	// b this round, in ascending UE order; BS b's owner merges its column
+	// into batches[b] (merged[b] is the merge's buffer).
+	target := make([]int32, len(net_.UEs))
+	subs := make([][][]Request, regions)
+	for h := range subs {
+		subs[h] = make([][]Request, len(net_.BSs))
+	}
 	batches := make([][]Request, len(net_.BSs))
+	merged := make([][]Request, len(net_.BSs))
 	// responses[b] points into respBufs[b] when BS b answered this round.
 	responses := make([]*RoundResponse, len(net_.BSs))
 	respBufs := make([]RoundResponse, len(net_.BSs))
 	errs := make([]error, len(net_.BSs))
 	dead := make([]bool, len(net_.BSs))
 	crashRound := make([]int, len(net_.BSs))
+	tally := make([]regionTally, regions)
 
 	var snap *engine.Snapshot
 	if rc.RoundHook != nil || rc.CheckpointPath != "" {
@@ -437,6 +452,167 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		}
 	}
 
+	// propose walks region r's own pending UEs in ascending order, filing
+	// each request under its target BS in the region's sub-batches. Dead
+	// BSs are dropped at proposal time — the receiver-side effect of the
+	// crash — and the propose retried until a live target or cloud.
+	propose := func(r int) {
+		sub := subs[r]
+		for b := range sub {
+			sub[b] = sub[b][:0]
+		}
+		t := regionTally{}
+		for _, u := range regionUEs[r] {
+			target[u] = -1
+			if serving[u] != mec.CloudBS {
+				continue
+			}
+			for {
+				req, bsID, ok := prop.Propose(mec.UEID(u), &t.swept)
+				if !ok {
+					break
+				}
+				if dead[bsID] {
+					prop.DropBS(mec.UEID(u), bsID)
+					continue
+				}
+				target[u] = int32(bsID)
+				sub[bsID] = append(sub[bsID], req)
+				t.requests++
+				if regionOf[bsID] != r {
+					t.handoffs++
+				}
+				break
+			}
+		}
+		tally[r] = t
+	}
+
+	// batchFor returns BS b's request batch: every region's sub-batch for
+	// b merged in ascending UE order, the order a single coordinator
+	// would have filed them in. heads is the caller's per-region cursor
+	// scratch.
+	batchFor := func(b int, heads []int) []Request {
+		var only []Request
+		nonEmpty := 0
+		for h := range subs {
+			if s := subs[h][b]; len(s) > 0 {
+				only = s
+				nonEmpty++
+			}
+		}
+		if nonEmpty <= 1 {
+			return only
+		}
+		out := merged[b][:0]
+		clear(heads)
+		for {
+			best := -1
+			var bestUE mec.UEID
+			for h := range subs {
+				if i := heads[h]; i < len(subs[h][b]) {
+					if ue := subs[h][b][i].UE; best < 0 || ue < bestUE {
+						best, bestUE = h, ue
+					}
+				}
+			}
+			if best < 0 {
+				break
+			}
+			out = append(out, subs[best][b][heads[best]])
+			heads[best]++
+		}
+		merged[b] = out
+		return out
+	}
+
+	// apply takes BS b's answered round into the UE side: accepted UEs are
+	// served by b, permanently rejected ones drop b, and every covered
+	// UE's view of b takes the broadcast. Only UEs that proposed to b and
+	// views of b are written, so regions apply concurrently.
+	apply := func(b int, resp *RoundResponse) {
+		bs := mec.BSID(b)
+		for _, v := range resp.Verdicts {
+			if v.Accepted {
+				serving[v.UE] = bs
+			} else if v.Permanent {
+				prop.DropBS(v.UE, bs)
+			}
+		}
+		prop.ApplyBroadcast(bs, resp.RemainingCRU, resp.RemainingRRBs, prop.Covered(bs))
+	}
+
+	// checkResponse rejects a response apply could not take safely: a
+	// broadcast of the wrong shape or outside b's capacities, or a verdict
+	// for a UE that did not propose to b this round.
+	checkResponse := func(b int, resp *RoundResponse) error {
+		if resp.Error != "" {
+			return nil // reported by the coordinator as a select failure
+		}
+		bs := &net_.BSs[b]
+		if len(resp.RemainingCRU) != net_.Services {
+			return fmt.Errorf("%w: broadcast of %d services, want %d", errMalformed, len(resp.RemainingCRU), net_.Services)
+		}
+		for j, rem := range resp.RemainingCRU {
+			if rem < 0 || rem > bs.CRUCapacity[j] {
+				return fmt.Errorf("%w: broadcast service %d residual CRUs %d outside [0, %d]", errMalformed, j, rem, bs.CRUCapacity[j])
+			}
+		}
+		if resp.RemainingRRBs < 0 || resp.RemainingRRBs > bs.MaxRRBs {
+			return fmt.Errorf("%w: broadcast residual RRBs %d outside [0, %d]", errMalformed, resp.RemainingRRBs, bs.MaxRRBs)
+		}
+		for _, v := range resp.Verdicts {
+			if v.UE < 0 || int(v.UE) >= len(target) || target[v.UE] != int32(b) {
+				return fmt.Errorf("%w: verdict for UE %d, which did not propose to BS %d", errMalformed, v.UE, b)
+			}
+		}
+		return nil
+	}
+
+	// exchangeRegion drives region r's BSs through one round: merge and
+	// write every BS's batch first, so the servers select concurrently,
+	// then read the responses in BS order and apply each as it arrives.
+	exchangeRegion := func(r, round int, req *RoundRequest, heads []int) {
+		bss := regionBSs[r]
+		// Without Recover the first failure dooms the round; stop rather
+		// than serialize more timeouts.
+		doomed := false
+		for _, b := range bss {
+			responses[b], errs[b] = nil, nil
+			batches[b] = batchFor(b, heads)
+			if len(batches[b]) == 0 || doomed {
+				continue
+			}
+			*req = RoundRequest{Round: round, Requests: batches[b]}
+			if errs[b] = writeFrameDeadline(conns[b], timeout, req); errs[b] != nil && !rc.Recover {
+				doomed = true
+			}
+		}
+		frames := 0
+		for _, b := range bss {
+			if doomed {
+				break
+			}
+			if len(batches[b]) == 0 || errs[b] != nil {
+				continue
+			}
+			resp := &respBufs[b]
+			if errs[b] = readFrameDeadline(conns[b], timeout, resp); errs[b] == nil {
+				errs[b] = checkResponse(b, resp)
+			}
+			if errs[b] != nil {
+				doomed = !rc.Recover
+				continue
+			}
+			responses[b] = resp
+			if resp.Error == "" {
+				apply(b, resp)
+				frames += 2
+			}
+		}
+		tally[r].frames = frames
+	}
+
 	work := make([]chan regionWork, regions)
 	var barrier, workers sync.WaitGroup
 	for r := 0; r < regions; r++ {
@@ -444,32 +620,11 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		workers.Add(1)
 		go func(r int) {
 			defer workers.Done()
+			var req RoundRequest
+			heads := make([]int, regions)
 			for w := range work[r] {
 				if !w.exchange {
-					// Propose phase: walk the region's own pending UEs in
-					// ascending order. Dead BSs are dropped at proposal
-					// time — the receiver-side effect of the crash — and
-					// the propose retried until a live target or cloud.
-					var n uint64
-					for _, u := range regionUEs[r] {
-						proposals[u] = proposal{}
-						if serving[u] != mec.CloudBS {
-							continue
-						}
-						for {
-							req, bsID, ok := prop.Propose(mec.UEID(u), &n)
-							if !ok {
-								break
-							}
-							if dead[bsID] {
-								prop.DropBS(mec.UEID(u), bsID)
-								continue
-							}
-							proposals[u] = proposal{req: req, bs: bsID, ok: true}
-							break
-						}
-					}
-					swept[r] += n
+					propose(r)
 					barrier.Done()
 					continue
 				}
@@ -477,17 +632,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 				if rec != nil {
 					start = time.Now()
 				}
-				for _, b := range regionBSs[r] {
-					if len(batches[b]) == 0 {
-						continue
-					}
-					errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: w.round, Requests: batches[b]}, &respBufs[b])
-					if errs[b] == nil {
-						responses[b] = &respBufs[b]
-					} else if !rc.Recover {
-						break // the round is doomed; don't serialize more timeouts
-					}
-				}
+				exchangeRegion(r, w.round, &req, heads)
 				if rec != nil {
 					rec.RegionRoundLatency(r, time.Since(start).Seconds())
 				}
@@ -666,37 +811,33 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 
 		rec.Event(obs.KindRound, round, -1, -1)
 
-		// Propose phase: regions walk their own pending UEs in parallel;
-		// the slots are merged below in global UE order, so the event
-		// stream and batch contents are independent of the partition.
-		for b := range batches {
-			batches[b] = batches[b][:0]
-			responses[b] = nil
-			errs[b] = nil
-		}
+		// Propose phase: regions walk their own pending UEs in parallel
+		// and file each request under its target BS.
 		dispatch(regionWork{round: round})
-		anyRequest := false
-		handoffs := 0
-		for u, s := range serving {
-			if s != mec.CloudBS {
-				continue
+		requests, handoffs := 0, 0
+		for _, t := range tally {
+			unswept += t.swept
+			requests += t.requests
+			handoffs += t.handoffs
+		}
+		if rec != nil {
+			// Events in global UE order, so the stream is independent of
+			// the partition.
+			for u, s := range serving {
+				if s != mec.CloudBS {
+					continue
+				}
+				if b := target[u]; b < 0 {
+					rec.Event(obs.KindCloudFallback, round, u, int(mec.CloudBS))
+				} else {
+					rec.EventShard(regionOf[b], obs.KindPropose, round, u, int(b))
+				}
 			}
-			slot := &proposals[u]
-			if !slot.ok {
-				rec.Event(obs.KindCloudFallback, round, u, int(mec.CloudBS))
-				continue
-			}
-			owner := regionOf[slot.bs]
-			rec.EventShard(owner, obs.KindPropose, round, u, int(slot.bs))
-			if owner != homeOf[u] {
-				handoffs++
-			}
-			batches[slot.bs] = append(batches[slot.bs], slot.req)
-			anyRequest = true
 		}
 		res.HandoffProposals += handoffs
 		rec.RegionHandoffs(handoffs)
-		if !anyRequest {
+		if requests == 0 {
+			clear(responses)
 			if rc.Recover && probeServing(round) {
 				// A serving BS died after its last productive round; its
 				// UEs are pending again, so the matching is not done.
@@ -715,49 +856,47 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			break
 		}
 
-		// Exchange phase: every region drives its own base stations.
+		// Exchange phase: every region merges, exchanges and applies its
+		// own base stations' batches.
 		dispatch(regionWork{round: round, exchange: true})
 
-		// Merge phase, in global BS order. Without Recover the first
-		// failure aborts the run with a *BSError naming the BS;
-		// with Recover each failed BS crashes out of the run and the
-		// round's surviving verdicts still apply.
-		if rc.Recover {
-			for b := range net_.BSs {
-				if errs[b] != nil || (responses[b] != nil && responses[b].Error != "") {
-					crash(b, round)
-				}
-			}
-		} else {
-			for b := range net_.BSs {
-				if errs[b] != nil {
-					return RegionResult{}, &BSError{BS: mec.BSID(b), Round: round, Op: "exchange", Err: errs[b]}
-				}
-				if resp := responses[b]; resp != nil && resp.Error != "" {
-					return RegionResult{}, &BSError{BS: mec.BSID(b), Round: round, Op: "select", Err: errors.New(resp.Error)}
-				}
+		// Failures, in global BS order. Without Recover the first one
+		// aborts the run with a *BSError naming the BS; with Recover each
+		// failed BS crashes out of the run, and the round's surviving
+		// verdicts, already applied, stand: a failed BS's verdicts never
+		// apply, and the UEs it served did not propose this round.
+		for b := range net_.BSs {
+			failed := errs[b] != nil || (responses[b] != nil && responses[b].Error != "")
+			switch {
+			case !failed:
+			case rc.Recover:
+				crash(b, round)
+			case errs[b] != nil:
+				return RegionResult{}, &BSError{BS: mec.BSID(b), Round: round, Op: "exchange", Err: errs[b]}
+			default:
+				return RegionResult{}, &BSError{BS: mec.BSID(b), Round: round, Op: "select", Err: errors.New(responses[b].Error)}
 			}
 		}
-		for b := range net_.BSs {
-			resp := responses[b]
-			if resp == nil {
-				continue
-			}
-			res.Frames += 2
-			for _, v := range resp.Verdicts {
-				if v.Accepted {
-					rec.EventShard(regionOf[b], obs.KindAccept, round, int(v.UE), b)
-					serving[v.UE] = mec.BSID(b)
-				} else if v.Permanent {
-					rec.EventShard(regionOf[b], obs.KindRejectPermanent, round, int(v.UE), b)
-					prop.DropBS(v.UE, mec.BSID(b))
-				} else {
-					rec.EventShard(regionOf[b], obs.KindRejectTrim, round, int(v.UE), b)
+		for _, t := range tally {
+			res.Frames += t.frames
+		}
+		if rec != nil {
+			// Events and gauges in global BS order; the state they
+			// describe was applied by the regions.
+			for b, resp := range responses {
+				if resp == nil {
+					continue
 				}
-			}
-			rec.EventShard(regionOf[b], obs.KindBroadcast, round, -1, b)
-			prop.ApplyBroadcast(mec.BSID(b), resp.RemainingCRU, resp.RemainingRRBs, prop.Covered(mec.BSID(b)))
-			if rec != nil {
+				for _, v := range resp.Verdicts {
+					kind := obs.KindRejectTrim
+					if v.Accepted {
+						kind = obs.KindAccept
+					} else if v.Permanent {
+						kind = obs.KindRejectPermanent
+					}
+					rec.EventShard(regionOf[b], kind, round, int(v.UE), b)
+				}
+				rec.EventShard(regionOf[b], obs.KindBroadcast, round, -1, b)
 				crus := 0
 				for _, c := range resp.RemainingCRU {
 					crus += c
@@ -776,12 +915,8 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 				}
 			}
 			rec.Unmatched(unmatched)
-			var total uint64
-			for _, n := range swept {
-				total += n
-			}
-			rec.SweptCandidates(int64(total - lastSwept))
-			lastSwept = total
+			rec.SweptCandidates(int64(unswept))
+			unswept = 0
 			rec.RoundLatency(time.Since(roundStart).Seconds())
 		}
 	}

@@ -45,6 +45,10 @@ type BSServer struct {
 	// coordinator's start hook to simulate a wedged BS and exercise the
 	// exchange deadlines; always nil in production.
 	stall chan struct{}
+	// tamper, when non-nil, rewrites each response before it is sent.
+	// Tests set it via the start hook to feed the coordinator malformed
+	// responses; always nil in production.
+	tamper func(*RoundResponse)
 }
 
 // StartBS launches a BS server on 127.0.0.1 with an ephemeral port.
@@ -144,6 +148,9 @@ func (s *BSServer) serve() {
 			return
 		}
 		s.process(&req, &resp)
+		if s.tamper != nil {
+			s.tamper(&resp)
+		}
 		if s.stall != nil {
 			select {
 			case <-s.stall:

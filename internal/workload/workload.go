@@ -360,7 +360,10 @@ func (c Config) BuildWithDemand(seed uint64, ranges []DemandRange) (*mec.Network
 		return nil, err
 	}
 	root := rng.New(seed)
-	area := geo.NewArea(c.AreaWidthM, c.AreaHeightM)
+	area, err := geo.NewArea(c.AreaWidthM, c.AreaHeightM)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
 	if c.Radio.ShadowingStdDB > 0 && c.Radio.ShadowingSeed == 0 {
 		// Tie the shadowing field to the scenario seed so replications
 		// draw independent channels; an explicit seed in the config wins.
@@ -389,15 +392,19 @@ func (c Config) BuildWithDemand(seed uint64, ranges []DemandRange) (*mec.Network
 func (c Config) buildBSs(root *rng.Source, area geo.Rect) ([]mec.BS, error) {
 	nBS := c.SPs * c.BSsPerSP
 	var positions []geo.Point
+	var err error
 	switch c.Placement {
 	case PlacementRegular:
-		positions = geo.GridPlacement(area, nBS, c.InterSiteM)
+		positions, err = geo.GridPlacement(area, nBS, c.InterSiteM)
 	case PlacementHex:
-		positions = geo.HexPlacement(area, nBS, c.InterSiteM)
+		positions, err = geo.HexPlacement(area, nBS, c.InterSiteM)
 	case PlacementRandom:
 		positions = geo.RandomPlacement(area, nBS, root.SplitLabeled("bs-placement"))
 	default:
 		return nil, fmt.Errorf("workload: unknown placement %q", c.Placement)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 
 	capSrc := root.SplitLabeled("bs-capacity")

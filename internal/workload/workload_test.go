@@ -101,7 +101,10 @@ func TestBuildDefaultScenario(t *testing.T) {
 			t.Errorf("BS %d has %d RRBs, want 55", bs.ID, bs.MaxRRBs)
 		}
 	}
-	area := geo.NewArea(1200, 1200)
+	area, err := geo.NewArea(1200, 1200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ue := range net.UEs {
 		if ue.CRUDemand < 3 || ue.CRUDemand > 5 {
 			t.Errorf("UE %d CRU demand %d outside [3,5]", ue.ID, ue.CRUDemand)
@@ -226,7 +229,10 @@ func TestRandomPlacementInsideArea(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	area := geo.NewArea(1200, 1200)
+	area, err := geo.NewArea(1200, 1200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bs := range net.BSs {
 		if !area.Contains(bs.Pos) {
 			t.Errorf("BS %d at %v outside area", bs.ID, bs.Pos)

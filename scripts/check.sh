@@ -108,14 +108,17 @@ gofmt_check() {
 region_parity() {
 	# The TCP coordinator must be byte-identical at every region count and
 	# must survive BS crashes. Run the whole wire suite race-enabled at
-	# two region counts, so every accounting, checkpoint and failure test
-	# doubles as a multi-coordinator test; each sweep runs the chaos
+	# three region counts, so every accounting, checkpoint and failure
+	# test doubles as a multi-coordinator test; each sweep runs the chaos
 	# iteration — a BS server killed and revived mid-run — race-enabled.
-	# Region-count parity against the other runtimes is the parity step's.
-	for regions in 1 3; do
+	# Two regions is the benchmark's count and the first at which
+	# sub-batches from several regions merge and regions apply their
+	# verdicts concurrently. Region-count parity against the other
+	# runtimes is the parity step's.
+	for regions in 1 2 3; do
 		DMRA_TEST_REGIONS=$regions go test -race -count=1 ./internal/wire/
 	done
-	echo "region parity: race-enabled wire suite passed at regions 1 and 3 (incl. chaos + checkpoint/resume)"
+	echo "region parity: race-enabled wire suite passed at regions 1, 2 and 3 (incl. chaos + checkpoint/resume)"
 }
 
 parity() {
