@@ -541,14 +541,22 @@ func paceServers(n int) {
 
 // crossings counts the proposals in events that cross a region boundary
 // under the partition bsRegion, a UE being homed in the region of its
-// first candidate BS.
+// nearest candidate BS (ties to the lower candidate index).
 func crossings(net *mec.Network, events []obs.Event, bsRegion []int) int {
 	n := 0
 	for _, e := range events {
 		if e.Kind != obs.KindPropose {
 			continue
 		}
-		if lo, _ := net.CandRange(mec.UEID(e.UE)); bsRegion[e.BS] != bsRegion[net.Dense().BS[lo]] {
+		u := mec.UEID(e.UE)
+		lo, hi := net.CandRange(u)
+		near := net.LinkAt(u, lo)
+		for k := lo + 1; k < hi; k++ {
+			if l := net.LinkAt(u, k); l.DistanceM < near.DistanceM {
+				near = l
+			}
+		}
+		if bsRegion[e.BS] != bsRegion[near.BS] {
 			n++
 		}
 	}

@@ -17,6 +17,14 @@ func (inc *Incremental) RegionStampForTest(u mec.UEID) uint32 { return inc.a.sta
 // ViewForTest returns UE u's view of its k-th candidate BS: the
 // remaining CRUs of u's service and remaining RRBs last broadcast to u.
 func (p *Proposer) ViewForTest(u mec.UEID, k int) (remCRU, remRRBs int) {
-	sv := p.views[int(p.csr.Off[u])+k]
-	return int(sv.cru), int(sv.rrb)
+	g := p.csr.Off[u] + int32(k)
+	if p.stale != nil && p.stale.set.Get(g) {
+		return int(p.stale.views[g].cru), int(p.stale.views[g].rrb)
+	}
+	b := int(p.csr.BS[g])
+	return int(p.rowCRU[b*p.csr.Services+int(p.csr.Service[u])]), int(p.rowRRB[b])
 }
+
+// SlotStateForTest reports whether the proposer has built any per-slot
+// state: stale views or the cover lists.
+func (p *Proposer) SlotStateForTest() bool { return p.stale != nil || p.covered != nil }

@@ -6,17 +6,24 @@ import (
 	"dmra/internal/mec"
 )
 
-// slotView is a UE's broadcast-derived knowledge of one candidate BS: the
-// BS's remaining CRUs for the UE's own service and its remaining RRBs,
-// int32 like the store's capacity columns they never exceed.
+// slotView is one UE's own view of one candidate BS, kept when it missed
+// the BS's latest broadcast: the BS's remaining CRUs for the UE's service
+// and its remaining RRBs, int32 like the store's capacity columns they
+// never exceed.
 type slotView struct {
 	cru, rrb int32
 }
 
-// coverRef locates one covered UE's view of a BS: its slot in the flat
-// view array and the service whose CRUs the view mirrors.
-type coverRef struct {
-	slot, svc int32
+// staleViews holds the views of UEs that missed a BS's latest broadcast.
+// A proposer allocates it on the first lost reception, so loss-free runs
+// never do.
+type staleViews struct {
+	// set marks the candidate slots whose UE holds an older view of the
+	// slot's BS than the BS's row; views[slot] is that view.
+	set   Bitset
+	views []slotView
+	// ues[b] lists, in ascending order, the UEs whose view of b is stale.
+	ues [][]mec.UEID
 }
 
 // Proposer is the UE side of the message-passing runtimes (Alg. 1 lines
@@ -39,63 +46,51 @@ type coverRef struct {
 // fit the UE now never will again this run. This is the arena's propose
 // rule, reading views where the arena reads its ledger.
 //
-// Everything is laid out over the network's CSR: the view of UE u's
-// candidate k sits at the global candidate slot Off[u]+k, and u's live
-// list is idx[Off[u] : Off[u]+live[u]], unordered once swap-removal has
-// run, which is why ties break on the candidate index rather than on list
+// A broadcast sends every covered UE the same residuals, so the views of
+// BS b are one row: b's latest broadcast, Services-strided like
+// CSR.CRUCap and MaxRRB, which every covered UE that received it reads.
+// Only a lost reception gives a UE a view of its own (staleViews), kept
+// until the UE receives a later broadcast of that BS. UE u's live list is
+// idx[Off[u] : Off[u]+live[u]], unordered once swap-removal has run,
+// which is why ties break on the candidate index rather than on list
 // position. A UE only ever requests its own service, so its view of a BS
-// mirrors that service's CRUs alone. Propose, Empty and DropBS for u
-// touch only u's entries, so callers may run them concurrently for
-// disjoint UE sets; ApplyBroadcast must not overlap them.
+// reads that service's CRUs alone. Propose, Empty and DropBS for u touch
+// only u's entries, so callers may run them concurrently for disjoint UE
+// sets. A broadcast that misses no UE writes only its BS's row, so while
+// no reception is ever lost, callers may run ApplyBroadcast concurrently
+// for distinct BSs. Neither group may overlap the other.
 type Proposer struct {
-	csr   *mec.CSR
-	cfg   Config
-	live  []int32
-	idx   []int32
-	views []slotView
+	csr  *mec.CSR
+	cfg  Config
+	live []int32
+	idx  []int32
+	// rowCRU[b*Services+j] and rowRRB[b] are BS b's latest broadcast.
+	rowCRU, rowRRB []int32
+	// stale is nil until a reception is lost.
+	stale *staleViews
 	// covered[b] lists the UEs that can hear BS b's broadcasts, in
-	// ascending UE order; refs[b][i] locates covered[b][i]'s view of b.
+	// ascending UE order; nil until Covered first asks.
 	covered [][]mec.UEID
-	refs    [][]coverRef
 }
 
 // NewProposer returns a proposer over net's candidate store, with every
 // candidate live and every view at the store's capacities.
 func NewProposer(net *mec.Network, cfg Config) *Proposer {
 	csr := net.Dense()
-	nUE, nBS, links := csr.UEs(), csr.BSs(), csr.Links()
+	nUE := csr.UEs()
 	p := &Proposer{
-		csr:     csr,
-		cfg:     cfg,
-		live:    make([]int32, nUE),
-		idx:     make([]int32, links),
-		views:   make([]slotView, links),
-		covered: make([][]mec.UEID, nBS),
-		refs:    make([][]coverRef, nBS),
-	}
-	perBS := make([]int, nBS)
-	for _, b := range csr.BS {
-		perBS[b]++
-	}
-	// The per-BS lists are windows of two shared backing arrays.
-	ues := make([]mec.UEID, links)
-	refs := make([]coverRef, links)
-	start := 0
-	for b, n := range perBS {
-		p.covered[b] = ues[start : start : start+n]
-		p.refs[b] = refs[start : start : start+n]
-		start += n
+		csr:    csr,
+		cfg:    cfg,
+		live:   make([]int32, nUE),
+		idx:    make([]int32, csr.Links()),
+		rowCRU: slices.Clone(csr.CRUCap),
+		rowRRB: slices.Clone(csr.MaxRRB),
 	}
 	for u := range nUE {
 		lo, hi := csr.CandRange(mec.UEID(u))
 		p.live[u] = hi - lo
-		svc := csr.Service[u]
 		for g := lo; g < hi; g++ {
-			b := csr.BS[g]
 			p.idx[g] = g - lo
-			p.views[g] = slotView{cru: csr.CRUCap[int(b)*csr.Services+int(svc)], rrb: csr.MaxRRB[b]}
-			p.covered[b] = append(p.covered[b], mec.UEID(u))
-			p.refs[b] = append(p.refs[b], coverRef{slot: g, svc: svc})
 		}
 	}
 	return p
@@ -112,18 +107,24 @@ func (p *Proposer) Propose(u mec.UEID, swept *uint64) (req Request, bs mec.BSID,
 	base := csr.Off[u]
 	live := p.idx[base : base+n]
 	need := csr.CRU[u]
+	svc, stride := int(csr.Service[u]), csr.Services
+	stale := p.stale
 	best := int32(-1)
 	var bestV float64
 	for i := int32(0); i < n; {
 		k := live[i]
 		g := base + k
-		sv := p.views[g]
-		if sv.cru < need || sv.rrb < csr.RRBs[g] {
+		b := csr.BS[g]
+		cru, rrb := p.rowCRU[int(b)*stride+svc], p.rowRRB[b]
+		if stale != nil && stale.set.Get(g) {
+			cru, rrb = stale.views[g].cru, stale.views[g].rrb
+		}
+		if cru < need || rrb < csr.RRBs[g] {
 			n--
 			live[i] = live[n]
 			continue
 		}
-		if v := p.cfg.preference(csr.Price[g], int(sv.cru)+int(sv.rrb)); best < 0 || prefLess(v, k, bestV, best) {
+		if v := p.cfg.preference(csr.Price[g], int(cru)+int(rrb)); best < 0 || prefLess(v, k, bestV, best) {
 			best, bestV = k, v
 		}
 		i++
@@ -164,30 +165,95 @@ func (p *Proposer) DropBS(u mec.UEID, b mec.BSID) {
 }
 
 // Covered returns the UEs in BS b's broadcast range, in ascending order.
-// The slice is owned by the proposer and must not be modified.
-func (p *Proposer) Covered(b mec.BSID) []mec.UEID { return p.covered[b] }
-
-// ApplyBroadcast updates the receivers' views of BS b to the broadcast
-// resources, which must not exceed b's capacities in the store (a BS's
-// residuals never grow past them). Receivers is the subset of Covered(b)
-// whose reception succeeded, best passed in Covered order (then each
-// receiver costs one comparison; others cost a binary search); UEs
-// outside Covered(b) are ignored.
-func (p *Proposer) ApplyBroadcast(b mec.BSID, remCRU []int, remRRBs int, receivers []mec.UEID) {
-	cov, refs := p.covered[b], p.refs[b]
-	i := 0
-	for _, u := range receivers {
-		if i >= len(cov) || cov[i] != u {
-			j, found := slices.BinarySearch(cov, u)
-			if !found {
-				continue
-			}
-			i = j
-		}
-		r := refs[i]
-		p.views[r.slot] = slotView{cru: int32(remCRU[r.svc]), rrb: int32(remRRBs)}
-		i++
+// The first call builds every BS's list; it must not overlap any other
+// call. The slice is owned by the proposer and must not be modified.
+func (p *Proposer) Covered(b mec.BSID) []mec.UEID {
+	if p.covered == nil {
+		p.covered = coverLists(p.csr)
 	}
+	return p.covered[b]
+}
+
+// coverLists returns, for every BS, the UEs that list it as a candidate,
+// in ascending order, as windows of one shared backing array.
+func coverLists(csr *mec.CSR) [][]mec.UEID {
+	perBS := make([]int, csr.BSs())
+	for _, b := range csr.BS {
+		perBS[b]++
+	}
+	ues := make([]mec.UEID, csr.Links())
+	covered := make([][]mec.UEID, len(perBS))
+	start := 0
+	for b, n := range perBS {
+		covered[b] = ues[start : start : start+n]
+		start += n
+	}
+	for u := range csr.UEs() {
+		lo, hi := csr.CandRange(mec.UEID(u))
+		for g := lo; g < hi; g++ {
+			covered[csr.BS[g]] = append(covered[csr.BS[g]], mec.UEID(u))
+		}
+	}
+	return covered
+}
+
+// ApplyBroadcast delivers BS b's broadcast resources, which must not
+// exceed b's capacities in the store (a BS's residuals never grow past
+// them), to every UE of Covered(b) except the missed ones, whose
+// reception was lost: they keep their older view. Missed must be in
+// ascending order without repeats, as Covered lists the UEs; UEs outside
+// Covered(b) are ignored. A broadcast that reaches every covered UE
+// (missed empty) while none holds a stale view of b rewrites only b's
+// row.
+func (p *Proposer) ApplyBroadcast(b mec.BSID, remCRU []int, remRRBs int, missed []mec.UEID) {
+	if len(missed) > 0 || (p.stale != nil && len(p.stale.ues[b]) > 0) {
+		p.restale(b, missed)
+	}
+	row := p.rowCRU[int(b)*p.csr.Services:][:p.csr.Services]
+	for j := range row {
+		row[j] = int32(remCRU[j])
+	}
+	p.rowRRB[b] = int32(remRRBs)
+}
+
+// restale makes missed the UEs with a stale view of b, before b's row
+// takes a new broadcast. A missed UE that already held a stale view keeps
+// it; one that read the row keeps the row's current values as its own.
+// Every other UE that held a stale view received this broadcast and reads
+// the row again.
+func (p *Proposer) restale(b mec.BSID, missed []mec.UEID) {
+	csr := p.csr
+	st := p.stale
+	if st == nil {
+		st = &staleViews{views: make([]slotView, csr.Links()), ues: make([][]mec.UEID, csr.BSs())}
+		st.set.Reset(csr.Links())
+		p.stale = st
+	}
+	row := slotView{rrb: p.rowRRB[b]}
+	old := st.ues[b]
+	next := make([]mec.UEID, 0, len(missed))
+	i := 0
+	for _, u := range missed {
+		g := csr.FindCand(u, b)
+		if g < 0 {
+			continue
+		}
+		for ; i < len(old) && old[i] < u; i++ {
+			st.set.Clear(csr.FindCand(old[i], b))
+		}
+		if i < len(old) && old[i] == u {
+			i++
+		} else {
+			row.cru = p.rowCRU[int(b)*csr.Services+int(csr.Service[u])]
+			st.views[g] = row
+			st.set.Set(g)
+		}
+		next = append(next, u)
+	}
+	for ; i < len(old); i++ {
+		st.set.Clear(csr.FindCand(old[i], b))
+	}
+	st.ues[b] = next
 }
 
 // prefLess orders candidates by (Eq. 17 value, candidate index). The

@@ -73,7 +73,7 @@ func ledgerLeg(t *testing.T, net *mec.Network, p *engine.Proposer) (func(*rng.So
 		for j := range cru {
 			cru[j] = state.RemainingCRU(b, mec.ServiceID(j))
 		}
-		p.ApplyBroadcast(b, cru, state.RemainingRRBs(b), p.Covered(b))
+		p.ApplyBroadcast(b, cru, state.RemainingRRBs(b), nil)
 	}
 	res := func(u mec.UEID, k int) (int, int) {
 		return state.Residual(cands(net, u)[k].BS, net.UEs[u].Service)
@@ -127,15 +127,16 @@ func viewsLeg(net *mec.Network, p *engine.Proposer) (func(*rng.Source), residual
 			cru[svc] = max(0, cru[svc]-src.Intn(3))
 			*rrb = max(0, *rrb-src.Intn(3))
 		}
-		var receivers []mec.UEID
+		var missed []mec.UEID
 		for _, v := range cov {
-			if src.Float64() < 0.7 {
-				receivers = append(receivers, v)
-				k := slices.IndexFunc(cands(net, v), func(l mec.Link) bool { return l.BS == b })
-				shadow[v][k] = view{cru[net.UEs[v].Service], *rrb}
+			if src.Float64() >= 0.7 {
+				missed = append(missed, v)
+				continue
 			}
+			k := slices.IndexFunc(cands(net, v), func(l mec.Link) bool { return l.BS == b })
+			shadow[v][k] = view{cru[net.UEs[v].Service], *rrb}
 		}
-		p.ApplyBroadcast(b, cru, *rrb, receivers)
+		p.ApplyBroadcast(b, cru, *rrb, missed)
 	}
 	res := func(u mec.UEID, k int) (int, int) {
 		return shadow[u][k].cru, shadow[u][k].rrb
@@ -148,7 +149,8 @@ func viewsLeg(net *mec.Network, p *engine.Proposer) (func(*rng.Source), residual
 // checking every proposal (target, request, and the candidate-index
 // tie-break) against the full sweep. It runs two legs: views lowered by
 // loss-free broadcasts of a mec.State ledger lowered by grants, and views
-// lowered by lossy broadcasts. Half the scenarios have one SP and
+// lowered by lossy broadcasts; the loss-free leg must build no per-slot
+// view state. Half the scenarios have one SP and
 // distance-free pricing, so every link has the same price and Eq. 17
 // ties whenever residuals match.
 func TestProposerMatchesNaiveSweep(t *testing.T) {
@@ -178,6 +180,9 @@ func TestProposerMatchesNaiveSweep(t *testing.T) {
 				p := engine.NewProposer(net, cfg)
 				lower, res := leg.leg(p)
 				ties += checkProposerLeg(t, cfg, net, p, res, lower, rng.New(seed).SplitLabeled("propose-"+leg.name))
+				if leg.name == "ledger" && p.SlotStateForTest() {
+					t.Fatalf("rho %g seed %d: loss-free broadcasts built per-slot view state", rho, seed)
+				}
 			}
 		}
 	}

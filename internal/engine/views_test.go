@@ -21,8 +21,10 @@ func viewOf(t *testing.T, net *mec.Network, p *engine.Proposer, u mec.UEID, b me
 }
 
 // TestViewTableBroadcast pins the Proposer's view bookkeeping: initial
-// views equal the deployment capacities, and ApplyBroadcast updates
-// exactly the receivers, in or out of Covered order.
+// views equal the deployment capacities, a broadcast reaches every
+// covered UE but the missed ones, which keep their older view however
+// many broadcasts they miss, and a broadcast that misses no one brings
+// every view back to the BS's row.
 func TestViewTableBroadcast(t *testing.T) {
 	wl := workload.RandomShape(5)
 	wl.UEs = 40
@@ -34,36 +36,37 @@ func TestViewTableBroadcast(t *testing.T) {
 
 	var b mec.BSID = -1
 	for bb := range net.BSs {
-		if len(p.Covered(mec.BSID(bb))) >= 2 {
+		if len(p.Covered(mec.BSID(bb))) >= 3 {
 			b = mec.BSID(bb)
 			break
 		}
 	}
 	if b < 0 {
-		t.Skip("scenario has no BS covering two UEs")
+		t.Skip("scenario has no BS covering three UEs")
 	}
 	covered := p.Covered(b)
-	for _, u := range covered {
-		remCRU, remRRBs := viewOf(t, net, p, u, b)
-		if want := net.BSs[b].CRUCapacity[net.UEs[u].Service]; remCRU != want || remRRBs != net.BSs[b].MaxRRBs {
-			t.Fatalf("UE %d initial view of BS %d: (%d, %d), want (%d, %d)",
-				u, b, remCRU, remRRBs, want, net.BSs[b].MaxRRBs)
+	first, last := covered[0], covered[len(covered)-1]
+	capRRB := net.BSs[b].MaxRRBs
+	capCRU := func(u mec.UEID) int { return net.BSs[b].CRUCapacity[net.UEs[u].Service] }
+	check := func(step string, u mec.UEID, wantCRU, wantRRB int) {
+		t.Helper()
+		if remCRU, remRRBs := viewOf(t, net, p, u, b); remCRU != wantCRU || remRRBs != wantRRB {
+			t.Fatalf("%s: UE %d view of BS %d is (%d, %d), want (%d, %d)", step, u, b, remCRU, remRRBs, wantCRU, wantRRB)
 		}
 	}
+	for _, u := range covered {
+		check("initial", u, capCRU(u), capRRB)
+	}
 
-	// Broadcast to all covered UEs but the last: the missed receiver keeps
-	// its stale view.
+	// The last covered UE misses the first broadcast.
 	updated := make([]int, net.Services)
-	p.ApplyBroadcast(b, updated, 1, covered[:len(covered)-1])
-	if remCRU, remRRBs := viewOf(t, net, p, covered[0], b); remCRU != 0 || remRRBs != 1 {
-		t.Errorf("receiver view: (%d, %d), want (0, 1)", remCRU, remRRBs)
-	}
-	if _, remRRBs := viewOf(t, net, p, covered[len(covered)-1], b); remRRBs != net.BSs[b].MaxRRBs {
-		t.Errorf("missed receiver saw the broadcast: remRRBs=%d", remRRBs)
-	}
+	p.ApplyBroadcast(b, updated, 1, []mec.UEID{last})
+	check("first broadcast, receiver", first, 0, 1)
+	check("first broadcast, missed", last, capCRU(last), capRRB)
 
-	// Receivers out of Covered order, plus a UE outside b's range: every
-	// covered receiver still updates and the stranger is ignored.
+	// The second broadcast misses the first and the last covered UE,
+	// listed with a UE outside b's range: the last keeps the capacities,
+	// the first the first broadcast, the rest read the second.
 	var stranger mec.UEID = -1
 	for u := range net.UEs {
 		if !slices.Contains(covered, mec.UEID(u)) {
@@ -71,16 +74,25 @@ func TestViewTableBroadcast(t *testing.T) {
 			break
 		}
 	}
-	receivers := append([]mec.UEID{stranger}, covered...)
-	slices.Reverse(receivers)
 	for j := range updated {
 		updated[j] = j + 1
 	}
-	p.ApplyBroadcast(b, updated, 3, receivers)
+	missed := []mec.UEID{first, last}
+	if stranger >= 0 {
+		missed = append(missed, stranger)
+		slices.Sort(missed)
+	}
+	p.ApplyBroadcast(b, updated, 3, missed)
+	check("second broadcast, missed twice", last, capCRU(last), capRRB)
+	check("second broadcast, missed once", first, 0, 1)
+	for _, u := range covered[1 : len(covered)-1] {
+		check("second broadcast, receiver", u, int(net.UEs[u].Service)+1, 3)
+	}
+
+	// A broadcast that misses no one reaches every covered UE.
+	clear(updated)
+	p.ApplyBroadcast(b, updated, 2, nil)
 	for _, u := range covered {
-		svc := net.UEs[u].Service
-		if remCRU, remRRBs := viewOf(t, net, p, u, b); remCRU != int(svc)+1 || remRRBs != 3 {
-			t.Fatalf("UE %d after unordered broadcast: (%d, %d), want (%d, 3)", u, remCRU, remRRBs, svc+1)
-		}
+		check("loss-free broadcast", u, 0, 2)
 	}
 }

@@ -407,17 +407,18 @@ func (r *runner) broadcast(round int, bs *bsAgent) {
 	remCRU := append([]int(nil), bs.led.RemainingCRU()...)
 	remRRB := bs.led.RemainingRRBs()
 	bsID := bs.id
-	var receivers []mec.UEID
-	for _, u := range r.prop.Covered(bsID) {
-		if r.lost() {
-			continue
+	var missed []mec.UEID
+	if r.loss != nil {
+		for _, u := range r.prop.Covered(bsID) {
+			if r.lost() {
+				missed = append(missed, u)
+			}
 		}
-		receivers = append(receivers, u)
 	}
 	r.engine.Schedule(r.cfg.LatencyS, func() {
 		// A UE that missed the reception keeps its older view, which
 		// only over-promises: broadcasts arrive in order and residuals
 		// never grow, so every view stays monotone non-increasing.
-		r.prop.ApplyBroadcast(bsID, remCRU, remRRB, receivers)
+		r.prop.ApplyBroadcast(bsID, remCRU, remRRB, missed)
 	})
 }

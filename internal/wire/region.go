@@ -27,14 +27,14 @@ type RegionConfig struct {
 	// Regions is the number of region coordinators. Base stations are
 	// partitioned geographically (geo.Partition over BS positions, riding
 	// the same grid the link builder queries), each coordinator owns the
-	// BSs of one region plus the UEs homed there, and proposals that
-	// cross a region boundary are handed to the owning region. Results
-	// are byte-identical for every value: each BS's batch is merged in
-	// global UE order whichever regions proposed to it, and a BS's
-	// verdicts and broadcast touch only the UEs that proposed to it and
-	// the views of that BS, so regioning changes wall-clock and
-	// ownership, never outcome. Regions <= 0 or 1 is a single
-	// coordinator.
+	// BSs of one region plus the UEs homed there (each UE at its nearest
+	// candidate BS), and proposals that cross a region boundary are
+	// handed to the owning region. Results are byte-identical for every
+	// value: each BS's batch is merged in global UE order whichever
+	// regions proposed to it, and a BS's verdicts and broadcast touch
+	// only the UEs that proposed to it and the views of that BS, so
+	// regioning changes wall-clock, ownership and the handoff count,
+	// never outcome. Regions <= 0 or 1 is a single coordinator.
 	Regions int
 	// ExchangeTimeout bounds every frame written to or read from a BS
 	// connection, including the shutdown frames. A hung BS fails the run
@@ -247,18 +247,59 @@ type regionTally struct {
 	requests, handoffs, frames int
 }
 
+// partition splits net into regions: BS b belongs to regionOf[b], from
+// geo.Partition over the BS positions (riding the same grid the link
+// builder queries), and every UE is homed in the region of its nearest
+// candidate BS (least DistanceM, ties to the lower candidate index); a UE
+// with no candidates is cloud-bound and parks in region 0. regionUEs[r]
+// lists region r's UEs in ascending order, and boundary counts the UEs
+// whose candidates span two or more regions. Homing by nearest BS spreads
+// the UEs over the regions as the BSs are spread, which balances the
+// parallel propose phase, and keeps most proposals inside their region.
+func partition(net_ *mec.Network, regions int) (regionOf []int, regionUEs [][]int, boundary int, err error) {
+	bsPts := make([]geo.Point, len(net_.BSs))
+	for b := range net_.BSs {
+		bsPts[b] = net_.BSs[b].Pos
+	}
+	if regionOf, err = geo.Partition(bsPts, regions); err != nil {
+		return nil, nil, 0, err
+	}
+	csr := net_.Dense()
+	regionUEs = make([][]int, regions)
+	for u := range csr.UEs() {
+		lo, hi := csr.CandRange(mec.UEID(u))
+		home, spans := 0, false
+		if hi > lo {
+			near, first := lo, regionOf[csr.BS[lo]]
+			for k := lo + 1; k < hi; k++ {
+				if csr.DistanceM[k] < csr.DistanceM[near] {
+					near = k
+				}
+				spans = spans || regionOf[csr.BS[k]] != first
+			}
+			home = regionOf[csr.BS[near]]
+		}
+		regionUEs[home] = append(regionUEs[home], u)
+		if spans {
+			boundary++
+		}
+	}
+	return regionOf, regionUEs, boundary, nil
+}
+
 // RunRegionCluster executes DMRA with one TCP server per base station,
 // driven by rc.Regions coordinator goroutines that each own a
 // geographically contiguous group of base stations (geo.Partition over BS
-// positions) and the UEs homed in their region. Every round, each region
-// proposes for its own pending UEs in parallel, filing each request under
-// the target BS in a sub-batch of its own; a proposal whose target BS
-// lives in another region counts as a cross-region handoff. Each region
-// then merges its BSs' sub-batches in global UE order, writes all of its
-// BSs' requests, and reads their responses in BS order, applying each
-// BS's verdicts and broadcast as it arrives. A UE proposes to one BS per
-// round and a broadcast updates only views of its own BS, so the regions'
-// applies touch disjoint state, and the assignment, the ordered obs event
+// positions) and the UEs homed in their region, each UE at its nearest
+// candidate BS. Every round, each region proposes for its own pending UEs
+// in parallel, filing each request under the target BS in a sub-batch of
+// its own; a proposal whose target BS lives in another region counts as
+// a cross-region handoff. Each region then merges its BSs' sub-batches in
+// global UE order, writes all of its BSs' requests, and reads their
+// responses in BS order, applying each BS's verdicts and broadcast as it
+// arrives. A UE proposes to one BS per round and a broadcast rewrites
+// only its own BS's row of views, so the regions' applies touch disjoint
+// state, and the assignment, the ordered obs event
 // stream (emitted by the calling goroutine in global UE/BS order), frame
 // counts, and per-BS byte totals are byte-identical for every region
 // count, and the assignment identical to alloc.NewDMRA(rc.DMRA).Allocate
@@ -288,37 +329,11 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	res.Regions = regions
 	rec := rc.Obs
 
-	// Geographic partition: region of BS b from the grid-backed
-	// partition; home region of UE u from its first candidate BS (a UE
-	// with no candidates is cloud-bound and parks in region 0).
-	bsPts := make([]geo.Point, len(net_.BSs))
-	for b := range net_.BSs {
-		bsPts[b] = net_.BSs[b].Pos
-	}
-	regionOf, err := geo.Partition(bsPts, regions)
+	regionOf, regionUEs, boundary, err := partition(net_, regions)
 	if err != nil {
 		return res, err
 	}
-	res.BSRegions = regionOf
-	regionUEs := make([][]int, regions)
-	csr := net_.Dense()
-	for u := range net_.UEs {
-		lo, hi := csr.CandRange(mec.UEID(u))
-		home := 0
-		spans := false
-		if hi > lo {
-			home = regionOf[csr.BS[lo]]
-			for k := lo + 1; k < hi; k++ {
-				if regionOf[csr.BS[k]] != home {
-					spans = true
-				}
-			}
-		}
-		regionUEs[home] = append(regionUEs[home], u)
-		if spans {
-			res.BoundaryUEs++
-		}
-	}
+	res.BSRegions, res.BoundaryUEs = regionOf, boundary
 	regionBSs := make([][]int, regions)
 	for b := range net_.BSs {
 		regionBSs[regionOf[b]] = append(regionBSs[regionOf[b]], b)
@@ -335,7 +350,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	// homes, so the parallel propose phase is race-free. In the exchange
 	// phase each region applies only its own BSs' verdicts (to UEs that
 	// proposed to those BSs, one BS per UE) and broadcasts (to those BSs'
-	// view slots), so the parallel apply is race-free too.
+	// rows of views), so the parallel apply is race-free too.
 	prop := engine.NewProposer(net_, rc.DMRA)
 
 	servers := make([]*BSServer, len(net_.BSs))
@@ -419,7 +434,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		// proposer's first sweep of each UE re-drops them and the
 		// continuation is byte-identical.
 		for b := range net_.BSs {
-			prop.ApplyBroadcast(mec.BSID(b), cp.cruRow(b), cp.RemRRB[b], prop.Covered(mec.BSID(b)))
+			prop.ApplyBroadcast(mec.BSID(b), cp.cruRow(b), cp.RemRRB[b], nil)
 		}
 	}
 
@@ -528,8 +543,8 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 
 	// apply takes BS b's answered round into the UE side: accepted UEs are
 	// served by b, permanently rejected ones drop b, and every covered
-	// UE's view of b takes the broadcast. Only UEs that proposed to b and
-	// views of b are written, so regions apply concurrently.
+	// UE's view of b takes the broadcast (b's row). Only UEs that proposed
+	// to b and b's row are written, so regions apply concurrently.
 	apply := func(b int, resp *RoundResponse) {
 		bs := mec.BSID(b)
 		for _, v := range resp.Verdicts {
@@ -539,7 +554,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 				prop.DropBS(v.UE, bs)
 			}
 		}
-		prop.ApplyBroadcast(bs, resp.RemainingCRU, resp.RemainingRRBs, prop.Covered(bs))
+		prop.ApplyBroadcast(bs, resp.RemainingCRU, resp.RemainingRRBs, nil)
 	}
 
 	// checkResponse rejects a response apply could not take safely: a

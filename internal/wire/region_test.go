@@ -16,6 +16,7 @@ import (
 	"dmra/internal/engine"
 	"dmra/internal/mec"
 	"dmra/internal/obs"
+	"dmra/internal/workload"
 )
 
 // testRegionCount returns the region count chaos-style tests run under.
@@ -38,6 +39,61 @@ func setAfterRoundHook(t *testing.T, hook func(round int) error) {
 	t.Helper()
 	testHookAfterRound = hook
 	t.Cleanup(func() { testHookAfterRound = nil })
+}
+
+// TestRegionHomeBalance pins the home rule on the benchmark's cluster
+// city (the dense city with UEs and hotspots ×16): at two regions no
+// region homes more than 60% of the UEs, so neither half of the parallel
+// propose phase carries the run. Homing by lowest candidate BS ID put
+// 78-81% of them in region 0 on these seeds. Every UE is homed exactly
+// once, in ascending order, in the region of a nearest candidate BS.
+func TestRegionHomeBalance(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		cfg := workload.DenseCity()
+		cfg.UEs *= 16
+		cfg.HotspotCount *= 16
+		net_, err := cfg.Build(seed)
+		if err != nil {
+			t.Fatalf("seed %d: build: %v", seed, err)
+		}
+		regionOf, regionUEs, _, err := partition(net_, 2)
+		if err != nil {
+			t.Fatalf("seed %d: partition: %v", seed, err)
+		}
+		homed := 0
+		for r, ues := range regionUEs {
+			if share := float64(len(ues)) / float64(len(net_.UEs)); share > 0.6 {
+				t.Errorf("seed %d: region %d homes %d of %d UEs (%.0f%%), want at most 60%%",
+					seed, r, len(ues), len(net_.UEs), 100*share)
+			}
+			for i, u := range ues {
+				if i > 0 && ues[i-1] >= u {
+					t.Fatalf("seed %d: region %d's UEs not ascending at %d", seed, r, i)
+				}
+				lo, hi := net_.CandRange(mec.UEID(u))
+				if hi == lo {
+					continue
+				}
+				nearest := net_.LinkAt(mec.UEID(u), lo).DistanceM
+				for k := lo + 1; k < hi; k++ {
+					nearest = min(nearest, net_.LinkAt(mec.UEID(u), k).DistanceM)
+				}
+				home := false
+				for k := lo; k < hi; k++ {
+					if l := net_.LinkAt(mec.UEID(u), k); l.DistanceM == nearest && regionOf[l.BS] == r {
+						home = true
+					}
+				}
+				if !home {
+					t.Fatalf("seed %d: UE %d homed in region %d, which holds none of its nearest BSs", seed, u, r)
+				}
+			}
+			homed += len(ues)
+		}
+		if homed != len(net_.UEs) {
+			t.Fatalf("seed %d: %d UEs homed, want %d", seed, homed, len(net_.UEs))
+		}
+	}
 }
 
 // TestRegionClusterTopology checks the geographic partition and its

@@ -179,16 +179,20 @@ func isClosed(err error) bool {
 // process runs Alg. 1 lines 11-26 — selection, the preference-order trim,
 // admission against the private ledger — through the engine's select
 // round, then snapshots the ledger into the resource broadcast, filling
-// resp. A select failure or a ledger that fails its invariant check is
-// recorded for Close and reported in-band via RoundResponse.Error, so the
-// coordinator fails the round instead of applying verdicts from a broken
-// book.
+// resp. A batch checkRequests refuses, a select failure or a ledger that
+// fails its invariant check is recorded for Close and reported in-band
+// via RoundResponse.Error, so the coordinator fails the round instead of
+// applying verdicts from a broken book.
 func (s *BSServer) process(req *RoundRequest, resp *RoundResponse) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	*resp = RoundResponse{Round: req.Round, Verdicts: resp.Verdicts[:0], RemainingCRU: resp.RemainingCRU[:0]}
-	verdicts, err := s.cfg.SelectRound(s.led, req.Requests, &s.sel)
+	var verdicts []engine.Verdict
+	err := checkRequests(req.Requests, len(s.led.RemainingCRU()))
+	if err == nil {
+		verdicts, err = s.cfg.SelectRound(s.led, req.Requests, &s.sel)
+	}
 	if err == nil {
 		err = s.led.CheckInvariants()
 	}
@@ -203,4 +207,21 @@ func (s *BSServer) process(req *RoundRequest, resp *RoundResponse) {
 	}
 	resp.RemainingCRU = append(resp.RemainingCRU, s.led.RemainingCRU()...)
 	resp.RemainingRRBs = s.led.RemainingRRBs()
+}
+
+// checkRequests refuses a batch the select round cannot take safely: a
+// request for a service outside the ledger's services, which select
+// would index past its rows with, or with a negative demand, which would
+// grow the ledger past its capacities. The decoder accepts any integer,
+// so these come from a peer, not from a coordinator's proposer.
+func checkRequests(reqs []Request, services int) error {
+	for _, r := range reqs {
+		if r.Service < 0 || int(r.Service) >= services {
+			return fmt.Errorf("%w: UE %d requests service %d, the BS serves %d", errMalformed, r.UE, r.Service, services)
+		}
+		if r.CRUs < 0 || r.RRBs < 0 {
+			return fmt.Errorf("%w: UE %d requests %d CRUs and %d RRBs", errMalformed, r.UE, r.CRUs, r.RRBs)
+		}
+	}
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,6 +138,56 @@ func TestBSServerLifecycle(t *testing.T) {
 	// Double close is safe.
 	if err := s.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestBSServerRejectsBadRequests sends a one-service BS requests its
+// select round cannot take: a service it does not serve (which used to
+// panic indexing its ledger, taking the process down) and negative
+// demands. Each gets an in-band error frame naming the problem, the
+// ledger stays untouched, the server keeps answering, and Close reports
+// the first failure.
+func TestBSServerRejectsBadRequests(t *testing.T) {
+	s, err := StartBS(0, []int{10}, 10, alloc.DefaultDMRAConfig(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bad := []struct {
+		req  Request
+		want string
+	}{
+		{Request{UE: 3, Service: 5, CRUs: 1, RRBs: 1}, "service 5"},
+		{Request{UE: 3, Service: -1, CRUs: 1, RRBs: 1}, "service -1"},
+		{Request{UE: 4, Service: 0, CRUs: -3, RRBs: 1}, "-3 CRUs"},
+		{Request{UE: 4, Service: 0, CRUs: 1, RRBs: -2}, "-2 RRBs"},
+	}
+	for i, c := range bad {
+		var resp RoundResponse
+		if err := exchange(conn, time.Second, &RoundRequest{Round: i + 1, Requests: []Request{c.req}}, &resp); err != nil {
+			t.Fatalf("%+v: exchange: %v", c.req, err)
+		}
+		if !strings.Contains(resp.Error, c.want) || len(resp.Verdicts) != 0 {
+			t.Fatalf("%+v: response %+v, want an error naming %q", c.req, resp, c.want)
+		}
+	}
+	var resp RoundResponse
+	ok := RoundRequest{Round: 9, Requests: []Request{{UE: 5, Service: 0, CRUs: 4, RRBs: 3}}}
+	if err := exchange(conn, time.Second, &ok, &resp); err != nil {
+		t.Fatalf("valid request after the bad ones: %v", err)
+	}
+	if resp.Error != "" || len(resp.Verdicts) != 1 || !resp.Verdicts[0].Accepted ||
+		resp.RemainingCRU[0] != 6 || resp.RemainingRRBs != 7 {
+		t.Fatalf("valid request after the bad ones: %+v, want UE 5 admitted against the full ledger", resp)
+	}
+	conn.Close()
+	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "service 5") {
+		t.Fatalf("close: %v, want the first bad request's error", err)
 	}
 }
 

@@ -2,7 +2,8 @@
 # Full verification gate: gofmt and vet plus the race-enabled test
 # suite, which exercises the parallel experiment engine at several worker
 # counts, the race-enabled parity sweeps, fixed-budget fuzz runs of the
-# wire frame and checkpoint decoders, of the feasibility validator, of
+# wire frame and checkpoint decoders, of the BS server's round handler,
+# of the feasibility validator, of
 # the radio link kernel and of the differential parity harness, a
 # one-iteration smoke run of the hot-path benchmarks with the non-race
 # allocation-count tests, vet and tests of the bench/ module, and the
@@ -17,7 +18,7 @@
 #   scripts/check.sh bench-smoke       only the one-iteration benchmark smoke run + the allocation-count tests
 #   scripts/check.sh engine-guard      only the single-round-engine grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
-#   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders
+#   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders + the 10 s FuzzServeRequests run of the BS server's round handler
 #   scripts/check.sh mec-fuzz          only the 10 s FuzzValidateAssignment run of the feasibility validator against the ledger replay
 #   scripts/check.sh radio-fuzz        only the 10 s FuzzPow10 and FuzzLog2 runs of the link kernel against the standard library
 #   scripts/check.sh region-parity     only the race-enabled wire suite at several region counts
@@ -69,7 +70,11 @@ wire_fuzz() {
 	# JSON; capping minimization keeps the budget on new inputs.
 	go test -run '^$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/wire/
 	go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 100x ./internal/wire/
-	echo "wire fuzz: FuzzReadFrame ran 20 s and FuzzLoadCheckpoint 10 s without a failure"
+	# A BS server answers whatever request frames decode: a frame naming
+	# a service it does not serve or a negative demand must get an
+	# in-band error, never a panic that takes the server down.
+	go test -run '^$' -fuzz FuzzServeRequests -fuzztime 10s ./internal/wire/
+	echo "wire fuzz: FuzzReadFrame ran 20 s, FuzzLoadCheckpoint 10 s and FuzzServeRequests 10 s without a failure"
 }
 
 mec_fuzz() {
