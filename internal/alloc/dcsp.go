@@ -34,9 +34,10 @@ func Occupation(s *mec.State, b mec.BSID) float64 {
 	if capTotal == 0 {
 		return 1
 	}
-	rem := s.RemainingRRBs(b)
-	for j := 0; j < s.Network().Services; j++ {
-		rem += s.RemainingCRU(b, mec.ServiceID(j))
+	book := s.Book()
+	rem := int(book.RRB[b])
+	for _, c := range book.Row(b) {
+		rem += int(c)
 	}
 	return 1 - float64(rem)/float64(capTotal)
 }

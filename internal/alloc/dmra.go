@@ -164,12 +164,13 @@ func ArenaHooks(rec *obs.Recorder) *engine.SoAHooks {
 			}
 		},
 		RoundDone: func(_ int, a *engine.Arena) {
-			for b := 0; b < a.BSs(); b++ {
+			book := a.Book()
+			for b, rrbs := range book.RRB {
 				crus := 0
-				for j := 0; j < a.Services(); j++ {
-					crus += a.RemCRU(b, j)
+				for _, c := range book.Row(mec.BSID(b)) {
+					crus += int(c)
 				}
-				rec.Residual(b, crus, a.RemRRB(b))
+				rec.Residual(b, crus, int(rrbs))
 			}
 			rec.Unmatched(a.UEs() - a.AssignedCount())
 			rec.SweptCandidates(int64(a.Swept()))

@@ -29,30 +29,10 @@ func (d *NaiveDMRA) Allocate(net *mec.Network) (Result, error) {
 	return res, nil
 }
 
-// stateLedger adapts one BS's slice of the shared mec.State to the
-// engine.Ledger the naive reference's select phase admits against.
-type stateLedger struct {
-	state *mec.State
-	bs    mec.BSID
-}
-
-// Residual implements engine.Ledger.
-func (l *stateLedger) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
-	return l.state.Residual(l.bs, j)
-}
-
-// Admit implements engine.Ledger by granting through the shared state,
-// which enforces the capacity constraints once more. The engine only
-// admits after a Residual feasibility check, so a failure here is a real
-// bug, not a trim.
-func (l *stateLedger) Admit(r engine.Request) error {
-	return l.state.Assign(r.UE, l.bs)
-}
-
 // Preference evaluates v_{u,i} (Eq. 17) under the current ledger.
 func (d *DMRA) Preference(s *mec.State, l mec.Link) float64 {
-	ue := &s.Network().UEs[l.UE]
-	return d.cfg.Preference(l, s.RemainingCRU(l.BS, ue.Service), s.RemainingRRBs(l.BS))
+	remCRU, remRRBs := s.Book().Residual(l.BS, s.Network().UEs[l.UE].Service)
+	return d.cfg.Preference(l, remCRU, remRRBs)
 }
 
 // applyVerdicts folds one BS's round verdicts into the run statistics and
@@ -80,15 +60,18 @@ func (d *DMRA) applyVerdicts(b mec.BSID, verdicts []engine.Verdict, stats *Stats
 // AllocateInto runs the reference Alg. 1 implementation to quiescence,
 // writing into res: a full Eq. 17 sweep per proposal over a shrinking
 // candidate set, with fresh buffers every round. The parity harness
-// asserts the engine matches it bit for bit. Both paths share the engine's select phase — the
-// engine/naive split is about how proposals are scored, which is the
-// part the engine's propose paths accelerate.
+// asserts the engine matches it bit for bit. Both paths share the
+// engine's select phase — the engine/naive split is about how proposals
+// are scored, which is the part the engine's propose paths accelerate —
+// but the reference runs it on a scratch copy of the BS's row and then
+// grants each admission through mec.State.Assign, which checks the
+// capacities once more on its own.
 func (d *NaiveDMRA) AllocateInto(net *mec.Network, res *Result) error {
 	state := mec.NewState(net)
 	cands := newCandidateSet(net)
 	var stats Stats
 	var sel engine.SelectScratch
-	led := stateLedger{state: state}
+	var row mec.Book
 
 	// inbox[b] collects the service requests BS b received this iteration.
 	inbox := make([][]engine.Request, len(net.BSs))
@@ -144,7 +127,7 @@ func (d *NaiveDMRA) AllocateInto(net *mec.Network, res *Result) error {
 		}
 		if !anyRequest {
 			if d.hook != nil {
-				snap.CaptureState(state, stats.Iterations)
+				engine.Capture(snap, stats.Iterations, state.Book(), state.Snapshot().ServingBS)
 				d.hook(snap)
 			}
 			break
@@ -157,15 +140,21 @@ func (d *NaiveDMRA) AllocateInto(net *mec.Network, res *Result) error {
 				continue
 			}
 			inbox[b] = nil
-			led.bs = mec.BSID(b)
-			verdicts, err := d.cfg.SelectRound(&led, reqs, &sel)
-			if err != nil {
-				return fmt.Errorf("alloc: DMRA admit: %w", err)
+			book := state.Book()
+			row.Reset(book.Services, book.Row(mec.BSID(b)), book.RRB[b:b+1])
+			verdicts := d.cfg.SelectRound(&row, 0, reqs, &sel)
+			for _, v := range verdicts {
+				if !v.Accepted {
+					continue
+				}
+				if err := state.Assign(v.Req.UE, mec.BSID(b)); err != nil {
+					return fmt.Errorf("alloc: DMRA admit: %w", err)
+				}
 			}
 			d.applyVerdicts(mec.BSID(b), verdicts, &stats)
 		}
 		if d.hook != nil {
-			snap.CaptureState(state, stats.Iterations)
+			engine.Capture(snap, stats.Iterations, state.Book(), state.Snapshot().ServingBS)
 			d.hook(snap)
 		}
 		if d.obs != nil {
@@ -205,12 +194,13 @@ func (d *DMRA) bestCandidate(s *mec.State, cands *candidateSet, u mec.UEID) (int
 // (CRUs summed over services, RRBs) and the unmatched-UE count. Called
 // once per select phase, only when an observer is attached.
 func (d *DMRA) observeRound(net *mec.Network, state *mec.State) {
-	for b := range net.BSs {
+	book := state.Book()
+	for b, rrbs := range book.RRB {
 		crus := 0
-		for j := 0; j < net.Services; j++ {
-			crus += state.RemainingCRU(mec.BSID(b), mec.ServiceID(j))
+		for _, c := range book.Row(mec.BSID(b)) {
+			crus += int(c)
 		}
-		d.obs.Residual(b, crus, state.RemainingRRBs(mec.BSID(b)))
+		d.obs.Residual(b, crus, int(rrbs))
 	}
 	unmatched := 0
 	for u := range net.UEs {

@@ -699,9 +699,9 @@ func (h *churn) epoch() {
 					t.Fatalf("final snapshot: UE %d on %d, engine %d", u, last.ServingBS[u], b)
 				}
 			}
-			for b := range h.net.BSs {
-				if last.RemRRB[b] != h.inc.RemRRB(b) {
-					t.Fatalf("final snapshot: BS %d residual RRBs %d, engine %d", b, last.RemRRB[b], h.inc.RemRRB(b))
+			for b, rem := range h.inc.Book().RRB {
+				if last.RemRRB[b] != int(rem) {
+					t.Fatalf("final snapshot: BS %d residual RRBs %d, engine %d", b, last.RemRRB[b], rem)
 				}
 			}
 		}
@@ -736,14 +736,15 @@ func (h *churn) epoch() {
 		out[u] = mec.BSID(b)
 	}
 	validate(t, "incremental", h.net, out)
-	for b := 0; b < len(h.net.BSs); b++ {
-		for j := 0; j < h.net.Services; j++ {
-			if got, want := h.inc.RemCRU(b, j), h.state.RemainingCRU(mec.BSID(b), mec.ServiceID(j)); got != want {
-				t.Fatalf("BS %d service %d: delta residual CRUs %d, from-scratch %d", b, j, got, want)
-			}
+	got, want := h.inc.Book(), h.state.Book()
+	for i := range want.CRU {
+		if got.CRU[i] != want.CRU[i] {
+			t.Fatalf("BS %d service %d: delta residual CRUs %d, from-scratch %d", i/want.Services, i%want.Services, got.CRU[i], want.CRU[i])
 		}
-		if got, want := h.inc.RemRRB(b), h.state.RemainingRRBs(mec.BSID(b)); got != want {
-			t.Fatalf("BS %d: delta residual RRBs %d, from-scratch %d", b, got, want)
+	}
+	for b := range want.RRB {
+		if got.RRB[b] != want.RRB[b] {
+			t.Fatalf("BS %d: delta residual RRBs %d, from-scratch %d", b, got.RRB[b], want.RRB[b])
 		}
 	}
 }

@@ -41,18 +41,16 @@ func TestSelectRoundAllocationFree(t *testing.T) {
 	for i := range reqs {
 		reqs[i].Service = mec.ServiceID(src.Intn(8))
 	}
-	cru := make([]int, 8)
+	cru := make([]int32, 8)
 	for j := range cru {
 		cru[j] = 40
 	}
 	cfg := DefaultConfig()
-	led := NewBSLedger(cru, 30)
+	var book mec.Book
 	var sc SelectScratch
 	round := func() {
-		led.Reset(cru, 30)
-		if _, err := cfg.SelectRound(led, reqs, &sc); err != nil {
-			t.Fatal(err)
-		}
+		book.Reset(len(cru), cru, []int32{30})
+		cfg.SelectRound(&book, 0, reqs, &sc)
 	}
 	round()
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"strings"
 	"testing"
 
 	"dmra/internal/engine"
@@ -35,32 +34,5 @@ func TestRoundBound(t *testing.T) {
 		if got < covered+1 {
 			t.Fatalf("seed %d: RoundBound %d below covered-UE bound %d", seed, got, covered+1)
 		}
-	}
-}
-
-// TestBSLedgerCheckInvariants drives the ledger's consistency check
-// through its three verdicts: healthy, negative CRUs, negative RRBs.
-func TestBSLedgerCheckInvariants(t *testing.T) {
-	led := engine.NewBSLedger([]int{5, 0}, 3)
-	if err := led.CheckInvariants(); err != nil {
-		t.Fatalf("fresh ledger flagged invalid: %v", err)
-	}
-	if err := led.Admit(engine.Request{Service: 0, CRUs: 5, RRBs: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := led.CheckInvariants(); err != nil {
-		t.Fatalf("exactly-drained ledger flagged invalid: %v", err)
-	}
-
-	led.Reset([]int{2, -1}, 3)
-	err := led.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "service 1") {
-		t.Fatalf("negative CRU residual not flagged: %v", err)
-	}
-
-	led.Reset([]int{2}, -4)
-	err = led.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "RRBs") {
-		t.Fatalf("negative RRB residual not flagged: %v", err)
 	}
 }

@@ -8,13 +8,13 @@
 //   - the BS-side per-service selection with the full tie-break chain
 //     (same-SP, smallest f_u, smallest footprint, lowest UE ID);
 //   - the strict Alg. 1 lines 22-25 prefix trim against the radio budget
-//     (Config.SelectRound over a Ledger);
+//     (Config.SelectRound over a row of a mec.Book);
 //   - the broadcast-driven view bookkeeping that keeps UE-local resource
 //     pictures current (Proposer.ApplyBroadcast).
 //
 // The runtimes are thin drivers over these pieces and differ only in how
 // messages move: internal/alloc runs the rounds synchronously in the
-// Arena, whose flat per-BS ledger every UE reads directly,
+// Arena, whose residual book every UE reads directly,
 // internal/protocol delivers them as discrete-event messages between
 // agents, and internal/wire frames them over TCP to per-BS server
 // processes. Because every decision routes through this one package, the

@@ -22,7 +22,7 @@ func (p *Proposer) ViewForTest(u mec.UEID, k int) (remCRU, remRRBs int) {
 		return int(p.stale.views[g].cru), int(p.stale.views[g].rrb)
 	}
 	b := int(p.csr.BS[g])
-	return int(p.rowCRU[b*p.csr.Services+int(p.csr.Service[u])]), int(p.rowRRB[b])
+	return p.rows.Residual(mec.BSID(b), mec.ServiceID(p.csr.Service[u]))
 }
 
 // SlotStateForTest reports whether the proposer has built any per-slot

@@ -165,8 +165,8 @@ func (inc *Incremental) Depart(u mec.UEID) {
 	}
 }
 
-// release undoes UE u's standing match at BS b: credit the ledger with
-// exactly what Admit debited and stamp b's credit with the
+// release undoes UE u's standing match at BS b: credit the book with
+// exactly what SelectRound debited and stamp b's credit with the
 // current run, which invalidates the drops at b of every region built
 // so far. O(log candidates): the covering UEs are checked lazily, when
 // they next join a frontier.
@@ -174,8 +174,7 @@ func (inc *Incremental) release(u, b int32) {
 	a := &inc.a
 	csr := a.csr
 	g := csr.FindCand(mec.UEID(u), mec.BSID(b))
-	a.remCRU[b*int32(csr.Services)+csr.Service[u]] += csr.CRU[u]
-	a.remRRB[b] += csr.RRBs[g]
+	a.book.Release(mec.BSID(b), mec.ServiceID(csr.Service[u]), int(csr.CRU[u]), int(csr.RRBs[g]))
 	a.serving[u] = -1
 	a.assigned.Clear(u)
 	inc.released++
@@ -260,11 +259,9 @@ func (inc *Incremental) Serving() []int32 { return inc.a.serving }
 // no match for it.
 func (inc *Incremental) ServingBS(u mec.UEID) int32 { return inc.a.serving[u] }
 
-// RemCRU returns BS b's residual CRUs for service j.
-func (inc *Incremental) RemCRU(b, j int) int { return inc.a.RemCRU(b, j) }
-
-// RemRRB returns BS b's residual radio blocks.
-func (inc *Incremental) RemRRB(b int) int { return inc.a.RemRRB(b) }
+// Book returns the session's residual book, aliasing the engine's
+// storage; it mutates on churn and Settle. Callers must not modify it.
+func (inc *Incremental) Book() *mec.Book { return inc.a.Book() }
 
 // AssignedCount returns the number of UEs with a standing match.
 func (inc *Incremental) AssignedCount() int { return inc.a.AssignedCount() }

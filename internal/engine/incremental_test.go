@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"slices"
 	"testing"
 
 	"dmra/internal/engine"
@@ -75,15 +76,8 @@ func TestIncrementalLifecycle(t *testing.T) {
 		t.Fatalf("%d UEs still assigned after full departure", inc.AssignedCount())
 	}
 	csr := net.Dense()
-	for b := 0; b < csr.BSs(); b++ {
-		for j := 0; j < csr.Services; j++ {
-			if got, want := inc.RemCRU(b, j), int(csr.CRUCap[b*csr.Services+j]); got != want {
-				t.Fatalf("BS %d service %d: residual %d after drain, capacity %d", b, j, got, want)
-			}
-		}
-		if got, want := inc.RemRRB(b), int(csr.MaxRRB[b]); got != want {
-			t.Fatalf("BS %d: residual RRBs %d after drain, capacity %d", b, got, want)
-		}
+	if book := inc.Book(); !slices.Equal(book.CRU, csr.CRUCap) || !slices.Equal(book.RRB, csr.MaxRRB) {
+		t.Fatal("residuals after drain differ from the capacities")
 	}
 	if err := inc.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after drain: %v", err)

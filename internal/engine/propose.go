@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"slices"
-
-	"dmra/internal/mec"
-)
+import "dmra/internal/mec"
 
 // slotView is one UE's own view of one candidate BS, kept when it missed
 // the BS's latest broadcast: the BS's remaining CRUs for the UE's service
@@ -64,8 +60,9 @@ type Proposer struct {
 	cfg  Config
 	live []int32
 	idx  []int32
-	// rowCRU[b*Services+j] and rowRRB[b] are BS b's latest broadcast.
-	rowCRU, rowRRB []int32
+	// rows holds every BS's latest broadcast: rows.Row(b) and
+	// rows.RRB[b] are what BS b last sent.
+	rows mec.Book
 	// stale is nil until a reception is lost.
 	stale *staleViews
 	// covered[b] lists the UEs that can hear BS b's broadcasts, in
@@ -79,13 +76,12 @@ func NewProposer(net *mec.Network, cfg Config) *Proposer {
 	csr := net.Dense()
 	nUE := csr.UEs()
 	p := &Proposer{
-		csr:    csr,
-		cfg:    cfg,
-		live:   make([]int32, nUE),
-		idx:    make([]int32, csr.Links()),
-		rowCRU: slices.Clone(csr.CRUCap),
-		rowRRB: slices.Clone(csr.MaxRRB),
+		csr:  csr,
+		cfg:  cfg,
+		live: make([]int32, nUE),
+		idx:  make([]int32, csr.Links()),
 	}
+	p.rows.Reset(csr.Services, csr.CRUCap, csr.MaxRRB)
 	for u := range nUE {
 		lo, hi := csr.CandRange(mec.UEID(u))
 		p.live[u] = hi - lo
@@ -115,7 +111,7 @@ func (p *Proposer) Propose(u mec.UEID, swept *uint64) (req Request, bs mec.BSID,
 		k := live[i]
 		g := base + k
 		b := csr.BS[g]
-		cru, rrb := p.rowCRU[int(b)*stride+svc], p.rowRRB[b]
+		cru, rrb := p.rows.CRU[int(b)*stride+svc], p.rows.RRB[b]
 		if stale != nil && stale.set.Get(g) {
 			cru, rrb = stale.views[g].cru, stale.views[g].rrb
 		}
@@ -209,11 +205,11 @@ func (p *Proposer) ApplyBroadcast(b mec.BSID, remCRU []int, remRRBs int, missed 
 	if len(missed) > 0 || (p.stale != nil && len(p.stale.ues[b]) > 0) {
 		p.restale(b, missed)
 	}
-	row := p.rowCRU[int(b)*p.csr.Services:][:p.csr.Services]
+	row := p.rows.Row(b)
 	for j := range row {
 		row[j] = int32(remCRU[j])
 	}
-	p.rowRRB[b] = int32(remRRBs)
+	p.rows.RRB[b] = int32(remRRBs)
 }
 
 // restale makes missed the UEs with a stale view of b, before b's row
@@ -229,7 +225,7 @@ func (p *Proposer) restale(b mec.BSID, missed []mec.UEID) {
 		st.set.Reset(csr.Links())
 		p.stale = st
 	}
-	row := slotView{rrb: p.rowRRB[b]}
+	row := slotView{rrb: p.rows.RRB[b]}
 	old := st.ues[b]
 	next := make([]mec.UEID, 0, len(missed))
 	i := 0
@@ -244,7 +240,7 @@ func (p *Proposer) restale(b mec.BSID, missed []mec.UEID) {
 		if i < len(old) && old[i] == u {
 			i++
 		} else {
-			row.cru = p.rowCRU[int(b)*csr.Services+int(csr.Service[u])]
+			row.cru = p.rows.CRU[int(b)*csr.Services+int(csr.Service[u])]
 			st.views[g] = row
 			st.set.Set(g)
 		}

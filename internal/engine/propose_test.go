@@ -70,13 +70,14 @@ func ledgerLeg(t *testing.T, net *mec.Network, p *engine.Proposer) (func(*rng.So
 		if err := state.Assign(u, b); err != nil {
 			t.Fatalf("assign: %v", err)
 		}
-		for j := range cru {
-			cru[j] = state.RemainingCRU(b, mec.ServiceID(j))
+		book := state.Book()
+		for j, c := range book.Row(b) {
+			cru[j] = int(c)
 		}
-		p.ApplyBroadcast(b, cru, state.RemainingRRBs(b), nil)
+		p.ApplyBroadcast(b, cru, int(book.RRB[b]), nil)
 	}
 	res := func(u mec.UEID, k int) (int, int) {
-		return state.Residual(cands(net, u)[k].BS, net.UEs[u].Service)
+		return state.Book().Residual(cands(net, u)[k].BS, net.UEs[u].Service)
 	}
 	return lower, res
 }

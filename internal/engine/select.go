@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"dmra/internal/mec"
-)
+import "dmra/internal/mec"
 
 // Request is one UE->BS service request of an Alg. 1 iteration, flattened
 // to what the paper's line 7 says a request carries: the UE's identity,
@@ -38,20 +34,6 @@ type Verdict struct {
 	Permanent bool
 }
 
-// Ledger is the BS-side resource book SelectRound admits against: one BS
-// row of the Arena's flat ledger for the synchronous solver, the shared
-// mec.State for internal/alloc's naive test reference, or a private
-// per-BS ledger (BSLedger) for the message-passing runtimes.
-type Ledger interface {
-	// Residual returns the BS's remaining CRUs for service j and its
-	// remaining RRBs.
-	Residual(j mec.ServiceID) (remCRU, remRRBs int)
-	// Admit debits r from the ledger. SelectRound only calls it after a
-	// Residual feasibility check, so an error is an implementation bug,
-	// not a trim.
-	Admit(r Request) error
-}
-
 // SelectScratch is the reusable select-phase buffer set. Drivers keep one
 // per BS (or one pooled per run) so steady-state rounds allocate nothing.
 type SelectScratch struct {
@@ -62,23 +44,25 @@ type SelectScratch struct {
 	verdicts []Verdict
 }
 
-// SelectRound runs one BS's full select phase (Alg. 1 lines 11-26) over
+// SelectRound runs BS b's full select phase (Alg. 1 lines 11-26) over
 // the round's request inbox: per-service selection, the radio-budget
-// preference sort, and the strict prefix trim, admitting winners into led.
+// preference sort, and the strict prefix trim, admitting winners into
+// book's row b. Demands are compared against the residuals in int and
+// only converted by the admission, so no demand wraps the int32 rows.
 // Verdicts come back in decision order — accepted requests first, in
 // admission order, then the trimmed tail in preference order — and are
 // valid until the next SelectRound call on the same scratch.
-func (c Config) SelectRound(led Ledger, reqs []Request, sc *SelectScratch) ([]Verdict, error) {
+func (c Config) SelectRound(book *mec.Book, b mec.BSID, reqs []Request, sc *SelectScratch) []Verdict {
 	sc.verdicts = sc.verdicts[:0]
 	if len(reqs) == 0 {
-		return sc.verdicts, nil
+		return sc.verdicts
 	}
 	selected := c.selectPerService(reqs, sc)
 	total := 0
 	for _, r := range selected {
 		total += r.RRBs
 	}
-	if _, remRRBs := led.Residual(selected[0].Service); total > remRRBs {
+	if total > int(book.RRB[b]) {
 		c.sortByPreference(selected)
 	}
 	// Alg. 1 lines 22-25 admit strictly in the BS's preference order: the
@@ -86,22 +70,20 @@ func (c Config) SelectRound(led Ledger, reqs []Request, sc *SelectScratch) ([]Ve
 	// are trimmed together. (A first-fit variant that kept admitting
 	// smaller requests past the first reject would let a less-preferred
 	// UE leapfrog a more-preferred one.) Only requests the post-admission
-	// ledger can no longer fit at all are marked Permanent.
+	// book can no longer fit at all are marked Permanent.
 	trimmed := false
 	for _, r := range selected {
-		remCRU, remRRBs := led.Residual(r.Service)
+		remCRU, remRRBs := book.Residual(b, r.Service)
 		fits := remCRU >= r.CRUs && remRRBs >= r.RRBs
 		if !trimmed && fits {
-			if err := led.Admit(r); err != nil {
-				return nil, err
-			}
+			book.Admit(b, r.Service, r.CRUs, r.RRBs)
 			sc.verdicts = append(sc.verdicts, Verdict{Req: r, Accepted: true})
 			continue
 		}
 		trimmed = true
 		sc.verdicts = append(sc.verdicts, Verdict{Req: r, Permanent: !fits})
 	}
-	return sc.verdicts, nil
+	return sc.verdicts
 }
 
 // selectPerService picks, for every service with requesters, the single
@@ -197,66 +179,3 @@ func (c Config) selectKey(sameSP bool, fu, rrbs, crus int32) uint64 {
 	}
 	return k
 }
-
-// BSLedger is a base station's private resource book, used by the
-// message-passing runtimes where each BS debits its own copy of the
-// capacities rather than a shared state.
-type BSLedger struct {
-	remCRU []int
-	remRRB int
-}
-
-// NewBSLedger returns a ledger holding a copy of the BS's capacities.
-func NewBSLedger(cruCapacity []int, maxRRBs int) *BSLedger {
-	l := &BSLedger{}
-	l.Reset(cruCapacity, maxRRBs)
-	return l
-}
-
-// Reset rewinds the ledger to the given capacities, reusing storage.
-func (l *BSLedger) Reset(cruCapacity []int, maxRRBs int) {
-	if cap(l.remCRU) < len(cruCapacity) {
-		l.remCRU = make([]int, len(cruCapacity))
-	}
-	l.remCRU = l.remCRU[:len(cruCapacity)]
-	copy(l.remCRU, cruCapacity)
-	l.remRRB = maxRRBs
-}
-
-// Residual implements Ledger.
-func (l *BSLedger) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
-	return l.remCRU[j], l.remRRB
-}
-
-// Admit implements Ledger by debiting the request's demands.
-func (l *BSLedger) Admit(r Request) error {
-	l.remCRU[r.Service] -= r.CRUs
-	l.remRRB -= r.RRBs
-	return nil
-}
-
-// CheckInvariants reports whether the ledger is in a consistent state: no
-// residual may be negative. SelectRound only admits after a feasibility
-// check, so a violation means the ledger was corrupted from outside the
-// select path (or a driver admitted behind SelectRound's back); the
-// message-passing runtimes check after every round and surface the error
-// to the coordinator instead of silently serving from a broken book.
-func (l *BSLedger) CheckInvariants() error {
-	for j, rem := range l.remCRU {
-		if rem < 0 {
-			return fmt.Errorf("engine: BS ledger invalid: service %d residual CRUs = %d", j, rem)
-		}
-	}
-	if l.remRRB < 0 {
-		return fmt.Errorf("engine: BS ledger invalid: residual RRBs = %d", l.remRRB)
-	}
-	return nil
-}
-
-// RemainingCRU returns the live per-service residual slice for the
-// broadcast of Alg. 1 line 26. Callers that ship it asynchronously must
-// copy it first.
-func (l *BSLedger) RemainingCRU() []int { return l.remCRU }
-
-// RemainingRRBs returns the remaining radio blocks.
-func (l *BSLedger) RemainingRRBs() int { return l.remRRB }

@@ -154,13 +154,11 @@ func TestSelectRoundTrimsStrictlyInPreferenceOrder(t *testing.T) {
 	a := Request{UE: 0, Service: 0, CRUs: 4, RRBs: 3, SameSP: true, Fu: 1}
 	b := Request{UE: 1, Service: 1, CRUs: 4, RRBs: 10, SameSP: true, Fu: 2}
 	c := Request{UE: 2, Service: 2, CRUs: 4, RRBs: 3, SameSP: true, Fu: 3}
-	led := NewBSLedger([]int{100, 100, 100}, a.RRBs+c.RRBs)
+	var book mec.Book
+	book.Reset(3, []int32{100, 100, 100}, []int32{int32(a.RRBs + c.RRBs)})
 
 	var sc SelectScratch
-	verdicts, err := DefaultConfig().SelectRound(led, []Request{c, a, b}, &sc)
-	if err != nil {
-		t.Fatalf("SelectRound: %v", err)
-	}
+	verdicts := DefaultConfig().SelectRound(&book, 0, []Request{c, a, b}, &sc)
 	if len(verdicts) != 3 {
 		t.Fatalf("got %d verdicts, want 3", len(verdicts))
 	}
@@ -173,37 +171,57 @@ func TestSelectRoundTrimsStrictlyInPreferenceOrder(t *testing.T) {
 	if v := verdicts[2]; v.Accepted || v.Req.UE != 2 || v.Permanent {
 		t.Errorf("verdicts[2] = %+v, want non-permanent trim of UE 2 (fits, but no first-fit leapfrog)", v)
 	}
-	if remCRU, remRRBs := led.Residual(0); remCRU != 96 || remRRBs != c.RRBs {
-		t.Errorf("ledger after round: remCRU=%d remRRBs=%d, want 96 and %d", remCRU, remRRBs, c.RRBs)
+	if remCRU, remRRBs := book.Residual(0, 0); remCRU != 96 || remRRBs != c.RRBs {
+		t.Errorf("book after round: remCRU=%d remRRBs=%d, want 96 and %d", remCRU, remRRBs, c.RRBs)
 	}
 
-	// A request no post-admission ledger state can fit at all is rejected
+	// A request no post-admission book state can fit at all is rejected
 	// permanently: drain the RRBs below every demand and re-offer B.
-	led2 := NewBSLedger([]int{100, 100, 100}, a.RRBs)
-	verdicts, err = DefaultConfig().SelectRound(led2, []Request{a, b}, &sc)
-	if err != nil {
-		t.Fatalf("SelectRound: %v", err)
-	}
+	book.Reset(3, []int32{100, 100, 100}, []int32{int32(a.RRBs)})
+	verdicts = DefaultConfig().SelectRound(&book, 0, []Request{a, b}, &sc)
 	if v := verdicts[1]; v.Accepted || !v.Permanent {
 		t.Errorf("verdicts[1] = %+v, want permanent reject of unfittable UE 1", v)
 	}
 }
 
-// TestSelectRoundEmptyAndBSLedgerReset covers the bookkeeping edges: an
-// empty inbox yields no verdicts, and Reset rewinds a ledger in place.
-func TestSelectRoundEmptyAndBSLedgerReset(t *testing.T) {
-	led := NewBSLedger([]int{5}, 7)
+// TestSelectRoundEmptyAndBookRows covers the bookkeeping edges: an
+// empty inbox yields no verdicts and leaves the book as it is, and a
+// round admits into its own BS's row of a multi-BS book only.
+func TestSelectRoundEmptyAndBookRows(t *testing.T) {
+	var book mec.Book
+	book.Reset(1, []int32{5, 5}, []int32{7, 7})
 	var sc SelectScratch
-	verdicts, err := DefaultConfig().SelectRound(led, nil, &sc)
-	if err != nil || len(verdicts) != 0 {
-		t.Fatalf("empty round: verdicts=%v err=%v", verdicts, err)
+	if verdicts := DefaultConfig().SelectRound(&book, 0, nil, &sc); len(verdicts) != 0 {
+		t.Fatalf("empty round: verdicts=%v", verdicts)
 	}
-	if err := led.Admit(Request{Service: 0, CRUs: 2, RRBs: 3}); err != nil {
-		t.Fatalf("admit: %v", err)
+	verdicts := DefaultConfig().SelectRound(&book, 1, []Request{{UE: 4, CRUs: 2, RRBs: 3}}, &sc)
+	if len(verdicts) != 1 || !verdicts[0].Accepted {
+		t.Fatalf("one fitting request: verdicts=%v", verdicts)
 	}
-	led.Reset([]int{5}, 7)
-	if remCRU, remRRBs := led.Residual(0); remCRU != 5 || remRRBs != 7 {
-		t.Fatalf("after Reset: remCRU=%d remRRBs=%d, want 5 and 7", remCRU, remRRBs)
+	if remCRU, remRRBs := book.Residual(0, 0); remCRU != 5 || remRRBs != 7 {
+		t.Fatalf("BS 0 after a round at BS 1: remCRU=%d remRRBs=%d, want 5 and 7", remCRU, remRRBs)
+	}
+	if remCRU, remRRBs := book.Residual(1, 0); remCRU != 3 || remRRBs != 4 {
+		t.Fatalf("BS 1 after its round: remCRU=%d remRRBs=%d, want 3 and 4", remCRU, remRRBs)
+	}
+}
+
+// TestSelectRoundHugeDemandRejected offers demands past int32 — a BS
+// server takes them from the wire as int — and requires a permanent
+// reject with the book untouched: the fit check compares in int, so a
+// demand cannot wrap to a small debit.
+func TestSelectRoundHugeDemandRejected(t *testing.T) {
+	var book mec.Book
+	var sc SelectScratch
+	for _, r := range []Request{{UE: 1, CRUs: 1 << 40, RRBs: 1}, {UE: 2, CRUs: 1, RRBs: 1 << 40}} {
+		book.Reset(1, []int32{10}, []int32{10})
+		verdicts := DefaultConfig().SelectRound(&book, 0, []Request{r}, &sc)
+		if len(verdicts) != 1 || verdicts[0].Accepted || !verdicts[0].Permanent {
+			t.Fatalf("%+v: verdicts=%v, want one permanent reject", r, verdicts)
+		}
+		if remCRU, remRRBs := book.Residual(0, 0); remCRU != 10 || remRRBs != 10 {
+			t.Fatalf("%+v: book (%d, %d) after the reject, want (10, 10)", r, remCRU, remRRBs)
+		}
 	}
 }
 

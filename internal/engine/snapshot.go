@@ -14,8 +14,8 @@ import (
 // "reconstructed ≡ live" is a plain Equal call.
 //
 // The residuals are stored dense: one Services-strided array for the
-// whole network, matching the SoA ledger layout, so capturing from an
-// arena is a flat copy and replaying a million-UE trace touches two
+// whole network, matching the mec.Book layout, so capturing from a book
+// is a flat copy and replaying a million-UE trace touches two
 // arrays instead of one heap-allocated row per BS.
 type Snapshot struct {
 	// Round is the 1-based round the state was captured after.
@@ -41,7 +41,7 @@ func NewSnapshot(net *mec.Network) *Snapshot {
 		ServingBS: mec.NewAssignment(len(net.UEs)).ServingBS,
 	}
 	csr := net.Dense()
-	capture[int32](s, 0, csr.CRUCap, csr.MaxRRB, nil)
+	Capture[int32](s, 0, &mec.Book{Services: csr.Services, CRU: csr.CRUCap, RRB: csr.MaxRRB}, nil)
 	return s
 }
 
@@ -54,29 +54,17 @@ func (s *Snapshot) CRURow(b int) []int {
 	return s.RemCRU[b*s.Services : (b+1)*s.Services]
 }
 
-// CaptureState fills the snapshot from a live shared ledger (the
-// synchronous runtime's source of truth), reusing the snapshot's
-// storage.
-func (s *Snapshot) CaptureState(st *mec.State, round int) {
-	remCRU, remRRB, serving := st.Rows()
-	capture(s, round, remCRU, remRRB, serving)
-}
-
-// CaptureArena fills the snapshot from a live SoA arena, reusing the
-// snapshot's storage.
-func (s *Snapshot) CaptureArena(a *Arena, round int) {
-	capture(s, round, a.remCRU, a.remRRB, a.serving)
-}
-
-// capture fills s from flat residual rows, Services-strided like the
-// snapshot's own (the layout mec.State and the arena share), and a
-// serving row: flat array walks, no per-BS rows materialized.
-func capture[B mec.BSID | int32](s *Snapshot, round int, remCRU, remRRB []int32, serving []B) {
+// Capture fills s from a residual book over every BS of the network
+// and a serving row (one BS index or -1 per UE; nil leaves s's serving
+// row as it is), reusing s's storage: flat array walks, no per-BS rows
+// materialized. Every runtime captures through it, so the snapshots they
+// export agree field for field.
+func Capture[B mec.BSID | int32](s *Snapshot, round int, book *mec.Book, serving []B) {
 	s.Round = round
-	for i, rem := range remCRU {
+	for i, rem := range book.CRU {
 		s.RemCRU[i] = int(rem)
 	}
-	for b, rem := range remRRB {
+	for b, rem := range book.RRB {
 		s.RemRRB[b] = int(rem)
 	}
 	for u, b := range serving {

@@ -10,14 +10,14 @@ import (
 
 // This file is the struct-of-arrays round engine: the same Alg. 1 state
 // machine as Proposer/SelectRound, re-laid-out for the
-// million-UE regime. The per-UE live-candidate lists, the BS ledger, and
-// every round buffer live in a handful of flat arrays inside an Arena
+// million-UE regime. The per-UE live-candidate lists, the residual book,
+// and every round buffer live in a handful of flat arrays inside an Arena
 // that is reset — not reallocated — across runs, so a steady-state run
 // performs zero heap allocations and walks memory sequentially instead
 // of chasing a pointer per UE and another per candidate list.
 //
 // Propose is the Proposer's eager-drop scan: each UE sweeps its live
-// candidates, drops every one the ledger can no longer fit, and proposes
+// candidates, drops every one the book can no longer fit, and proposes
 // to the (Eq. 17 value, candidate index) lex-min of the rest. Dropping
 // is permanent because residuals never grow within a run, which holds
 // for any rho: nothing is cached but the live list.
@@ -25,10 +25,10 @@ import (
 // Both phases of a round optionally fan across workers. That is safe
 // and exactly deterministic because of how Alg. 1 rounds are structured:
 //
-//   - Propose only READS the residual ledger (remCRU/remRRB); only the
-//     select phase writes it, and the two phases never overlap (each
-//     joins its workers before the next begins). Propose workers score
-//     against an immutable ledger by construction.
+//   - Propose only READS the residual book; only the select phase
+//     writes it, and the two phases never overlap (each joins its
+//     workers before the next begins). Propose workers score against an
+//     immutable book by construction.
 //   - The pending list is cut into one contiguous chunk per propose
 //     worker. All per-UE mutable state (the live-candidate region, live)
 //     is touched only by the worker holding the UE's chunk, and each
@@ -42,7 +42,7 @@ import (
 //     per-service selection of Alg. 1 lines 13-21, so only those winners
 //     reach the canonical Config.SelectRound.
 //   - Select workers own disjoint, contiguous slices of the ascending
-//     list of BSs with winners. A BS's select writes only its own ledger
+//     list of BSs with winners. A BS's select writes only its own book
 //     row and the serving slot of UEs that proposed to it; each UE
 //     proposes at most once per round, so no two workers share a UE. The
 //     one structure BSs do share — the assigned bitset, whose words span
@@ -95,7 +95,7 @@ type SoAHooks struct {
 	// snapshot is reused across calls; Clone to retain.
 	Snapshot RoundHook
 	// RoundDone fires after Snapshot on every round that had proposals,
-	// with the arena for reading its ledger and Swept count.
+	// with the arena for reading its book and Swept count.
 	RoundDone func(round int, a *Arena)
 }
 
@@ -117,10 +117,8 @@ type Arena struct {
 	csr *mec.CSR
 	cfg Config
 
-	// Dense ledger, addressed by BS index: remCRU is Services-strided
-	// like CSR.CRUCap.
-	remCRU []int32
-	remRRB []int32
+	// book is the residual book over every BS of the run.
+	book mec.Book
 
 	// serving[u] is the admitting BS or -1 (mec.CloudBS); assigned is
 	// the same fact as a bitset for the O(1) membership tests in the
@@ -140,7 +138,7 @@ type Arena struct {
 	// (re)initialized lazily at the UE's first propose, stamped with the
 	// run it was built in, inside the propose worker that owns it. The
 	// incremental engine advances run once per Settle and clears
-	// individual stamps to force a region rebuild after a ledger credit.
+	// individual stamps to force a region rebuild after a book credit.
 	stamp []uint32
 	run   uint32
 	base  uint32
@@ -236,12 +234,10 @@ func (a *Arena) rounds(workers, maxRounds int, hooks *SoAHooks, snap *Snapshot, 
 			a.emitProposeEvents(hooks, scope)
 		}
 		if n > 0 {
-			if err := a.selectRound(workers, &stats, hooks); err != nil {
-				return stats, err
-			}
+			a.selectRound(workers, &stats, hooks)
 		}
 		if snap != nil {
-			snap.CaptureArena(a, stats.Rounds)
+			Capture(snap, stats.Rounds, &a.book, a.serving)
 			hooks.Snapshot(snap)
 		}
 		if n == 0 {
@@ -268,10 +264,7 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.nprops = 0
 	nUE, nBS, links := csr.UEs(), csr.BSs(), csr.Links()
 
-	a.remCRU = grown(a.remCRU, len(csr.CRUCap))
-	copy(a.remCRU, csr.CRUCap)
-	a.remRRB = grown(a.remRRB, nBS)
-	copy(a.remRRB, csr.MaxRRB)
+	a.book.Reset(csr.Services, csr.CRUCap, csr.MaxRRB)
 
 	a.serving = grown(a.serving, nUE)
 	for i := range a.serving {
@@ -391,7 +384,7 @@ func (a *Arena) proposeRound(workers int) int {
 // proposeWorker proposes for worker w's chunk of the pending list,
 // writing proposals — each with its BS-preference key — into the props
 // slice at the chunk's offset, and its counts into slot w. It reads the
-// ledger and the assigned bitset but writes only UE-local candidate
+// book and the assigned bitset but writes only UE-local candidate
 // state and its own output slots.
 func (a *Arena) proposeWorker(w int) {
 	var cnt int32
@@ -424,9 +417,9 @@ func (a *Arena) proposeWorker(w int) {
 
 // propose is Proposer.Propose over the arena: one sweep of UE u's live
 // candidates (idx[Off[u]:Off[u]+live[u]]) that drops every candidate
-// the ledger can no longer fit and returns the global candidate index of
+// the book can no longer fit and returns the global candidate index of
 // the (preference, candidate-index)-lex minimum of the rest. Each
-// proposal touches one contiguous int32 run plus the ledger.
+// proposal touches one contiguous int32 run plus the book.
 func (a *Arena) propose(u int32) (int32, bool) {
 	n := a.live[u]
 	if n == 0 {
@@ -437,6 +430,7 @@ func (a *Arena) propose(u int32) (int32, bool) {
 	svc := csr.Service[u]
 	need := csr.CRU[u]
 	S := int32(csr.Services)
+	bookCRU, bookRRB := a.book.CRU, a.book.RRB
 	idx := a.idx
 	best := int32(-1)
 	var bestV float64
@@ -444,8 +438,8 @@ func (a *Arena) propose(u int32) (int32, bool) {
 		k := idx[base+i]
 		gi := base + k
 		b := csr.BS[gi]
-		remCRU := a.remCRU[b*S+svc]
-		remRRB := a.remRRB[b]
+		remCRU := bookCRU[b*S+svc]
+		remRRB := bookRRB[b]
 		if remCRU < need || remRRB < csr.RRBs[gi] {
 			n--
 			idx[base+i] = idx[base+n]
@@ -560,26 +554,25 @@ func (a *Arena) fanOut(kind uint8, workers int) {
 	}
 }
 
-// selectWorker is one select worker's scratch: its ledger adapter, the
-// request batch of the BS in hand, the SelectRound buffers, and the
-// counters summed after the join.
+// selectWorker is one select worker's scratch: the request batch of the
+// BS in hand, the SelectRound buffers, and what is folded in after the
+// join: the UEs it admitted this round and its counters.
 type selectWorker struct {
-	led     arenaLedger
-	reqs    []Request
-	sc      SelectScratch
-	accepts int
-	rejects int
-	err     error
+	reqs     []Request
+	sc       SelectScratch
+	admitted []int32
+	accepts  int
+	rejects  int
 }
 
 // selectRound runs the select phase (Alg. 1 lines 11-26) for every BS
 // with a winner in the argmin table, through the canonical
-// Config.SelectRound against the arena ledger. The ascending BS list is
+// Config.SelectRound against the arena's book. The ascending BS list is
 // split into contiguous slices across up to workers goroutines; a
 // Verdict hook forces one worker so verdicts fire in ascending BS order.
 // After the join the admitted UEs' assigned bits are set and the
 // counters summed, so the round's outcome is worker-count independent.
-func (a *Arena) selectRound(workers int, stats *SoAStats, hooks *SoAHooks) error {
+func (a *Arena) selectRound(workers int, stats *SoAStats, hooks *SoAHooks) {
 	a.tbs = a.hit.Drain(a.tbs[:0])
 	n := len(a.tbs)
 	if hooks != nil && hooks.Verdict != nil {
@@ -590,19 +583,14 @@ func (a *Arena) selectRound(workers int, stats *SoAStats, hooks *SoAHooks) error
 	a.fanOut(jobSelect, workers)
 	a.selectSlice(0, hooks)
 	a.wg.Wait()
-	var err error
 	for w := range a.sw {
 		sw := &a.sw[w]
 		stats.Accepts += sw.accepts
 		stats.Rejects += sw.rejects
-		for _, u := range sw.led.admitted {
+		for _, u := range sw.admitted {
 			a.assigned.Set(u)
 		}
-		if err == nil {
-			err = sw.err
-		}
 	}
-	return err
 }
 
 // selectSlice runs select worker w of len(a.sw) over its contiguous
@@ -615,13 +603,13 @@ func (a *Arena) selectSlice(w int, hooks *SoAHooks) {
 // selectBSs runs SelectRound for each BS of bss, feeding it the BS's
 // per-service winners in ascending service order — the order
 // selectPerService emits, so the verdicts equal those of the full
-// inbox — and resetting the BS's argmin row as it goes.
+// inbox — and resetting the BS's argmin row as it goes. Each accepted
+// UE's serving slot is set here; its assigned bit waits for the join.
 func (a *Arena) selectBSs(sw *selectWorker, bss []int32, hooks *SoAHooks) {
 	csr := a.csr
 	S := int32(csr.Services)
-	sw.led.a = a
-	sw.led.admitted = sw.led.admitted[:0]
-	sw.accepts, sw.rejects, sw.err = 0, 0, nil
+	sw.admitted = sw.admitted[:0]
+	sw.accepts, sw.rejects = 0, 0
 	for _, b := range bss {
 		row := a.win[b*S : (b+1)*S]
 		sw.reqs = sw.reqs[:0]
@@ -642,15 +630,11 @@ func (a *Arena) selectBSs(sw *selectWorker, bss []int32, hooks *SoAHooks) {
 				PricePerCRU: csr.Price[g],
 			})
 		}
-		sw.led.bs = b
-		verdicts, err := a.cfg.SelectRound(&sw.led, sw.reqs, &sw.sc)
-		if err != nil {
-			sw.err = err
-			return
-		}
-		for _, v := range verdicts {
+		for _, v := range a.cfg.SelectRound(&a.book, mec.BSID(b), sw.reqs, &sw.sc) {
 			if v.Accepted {
 				sw.accepts++
+				a.serving[v.Req.UE] = b
+				sw.admitted = append(sw.admitted, int32(v.Req.UE))
 			} else {
 				sw.rejects++
 			}
@@ -659,36 +643,6 @@ func (a *Arena) selectBSs(sw *selectWorker, bss []int32, hooks *SoAHooks) {
 			}
 		}
 	}
-}
-
-// arenaLedger adapts one BS's slice of the arena's dense ledger to the
-// engine.Ledger the select phase admits against. Each select worker owns
-// one and passes it by pointer, so the interface conversion never
-// allocates. admitted collects the UEs it admitted this round, for the
-// serial assigned-bitset update after the join.
-type arenaLedger struct {
-	a        *Arena
-	bs       int32
-	admitted []int32
-}
-
-// Residual implements Ledger.
-func (l *arenaLedger) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
-	a := l.a
-	return int(a.remCRU[l.bs*int32(a.csr.Services)+int32(j)]), int(a.remRRB[l.bs])
-}
-
-// Admit implements Ledger: debit the dense ledger and record the
-// assignment. SelectRound only calls it after a Residual feasibility
-// check. The assigned bit is left to selectRound's join.
-func (l *arenaLedger) Admit(r Request) error {
-	a, b := l.a, l.bs
-	a.remCRU[b*int32(a.csr.Services)+int32(r.Service)] -= int32(r.CRUs)
-	a.remRRB[b] -= int32(r.RRBs)
-	u := int32(r.UE)
-	a.serving[u] = b
-	l.admitted = append(l.admitted, u)
-	return nil
 }
 
 // checkInvariants checks the final state: the bitset must agree with
@@ -701,7 +655,7 @@ func (a *Arena) checkInvariants() error {
 			return fmt.Errorf("engine: arena state invalid: UE %d serving=%d but assigned bit %v", u, b, a.assigned.Get(int32(u)))
 		}
 	}
-	if err := mec.Recount(a.csr, a.serving, a.remCRU, a.remRRB, &a.use); err != nil {
+	if err := mec.Recount(a.csr, a.serving, &a.book, &a.use); err != nil {
 		return fmt.Errorf("engine: arena state invalid: %w", err)
 	}
 	return nil
@@ -712,16 +666,12 @@ func (a *Arena) checkInvariants() error {
 // next Run.
 func (a *Arena) Serving() []int32 { return a.serving }
 
-// UEs, BSs, and Services report the dimensions of the current run.
-func (a *Arena) UEs() int      { return a.csr.UEs() }
-func (a *Arena) BSs() int      { return a.csr.BSs() }
-func (a *Arena) Services() int { return a.csr.Services }
+// UEs reports the population of the current run.
+func (a *Arena) UEs() int { return a.csr.UEs() }
 
-// RemCRU returns BS b's residual CRUs for service j.
-func (a *Arena) RemCRU(b, j int) int { return int(a.remCRU[b*a.csr.Services+j]) }
-
-// RemRRB returns BS b's residual radio blocks.
-func (a *Arena) RemRRB(b int) int { return int(a.remRRB[b]) }
+// Book returns the run's residual book, aliasing the arena's storage.
+// Callers must not modify it.
+func (a *Arena) Book() *mec.Book { return &a.book }
 
 // AssignedCount returns the number of served UEs.
 func (a *Arena) AssignedCount() int { return a.assigned.Count() }

@@ -253,11 +253,8 @@ func TestStateAssignUnassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, _ := net.Link(0, 0)
-	if got := s.RemainingCRU(0, 0); got != 100-4 {
-		t.Errorf("remaining CRU = %d, want 96", got)
-	}
-	if got := s.RemainingRRBs(0); got != 55-l.RRBs {
-		t.Errorf("remaining RRBs = %d, want %d", got, 55-l.RRBs)
+	if cru, rrb := s.Book().Residual(0, 0); cru != 100-4 || rrb != 55-l.RRBs {
+		t.Errorf("residual = (%d, %d), want (96, %d)", cru, rrb, 55-l.RRBs)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Errorf("invariants after assign: %v", err)
@@ -271,17 +268,14 @@ func TestStateAssignUnassign(t *testing.T) {
 	if s.Assigned(0) {
 		t.Error("UE still assigned after Unassign")
 	}
-	if got := s.RemainingCRU(0, 0); got != 100 {
-		t.Errorf("CRUs not restored: %d", got)
-	}
-	if got := s.RemainingRRBs(0); got != 55 {
-		t.Errorf("RRBs not restored: %d", got)
+	if cru, rrb := s.Book().Residual(0, 0); cru != 100 || rrb != 55 {
+		t.Errorf("residual not restored: (%d, %d)", cru, rrb)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Errorf("invariants after unassign: %v", err)
 	}
 	s.Unassign(0) // idempotent
-	if got := s.RemainingCRU(0, 0); got != 100 {
+	if got, _ := s.Book().Residual(0, 0); got != 100 {
 		t.Errorf("double Unassign corrupted ledger: %d", got)
 	}
 }

@@ -88,7 +88,8 @@ func TestLinkBinarySearchMatchesScan(t *testing.T) {
 }
 
 // TestStateResetReuse checks that Reset over the same network rewinds the
-// ledger without reallocating, and that the residual accessors agree.
+// ledger without reallocating, and that the book's rows agree with
+// Residual.
 func TestStateResetReuse(t *testing.T) {
 	net := randomScenario(t, 21, 50, 8, false)
 	s := NewState(net)
@@ -107,23 +108,17 @@ func TestStateResetReuse(t *testing.T) {
 	if err := s.Assign(u, b); err != nil {
 		t.Fatalf("Assign: %v", err)
 	}
-	cru, rrb := s.Residual(b, net.UEs[u].Service)
-	if cru != s.RemainingCRU(b, net.UEs[u].Service) || rrb != s.RemainingRRBs(b) {
-		t.Fatal("Residual disagrees with RemainingCRU/RemainingRRBs")
+	k := s.Book()
+	cru, rrb := k.Residual(b, net.UEs[u].Service)
+	if cru != int(k.Row(b)[net.UEs[u].Service]) || rrb != int(k.RRB[b]) {
+		t.Fatal("Residual disagrees with the book's rows")
 	}
 	s.Unassign(u)
 
 	s.Reset(net)
 	fresh := NewState(net)
-	for bb := range net.BSs {
-		for j := 0; j < net.Services; j++ {
-			if s.RemainingCRU(BSID(bb), ServiceID(j)) != fresh.RemainingCRU(BSID(bb), ServiceID(j)) {
-				t.Fatalf("BS %d service %d: reset CRU ledger differs from fresh", bb, j)
-			}
-		}
-		if s.RemainingRRBs(BSID(bb)) != fresh.RemainingRRBs(BSID(bb)) {
-			t.Fatalf("BS %d: reset RRB ledger differs from fresh", bb)
-		}
+	if !slices.Equal(s.Book().CRU, fresh.Book().CRU) || !slices.Equal(s.Book().RRB, fresh.Book().RRB) {
+		t.Fatal("reset book differs from fresh")
 	}
 	for uu := range net.UEs {
 		if s.Assigned(UEID(uu)) {

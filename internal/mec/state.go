@@ -47,18 +47,14 @@ func (a Assignment) Clone() Assignment {
 	return c
 }
 
-// State tracks the mutable resource ledger of an allocation in progress:
-// remaining CRUs per (BS, service), remaining RRBs per BS (starting from
-// the capacity rows of the network's store), and the current partial
-// assignment. Allocators must route every grant through Assign so
-// that the capacity constraints (Eq. 12, 14) can never be violated.
+// State tracks an allocation in progress: a residual Book over the
+// network's BSs (starting from the capacity rows of its store) and the
+// current partial assignment. Allocators must route every grant through
+// Assign so that the capacity constraints (Eq. 12, 14) can never be
+// violated.
 type State struct {
-	net *Network
-	// remCRU and remRRB are the residual rows, shaped like the store's
-	// CRUCap and MaxRRB: remCRU[b*Services+j] is c_{b,j} minus the CRUs
-	// already granted, remRRB[b] is N_b minus the RRBs already granted.
-	remCRU []int32
-	remRRB []int32
+	net  *Network
+	book Book
 	// assignment is the current partial matching.
 	assignment Assignment
 	// rrbsUsed[u] records the RRBs granted to UE u (for release).
@@ -82,8 +78,7 @@ func NewState(net *Network) *State {
 // NewState to keep repeated runs allocation-free.
 func (s *State) Reset(net *Network) {
 	s.net = net
-	s.remCRU = append(s.remCRU[:0], net.csr.CRUCap...)
-	s.remRRB = append(s.remRRB[:0], net.csr.MaxRRB...)
+	s.book.Reset(net.Services, net.csr.CRUCap, net.csr.MaxRRB)
 	if len(s.rrbsUsed) != len(net.UEs) {
 		s.assignment = NewAssignment(len(net.UEs))
 		s.rrbsUsed = make([]int, len(net.UEs))
@@ -98,31 +93,9 @@ func (s *State) Reset(net *Network) {
 // Network returns the immutable scenario this state allocates over.
 func (s *State) Network() *Network { return s.net }
 
-// Rows returns the residual rows and the serving row the ledger keeps,
-// aliasing its storage: remCRU is Services-strided like the store's
-// CRUCap. Callers must not modify them.
-func (s *State) Rows() (remCRU, remRRB []int32, serving []BSID) {
-	return s.remCRU, s.remRRB, s.assignment.ServingBS
-}
-
-// cru returns the index of (b, j) in remCRU.
-func (s *State) cru(b BSID, j ServiceID) int { return int(b)*s.net.Services + int(j) }
-
-// RemainingCRU returns the unallocated CRUs of BS b for service j.
-func (s *State) RemainingCRU(b BSID, j ServiceID) int {
-	return int(s.remCRU[s.cru(b, j)])
-}
-
-// RemainingRRBs returns the unallocated radio blocks of BS b.
-func (s *State) RemainingRRBs(b BSID) int {
-	return int(s.remRRB[b])
-}
-
-// Residual returns BS b's remaining CRUs for service j and remaining RRBs
-// in one call — the two Eq. 17 inputs that change during matching.
-func (s *State) Residual(b BSID, j ServiceID) (remCRU, remRRBs int) {
-	return s.RemainingCRU(b, j), s.RemainingRRBs(b)
-}
+// Book returns the state's residual book, aliasing its storage. Callers
+// must not modify it: grants go through Assign and Unassign.
+func (s *State) Book() *Book { return &s.book }
 
 // ServingBS returns the BS currently serving UE u, or CloudBS.
 func (s *State) ServingBS(u UEID) BSID {
@@ -150,7 +123,7 @@ func (s *State) CanServe(u UEID, b BSID) bool {
 		return false
 	}
 	ue := &s.net.UEs[u]
-	remCRU, remRRBs := s.Residual(b, ue.Service)
+	remCRU, remRRBs := s.book.Residual(b, ue.Service)
 	return remCRU >= ue.CRUDemand && remRRBs >= l.RRBs
 }
 
@@ -166,7 +139,7 @@ func (s *State) Assign(u UEID, b BSID) error {
 		return fmt.Errorf("%w: UE %d, BS %d", ErrNotCandidate, u, b)
 	}
 	ue := &s.net.UEs[u]
-	remCRU, remRRBs := s.Residual(b, ue.Service)
+	remCRU, remRRBs := s.book.Residual(b, ue.Service)
 	if remCRU < ue.CRUDemand {
 		return fmt.Errorf("%w: UE %d needs %d CRUs of service %d on BS %d, %d left",
 			ErrNoCRU, u, ue.CRUDemand, ue.Service, b, remCRU)
@@ -175,8 +148,7 @@ func (s *State) Assign(u UEID, b BSID) error {
 		return fmt.Errorf("%w: UE %d needs %d RRBs on BS %d, %d left",
 			ErrNoRRB, u, l.RRBs, b, remRRBs)
 	}
-	s.remCRU[s.cru(b, ue.Service)] -= int32(ue.CRUDemand)
-	s.remRRB[b] -= int32(l.RRBs)
+	s.book.Admit(b, ue.Service, ue.CRUDemand, l.RRBs)
 	s.assignment.ServingBS[u] = b
 	s.rrbsUsed[u] = l.RRBs
 	return nil
@@ -191,8 +163,7 @@ func (s *State) Unassign(u UEID) {
 		return
 	}
 	ue := &s.net.UEs[u]
-	s.remCRU[s.cru(b, ue.Service)] += int32(ue.CRUDemand)
-	s.remRRB[b] += int32(s.rrbsUsed[u])
+	s.book.Release(b, ue.Service, ue.CRUDemand, s.rrbsUsed[u])
 	s.rrbsUsed[u] = 0
 	s.assignment.ServingBS[u] = CloudBS
 }
@@ -220,14 +191,14 @@ func (s *State) SnapshotInto(dst Assignment) Assignment {
 // scratch rather than trusting the residual rows, so it also detects
 // ledger corruption.
 func (s *State) CheckInvariants() error {
-	return Recount(&s.net.csr, s.assignment.ServingBS, s.remCRU, s.remRRB, &s.use)
+	return Recount(&s.net.csr, s.assignment.ServingBS, &s.book, &s.use)
 }
 
 // ValidateAssignment checks a completed assignment against net's TPM
 // constraints (Eq. 12-14) without needing the ledger that produced it:
 // one Recount pass, no replay through a State.
 func ValidateAssignment(net *Network, a Assignment) error {
-	return Recount(&net.csr, a.ServingBS, nil, nil, &Usage{})
+	return Recount(&net.csr, a.ServingBS, nil, &Usage{})
 }
 
 // Usage is Recount's scratch: the CRUs granted per (BS, service),
@@ -243,12 +214,12 @@ type Usage struct {
 // pass over the served UEs it checks that each sits on one of its
 // candidate BSs (Eq. 13; an ID out of range is none), adds its CRUs and
 // RRBs into use, and checks the BS's CRUs for the UE's service (Eq. 12)
-// and its RRBs (Eq. 14) against capacity. When remCRU and remRRB are
-// non-nil — a ledger's residual rows, shaped like c's capacity rows —
-// every residual must also equal capacity minus usage. It returns the
-// first violation. use is caller-owned scratch, reused across calls, so
-// a steady-state check allocates nothing.
-func Recount[B ~int | ~int32](c *CSR, serving []B, remCRU, remRRB []int32, use *Usage) error {
+// and its RRBs (Eq. 14) against capacity. When book is non-nil — a
+// residual book over c's BSs — every residual must also equal capacity
+// minus usage. It returns the first violation. use is caller-owned
+// scratch, reused across calls, so a steady-state check allocates
+// nothing.
+func Recount[B ~int | ~int32](c *CSR, serving []B, book *Book, use *Usage) error {
 	if len(serving) != c.UEs() {
 		return fmt.Errorf("mec: assignment covers %d UEs, scenario has %d", len(serving), c.UEs())
 	}
@@ -276,18 +247,18 @@ func Recount[B ~int | ~int32](c *CSR, serving []B, remCRU, remRRB []int32, use *
 				ErrNoRRB, b, use.rrb[b], c.MaxRRB[b], u)
 		}
 	}
-	if remRRB == nil {
+	if book == nil {
 		return nil
 	}
 	for b, used := range use.rrb {
 		for i := b * c.Services; i < (b+1)*c.Services; i++ {
-			if want := int64(c.CRUCap[i]) - use.cru[i]; int64(remCRU[i]) != want {
+			if want := int64(c.CRUCap[i]) - use.cru[i]; int64(book.CRU[i]) != want {
 				return fmt.Errorf("mec: ledger drift: BS %d service %d has %d CRUs left, recount says %d",
-					b, i-b*c.Services, remCRU[i], want)
+					b, i-b*c.Services, book.CRU[i], want)
 			}
 		}
-		if want := int64(c.MaxRRB[b]) - used; int64(remRRB[b]) != want {
-			return fmt.Errorf("mec: ledger drift: BS %d has %d RRBs left, recount says %d", b, remRRB[b], want)
+		if want := int64(c.MaxRRB[b]) - used; int64(book.RRB[b]) != want {
+			return fmt.Errorf("mec: ledger drift: BS %d has %d RRBs left, recount says %d", b, book.RRB[b], want)
 		}
 	}
 	return nil

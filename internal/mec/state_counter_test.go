@@ -7,12 +7,12 @@ import (
 )
 
 // grantedRRBs is the RRBs the ledger's residual rows say are granted:
-// the sum over b of MaxRRBs - RemainingRRBs(b), the total an online
+// the sum over b of MaxRRBs minus the book's RRB residual, the total an online
 // session's teardown compares with its placement table.
 func grantedRRBs(s *State) int {
 	used := 0
 	for b := range s.net.BSs {
-		used += s.net.BSs[b].MaxRRBs - s.RemainingRRBs(BSID(b))
+		used += s.net.BSs[b].MaxRRBs - int(s.book.RRB[b])
 	}
 	return used
 }
@@ -73,7 +73,7 @@ func TestCheckInvariantsCatchesDriftedRRBTotal(t *testing.T) {
 	s := NewState(net)
 	for u := range net.UEs {
 		if c := candidates(net, UEID(u)); len(c) > 0 && s.Assign(UEID(u), c[0].BS) == nil {
-			s.remRRB[c[0].BS]++
+			s.book.RRB[c[0].BS]++
 			break
 		}
 	}

@@ -59,8 +59,8 @@ func (n *Network) NewSubView() *SubView {
 // of the UE pool.
 func (sv *SubView) Refresh(active []UEID, res *State) *Network {
 	c := &sv.net.csr
-	copy(c.CRUCap, res.remCRU)
-	copy(c.MaxRRB, res.remRRB)
+	copy(c.CRUCap, res.book.CRU)
+	copy(c.MaxRRB, res.book.RRB)
 	for _, u := range sv.prev {
 		c.Active[u] = false
 	}

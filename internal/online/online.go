@@ -598,20 +598,22 @@ func (s *session) run() (Report, error) {
 }
 
 // checkLedger is the session's teardown check: the route ledger's own
-// recount against its residuals, and the RRBs it has granted against
-// the placement table's running total.
+// recount against its residual book, and the RRBs that book has granted
+// against the placement table's running total.
 func (s *session) checkLedger() error {
-	check := s.state.CheckInvariants
-	remRRB := func(b int) int { return s.state.RemainingRRBs(mec.BSID(b)) }
+	var book *mec.Book
+	var err error
 	if s.inc != nil {
-		check, remRRB = s.inc.CheckInvariants, s.inc.RemRRB
+		book, err = s.inc.Book(), s.inc.CheckInvariants()
+	} else {
+		book, err = s.state.Book(), s.state.CheckInvariants()
 	}
-	if err := check(); err != nil {
+	if err != nil {
 		return err
 	}
 	granted := s.totalRRBs
-	for b := range s.net.BSs {
-		granted -= remRRB(b)
+	for _, rem := range book.RRB {
+		granted -= int(rem)
 	}
 	if granted != s.usedRRBs {
 		return fmt.Errorf("ledger grants %d RRBs, placements hold %d", granted, s.usedRRBs)

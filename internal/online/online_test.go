@@ -291,7 +291,7 @@ func TestSubViewZeroResidualBSStaysPresent(t *testing.T) {
 	if err := state.Assign(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if rem := state.RemainingRRBs(0); rem != 0 {
+	if rem := state.Book().RRB[0]; rem != 0 {
 		t.Fatalf("BS 0 residual RRBs = %d, want 0", rem)
 	}
 

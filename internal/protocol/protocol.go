@@ -2,18 +2,18 @@
 // message exchange between UE and BS agents on the discrete-event engine
 // of internal/sim.
 //
-// Where alloc.DMRA resolves each iteration against a shared in-memory
-// ledger, this package gives every base station its own private resource
-// ledger and every UE its own local view of remaining resources, learned
-// exclusively from the ResourceBroadcast messages the paper's Alg. 1
-// line 26 prescribes. UEs decide from (possibly one-round-stale) local
-// state, exactly as real handsets would. This runtime is a thin driver
-// over internal/engine — proposal scoring, per-service selection, the
-// prefix trim, and the view bookkeeping are the engine's; this
-// package only moves the messages — so the final matching is
-// bit-identical to the synchronous solver's, an equivalence the tests
-// assert, while this runtime additionally reports message and round
-// costs.
+// Where alloc.DMRA resolves each iteration against a residual book every
+// UE reads directly, here only a base station's own agent touches its
+// row of the book, and every UE keeps its own local view of remaining
+// resources, learned exclusively from the ResourceBroadcast messages the
+// paper's Alg. 1 line 26 prescribes. UEs decide from (possibly
+// one-round-stale) local state, exactly as real handsets would. This
+// runtime is a thin driver over internal/engine — proposal scoring,
+// per-service selection, the prefix trim, and the view bookkeeping are
+// the engine's; this package only moves the messages — so the final
+// matching is bit-identical to the synchronous solver's, an equivalence
+// the tests assert, while this runtime additionally reports message and
+// round costs.
 package protocol
 
 import (
@@ -100,10 +100,10 @@ type Result struct {
 // with pending requests).
 var ErrDidNotQuiesce = errors.New("protocol: exceeded round bound without quiescing")
 
-// bsAgent is a base-station actor with a private resource ledger.
+// bsAgent is a base-station actor; its private resources are its row of
+// the runner's book.
 type bsAgent struct {
 	id    mec.BSID
-	led   *engine.BSLedger
 	inbox []engine.Request
 	sel   engine.SelectScratch
 	// admitted records reservations so accepts can be re-sent
@@ -142,8 +142,11 @@ type runner struct {
 	cfg    Config
 	engine sim.Engine
 	bss    []*bsAgent
-	loss   *rng.Source
-	res    Result
+	// book holds every BS's residuals; agent b reads and writes row b
+	// only.
+	book mec.Book
+	loss *rng.Source
+	res  Result
 
 	// serving[u] is the BS serving UE u, CloudBS until an accept arrives.
 	serving []mec.BSID
@@ -162,10 +165,6 @@ type runner struct {
 
 	// snap is the reused RoundHook snapshot (nil when no hook is set).
 	snap *engine.Snapshot
-
-	// fatal records an engine-level failure surfaced inside an event
-	// callback; run() converts it into the returned error.
-	fatal error
 }
 
 // lost samples the loss process for one message or broadcast reception.
@@ -182,14 +181,11 @@ func (r *runner) lost() bool {
 
 func (r *runner) setup() {
 	r.serving = mec.NewAssignment(len(r.net.UEs)).ServingBS
+	csr := r.net.Dense()
+	r.book.Reset(csr.Services, csr.CRUCap, csr.MaxRRB)
 	r.bss = make([]*bsAgent, len(r.net.BSs))
 	for b := range r.net.BSs {
-		bs := &r.net.BSs[b]
-		r.bss[b] = &bsAgent{
-			id:       mec.BSID(b),
-			led:      engine.NewBSLedger(bs.CRUCapacity, bs.MaxRRBs),
-			admitted: make(map[mec.UEID]bool),
-		}
+		r.bss[b] = &bsAgent{id: mec.BSID(b), admitted: make(map[mec.UEID]bool)}
 	}
 	if r.cfg.RoundHook != nil {
 		r.snap = engine.NewSnapshot(r.net)
@@ -198,20 +194,15 @@ func (r *runner) setup() {
 
 // exportRound fires the RoundHook with the state at the controller's
 // end-of-round decision point: accepts scheduled at select time have
-// been delivered, so agents' serving BSs agree with the BS ledgers
-// (loss-free runs; lost accepts show up as ledger debits without a
+// been delivered, so agents' serving BSs agree with the BS rows of the
+// book (loss-free runs; lost accepts show up as debits without a
 // matching assignment, exactly the leaked reservations the Result
 // reports).
 func (r *runner) exportRound(round int) {
 	if r.cfg.RoundHook == nil {
 		return
 	}
-	r.snap.Round = round
-	for b, bs := range r.bss {
-		copy(r.snap.CRURow(b), bs.led.RemainingCRU())
-		r.snap.RemRRB[b] = bs.led.RemainingRRBs()
-	}
-	copy(r.snap.ServingBS, r.serving)
+	engine.Capture(r.snap, round, &r.book, r.serving)
 	r.cfg.RoundHook(r.snap)
 }
 
@@ -221,9 +212,6 @@ func (r *runner) run() (Result, error) {
 	r.engine.Run()
 	if protocolErr != nil {
 		return Result{}, protocolErr
-	}
-	if r.fatal != nil {
-		return Result{}, fmt.Errorf("protocol: %w", r.fatal)
 	}
 
 	r.res.Assignment = mec.Assignment{ServingBS: r.serving}
@@ -304,7 +292,7 @@ func (r *runner) propose(u mec.UEID) (engine.Request, mec.BSID, bool) {
 	return req, bsID, ok
 }
 
-// selectPhase runs every BS's Alg. 1 lines 11-26 on its private ledger via
+// selectPhase runs every BS's Alg. 1 lines 11-26 on its row of the book via
 // the engine's select round, then sends accept/reject plus a resource
 // broadcast.
 func (r *runner) selectPhase(round int) {
@@ -317,7 +305,7 @@ func (r *runner) selectPhase(round int) {
 
 		// Requests from UEs this BS already admitted mean the original
 		// accept was lost: re-send it idempotently without touching the
-		// ledger.
+		// book.
 		fresh := reqs[:0]
 		for _, req := range reqs {
 			if bs.admitted[req.UE] {
@@ -331,14 +319,7 @@ func (r *runner) selectPhase(round int) {
 			continue
 		}
 
-		verdicts, err := r.cfg.DMRA.SelectRound(bs.led, fresh, &bs.sel)
-		if err != nil {
-			if r.fatal == nil {
-				r.fatal = err
-			}
-			return
-		}
-		for _, v := range verdicts {
+		for _, v := range r.cfg.DMRA.SelectRound(&r.book, bs.id, fresh, &bs.sel) {
 			if v.Accepted {
 				bs.admitted[v.Req.UE] = true
 				r.sendAccept(round, bs, v.Req.UE)
@@ -354,10 +335,10 @@ func (r *runner) selectPhase(round int) {
 		admitted := 0
 		for _, bs := range r.bss {
 			crus := 0
-			for _, c := range bs.led.RemainingCRU() {
-				crus += c
+			for _, c := range r.book.Row(bs.id) {
+				crus += int(c)
 			}
-			r.cfg.Obs.Residual(int(bs.id), crus, bs.led.RemainingRRBs())
+			r.cfg.Obs.Residual(int(bs.id), crus, int(r.book.RRB[bs.id]))
 			admitted += len(bs.admitted)
 		}
 		r.cfg.Obs.Unmatched(len(r.serving) - admitted)
@@ -404,9 +385,12 @@ func (r *runner) broadcast(round int, bs *bsAgent) {
 	r.res.Broadcasts++
 	r.res.Messages++
 	r.observe(obs.KindBroadcast, round, -1, bs.id)
-	remCRU := append([]int(nil), bs.led.RemainingCRU()...)
-	remRRB := bs.led.RemainingRRBs()
 	bsID := bs.id
+	remCRU := make([]int, r.book.Services)
+	for j, c := range r.book.Row(bsID) {
+		remCRU[j] = int(c)
+	}
+	remRRB := int(r.book.RRB[bsID])
 	var missed []mec.UEID
 	if r.loss != nil {
 		for _, u := range r.prop.Covered(bsID) {

@@ -33,15 +33,14 @@ func setStartHook(t *testing.T, hook func(*BSServer)) {
 	t.Cleanup(func() { testHookStartBS = nil })
 }
 
-// drainLedger rewinds a server's ledger to z CRUs per service and z RRBs,
+// drainBook rewinds a server's book to z CRUs per service and z RRBs,
 // keeping the service count so SelectRound stays in bounds.
-func drainLedger(s *BSServer, z int) {
-	services := len(s.led.RemainingCRU())
-	cru := make([]int, services)
+func drainBook(s *BSServer, z int32) {
+	cru := make([]int32, s.book.Services)
 	for j := range cru {
 		cru[j] = z
 	}
-	s.led.Reset(cru, z)
+	s.book.Reset(len(cru), cru, []int32{z})
 }
 
 // TestClusterShardLatencyHistograms checks the per-round and per-region
@@ -107,19 +106,19 @@ func TestClusterHungBSTimesOut(t *testing.T) {
 	}
 }
 
-// TestClusterSelectErrorSurfaces forces a BS-side select failure (a ledger
+// TestClusterSelectErrorSurfaces forces a BS-side select failure (a book
 // driven into an invalid state) and checks it reaches the caller as a
 // *BSError instead of the round being applied. Regression for verdicts
 // formerly being applied from a broken book with the error only held in
 // the server.
 func TestClusterSelectErrorSurfaces(t *testing.T) {
 	setStartHook(t, func(s *BSServer) {
-		drainLedger(s, -1) // invalid: negative residuals fail CheckInvariants
+		drainBook(s, -1) // invalid: negative residuals fail CheckNonNegative
 	})
 	net_ := buildNet(t, 60, 2)
 	res, err := RunRegionCluster(net_, RegionConfig{DMRA: alloc.DefaultDMRAConfig(), Regions: 2})
 	if err == nil {
-		t.Fatal("run with corrupted ledgers returned nil error")
+		t.Fatal("run with corrupted books returned nil error")
 	}
 	var bse *BSError
 	if !errors.As(err, &bse) {
@@ -128,8 +127,8 @@ func TestClusterSelectErrorSurfaces(t *testing.T) {
 	if bse.Op != "select" || bse.Round != 1 {
 		t.Errorf("BSError op=%q round=%d, want select round 1", bse.Op, bse.Round)
 	}
-	if !strings.Contains(err.Error(), "ledger invalid") {
-		t.Errorf("error %q does not carry the ledger diagnosis", err)
+	if !strings.Contains(err.Error(), "book invalid") {
+		t.Errorf("error %q does not carry the book diagnosis", err)
 	}
 	if res.Assignment.ServingBS != nil {
 		t.Error("failed run returned a non-zero result")
@@ -170,7 +169,7 @@ func TestClusterCloseErrorFolded(t *testing.T) {
 // module carries no leak-checker dependency).
 func TestClusterNoGoroutineLeakOnFailure(t *testing.T) {
 	setStartHook(t, func(s *BSServer) {
-		drainLedger(s, -1)
+		drainBook(s, -1)
 	})
 	before := runtime.NumGoroutine()
 	net_ := buildNet(t, 60, 2)
@@ -190,7 +189,7 @@ func TestClusterNoGoroutineLeakOnFailure(t *testing.T) {
 }
 
 // TestClusterRoundsExceedUEPlusOne is the round-bound satellite's
-// adversarial case: when BS ledgers have diverged from UE views (here:
+// adversarial case: when BS books have diverged from UE views (here:
 // servers restarted with drained books), retry churn makes the run need
 // more than |UE|+1 rounds — each round only removes one candidate link.
 // The old |UE|+1 cap aborted such runs; the deferred-acceptance bound
@@ -214,11 +213,11 @@ func TestClusterRoundsExceedUEPlusOne(t *testing.T) {
 		t.Fatalf("scenario gives the UE %d candidates, need >= 3", cands)
 	}
 
-	// Drain every ledger to zero behind the UE's back: views still claim
+	// Drain every book to zero behind the UE's back: views still claim
 	// full capacity, so the UE proposes to each candidate in turn and
 	// collects one permanent reject per round.
 	setStartHook(t, func(s *BSServer) {
-		drainLedger(s, 0)
+		drainBook(s, 0)
 	})
 	res, err := RunRegionCluster(net_, RegionConfig{DMRA: alloc.DefaultDMRAConfig(), Regions: 2})
 	if err != nil {

@@ -320,7 +320,7 @@ func TestRegionClusterChaosCrashRecovery(t *testing.T) {
 // must exit.
 func TestRegionClusterNoGoroutineLeakOnFailure(t *testing.T) {
 	setStartHook(t, func(s *BSServer) {
-		drainLedger(s, -1) // invalid ledger: select fails on every BS
+		drainBook(s, -1) // invalid book: select fails on every BS
 	})
 	before := runtime.NumGoroutine()
 	net_ := buildNet(t, 60, 2)

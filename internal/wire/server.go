@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -14,8 +15,8 @@ import (
 )
 
 // BSServer is one base station running as a TCP server with a private
-// resource ledger. It accepts a single coordinator connection and answers
-// RoundRequest frames until a Shutdown frame, EOF, or Close.
+// one-BS residual book. It accepts a single coordinator connection and
+// answers RoundRequest frames until a Shutdown frame, EOF, or Close.
 type BSServer struct {
 	id           mec.BSID
 	cfg          alloc.DMRAConfig
@@ -23,9 +24,9 @@ type BSServer struct {
 
 	ln net.Listener
 
-	mu  sync.Mutex
-	led *engine.BSLedger
-	sel engine.SelectScratch
+	mu   sync.Mutex
+	book mec.Book
+	sel  engine.SelectScratch
 
 	// connMu guards conn, the single accepted coordinator connection,
 	// which Close must be able to close to unblock a serve goroutine
@@ -51,22 +52,20 @@ type BSServer struct {
 	tamper func(*RoundResponse)
 }
 
-// StartBS launches a BS server on 127.0.0.1 with an ephemeral port.
-// writeTimeout bounds each response write (zero means unbounded).
-// Callers must Close it.
+// StartBS launches a BS server on 127.0.0.1 with an ephemeral port, its
+// book opened at the given capacities, each of which must lie in
+// [0, MaxInt32]. writeTimeout bounds each response write (zero means
+// unbounded). Callers must Close it.
 func StartBS(id mec.BSID, cruCapacity []int, maxRRBs int, cfg alloc.DMRAConfig, writeTimeout time.Duration) (*BSServer, error) {
+	s := &BSServer{id: id, cfg: cfg, writeTimeout: writeTimeout, closed: make(chan struct{})}
+	if err := s.openBook(cruCapacity, maxRRBs); err != nil {
+		return nil, fmt.Errorf("wire: BS %d: %w", id, err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen: %w", err)
 	}
-	s := &BSServer{
-		id:           id,
-		cfg:          cfg,
-		writeTimeout: writeTimeout,
-		ln:           ln,
-		led:          engine.NewBSLedger(cruCapacity, maxRRBs),
-		closed:       make(chan struct{}),
-	}
+	s.ln = ln
 	s.wg.Add(1)
 	go s.serve()
 	return s, nil
@@ -176,12 +175,29 @@ func isClosed(err error) bool {
 	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
+// openBook opens the server's one-BS book at the given capacities,
+// refusing one its int32 rows cannot hold.
+func (s *BSServer) openBook(cruCapacity []int, maxRRBs int) error {
+	cru := make([]int32, len(cruCapacity))
+	for j, c := range cruCapacity {
+		if c < 0 || c > math.MaxInt32 {
+			return fmt.Errorf("service %d capacity %d outside [0, %d]", j, c, math.MaxInt32)
+		}
+		cru[j] = int32(c)
+	}
+	if maxRRBs < 0 || maxRRBs > math.MaxInt32 {
+		return fmt.Errorf("RRB capacity %d outside [0, %d]", maxRRBs, math.MaxInt32)
+	}
+	s.book.Reset(len(cru), cru, []int32{int32(maxRRBs)})
+	return nil
+}
+
 // process runs Alg. 1 lines 11-26 — selection, the preference-order trim,
-// admission against the private ledger — through the engine's select
-// round, then snapshots the ledger into the resource broadcast, filling
-// resp. A batch checkRequests refuses, a select failure or a ledger that
-// fails its invariant check is recorded for Close and reported in-band
-// via RoundResponse.Error, so the coordinator fails the round instead of
+// admission against the private book — through the engine's select
+// round, then snapshots the book into the resource broadcast, filling
+// resp. A batch checkRequests refuses, or a book left with a negative
+// residual, is recorded for Close and reported in-band via
+// RoundResponse.Error, so the coordinator fails the round instead of
 // applying verdicts from a broken book.
 func (s *BSServer) process(req *RoundRequest, resp *RoundResponse) {
 	s.mu.Lock()
@@ -189,12 +205,10 @@ func (s *BSServer) process(req *RoundRequest, resp *RoundResponse) {
 
 	*resp = RoundResponse{Round: req.Round, Verdicts: resp.Verdicts[:0], RemainingCRU: resp.RemainingCRU[:0]}
 	var verdicts []engine.Verdict
-	err := checkRequests(req.Requests, len(s.led.RemainingCRU()))
+	err := checkRequests(req.Requests, s.book.Services)
 	if err == nil {
-		verdicts, err = s.cfg.SelectRound(s.led, req.Requests, &s.sel)
-	}
-	if err == nil {
-		err = s.led.CheckInvariants()
+		verdicts = s.cfg.SelectRound(&s.book, 0, req.Requests, &s.sel)
+		err = s.book.CheckNonNegative()
 	}
 	if err != nil {
 		err = fmt.Errorf("wire: BS %d select: %w", s.id, err)
@@ -205,14 +219,16 @@ func (s *BSServer) process(req *RoundRequest, resp *RoundResponse) {
 	for _, v := range verdicts {
 		resp.Verdicts = append(resp.Verdicts, Verdict{UE: v.Req.UE, Accepted: v.Accepted, Permanent: v.Permanent})
 	}
-	resp.RemainingCRU = append(resp.RemainingCRU, s.led.RemainingCRU()...)
-	resp.RemainingRRBs = s.led.RemainingRRBs()
+	for _, c := range s.book.CRU {
+		resp.RemainingCRU = append(resp.RemainingCRU, int(c))
+	}
+	resp.RemainingRRBs = int(s.book.RRB[0])
 }
 
 // checkRequests refuses a batch the select round cannot take safely: a
-// request for a service outside the ledger's services, which select
+// request for a service outside the book's services, which select
 // would index past its rows with, or with a negative demand, which would
-// grow the ledger past its capacities. The decoder accepts any integer,
+// grow the book past its capacities. The decoder accepts any integer,
 // so these come from a peer, not from a coordinator's proposer.
 func checkRequests(reqs []Request, services int) error {
 	for _, r := range reqs {

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"dmra/internal/alloc"
-	"dmra/internal/engine"
 )
 
 // FuzzServeRequests feeds the request frames decoded from arbitrary bytes,
 // in order, to one BS server's round handler and checks its contract on
 // untrusted input: every frame gets a response, never a panic. A response
 // is either an in-band error with no verdicts, or verdicts for UEs the
-// frame named plus a broadcast of one residual per service inside the
+// frame named, admitting none past the BS's capacities, plus a broadcast of one residual per service inside the
 // BS's capacities, the checks the coordinator applies before taking it.
 // The frame decoder itself is FuzzReadFrame's.
 func FuzzServeRequests(f *testing.F) {
@@ -27,6 +26,8 @@ func FuzzServeRequests(f *testing.F) {
 		{UE: 3, Service: 5 << 40, CRUs: 1, RRBs: 1},
 		{UE: 3, Service: -1, CRUs: 1, RRBs: 1},
 		{UE: 4, Service: 0, CRUs: -3, RRBs: 1},
+		{UE: 5, Service: 0, CRUs: 1 << 40, RRBs: 1},
+		{UE: 5, Service: 0, CRUs: 1, RRBs: 1 << 40},
 	} {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, &RoundRequest{Round: 1, Requests: []Request{bad}}); err != nil {
@@ -36,7 +37,10 @@ func FuzzServeRequests(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &BSServer{cfg: alloc.DefaultDMRAConfig(), led: engine.NewBSLedger(bs.CRUCapacity, bs.MaxRRBs)}
+		s := &BSServer{cfg: alloc.DefaultDMRAConfig()}
+		if err := s.openBook(bs.CRUCapacity, bs.MaxRRBs); err != nil {
+			t.Fatal(err)
+		}
 		r := bytes.NewReader(data)
 		var req RoundRequest
 		var resp RoundResponse
@@ -65,6 +69,14 @@ func FuzzServeRequests(f *testing.F) {
 			for _, v := range resp.Verdicts {
 				if !slices.ContainsFunc(req.Requests, func(q Request) bool { return q.UE == v.UE }) {
 					t.Fatalf("verdict for UE %d, which the frame did not name", v.UE)
+				}
+				// An admission fits the BS's capacities: a demand past
+				// int32 must not wrap into one that does.
+				fits := func(q Request) bool {
+					return q.UE == v.UE && q.CRUs <= bs.CRUCapacity[q.Service] && q.RRBs <= bs.MaxRRBs
+				}
+				if v.Accepted && !slices.ContainsFunc(req.Requests, fits) {
+					t.Fatalf("UE %d admitted with a demand past the BS's capacities", v.UE)
 				}
 			}
 		}

@@ -143,10 +143,11 @@ func TestBSServerLifecycle(t *testing.T) {
 
 // TestBSServerRejectsBadRequests sends a one-service BS requests its
 // select round cannot take: a service it does not serve (which used to
-// panic indexing its ledger, taking the process down) and negative
+// panic indexing its book, taking the process down) and negative
 // demands. Each gets an in-band error frame naming the problem, the
-// ledger stays untouched, the server keeps answering, and Close reports
-// the first failure.
+// book stays untouched, the server keeps answering, and Close reports
+// the first failure. Demands past int32 are valid requests no BS can
+// fit: they get a permanent reject, and the book is untouched too.
 func TestBSServerRejectsBadRequests(t *testing.T) {
 	s, err := StartBS(0, []int{10}, 10, alloc.DefaultDMRAConfig(), time.Second)
 	if err != nil {
@@ -166,11 +167,20 @@ func TestBSServerRejectsBadRequests(t *testing.T) {
 		{Request{UE: 3, Service: -1, CRUs: 1, RRBs: 1}, "service -1"},
 		{Request{UE: 4, Service: 0, CRUs: -3, RRBs: 1}, "-3 CRUs"},
 		{Request{UE: 4, Service: 0, CRUs: 1, RRBs: -2}, "-2 RRBs"},
+		{Request{UE: 6, Service: 0, CRUs: 1 << 40, RRBs: 1}, ""},
+		{Request{UE: 6, Service: 0, CRUs: 1, RRBs: 1 << 40}, ""},
 	}
 	for i, c := range bad {
 		var resp RoundResponse
 		if err := exchange(conn, time.Second, &RoundRequest{Round: i + 1, Requests: []Request{c.req}}, &resp); err != nil {
 			t.Fatalf("%+v: exchange: %v", c.req, err)
+		}
+		if c.want == "" {
+			if resp.Error != "" || len(resp.Verdicts) != 1 || resp.Verdicts[0].Accepted || !resp.Verdicts[0].Permanent ||
+				resp.RemainingCRU[0] != 10 || resp.RemainingRRBs != 10 {
+				t.Fatalf("%+v: response %+v, want a permanent reject and the book untouched", c.req, resp)
+			}
+			continue
 		}
 		if !strings.Contains(resp.Error, c.want) || len(resp.Verdicts) != 0 {
 			t.Fatalf("%+v: response %+v, want an error naming %q", c.req, resp, c.want)
@@ -183,11 +193,35 @@ func TestBSServerRejectsBadRequests(t *testing.T) {
 	}
 	if resp.Error != "" || len(resp.Verdicts) != 1 || !resp.Verdicts[0].Accepted ||
 		resp.RemainingCRU[0] != 6 || resp.RemainingRRBs != 7 {
-		t.Fatalf("valid request after the bad ones: %+v, want UE 5 admitted against the full ledger", resp)
+		t.Fatalf("valid request after the bad ones: %+v, want UE 5 admitted against the full book", resp)
 	}
 	conn.Close()
 	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "service 5") {
 		t.Fatalf("close: %v, want the first bad request's error", err)
+	}
+}
+
+// TestStartBSRejectsCapacityPastInt32 requires StartBS to refuse a
+// capacity its int32 book cannot hold, instead of letting it wrap.
+func TestStartBSRejectsCapacityPastInt32(t *testing.T) {
+	for _, c := range []struct {
+		cru  []int
+		rrbs int
+		want string
+	}{
+		{[]int{10, -1}, 10, "service 1 capacity -1"},
+		{[]int{1 << 31}, 10, "service 0 capacity 2147483648"},
+		{[]int{10}, -5, "RRB capacity -5"},
+		{[]int{10}, 1 << 40, "RRB capacity 1099511627776"},
+	} {
+		s, err := StartBS(3, c.cru, c.rrbs, alloc.DefaultDMRAConfig(), time.Second)
+		if err == nil {
+			s.Close()
+			t.Fatalf("StartBS(%v, %d) accepted", c.cru, c.rrbs)
+		}
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "BS 3") {
+			t.Fatalf("StartBS(%v, %d): %v, want an error naming BS 3 and %q", c.cru, c.rrbs, err, c.want)
+		}
 	}
 }
 

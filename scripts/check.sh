@@ -6,9 +6,12 @@
 # of the feasibility validator, of
 # the radio link kernel and of the differential parity harness, a
 # one-iteration smoke run of the hot-path benchmarks with the non-race
-# allocation-count tests, vet and tests of the bench/ module, and the
+# allocation-count tests, vet and tests of the bench/ module, the
 # telemetry-determinism gate, which proves that attaching the
-# observability layer does not change a single byte of experiment output.
+# observability layer does not change a single byte of experiment output,
+# and the grep guards: the round machinery lives only in internal/engine,
+# resource books (Residual/Admit methods) only in internal/mec, and wire
+# frame I/O goes through the deadline helpers.
 # Equivalent to `make check`.
 #
 # Usage:
@@ -16,7 +19,7 @@
 #   scripts/check.sh gofmt             only the gofmt gate
 #   scripts/check.sh obs-determinism   only the telemetry gate
 #   scripts/check.sh bench-smoke       only the one-iteration benchmark smoke run + the allocation-count tests
-#   scripts/check.sh engine-guard      only the single-round-engine grep guard
+#   scripts/check.sh engine-guard      only the single-round-engine and single-residual-book grep guard
 #   scripts/check.sh wire-guard        only the wire deadline grep guard
 #   scripts/check.sh wire-fuzz         only the 20 s FuzzReadFrame and 10 s FuzzLoadCheckpoint runs over the wire decoders + the 10 s FuzzServeRequests run of the BS server's round handler
 #   scripts/check.sh mec-fuzz          only the 10 s FuzzValidateAssignment run of the feasibility validator against the ledger replay
@@ -42,7 +45,18 @@ engine_guard() {
 		echo "$dupes" >&2
 		exit 1
 	fi
-	echo "engine guard: round machinery implemented only in internal/engine"
+	# Every runtime keeps its residuals in the one mec.Book. A
+	# Residual/Admit method elsewhere is a second resource book (the
+	# per-runtime ledgers and adapters this replaced); obs.Recorder's
+	# Residual is a gauge, not a book.
+	books=$(grep -rnE 'func \([^)]*\) (Residual|Admit)\(' --include='*.go' . \
+		| grep -v '^\./internal/mec/' | grep -v '^\./internal/obs/recorder\.go:.*(r \*Recorder) Residual(' || true)
+	if [ -n "$books" ]; then
+		echo "engine guard: resource books outside internal/mec:" >&2
+		echo "$books" >&2
+		exit 1
+	fi
+	echo "engine guard: round machinery implemented only in internal/engine, residual books only in internal/mec"
 }
 
 wire_guard() {
